@@ -4,10 +4,7 @@
 //! The `event_core` group times the queue primitives themselves (push +
 //! drain, multi-queue merge). The `campaign_probe` group runs a sparse
 //! campaign — short jobs spread across a long virtual horizon — through
-//! the event engine; `BENCH_2.json` records the before/after of the
-//! event-core migration against the since-deleted ticked engine
-//! (13.1× on this probe), so the remaining bench guards the event
-//! engine's own trajectory.
+//! the event engine, guarding its trajectory against `BENCH_2.json`.
 //!
 //! Run with: `cargo bench -p jubench-bench --bench event_core`
 

@@ -13,12 +13,6 @@
 //! `jubench-faults`. An empty fault plan leaves the schedule identical
 //! to a fault-free run.
 //!
-//! The pre-event-queue stepped engine is gone: it soaked for one PR as
-//! the differential oracle (`tests/events.rs` pinned both engines
-//! byte-identical across the full registry × fault plans × pool widths)
-//! and was then deleted together with its `legacy-ticked` feature flag.
-//! The event engine is the only engine.
-//!
 //! **Conservative backfill.** At every dispatch point the queue is walked
 //! in priority order and each job is given the earliest start compatible
 //! with the running jobs and the *reservations of every job ahead of it*;
@@ -1126,7 +1120,7 @@ impl Scheduler {
     /// Virtual time advances by popping the next live entry of an
     /// [`EventQueue`] holding every future finish, crash, drain edge,
     /// submission, and retry-eligibility instant — O(log events) per
-    /// event, instead of the ticked engine's full rescan of every job.
+    /// event.
     /// The queue is rebuilt from the campaign state on every entry and
     /// never snapshotted, so [`CampaignState`]'s wire format (and every
     /// existing kill/resume artifact) is engine-agnostic. Entries whose
@@ -1152,8 +1146,7 @@ impl Scheduler {
         let (drain_starts, drain_ends, crashes) = self.fault_events(plan);
         // Submission order is fixed for the whole campaign and the
         // submitted set is always a prefix of it (every instant submits
-        // everything due), so one sort plus a cursor replaces the
-        // per-instant re-sort the ticked engine paid for.
+        // everything due), so one sort plus a cursor is enough.
         let mut submit_order: Vec<usize> = (0..jobs.len()).collect();
         submit_order.sort_by(|&a, &b| {
             jobs[a]
@@ -1404,10 +1397,8 @@ impl Scheduler {
             // Requests can outlive capacity lost to later crashes. The
             // surviving-node count only shrinks when `hit` is non-empty
             // (a crash always lands in `hit`) and every other path into
-            // `pending` checks capacity on entry, so the scan — which
-            // the ticked engine ran unconditionally every instant —
-            // fires only on capacity-loss instants: same lines, same
-            // order.
+            // `pending` checks capacity on entry, so the scan need
+            // only fire on capacity-loss instants.
             if !hit.is_empty() {
                 pending.retain(|p| {
                     let alive = self.machine.nodes - crashed.len() as u32;
@@ -1456,7 +1447,7 @@ impl Scheduler {
                         .any(|p| p.idx == payload && p.eligible_s == key.time),
                     event_class::SUBMIT => !submitted[payload],
                     // Drain ends only matter while something is drained
-                    // or queued (the ticked engine's exact gate).
+                    // or queued.
                     // Dropping a gated one is final — no handler can run
                     // before its timestamp, and the drain-end cursor
                     // consumes it silently at the next live instant.

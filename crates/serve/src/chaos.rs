@@ -2,7 +2,10 @@
 //! service.
 //!
 //! A [`ChaosPlan`] names, ahead of time, exactly which faults fire and
-//! where: shard crashes pinned to `(shard, unit)` boundaries, straggler
+//! where: shard crashes pinned to `(shard, unit)` boundaries of a drive
+//! attempt (a fired crash fails the attempt with a typed
+//! `ShardPanicked`, the error a caught worker panic becomes — no real
+//! panic is raised), straggler
 //! shards that yield their timeslice between units, and wire faults
 //! ([`WireFault`]) that truncate or corrupt a session's byte stream.
 //! Because every fault is data — no clocks, no entropy at fire time —

@@ -3,11 +3,11 @@
 //! Everything that can go wrong while *driving* the service — as
 //! opposed to speaking its protocol ([`WireError`]) — is a
 //! [`ServeError`]: a shard worker panicking mid-drain, a scheduler
-//! snapshot refusing to restore, a shard exhausting its restart budget.
-//! The guard layer ([`crate::supervisor`]) exists to keep these from
-//! ever escaping as panics: a supervised drain converts them into
-//! restarts, typed cancellations, or a returned error — never an
-//! `unwrap` in a worker thread.
+//! snapshot refusing to restore, a migration naming a shard that does
+//! not exist. The drain driver ([`crate::supervisor`]) keeps these from
+//! ever escaping as panics: every drain catches a worker panic and
+//! returns it typed, and a supervised drain converts failures into
+//! restarts or typed cancellations.
 
 use crate::wire::WireError;
 use jubench_ckpt::CkptError;
@@ -35,13 +35,12 @@ pub enum ServeError {
         /// The underlying decode failure.
         source: CkptError,
     },
-    /// A shard kept failing past its restart budget and the supervisor
-    /// gave up on it.
-    RestartsExhausted {
-        /// The shard that was given up on.
+    /// A caller named a shard the server does not have.
+    NoSuchShard {
+        /// The shard id asked for.
         shard: u32,
-        /// Restarts attempted before giving up.
-        restarts: u32,
+        /// How many shards the server has.
+        n_shards: usize,
     },
 }
 
@@ -59,11 +58,8 @@ impl fmt::Display for ServeError {
                     "campaign {campaign}: scheduler snapshot unusable: {source}"
                 )
             }
-            ServeError::RestartsExhausted { shard, restarts } => {
-                write!(
-                    f,
-                    "shard {shard} failed past its budget ({restarts} restarts)"
-                )
+            ServeError::NoSuchShard { shard, n_shards } => {
+                write!(f, "no shard {shard}: the server has {n_shards}")
             }
         }
     }

@@ -27,15 +27,16 @@
 //!   at every unit boundary, with live extraction/adoption of in-flight
 //!   campaigns for migration.
 //! - [`server`]: shard routing (campaigns keyed to shards by machine
-//!   fingerprint), serial and dedicated-thread-parallel driving, the
-//!   session loop, and the [`Client`] helper.
+//!   fingerprint), the public drains, the session loop, and the
+//!   [`Client`] helper.
 //! - [`admission`]: the deterministic front gate — per-tenant active
 //!   campaign quotas and a refund-on-retire point-token bucket. Denials
 //!   are typed [`Rejection`]s carried on the wire, never panics.
-//! - [`supervisor`]: restore-and-retry drains that survive shard worker
-//!   failures — restore from the last [`Checkpointable`](jubench_ckpt::Checkpointable)
-//!   snapshot, seeded bounded backoff, and a typed-cancellation degrade
-//!   path after the restart budget is exhausted.
+//! - [`supervisor`]: the one drain driver behind every public drain —
+//!   per shard, snapshot at attempt start, restore-and-retry on a typed
+//!   error or caught panic, seeded bounded backoff, and a
+//!   typed-cancellation degrade path after the restart budget is
+//!   exhausted; inline or on dedicated threads, one frame order.
 //! - [`chaos`]: seeded fault plans (shard crashes at unit boundaries,
 //!   stragglers) and wire faults (truncation, bit flips) for
 //!   deterministic robustness testing.
@@ -45,7 +46,8 @@
 //!
 //! For a fixed request set, the per-campaign frame stream — and
 //! therefore the result table and Chrome trace — is byte-identical
-//! across: any shard count, serial vs parallel driving, any
+//! across: any shard count, every drain entry point (whose full
+//! streams are equal frame for frame), any
 //! kill-and-restore point, live migration mid-campaign, warm vs cold
 //! caches — and any seeded chaos plan the supervisor recovers from. The
 //! cache changes *when* work happens, never *what* is produced; the

@@ -6,13 +6,13 @@
 //! `fnv1a64(machine fingerprint) mod N` — so repeated campaigns against
 //! the same partition land on the same shard and find its cache warm.
 //!
-//! Driving is deterministic two ways: [`Server::drain`] advances shards
-//! round-robin on the calling thread (frames interleave in shard
-//! order), and [`Server::drain_parallel`] runs every shard on its own
-//! dedicated `jubench-pool` rank thread and concatenates the per-shard
-//! frame streams in shard order afterwards. Either way, the frame
-//! subsequence of any single campaign is identical — that is the
-//! byte-identity contract the tests pin.
+//! Driving is one loop behind four entry points: [`Server::drain`],
+//! [`Server::drain_parallel`] and their supervised counterparts all go
+//! through the driver in [`crate::supervisor`], which drives each shard
+//! to idle — on the calling thread or on a dedicated `jubench-pool`
+//! rank thread each — and concatenates the per-shard frame streams in
+//! shard order. Shards share no state, so every entry point returns the
+//! same frames; that is the byte-identity contract the tests pin.
 //!
 //! [`serve_session`] speaks the wire protocol over a [`Transport`], and
 //! [`Client`] is the matching caller side.
@@ -21,11 +21,11 @@ use crate::admission::{AdmissionConfig, AdmissionGate, RejectReason, Rejection};
 use crate::error::ServeError;
 use crate::shard::{Emit, ShardState};
 use crate::spec::CampaignSpec;
+use crate::supervisor::Executor;
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, Frame, WireError};
 use jubench_core::{fnv1a64, Registry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 /// Where a live campaign sits and what it holds against its tenant's
 /// quotas (refunded when the campaign retires).
@@ -160,70 +160,36 @@ impl Server {
         Ok(out)
     }
 
-    /// Drive all shards to completion on the calling thread,
-    /// deterministically interleaving frames in shard order.
+    /// Drive all shards to completion on the calling thread, shard by
+    /// shard. The first shard failure — a typed error or a caught panic
+    /// — is returned as `Err` after every shard has been driven; shard
+    /// state is kept. This is the *unsupervised* drain: it propagates,
+    /// [`Server::drain_supervised`] recovers.
     pub fn drain(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
-        let mut out = Vec::new();
-        while !self.idle() {
-            out.extend(self.step(registry)?);
-        }
-        Ok(out)
+        self.drive(registry, Executor::Inline, None)
+            .map(|o| o.emits)
     }
 
-    /// Drive all shards to completion in parallel, one dedicated
-    /// `jubench-pool` rank thread per shard. Frames are concatenated in
-    /// shard order after the join, so the result is deterministic; each
-    /// campaign's frame subsequence is identical to [`Self::drain`]'s.
-    ///
-    /// A shard worker that fails — a typed error or an outright panic —
-    /// surfaces as `Err` after every worker has joined and the shards
-    /// have been moved back (no state is lost; a supervised drain can
-    /// restore and retry). This is the *unsupervised* primitive: it
-    /// propagates, [`Server::drain_supervised`] recovers.
+    /// [`Server::drain`] with every shard on its own dedicated
+    /// `jubench-pool` rank thread; same frames, same failure semantics.
     pub fn drain_parallel(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
-        let n = self.shards.len() as u32;
-        let slots: Vec<Mutex<ShardState>> = self.shards.drain(..).map(Mutex::new).collect();
-        let results = jubench_pool::run_dedicated(n, |i| {
-            slots[i as usize]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .drain(registry)
-        });
-        // A panicking worker poisons its mutex; the shard state behind
-        // it is still the thing to recover, so strip the poison.
-        self.shards = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-            .collect();
-        let mut out = Vec::new();
-        let mut first_err = None;
-        for (i, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(Ok(emits)) => out.extend(emits),
-                Ok(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                Err(panic) => {
-                    first_err.get_or_insert(ServeError::ShardPanicked {
-                        shard: i as u32,
-                        message: panic_message(&panic),
-                    });
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.forget_finished();
-        Ok(out)
+        self.drive(registry, Executor::Dedicated, None)
+            .map(|o| o.emits)
     }
 
     /// Migrate in-flight campaign `campaign` to shard `to`. Returns
     /// `Ok(false)` if the campaign is not live (unknown or already
-    /// done), `Err` if the extracted envelope failed to adopt (the
-    /// campaign is re-adopted by its origin shard first, so nothing is
-    /// lost).
+    /// done), `Err` if `to` is not a shard of this server (the campaign
+    /// stays where it is) or the extracted envelope failed to adopt
+    /// (the campaign is re-adopted by its origin shard first, so
+    /// nothing is lost).
     pub fn migrate(&mut self, campaign: u64, to: u32) -> Result<bool, ServeError> {
+        if to as usize >= self.shards.len() {
+            return Err(ServeError::NoSuchShard {
+                shard: to,
+                n_shards: self.shards.len(),
+            });
+        }
         let Some(route) = self.routes.get(&campaign) else {
             return Ok(false);
         };
@@ -273,18 +239,6 @@ fn reject(tenant: String, reason: RejectReason) -> Rejection {
     jubench_metrics::counter_add("serve/rejected", 1);
     jubench_metrics::counter_add(&format!("serve/tenant/{tenant}/rejected"), 1);
     Rejection { tenant, reason }
-}
-
-/// Render a worker panic payload (string payloads pass through; others
-/// get a placeholder).
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Serve one client session over a transport: the server side of the
@@ -458,43 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_drains_agree_per_campaign() {
-        let registry = jubench_scaling::full_registry();
-        let mut serial = Server::new(2, 16);
-        let mut parallel = Server::new(2, 16);
-        for (srv, _) in [(&mut serial, 0), (&mut parallel, 1)] {
-            srv.submit(7, spec("a", 8, 1), &registry).unwrap();
-            srv.submit(7, spec("b", 16, 2), &registry).unwrap();
-            srv.submit(7, spec("c", 8, 3), &registry).unwrap();
-        }
-        let serial_emits = serial.drain(&registry).unwrap();
-        let parallel_emits = parallel.drain_parallel(&registry).unwrap();
-        let per_campaign = |emits: &[Emit], id: u64| -> Vec<Frame> {
-            emits
-                .iter()
-                .filter(|e| frame_campaign(&e.frame) == Some(id))
-                .map(|e| e.frame.clone())
-                .collect()
-        };
-        for id in 1..=3u64 {
-            assert_eq!(
-                per_campaign(&serial_emits, id),
-                per_campaign(&parallel_emits, id),
-                "campaign {id} diverged between serial and parallel drains"
-            );
-        }
-    }
-
-    fn frame_campaign(frame: &Frame) -> Option<u64> {
-        match frame {
-            Frame::Row { campaign, .. }
-            | Frame::JobDone { campaign, .. }
-            | Frame::Done { campaign, .. } => Some(*campaign),
-            _ => None,
-        }
-    }
-
-    #[test]
     fn session_over_a_pipe_streams_results() {
         let registry = jubench_scaling::full_registry();
         let mut server = Server::new(2, 16);
@@ -553,5 +470,26 @@ mod tests {
         emits.extend(server.drain(&registry).unwrap());
         let frames = |e: &[Emit]| -> Vec<Frame> { e.iter().map(|x| x.frame.clone()).collect() };
         assert_eq!(frames(&emits), frames(&reference));
+    }
+
+    #[test]
+    fn migration_to_a_missing_shard_is_a_typed_refusal() {
+        let registry = jubench_scaling::full_registry();
+        let reference = {
+            let mut server = Server::new(4, 16);
+            server.submit(1, spec("m", 8, 1), &registry).unwrap();
+            server.drain(&registry).unwrap()
+        };
+        let mut server = Server::new(4, 16);
+        let (campaign, shard) = server.submit(1, spec("m", 8, 1), &registry).unwrap();
+        assert_eq!(
+            server.migrate(campaign, 4),
+            Err(ServeError::NoSuchShard {
+                shard: 4,
+                n_shards: 4
+            })
+        );
+        assert_eq!(server.shard(shard).active(), [campaign], "still at home");
+        assert_eq!(server.drain(&registry).unwrap(), reference);
     }
 }

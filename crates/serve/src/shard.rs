@@ -16,6 +16,7 @@
 //! stream; migration moves the stream mid-flight to another shard.
 
 use crate::cache::{PointResult, ResultCache};
+use crate::chaos::ChaosRuntime;
 use crate::error::ServeError;
 use crate::spec::CampaignSpec;
 use crate::wire::{CancelReason, Frame};
@@ -191,8 +192,8 @@ impl ShardState {
     }
 
     /// The supervisor gave up on this shard: cancel every queued
-    /// campaign with a typed `ShardFailed` frame (frames already
-    /// streamed stand — this is the degrade-to-partial-results path).
+    /// campaign with a typed `ShardFailed` frame — the
+    /// degrade-to-partial-results path.
     pub fn give_up(&mut self, restarts: u32) -> Vec<Emit> {
         self.guard.giveups += 1;
         jubench_metrics::counter_add("serve/giveups", 1);
@@ -295,11 +296,34 @@ impl ShardState {
     }
 
     /// Drive the shard until every campaign is done, collecting all
-    /// emitted frames.
-    pub fn drain(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
+    /// emitted frames — the only loop in the crate that steps a shard to
+    /// idle. `chaos` is consulted at every unit boundary: a scheduled
+    /// crash ends the attempt with a typed
+    /// [`ServeError::ShardPanicked`] (the same failure a caught worker
+    /// panic becomes), a straggler yields its timeslice. The unit index
+    /// counts from zero on every call, so a re-driven shard passes the
+    /// same boundaries again.
+    pub fn drain(
+        &mut self,
+        registry: &Registry,
+        chaos: Option<&ChaosRuntime<'_>>,
+    ) -> Result<Vec<Emit>, ServeError> {
         let mut out = Vec::new();
+        let mut unit = 0u64;
         while !self.idle() {
+            if let Some(rt) = chaos {
+                if rt.crash_due(self.id, unit) {
+                    return Err(ServeError::ShardPanicked {
+                        shard: self.id,
+                        message: format!("chaos: injected crash at unit {unit}"),
+                    });
+                }
+                if rt.straggles(self.id) {
+                    std::thread::yield_now();
+                }
+            }
             out.extend(self.step(registry)?);
+            unit += 1;
         }
         Ok(out)
     }
@@ -683,7 +707,7 @@ mod tests {
         let registry = registry();
         let mut shard = ShardState::new(0, 64);
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let emits = shard.drain(&registry).unwrap();
+        let emits = shard.drain(&registry, None).unwrap();
         assert!(shard.idle());
         let rows = emits
             .iter()
@@ -710,7 +734,7 @@ mod tests {
             let mut shard = ShardState::new(0, 64);
             shard.submit(1, 10, tiny_spec("a", "c1", 1));
             shard.submit(2, 10, tiny_spec("b", "c2", 2));
-            shard.drain(&registry).unwrap()
+            shard.drain(&registry, None).unwrap()
         };
 
         // Count the units first.
@@ -738,7 +762,7 @@ mod tests {
             drop(shard); // the kill
             let mut restored = ShardState::new(99, 1); // wrong everything
             restored.restore(&snapshot).unwrap();
-            emits.extend(restored.drain(&registry).unwrap());
+            emits.extend(restored.drain(&registry, None).unwrap());
             assert_eq!(emits, reference, "kill at unit {kill_at} diverged");
         }
     }
@@ -749,7 +773,7 @@ mod tests {
         let reference = {
             let mut shard = ShardState::new(0, 64);
             shard.submit(1, 10, tiny_spec("a", "c1", 1));
-            shard.drain(&registry).unwrap()
+            shard.drain(&registry, None).unwrap()
         };
 
         let mut origin = ShardState::new(0, 64);
@@ -761,7 +785,7 @@ mod tests {
 
         let mut target = ShardState::new(1, 64);
         assert_eq!(target.adopt(&envelope).unwrap(), 1);
-        emits.extend(target.drain(&registry).unwrap());
+        emits.extend(target.drain(&registry, None).unwrap());
         assert_eq!(emits, reference);
     }
 
@@ -770,13 +794,13 @@ mod tests {
         let registry = registry();
         let mut shard = ShardState::new(0, 64);
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let cold = shard.drain(&registry).unwrap();
+        let cold = shard.drain(&registry, None).unwrap();
         assert_eq!(shard.cache().stats().hits, 0);
 
         // Same spec again: every point hits, artifacts byte-identical
         // modulo the campaign id (use the same id to compare directly).
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let warm = shard.drain(&registry).unwrap();
+        let warm = shard.drain(&registry, None).unwrap();
         assert_eq!(shard.cache().stats().hits, 2);
         let strip_report = |emits: &[Emit]| -> Vec<Frame> {
             emits

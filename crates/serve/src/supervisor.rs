@@ -1,40 +1,52 @@
-//! Shard supervision: restore-and-retry drains that survive worker
-//! failures.
+//! The drain driver: one per-shard drive-and-supervise loop behind all
+//! four public drains.
 //!
-//! The unsupervised drains ([`Server::drain`],
-//! [`Server::drain_parallel`]) propagate the first shard failure as a
-//! typed error. The supervised drains in this module *recover*: every
-//! drive attempt starts from a fresh [`Checkpointable`] snapshot, so a
-//! failed attempt — a chaos-injected panic, a real worker panic, a
-//! scheduler snapshot that refuses to restore — is rolled back to the
-//! last good boundary and retried with seeded, bounded backoff. The
-//! backoff is *virtual*: it is charged to the shard's
+//! [`Server::drain`], [`Server::drain_parallel`],
+//! [`Server::drain_supervised`] and [`Server::drain_supervised_parallel`]
+//! are one-expression wrappers over `Server::drive`, which is built
+//! from three pieces:
+//!
+//! 1. [`ShardState::drain`] — the loop that steps a shard to idle,
+//!    consulting the chaos plan at unit boundaries.
+//! 2. `supervise` — one shard's attempt loop. With a restart policy,
+//!    every attempt starts from a fresh [`Checkpointable`] snapshot and
+//!    runs under `catch_unwind`; a failed attempt — a chaos-injected
+//!    crash, a genuine panic, a scheduler snapshot that refuses to
+//!    restore — is discarded **wholesale**, frames and state, the shard
+//!    is restored, seeded bounded backoff is charged, and the attempt is
+//!    retried. Without a policy (the unsupervised drains) no snapshot is
+//!    taken and the first failure is the shard's result.
+//! 3. The executor — shards in order on the calling thread, or one
+//!    `run_dedicated` spawn with each shard's whole supervise loop on
+//!    its own thread.
+//!
+//! Shards share no state, so every entry point emits the same thing:
+//! each shard's stream, concatenated in shard order. A retry
+//! regenerates the identical stream from the restored snapshot, which
+//! is why serial = parallel = supervised under any seeded chaos plan is
+//! one full-stream byte-identity statement (run reports aside — they
+//! carry the out-of-band guard tallies).
+//!
+//! The backoff is *virtual*: it is charged to the shard's
 //! [`GuardStats`](jubench_trace::GuardStats) ledger, never slept, so a
 //! chaos run is exactly as fast as a clean one.
 //!
-//! Recovery preserves the byte-identity contract because a failed
-//! attempt's frames are discarded **wholesale** along with its state:
-//! the retry regenerates the identical stream from the restored
-//! snapshot. Serial supervision snapshots before every *unit* and
-//! retries just the failed unit in place (so the cross-shard interleave
-//! matches [`Server::drain`] exactly); parallel supervision snapshots
-//! before every *attempt* and re-drives the whole shard (so the
-//! per-shard concatenation matches [`Server::drain_parallel`] exactly).
-//!
-//! After `max_restarts` failures of one shard the supervisor degrades
-//! rather than loops: the shard's remaining campaigns are cancelled
-//! with typed `ShardFailed` frames ([`ShardState::give_up`]) and the
-//! drain completes with partial results, flagged in
+//! After `max_restarts` failed attempts the supervisor degrades rather
+//! than loops: the last attempt is discarded like the others, every
+//! campaign the shard held at drain start is cancelled with a typed
+//! `ShardFailed` frame ([`ShardState::give_up`]), and the drain
+//! completes with partial results, flagged in
 //! [`DrainOutcome::failed_shards`].
 
 use crate::chaos::{ChaosPlan, ChaosRuntime};
 use crate::error::ServeError;
-use crate::server::{panic_message, Server};
+use crate::server::Server;
 use crate::shard::{Emit, ShardState};
 use crate::wire::Frame;
 use jubench_ckpt::Checkpointable;
 use jubench_core::Registry;
 use jubench_kernels::rank_rng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Restart policy of a supervised drain.
@@ -74,8 +86,7 @@ fn backoff_s(cfg: &SupervisorConfig, shard: u32, attempt: u32) -> f64 {
 /// What a supervised drain did, beyond the frames it produced.
 #[derive(Debug, Default)]
 pub struct DrainOutcome {
-    /// The frames, in the same order the matching unsupervised drain
-    /// would have produced them.
+    /// The frames: each shard's stream, concatenated in shard order.
     pub emits: Vec<Emit>,
     /// Shard restarts performed across the drain.
     pub restarts: u64,
@@ -108,182 +119,150 @@ impl DrainOutcome {
     }
 }
 
-/// Drive one shard to completion with chaos injection at unit
-/// boundaries: scheduled crashes become real worker panics (exercising
-/// the same recovery path a genuine bug would), stragglers yield their
-/// timeslice between units. The unit index is per drive *attempt* — a
-/// re-driven shard counts from zero again.
-fn drive_with_chaos(
+/// Where the per-shard supervise loops run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Executor {
+    /// Shards in order on the calling thread.
+    Inline,
+    /// Every shard on its own dedicated `jubench-pool` rank thread.
+    Dedicated,
+}
+
+/// What driving one shard to idle produced.
+#[derive(Default)]
+struct ShardRun {
+    emits: Vec<Emit>,
+    restarts: u32,
+    backoff_s: f64,
+    /// The error that exhausted the restart budget, if one did.
+    gave_up: Option<ServeError>,
+}
+
+/// The typed form of a caught panic of `shard`'s worker (string
+/// payloads pass through; others get a placeholder).
+fn shard_panicked(shard: u32, panic: Box<dyn std::any::Any + Send>) -> ServeError {
+    let message = if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    ServeError::ShardPanicked { shard, message }
+}
+
+/// Drive one shard to idle. With a restart policy (`cfg`), a failed
+/// attempt is rolled back to its starting snapshot and retried until
+/// the budget runs out, then given up on; without one, the first
+/// failure is returned and the shard keeps whatever state it reached.
+fn supervise(
     shard: &mut ShardState,
     registry: &Registry,
+    cfg: Option<&SupervisorConfig>,
     chaos: Option<&ChaosRuntime<'_>>,
-) -> Result<Vec<Emit>, ServeError> {
-    let mut out = Vec::new();
-    let mut unit = 0u64;
+) -> Result<ShardRun, ServeError> {
+    let id = shard.id();
+    let mut run = ShardRun::default();
     while !shard.idle() {
-        if let Some(rt) = chaos {
-            if rt.crash_due(shard.id(), unit) {
-                panic!(
-                    "chaos: injected crash of shard {} at unit {unit}",
-                    shard.id()
-                );
+        let policy = cfg.map(|cfg| (cfg, shard.snapshot()));
+        let attempt = catch_unwind(AssertUnwindSafe(|| shard.drain(registry, chaos)))
+            .unwrap_or_else(|panic| Err(shard_panicked(id, panic)));
+        let err = match attempt {
+            Ok(emits) => {
+                run.emits = emits;
+                continue;
             }
-            if rt.straggles(shard.id()) {
-                std::thread::yield_now();
-            }
+            Err(err) => err,
+        };
+        let Some((cfg, snap)) = policy else {
+            return Err(err);
+        };
+        // Roll back to the attempt's start either way — its partial
+        // progress (and frames) must not leak into the retry or the
+        // give-up.
+        shard.restore(&snap)?;
+        if run.restarts == cfg.max_restarts {
+            run.emits = shard.give_up(run.restarts);
+            run.gave_up = Some(err);
+        } else {
+            run.restarts += 1;
+            let b = backoff_s(cfg, id, run.restarts);
+            shard.note_restart(b);
+            run.backoff_s += b;
         }
-        out.extend(shard.step(registry)?);
-        unit += 1;
     }
-    Ok(out)
+    Ok(run)
 }
 
 impl Server {
-    /// [`Server::drain`] under supervision: serial, unit-at-a-time, a
-    /// snapshot before every unit. A failed unit (chaos crash point or
-    /// typed shard error) is restored and retried in place, so the
-    /// frame interleave matches the unsupervised serial drain byte for
-    /// byte. After `max_restarts` failures of one shard its remaining
-    /// campaigns are cancelled and the drain degrades to partial
-    /// results.
+    /// The one drain: drive every shard to idle on `executor` and
+    /// concatenate the per-shard streams in shard order.
+    /// `supervision` is the restart policy and optional chaos plan;
+    /// `None` is the unsupervised case, where every shard is still
+    /// driven and keeps its state, and the first shard failure (in
+    /// shard order) is then returned as `Err`.
+    pub(crate) fn drive(
+        &mut self,
+        registry: &Registry,
+        executor: Executor,
+        supervision: Option<(&SupervisorConfig, Option<&ChaosPlan>)>,
+    ) -> Result<DrainOutcome, ServeError> {
+        let cfg = supervision.map(|(cfg, _)| cfg);
+        let chaos = supervision
+            .and_then(|(_, plan)| plan)
+            .map(ChaosRuntime::new);
+        let one = |shard: &mut ShardState| supervise(shard, registry, cfg, chaos.as_ref());
+        let runs: Vec<Result<ShardRun, ServeError>> = match executor {
+            Executor::Inline => self.shards.iter_mut().map(one).collect(),
+            Executor::Dedicated => {
+                let lent: Vec<Mutex<&mut ShardState>> =
+                    self.shards.iter_mut().map(Mutex::new).collect();
+                jubench_pool::run_dedicated(lent.len() as u32, |i| {
+                    one(&mut lent[i as usize].lock().unwrap_or_else(|p| p.into_inner()))
+                })
+                .into_iter()
+                .enumerate()
+                .map(|(i, joined)| joined.unwrap_or_else(|p| Err(shard_panicked(i as u32, p))))
+                .collect()
+            }
+        };
+        self.forget_finished();
+        let mut outcome = DrainOutcome::default();
+        for (i, run) in runs.into_iter().enumerate() {
+            let run = run?;
+            outcome.emits.extend(run.emits);
+            outcome.restarts += u64::from(run.restarts);
+            outcome.backoff_s += run.backoff_s;
+            outcome
+                .failed_shards
+                .extend(run.gave_up.map(|err| (i as u32, err)));
+        }
+        Ok(outcome.finish())
+    }
+
+    /// [`Server::drain`] under supervision: shard failures are
+    /// restored and retried within `cfg`'s budget, `chaos` injects
+    /// seeded ones. Fault-free, the frames equal the unsupervised
+    /// drain's; past the budget a shard's campaigns are cancelled and
+    /// the drain degrades to partial results.
     pub fn drain_supervised(
         &mut self,
         registry: &Registry,
         cfg: &SupervisorConfig,
         chaos: Option<&ChaosPlan>,
     ) -> Result<DrainOutcome, ServeError> {
-        let runtime = chaos.map(ChaosRuntime::new);
-        let n = self.shards.len();
-        let mut outcome = DrainOutcome::default();
-        let mut units = vec![0u64; n];
-        let mut restarts = vec![0u32; n];
-        while !self.idle() {
-            for i in 0..n {
-                loop {
-                    let shard = &mut self.shards[i];
-                    if shard.idle() {
-                        break;
-                    }
-                    let snap = shard.snapshot();
-                    let crashed = runtime
-                        .as_ref()
-                        .is_some_and(|rt| rt.crash_due(shard.id(), units[i]));
-                    let result = if crashed {
-                        Err(ServeError::ShardPanicked {
-                            shard: shard.id(),
-                            message: format!("chaos: injected crash at unit {}", units[i]),
-                        })
-                    } else {
-                        shard.step(registry)
-                    };
-                    match result {
-                        Ok(emits) => {
-                            units[i] += 1;
-                            outcome.emits.extend(emits);
-                            break;
-                        }
-                        Err(err) => {
-                            restarts[i] += 1;
-                            if restarts[i] > cfg.max_restarts {
-                                outcome.failed_shards.push((shard.id(), err));
-                                outcome.emits.extend(shard.give_up(restarts[i] - 1));
-                                break;
-                            }
-                            shard.restore(&snap)?;
-                            let b = backoff_s(cfg, shard.id(), restarts[i]);
-                            shard.note_restart(b);
-                            outcome.restarts += 1;
-                            outcome.backoff_s += b;
-                            // retry the same unit immediately
-                        }
-                    }
-                }
-            }
-        }
-        self.forget_finished();
-        Ok(outcome.finish())
+        self.drive(registry, Executor::Inline, Some((cfg, chaos)))
     }
 
-    /// [`Server::drain_parallel`] under supervision: each round
-    /// snapshots every non-idle shard, drives them all on dedicated
-    /// pool threads (chaos crash points become real worker panics), and
-    /// joins. Failed shards are restored from their pre-attempt
-    /// snapshot and re-driven next round; a failed attempt's frames are
-    /// discarded wholesale, so the surviving per-shard streams —
-    /// concatenated in shard order — are byte-identical to the
-    /// fault-free parallel drain. Shards that exhaust `max_restarts`
-    /// cancel their remaining campaigns and the drain degrades to
-    /// partial results.
+    /// [`Server::drain_supervised`] with every shard's supervise loop
+    /// on its own dedicated pool thread; same frames, same outcome.
     pub fn drain_supervised_parallel(
         &mut self,
         registry: &Registry,
         cfg: &SupervisorConfig,
         chaos: Option<&ChaosPlan>,
     ) -> Result<DrainOutcome, ServeError> {
-        let runtime = chaos.map(ChaosRuntime::new);
-        let n = self.shards.len();
-        let mut outcome = DrainOutcome::default();
-        let mut buffers: Vec<Vec<Emit>> = vec![Vec::new(); n];
-        let mut restarts = vec![0u32; n];
-        loop {
-            let pending: Vec<bool> = self.shards.iter().map(|s| !s.idle()).collect();
-            if !pending.iter().any(|&p| p) {
-                break;
-            }
-            let snaps: Vec<Option<Vec<u8>>> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| pending[i].then(|| s.snapshot()))
-                .collect();
-            let slots: Vec<Mutex<ShardState>> = self.shards.drain(..).map(Mutex::new).collect();
-            let rt = runtime.as_ref();
-            let results = jubench_pool::run_dedicated(n as u32, |i| {
-                let mut shard = slots[i as usize].lock().unwrap_or_else(|p| p.into_inner());
-                drive_with_chaos(&mut shard, registry, rt)
-            });
-            self.shards = slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-                .collect();
-            for (i, result) in results.into_iter().enumerate() {
-                let err = match result {
-                    Ok(Ok(emits)) => {
-                        if pending[i] {
-                            buffers[i] = emits;
-                        }
-                        continue;
-                    }
-                    Ok(Err(e)) => e,
-                    Err(panic) => ServeError::ShardPanicked {
-                        shard: i as u32,
-                        message: panic_message(&panic),
-                    },
-                };
-                let snap = snaps[i]
-                    .as_ref()
-                    .expect("only a pending shard's worker can fail");
-                // Roll back to the pre-attempt boundary either way —
-                // the failed attempt's partial progress (and frames)
-                // must not leak into the retry or the give-up.
-                self.shards[i].restore(snap)?;
-                restarts[i] += 1;
-                if restarts[i] > cfg.max_restarts {
-                    outcome.failed_shards.push((i as u32, err));
-                    buffers[i].extend(self.shards[i].give_up(restarts[i] - 1));
-                } else {
-                    let b = backoff_s(cfg, i as u32, restarts[i]);
-                    self.shards[i].note_restart(b);
-                    outcome.restarts += 1;
-                    outcome.backoff_s += b;
-                }
-            }
-        }
-        for buffer in buffers {
-            outcome.emits.extend(buffer);
-        }
-        self.forget_finished();
-        Ok(outcome.finish())
+        self.drive(registry, Executor::Dedicated, Some((cfg, chaos)))
     }
 }
 

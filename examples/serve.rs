@@ -13,8 +13,9 @@
 //! Ends with the guard layer: a per-tenant quota rejecting (typed,
 //! refundable) an over-limit submission, and a supervised drain
 //! recovering from a seeded chaos plan — every crashed shard restored
-//! from snapshot and retried, the artifacts byte-identical to the
-//! fault-free run, and the wall-clock restart overhead printed.
+//! from its attempt-start snapshot and re-driven, the frame stream
+//! byte-identical to the fault-free drain's (reports aside), and the
+//! wall-clock restart overhead printed.
 //!
 //! Run with: `cargo run --release --example serve`
 
@@ -143,7 +144,11 @@ fn main() {
     println!("after the first campaign retired, the same tenant is admitted again");
 
     // ----- guard demo: supervised recovery from a seeded chaos plan ----
-    quiet_chaos_panics();
+    // An injected crash fails the shard's drive attempt with a typed
+    // error; the driver discards the attempt, restores the shard from
+    // the attempt's starting snapshot, and re-drives it. Every drain —
+    // plain or supervised, inline or parallel — emits each shard's
+    // stream in shard order, so the two runs compare as whole streams.
     // Partition sizes vary so the population spreads across all four
     // shards (routing keys on the machine fingerprint).
     let populate = |server: &mut Server| {
@@ -177,8 +182,8 @@ fn main() {
     let chaos_wall = t1.elapsed();
     assert!(!outcome.degraded(), "the restart budget absorbs this plan");
 
-    // Artifacts are byte-identical once the run report (which carries
-    // the out-of-band guard tallies) is stripped.
+    // The streams are byte-identical once the run report (which
+    // carries the out-of-band guard tallies) is stripped.
     let stripped = |emits: &[jubench::serve::Emit]| -> Vec<Frame> {
         emits
             .iter()
@@ -216,21 +221,4 @@ fn main() {
         chaos_wall.as_secs_f64() * 1e3,
         overhead * 100.0
     );
-}
-
-/// Silence the backtraces of the deliberately injected chaos crashes:
-/// they are caught and recovered by the supervisor, and the default
-/// panic hook would spam stderr for every planned crash.
-fn quiet_chaos_panics() {
-    let default = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let chaos = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(|s| s.starts_with("chaos:"))
-            .unwrap_or(false);
-        if !chaos {
-            default(info);
-        }
-    }));
 }

@@ -1,10 +1,8 @@
 //! Determinism harness for the event-driven virtual-time core.
 //!
 //! The scheduler's event engine (`Scheduler::run`, pops the next event
-//! off a global `(time, class, rank, seq)`-ordered queue) soaked for
-//! one PR against the legacy ticked engine as a byte-for-byte oracle;
-//! that oracle is now deleted and this harness pins the surviving
-//! contracts directly: every artifact the suite exports — the decision
+//! off a global `(time, class, rank, seq)`-ordered queue) is pinned
+//! here: every artifact the suite exports — the decision
 //! log, the rendered schedule table, the `RunReport` aggregate, and the
 //! Chrome trace JSON — is byte-identical across pool widths and across
 //! any snapshot/resume slicing of the same campaign. Any divergence in

@@ -859,9 +859,8 @@ fn event_tie_break_is_stable_under_push_permutation() {
 /// and submissions sharing exact timestamps — so the per-instant
 /// handler order (finish, crash, undrain, drain, submit, start) is
 /// pinned under every generated collision pattern even when an advance
-/// window splits the colliding instant off from its neighbours. (The
-/// ticked oracle this differential originally ran against is deleted;
-/// slicing through snapshots is the surviving cross-check.)
+/// window splits the colliding instant off from its neighbours.
+/// Slicing through snapshots is the cross-check.
 #[test]
 fn sliced_campaigns_agree_on_colliding_fault_instants() {
     use jubench::sched::Scheduler;

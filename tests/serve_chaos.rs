@@ -1,18 +1,20 @@
 //! The campaign-service chaos drill: deterministic fault injection
 //! against the guarded service.
 //!
-//! Headline invariant: under any seeded chaos plan — shard crashes at
-//! unit boundaries, stragglers, torn or corrupted wire frames — the
-//! service yields results byte-identical to the fault-free run, or a
+//! Headline invariant: all four drain entry points return the same
+//! full frame stream, and under any seeded chaos plan — shard crashes
+//! at unit boundaries, stragglers, torn or corrupted wire frames — the
+//! service yields that stream byte for byte (run reports aside), or a
 //! typed, quota-accounted rejection/cancellation. Never a panic, never
 //! a hang.
 
+use jubench::core::BenchmarkMeta;
 use jubench::prelude::*;
 use jubench::serve::wire::CancelReason;
 use jubench::serve::{
-    serve_session, ChaosPlan, Client, DuplexPipe, Emit, Frame, RejectReason, SupervisorConfig,
-    Transport, WireError,
+    serve_session, Client, DuplexPipe, Emit, Frame, RejectReason, Transport, WireError,
 };
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn campaign(name: &str, nodes: u32, seed: u64) -> CampaignSpec {
     let mut spec = CampaignSpec::new("chaos-tenant", name, nodes, seed)
@@ -45,25 +47,6 @@ fn stripped(emits: &[Emit]) -> Vec<Frame> {
         .collect()
 }
 
-/// Silence the panic backtraces of deliberately injected chaos crashes
-/// (they are caught and recovered; the default hook would spam stderr).
-fn quiet_chaos_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let chaos = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.starts_with("chaos:"))
-                .unwrap_or(false);
-            if !chaos {
-                default(info);
-            }
-        }));
-    });
-}
-
 fn submit_population(server: &mut Server, registry: &Registry) -> Vec<(u64, u32)> {
     [
         ("a", 8u32, 3u64),
@@ -80,27 +63,42 @@ fn submit_population(server: &mut Server, registry: &Registry) -> Vec<(u64, u32)
     .collect()
 }
 
+/// A four-shard server holding the population.
+fn populated(registry: &Registry) -> Server {
+    let mut server = Server::new(4, 64);
+    submit_population(&mut server, registry);
+    server
+}
+
+/// Fault-free, the four entry points are one drain: equal full
+/// streams, reports included.
+#[test]
+fn every_drain_entry_point_returns_the_same_stream() {
+    let registry = full_registry();
+    let cfg = SupervisorConfig::default();
+    let reference = populated(&registry).drain(&registry).unwrap();
+    let parallel = populated(&registry).drain_parallel(&registry).unwrap();
+    assert_eq!(parallel, reference, "drain_parallel diverged");
+    let supervised = populated(&registry)
+        .drain_supervised(&registry, &cfg, None)
+        .unwrap();
+    assert_eq!(supervised.emits, reference, "drain_supervised diverged");
+    let supervised_parallel = populated(&registry)
+        .drain_supervised_parallel(&registry, &cfg, None)
+        .unwrap();
+    assert_eq!(
+        supervised_parallel.emits, reference,
+        "drain_supervised_parallel diverged"
+    );
+}
+
 /// The headline invariant, swept over seeds: scattered crash plans plus
-/// stragglers, absorbed by the restart budget, leave both the serial
-/// and the parallel supervised drains byte-identical to the fault-free
-/// reference.
+/// stragglers, absorbed by the restart budget, leave both supervised
+/// drains byte-identical to the one fault-free reference.
 #[test]
 fn seeded_chaos_plans_preserve_bytes_under_supervision() {
-    quiet_chaos_panics();
     let registry = full_registry();
-    // Serial and parallel drains interleave frames differently (per
-    // unit vs per shard) — supervision must reproduce each one's own
-    // fault-free stream exactly.
-    let serial_reference = {
-        let mut server = Server::new(4, 64);
-        submit_population(&mut server, &registry);
-        stripped(&server.drain(&registry).unwrap())
-    };
-    let parallel_reference = {
-        let mut server = Server::new(4, 64);
-        submit_population(&mut server, &registry);
-        stripped(&server.drain_parallel(&registry).unwrap())
-    };
+    let reference = stripped(&populated(&registry).drain(&registry).unwrap());
     for seed in [0x0DDBA11u64, 0x5CA1AB1E, 0xBEEFCAFE] {
         let plan = ChaosPlan::scattered(seed, 4, 5, 8)
             .with_straggler((seed % 4) as u32)
@@ -109,34 +107,21 @@ fn seeded_chaos_plans_preserve_bytes_under_supervision() {
             max_restarts: plan.crash_count() as u32 + 1,
             ..SupervisorConfig::default()
         };
-        let mut serial = Server::new(4, 64);
-        submit_population(&mut serial, &registry);
-        let serial_outcome = serial
+        let serial = populated(&registry)
             .drain_supervised(&registry, &cfg, Some(&plan))
             .unwrap();
-        assert!(
-            !serial_outcome.degraded(),
-            "seed {seed:#x}: serial degraded"
-        );
-        assert_eq!(
-            stripped(&serial_outcome.emits),
-            serial_reference,
-            "seed {seed:#x}: serial supervised chaos diverged (interleave included)"
-        );
-        let mut parallel = Server::new(4, 64);
-        submit_population(&mut parallel, &registry);
-        let parallel_outcome = parallel
+        let parallel = populated(&registry)
             .drain_supervised_parallel(&registry, &cfg, Some(&plan))
             .unwrap();
-        assert!(
-            !parallel_outcome.degraded(),
-            "seed {seed:#x}: parallel degraded"
-        );
-        assert_eq!(
-            stripped(&parallel_outcome.emits),
-            parallel_reference,
-            "seed {seed:#x}: parallel supervised chaos diverged"
-        );
+        for (mode, outcome) in [("serial", serial), ("parallel", parallel)] {
+            assert!(!outcome.degraded(), "seed {seed:#x}: {mode} degraded");
+            assert!(outcome.restarts > 0, "seed {seed:#x}: no crash fired");
+            assert_eq!(
+                stripped(&outcome.emits),
+                reference,
+                "seed {seed:#x}: {mode} supervised chaos diverged"
+            );
+        }
     }
 }
 
@@ -145,12 +130,8 @@ fn seeded_chaos_plans_preserve_bytes_under_supervision() {
 #[test]
 fn supervision_without_faults_is_free() {
     let registry = full_registry();
-    let mut plain = Server::new(4, 64);
-    submit_population(&mut plain, &registry);
-    let reference = plain.drain(&registry).unwrap();
-    let mut supervised = Server::new(4, 64);
-    submit_population(&mut supervised, &registry);
-    let outcome = supervised
+    let reference = populated(&registry).drain(&registry).unwrap();
+    let outcome = populated(&registry)
         .drain_supervised(&registry, &SupervisorConfig::default(), None)
         .unwrap();
     assert_eq!(
@@ -167,17 +148,13 @@ fn supervision_without_faults_is_free() {
 #[test]
 fn stragglers_change_nothing() {
     let registry = full_registry();
-    let mut plain = Server::new(4, 64);
-    submit_population(&mut plain, &registry);
-    let reference = plain.drain_parallel(&registry).unwrap();
+    let reference = populated(&registry).drain_parallel(&registry).unwrap();
     let plan = ChaosPlan::new(1)
         .with_straggler(0)
         .with_straggler(1)
         .with_straggler(2)
         .with_straggler(3);
-    let mut slow = Server::new(4, 64);
-    submit_population(&mut slow, &registry);
-    let outcome = slow
+    let outcome = populated(&registry)
         .drain_supervised_parallel(&registry, &SupervisorConfig::default(), Some(&plan))
         .unwrap();
     assert_eq!(outcome.emits, reference);
@@ -190,10 +167,8 @@ fn stragglers_change_nothing() {
 /// guard ledger, and finished campaigns surface them in their report.
 #[test]
 fn restarts_restore_from_snapshot_and_are_counted() {
-    quiet_chaos_panics();
     let registry = full_registry();
-    let mut server = Server::new(4, 64);
-    submit_population(&mut server, &registry);
+    let mut server = populated(&registry);
     let active: Vec<u32> = (0..4).filter(|&s| !server.shard(s).idle()).collect();
     assert!(!active.is_empty());
     let mut plan = ChaosPlan::new(7);
@@ -321,13 +296,8 @@ fn deadline_cancellation_is_typed_counted_and_refunded() {
 /// still match the fault-free bytes.
 #[test]
 fn restart_budget_exhaustion_degrades_to_typed_partials() {
-    quiet_chaos_panics();
     let registry = full_registry();
-    let reference = {
-        let mut server = Server::new(4, 64);
-        submit_population(&mut server, &registry);
-        stripped(&server.drain_parallel(&registry).unwrap())
-    };
+    let reference = stripped(&populated(&registry).drain(&registry).unwrap());
     let mut server = Server::new(4, 64);
     let placed = submit_population(&mut server, &registry);
     let victim = placed[0].1;
@@ -392,6 +362,118 @@ fn restart_budget_exhaustion_degrades_to_typed_partials() {
     let usage = server.admission().usage("chaos-tenant");
     assert_eq!((usage.active, usage.tokens), (0, 0));
     assert!(server.idle());
+}
+
+/// Payload of the panics [`PanickyStream`] raises.
+const GENUINE: &str = "genuine: STREAM blew up";
+
+/// STREAM, except that its first `panics` runs panic — a bug in a
+/// benchmark, as opposed to a planned chaos crash.
+struct PanickyStream {
+    real: Registry,
+    panics: AtomicU32,
+}
+
+impl PanickyStream {
+    fn real(&self) -> &dyn Benchmark {
+        self.real.get(BenchmarkId::Stream).unwrap()
+    }
+}
+
+impl Benchmark for PanickyStream {
+    fn meta(&self) -> BenchmarkMeta {
+        self.real().meta()
+    }
+
+    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        let armed = self
+            .panics
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
+        if armed.is_ok() {
+            panic!("{GENUINE}");
+        }
+        self.real().run(cfg)
+    }
+}
+
+/// The full registry with STREAM replaced by a [`PanickyStream`]. Also
+/// silences the default hook for that payload: these panics are caught
+/// by the drain driver, but the hook would still print one backtrace
+/// per panic — from shard threads the harness does not capture.
+fn panicky_registry(panics: u32) -> Registry {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<String>().map(String::as_str) != Some(GENUINE) {
+                default(info);
+            }
+        }));
+    });
+    let mut registry = full_registry();
+    registry.register(Box::new(PanickyStream {
+        real: full_registry(),
+        panics: AtomicU32::new(panics),
+    }));
+    registry
+}
+
+/// A panic inside `Benchmark::run` takes the same road as an injected
+/// crash on both executors: one panic is one restart and the clean
+/// bytes; a benchmark that always panics degrades every shard it ran on
+/// to typed, refunded `ShardFailed` cancellations, and the unsupervised
+/// drains return it as `ShardPanicked` instead of unwinding.
+#[test]
+fn genuine_panics_recover_or_degrade_typed_on_both_executors() {
+    let cfg = SupervisorConfig::default();
+    let clean = {
+        let registry = full_registry();
+        stripped(&populated(&registry).drain(&registry).unwrap())
+    };
+    for parallel in [false, true] {
+        let supervised = |registry: &Registry| {
+            let mut server = populated(registry);
+            let outcome = if parallel {
+                server.drain_supervised_parallel(registry, &cfg, None)
+            } else {
+                server.drain_supervised(registry, &cfg, None)
+            };
+            let usage = server.admission().usage("chaos-tenant");
+            assert_eq!((usage.active, usage.tokens), (0, 0), "quota refunded");
+            assert!(server.idle());
+            outcome.unwrap()
+        };
+        let once = supervised(&panicky_registry(1));
+        assert_eq!(once.restarts, 1, "parallel={parallel}");
+        assert!(!once.degraded());
+        assert_eq!(stripped(&once.emits), clean, "parallel={parallel}");
+
+        let always = supervised(&panicky_registry(u32::MAX));
+        assert!(always.degraded(), "parallel={parallel}");
+        assert_eq!(always.cancelled.len(), 4, "every campaign runs STREAM");
+        assert!(always.emits.iter().all(|e| matches!(
+            e.frame,
+            Frame::Cancelled {
+                reason: CancelReason::ShardFailed { restarts: 3 },
+                ..
+            }
+        )));
+
+        let registry = panicky_registry(u32::MAX);
+        let mut server = populated(&registry);
+        let unsupervised = if parallel {
+            server.drain_parallel(&registry)
+        } else {
+            server.drain(&registry)
+        };
+        assert!(
+            matches!(
+                &unsupervised,
+                Err(ServeError::ShardPanicked { message, .. }) if message == GENUINE
+            ),
+            "parallel={parallel}: {unsupervised:?}"
+        );
+    }
 }
 
 /// Quota rejections cross the wire as typed `Rejected` frames; the
@@ -500,10 +582,7 @@ fn torn_frames_end_sessions_typed_and_hangups_end_them_clean() {
     client_end.shutdown();
     let err = serve_session(&mut server, &registry, &mut server_end, 1).unwrap_err();
     assert!(
-        matches!(
-            err,
-            jubench::serve::ServeError::Wire(WireError::Oversized(_))
-        ),
+        matches!(err, ServeError::Wire(WireError::Oversized(_))),
         "wrong error for an oversized prefix: {err}"
     );
 }

@@ -7,8 +7,9 @@
 //!
 //! Campaign count defaults low so the local test run stays fast; CI
 //! scales it to 2000 via `JUBENCH_SOAK_CAMPAIGNS`, and the serve-chaos
-//! matrix flips the fault plan off via `JUBENCH_CHAOS=0` to pin that
-//! supervision alone is byte-transparent.
+//! job re-runs it with the fault plan off via `JUBENCH_CHAOS=0` to pin
+//! at scale that supervision alone is byte-transparent and
+//! restart-free.
 
 use jubench::ckpt::Checkpointable;
 use jubench::prelude::*;
@@ -23,8 +24,7 @@ fn n_campaigns() -> usize {
 }
 
 /// `JUBENCH_CHAOS` (default on): `0`/`false` runs the supervised drain
-/// with no fault plan — the no-chaos arm of the CI serve-chaos matrix,
-/// pinning that supervision itself is byte-transparent.
+/// with no fault plan — the second step of the CI serve-chaos job.
 fn chaos_enabled() -> bool {
     !matches!(
         std::env::var("JUBENCH_CHAOS").as_deref(),
@@ -90,28 +90,8 @@ fn deterministic_frames(frames: &[Frame]) -> Vec<Frame> {
         .collect()
 }
 
-/// Silence the panic backtraces of deliberately injected chaos crashes
-/// (they are caught and recovered; the default hook would spam stderr).
-fn quiet_chaos_panics() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let chaos = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.starts_with("chaos:"))
-                .unwrap_or(false);
-            if !chaos {
-                default(info);
-            }
-        }));
-    });
-}
-
 #[test]
 fn soak_kill_restore_chaos_and_warm_resubmission() {
-    quiet_chaos_panics();
     let registry = full_registry();
     let n = n_campaigns();
     // Cache capacity scales with the population: this drill pins
