@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the event-queue core and the campaign-level
 //! payoff of event-driven virtual time.
 //!
-//! The `event_core` group times the queue primitives themselves (push +
-//! drain, multi-queue merge). The `campaign_probe` group runs a sparse
+//! The `event_core` group times the queue primitive itself (push +
+//! drain). The `campaign_probe` group runs a sparse
 //! campaign — short jobs spread across a long virtual horizon — through
 //! the event engine, guarding its trajectory against `BENCH_2.json`.
 //!
@@ -11,7 +11,7 @@
 use jubench_bench::harness::{black_box, Criterion, Throughput};
 use jubench_bench::{criterion_group, criterion_main};
 use jubench_cluster::{Machine, NetModel};
-use jubench_events::{EventQueue, MergedQueues};
+use jubench_events::EventQueue;
 use jubench_faults::FaultPlan;
 use jubench_kernels::rank_rng;
 use jubench_sched::{Job, PlacementPolicy, QueuePolicy, Scheduler, SchedulerConfig};
@@ -42,25 +42,6 @@ fn bench_queue_primitives(c: &mut Criterion) {
             }
             let mut last = 0u32;
             while let Some(e) = q.pop() {
-                last = e.payload;
-            }
-            black_box(last)
-        });
-    });
-
-    group.throughput(Throughput::Elements(QUEUE_EVENTS));
-    group.bench_function("merged_drain_8x512", |b| {
-        b.iter(|| {
-            let mut merged = MergedQueues::new();
-            for part in keys.chunks(keys.len() / 8) {
-                let mut q = EventQueue::with_capacity(part.len());
-                for &(t, class, rank) in part {
-                    q.push(t, class, rank, rank);
-                }
-                merged.add_queue(q);
-            }
-            let mut last = 0u32;
-            while let Some((_, e)) = merged.pop() {
                 last = e.payload;
             }
             black_box(last)

@@ -1,5 +1,5 @@
 //! Optimal checkpoint-interval formulas (Young 1974, Daly 2006) and
-//! the checkpoint-write event train they induce.
+//! the checkpoint-write train they induce.
 //!
 //! With checkpoint cost `C` and node mean time between failures `M`,
 //! writing checkpoints too often wastes time on I/O while writing them
@@ -8,15 +8,8 @@
 //! is not small against `M`. The `scaling::ckpt` study sweeps intervals
 //! around these predictions and tabulates the measured makespans.
 //!
-//! [`WriteTimes`] turns an attempt's interval spec into the
-//! discrete-event view of the same plan: the write instants as an
-//! [`EventSource`] on the global virtual-time queue, byte-identical to
-//! the closed-form the scheduler's trace emission used to inline.
-
-use jubench_events::{EventKey, EventSource};
-
-/// Event class of a checkpoint write on the virtual-time queue.
-pub const CKPT_WRITE_CLASS: u8 = 16;
+//! [`WriteTimes`] turns an attempt's interval spec into the write
+//! instants of the same plan, for the scheduler's trace emission.
 
 /// Young's first-order optimal checkpoint interval: `sqrt(2 C M)`.
 ///
@@ -60,34 +53,26 @@ pub fn daly_interval(cost_s: f64, mtbf_s: f64) -> f64 {
 /// and occupies `cost_s` of wall time. Each instant is computed from
 /// `j` directly (multiplied, never accumulated), so the times are
 /// byte-identical to the closed-form expression whatever order or
-/// subset of the train is consumed.
-///
-/// Doubles as an [`EventSource`] (class [`CKPT_WRITE_CLASS`], rank =
-/// the job id, payload = the write's end time) so write instants can
-/// ride the same global queue as fault arrivals and scheduler events,
-/// and as an `Iterator` of `(start, end)` spans for direct trace
-/// emission.
+/// subset of the train is consumed. An `Iterator` of `(start, end)`
+/// spans.
 #[derive(Debug, Clone)]
 pub struct WriteTimes {
     start_s: f64,
     interval_s: f64,
     cost_s: f64,
     writes: u32,
-    job: u32,
     j: u32,
 }
 
 impl WriteTimes {
     /// The write train of an attempt starting at `start_s` under an
-    /// (`interval_s`, `cost_s`) spec, planning `writes` writes, tagged
-    /// with `job` for event ranking.
-    pub fn new(start_s: f64, interval_s: f64, cost_s: f64, writes: u32, job: u32) -> Self {
+    /// (`interval_s`, `cost_s`) spec, planning `writes` writes.
+    pub fn new(start_s: f64, interval_s: f64, cost_s: f64, writes: u32) -> Self {
         WriteTimes {
             start_s,
             interval_s,
             cost_s,
             writes,
-            job,
             j: 0,
         }
     }
@@ -119,33 +104,13 @@ impl Iterator for WriteTimes {
 
 impl ExactSizeIterator for WriteTimes {}
 
-impl EventSource for WriteTimes {
-    /// End time of the write.
-    type Payload = f64;
-
-    fn peek_key(&self) -> Option<EventKey> {
-        (self.j < self.writes).then(|| EventKey {
-            time: self.span(self.j + 1).0,
-            class: CKPT_WRITE_CLASS,
-            rank: self.job,
-            seq: (self.j + 1) as u64,
-        })
-    }
-
-    fn next_event(&mut self) -> Option<(EventKey, f64)> {
-        let key = self.peek_key()?;
-        let (_, end) = self.next()?;
-        Some((key, end))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn write_times_match_the_closed_form() {
-        let spans: Vec<(f64, f64)> = WriteTimes::new(2.5, 1.0, 0.01, 3, 0).collect();
+        let spans: Vec<(f64, f64)> = WriteTimes::new(2.5, 1.0, 0.01, 3).collect();
         let expect: Vec<(f64, f64)> = (1..=3u64)
             .map(|j| {
                 let s = 2.5 + j as f64 * 1.0 + (j - 1) as f64 * 0.01;
@@ -156,26 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn write_times_is_an_event_source() {
-        use jubench_events::EventQueue;
-        let mut train = WriteTimes::new(0.0, 2.0, 0.5, 4, 7);
-        assert_eq!(train.len(), 4);
-        let mut q = EventQueue::new();
-        assert_eq!(train.feed_until(&mut q, 4.5), 2, "writes at 2.0 and 4.5");
-        let first = q.pop().unwrap();
-        assert_eq!(first.key.time, 2.0);
-        assert_eq!(first.key.class, CKPT_WRITE_CLASS);
-        assert_eq!(first.key.rank, 7);
-        assert_eq!(first.payload, 2.5, "payload is the write's end");
-        assert_eq!(q.pop().unwrap().key.time, 4.5);
-        assert_eq!(train.peek_key().unwrap().time, 7.0, "third write pending");
-    }
-
-    #[test]
     fn empty_write_train_is_exhausted() {
-        let mut train = WriteTimes::new(1.0, 1.0, 0.1, 0, 0);
-        assert!(train.peek_key().is_none());
-        assert!(train.next_event().is_none());
+        let train = WriteTimes::new(1.0, 1.0, 0.1, 0);
+        assert_eq!(train.len(), 0);
         assert_eq!(train.count(), 0);
     }
 

@@ -44,7 +44,7 @@ pub mod interval;
 
 pub use error::CkptError;
 pub use format::{open, seal, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC};
-pub use interval::{daly_interval, young_interval, WriteTimes, CKPT_WRITE_CLASS};
+pub use interval::{daly_interval, young_interval, WriteTimes};
 
 /// A component whose full execution state can be captured as bytes and
 /// later restored bit-exactly.

@@ -1,7 +1,6 @@
 //! The deterministic discrete-event core shared by the virtual-time
-//! engines (`jubench-simmpi`, `jubench-sched`) and their event sources
-//! (`jubench-faults` arrivals, `jubench-ckpt` write intervals,
-//! `crates/serve` slice windows).
+//! engines (`jubench-simmpi` fault arrivals, `jubench-sched`): one
+//! totally ordered queue, nothing else.
 //!
 //! A simulation that costs virtual time step-by-step pays for every
 //! idle tick; one that pops the next timestamped event pays O(events).
@@ -31,9 +30,8 @@
 //!   index, a job id). Orders same-class collisions.
 //! - `seq` — a monotone sequence number breaking whatever remains.
 //!   [`EventQueue::push`] stamps one automatically;
-//!   [`EventQueue::push_with_seq`] lets a caller impose a global
-//!   numbering across several queues so that a multi-queue merge
-//!   ([`MergedQueues`]) is provably equal to single-queue insertion.
+//!   [`EventQueue::push_with_seq`] lets a caller impose its own
+//!   numbering instead.
 //!
 //! Because the key is a total order over distinct events, pop order is
 //! independent of push order — the property the proptests in
@@ -49,10 +47,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-mod source;
-
-pub use source::{EventSource, Windows};
 
 /// The total-order key of one timestamped event: compares as
 /// `(time, class, rank, seq)` with `time` under [`f64::total_cmp`].
@@ -161,9 +155,9 @@ impl<P> EventQueue<P> {
         self.push_with_seq(time, class, rank, seq, payload)
     }
 
-    /// Schedule an event under a caller-chosen sequence number. Used
-    /// when several queues must share one global numbering so that
-    /// merging them reproduces single-queue order exactly.
+    /// Schedule an event under a caller-chosen sequence number, so the
+    /// full key — and with it the pop order — is fixed by the caller
+    /// rather than by push order.
     pub fn push_with_seq(
         &mut self,
         time: f64,
@@ -212,74 +206,6 @@ impl<P> std::fmt::Debug for EventQueue<P> {
             .field("len", &self.heap.len())
             .field("next_seq", &self.next_seq)
             .finish()
-    }
-}
-
-/// A k-way merge over several [`EventQueue`]s: pops the globally
-/// smallest key; an exact key tie across queues (only possible with
-/// caller-supplied seqs) resolves to the lowest queue index.
-///
-/// When the queues were filled with [`EventQueue::push_with_seq`]
-/// under one global numbering, popping the merge yields the identical
-/// sequence a single queue holding every event would — the equivalence
-/// `tests/proptests.rs` checks. This is how independent event sources
-/// (fault arrivals per rank, checkpoint write trains, serve slice
-/// windows) compose without a central owner.
-pub struct MergedQueues<P> {
-    queues: Vec<EventQueue<P>>,
-}
-
-impl<P> Default for MergedQueues<P> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<P> MergedQueues<P> {
-    pub fn new() -> Self {
-        MergedQueues { queues: Vec::new() }
-    }
-
-    pub fn from_queues(queues: Vec<EventQueue<P>>) -> Self {
-        MergedQueues { queues }
-    }
-
-    /// Add a member queue, returning its index for [`Self::push_into`].
-    pub fn add_queue(&mut self, queue: EventQueue<P>) -> usize {
-        self.queues.push(queue);
-        self.queues.len() - 1
-    }
-
-    pub fn push_into(&mut self, queue: usize, time: f64, class: u8, rank: u32, payload: P) {
-        self.queues[queue].push(time, class, rank, payload);
-    }
-
-    /// Index and key of the queue holding the global minimum.
-    pub fn peek(&self) -> Option<(usize, &EventKey)> {
-        let mut best: Option<(usize, &EventKey)> = None;
-        for (i, q) in self.queues.iter().enumerate() {
-            if let Some((key, _)) = q.peek() {
-                match best {
-                    Some((_, bk)) if bk <= key => {}
-                    _ => best = Some((i, key)),
-                }
-            }
-        }
-        best
-    }
-
-    /// Pop the globally smallest event, tagged with its queue index.
-    pub fn pop(&mut self) -> Option<(usize, Event<P>)> {
-        let (i, _) = self.peek()?;
-        self.queues[i].pop().map(|e| (i, e))
-    }
-
-    pub fn len(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
     }
 }
 
@@ -346,20 +272,5 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn infinite_time_is_rejected() {
         EventQueue::new().push(f64::INFINITY, 0, 0, ());
-    }
-
-    #[test]
-    fn merge_pops_global_minimum_with_queue_index_tiebreak() {
-        let mut m = MergedQueues::new();
-        let a = m.add_queue(EventQueue::new());
-        let b = m.add_queue(EventQueue::new());
-        m.push_into(b, 1.0, 0, 0, "b1");
-        m.push_into(a, 2.0, 0, 0, "a2");
-        m.push_into(a, 1.5, 0, 0, "a15");
-        assert_eq!(m.len(), 3);
-        let order: Vec<(usize, &str)> =
-            std::iter::from_fn(|| m.pop().map(|(i, e)| (i, e.payload))).collect();
-        assert_eq!(order, [(b, "b1"), (a, "a15"), (a, "a2")]);
-        assert!(m.is_empty());
     }
 }

@@ -10,11 +10,10 @@
 
 use jubench_cluster::{Machine, NetModel};
 use jubench_core::{Category, Registry, RunConfig};
-use jubench_events::{EventKey, EventSource};
 use jubench_faults::FaultPlan;
 
 use crate::job::Job;
-use crate::scheduler::{event_class, Schedule, Scheduler, SchedulerConfig};
+use crate::scheduler::{Schedule, Scheduler, SchedulerConfig};
 
 /// Queue priority of a benchmark category in a campaign.
 pub fn category_priority(category: Category) -> i32 {
@@ -25,50 +24,6 @@ pub fn category_priority(category: Category) -> i32 {
     }
 }
 
-/// The campaign's submission arrivals as an event source: job `i`
-/// arrives at `i as f64 * spacing_s` (computed multiplicatively per
-/// index, never accumulated, so arrival `i` is byte-identical however
-/// the train is consumed). Keys carry
-/// [`event_class::SUBMIT`] and the job id as rank, so a train fed into
-/// an [`EventQueue`](jubench_events::EventQueue) pops in exactly the
-/// order [`Scheduler::advance`] submits.
-#[derive(Debug, Clone)]
-pub struct SubmissionTrain {
-    next: u32,
-    count: u32,
-    spacing_s: f64,
-}
-
-impl SubmissionTrain {
-    pub fn new(count: u32, spacing_s: f64) -> Self {
-        SubmissionTrain {
-            next: 0,
-            count,
-            spacing_s,
-        }
-    }
-}
-
-impl EventSource for SubmissionTrain {
-    /// The arriving job's id.
-    type Payload = u32;
-
-    fn peek_key(&self) -> Option<EventKey> {
-        (self.next < self.count).then_some(EventKey {
-            time: self.next as f64 * self.spacing_s,
-            class: event_class::SUBMIT,
-            rank: self.next,
-            seq: self.next as u64,
-        })
-    }
-
-    fn next_event(&mut self) -> Option<(EventKey, u32)> {
-        let key = self.peek_key()?;
-        self.next += 1;
-        Some((key, key.rank))
-    }
-}
-
 /// Derive one job per registry benchmark: node count from
 /// `reference_nodes()`, service time and communication fraction from a
 /// test-scale virtual-time run, submissions `spacing_s` apart in
@@ -76,12 +31,10 @@ impl EventSource for SubmissionTrain {
 pub fn registry_jobs(registry: &Registry, spacing_s: f64) -> Vec<Job> {
     // The probe runs are independent virtual-time executions, so they fan
     // across the shared pool; the indexed map keeps the jobs in registry
-    // (id) order, which fixes job ids and submit times. Arrival times
-    // come off the submission-train event source — the same instants
-    // the scheduler's event queue will pop as SUBMIT events.
+    // (id) order, which fixes job ids and submit times. Arrival `i` is
+    // `i * spacing_s`, multiplied per index and never accumulated.
     let benches: Vec<&dyn jubench_core::Benchmark> = registry.iter().collect();
-    let mut arrivals = SubmissionTrain::new(benches.len() as u32, spacing_s);
-    let mut jobs = jubench_pool::par_map_indexed(benches.len(), |i| {
+    jubench_pool::par_map_indexed(benches.len(), |i| {
         let bench = benches[i];
         let meta = bench.meta();
         let nodes = bench.reference_nodes();
@@ -97,11 +50,8 @@ pub fn registry_jobs(registry: &Registry, spacing_s: f64) -> Vec<Job> {
         Job::new(i as u32, meta.id.name(), nodes, service_s)
             .with_comm_fraction(comm_fraction)
             .with_priority(category_priority(meta.category))
-    });
-    while let Some((key, id)) = arrivals.next_event() {
-        jobs[id as usize].submit_s = key.time;
-    }
-    jobs
+            .with_submit(i as f64 * spacing_s)
+    })
 }
 
 /// Schedule `jobs` on `machine` under `plan`.
@@ -190,21 +140,6 @@ mod tests {
         assert_eq!(schedule.finished(), 3);
         assert!(schedule.makespan_s > 0.0);
         assert!(schedule.utilization() > 0.0);
-    }
-
-    #[test]
-    fn submission_train_matches_multiplicative_arrivals() {
-        use jubench_events::EventQueue;
-        let mut train = SubmissionTrain::new(5, 0.7);
-        let mut q = EventQueue::new();
-        train.feed_until(&mut q, f64::INFINITY);
-        let mut popped = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push((e.key.time, e.payload));
-        }
-        let expect: Vec<(f64, u32)> = (0..5u32).map(|i| (i as f64 * 0.7, i)).collect();
-        assert_eq!(popped, expect, "multiplicative, id-ordered arrivals");
-        assert_eq!(popped[3].0, 3.0 * 0.7_f64, "never accumulated");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod placement;
 pub mod scheduler;
 pub mod submit;
 
-pub use campaign::{category_priority, registry_jobs, run_campaign, SubmissionTrain};
+pub use campaign::{category_priority, registry_jobs, run_campaign};
 pub use job::{CkptSpec, Job};
 pub use placement::{Allocation, PlacementPolicy};
 pub use scheduler::{

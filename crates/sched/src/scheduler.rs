@@ -43,8 +43,8 @@
 //! [`Scheduler::begin`] / [`Scheduler::advance`] / [`Scheduler::finish`]
 //! expose the loop stepwise, so a campaign can be stopped at any virtual
 //! time, snapshotted, restored (even in another process) and resumed to
-//! a bit-identical [`Schedule::log`]. [`Scheduler::resume_or_restart`]
-//! degrades a corrupt snapshot into a restart from zero.
+//! a bit-identical [`Schedule::log`]. [`Scheduler::resume`] refuses a
+//! corrupt or mismatched snapshot with a typed [`CkptError`].
 
 use std::collections::BTreeSet;
 
@@ -135,7 +135,7 @@ pub enum JobOutcome {
 }
 
 /// One execution attempt of a job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attempt {
     pub start_s: f64,
     pub end_s: f64,
@@ -163,7 +163,7 @@ pub struct Attempt {
 }
 
 /// Everything the scheduler decided about one job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     pub id: u32,
     pub name: String,
@@ -418,9 +418,8 @@ impl Schedule {
                     }
                     // Write `j` lands after `j` intervals of work and
                     // `j − 1` earlier writes — [`WriteTimes`] is that
-                    // closed form as an event train.
-                    let writes =
-                        WriteTimes::new(a.start_s, spec.interval_s, spec.cost_s, a.ckpts, r.id);
+                    // closed form.
+                    let writes = WriteTimes::new(a.start_s, spec.interval_s, spec.cost_s, a.ckpts);
                     for (w_start, w_end) in writes {
                         sink.record(TraceEvent {
                             rank: r.id,
@@ -528,6 +527,7 @@ pub struct Scheduler {
 }
 
 /// A queued job awaiting dispatch.
+#[derive(Debug, Clone, PartialEq)]
 struct Pending {
     idx: usize,
     eligible_s: f64,
@@ -535,6 +535,7 @@ struct Pending {
 }
 
 /// A dispatched job occupying nodes until `end_s`.
+#[derive(Debug, Clone, PartialEq)]
 struct Running {
     idx: usize,
     alloc: Allocation,
@@ -553,6 +554,7 @@ struct Running {
 /// snapshot does *not* embed the job set or fault plan — the caller
 /// passes the same ones back to [`Scheduler::advance`]; [`Scheduler::resume`]
 /// cross-checks the job set against the snapshot.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignState {
     t: f64,
     free: BTreeSet<u32>,
@@ -610,6 +612,11 @@ impl CampaignState {
         done
     }
 }
+
+/// Most elements a decoded count may pre-allocate. A count that lies
+/// then fails in the per-element reads with `Truncated` instead of
+/// overflowing or exhausting the allocator.
+const MAX_PREALLOC: usize = 4096;
 
 fn put_node_set(w: &mut SnapshotWriter, set: &BTreeSet<u32>) {
     w.put_usize(set.len());
@@ -719,11 +726,11 @@ impl Checkpointable for CampaignState {
         let down = get_node_set(&mut r, "down node set")?;
         let crashed = get_node_set(&mut r, "crashed node set")?;
         let n_running = r.get_usize("running count")?;
-        let mut running = Vec::with_capacity(n_running);
+        let mut running = Vec::with_capacity(n_running.min(MAX_PREALLOC));
         for _ in 0..n_running {
             let idx = r.get_usize("running job index")?;
             let n_nodes = r.get_usize("allocation length")?;
-            let mut nodes = Vec::with_capacity(n_nodes);
+            let mut nodes = Vec::with_capacity(n_nodes.min(MAX_PREALLOC));
             for _ in 0..n_nodes {
                 nodes.push(r.get_u32("allocated node")?);
             }
@@ -735,7 +742,7 @@ impl Checkpointable for CampaignState {
             });
         }
         let n_pending = r.get_usize("pending count")?;
-        let mut pending = Vec::with_capacity(n_pending);
+        let mut pending = Vec::with_capacity(n_pending.min(MAX_PREALLOC));
         for _ in 0..n_pending {
             pending.push(Pending {
                 idx: r.get_usize("pending job index")?,
@@ -744,7 +751,7 @@ impl Checkpointable for CampaignState {
             });
         }
         let n_submitted = r.get_usize("submitted count")?;
-        let mut submitted = Vec::with_capacity(n_submitted);
+        let mut submitted = Vec::with_capacity(n_submitted.min(MAX_PREALLOC));
         for _ in 0..n_submitted {
             submitted.push(r.get_bool("submitted flag")?);
         }
@@ -752,12 +759,12 @@ impl Checkpointable for CampaignState {
         let ei = r.get_usize("drain-end cursor")?;
         let ci = r.get_usize("crash cursor")?;
         let n_service = r.get_usize("service-done count")?;
-        let mut service_done = Vec::with_capacity(n_service);
+        let mut service_done = Vec::with_capacity(n_service.min(MAX_PREALLOC));
         for _ in 0..n_service {
             service_done.push(r.get_f64("service-done credit")?);
         }
         let n_records = r.get_usize("record count")?;
-        let mut records = Vec::with_capacity(n_records);
+        let mut records = Vec::with_capacity(n_records.min(MAX_PREALLOC));
         for _ in 0..n_records {
             let id = r.get_u32("job id")?;
             let name = r.get_str("job name")?;
@@ -765,7 +772,7 @@ impl Checkpointable for CampaignState {
             let priority = r.get_u32("job priority")? as i32;
             let submit_s = r.get_f64("job submit time")?;
             let n_attempts = r.get_usize("attempt count")?;
-            let mut attempts = Vec::with_capacity(n_attempts);
+            let mut attempts = Vec::with_capacity(n_attempts.min(MAX_PREALLOC));
             for _ in 0..n_attempts {
                 attempts.push(Attempt {
                     start_s: r.get_f64("attempt start")?,
@@ -781,7 +788,7 @@ impl Checkpointable for CampaignState {
                 });
             }
             let n_alloc = r.get_usize("record allocation length")?;
-            let mut allocation = Vec::with_capacity(n_alloc);
+            let mut allocation = Vec::with_capacity(n_alloc.min(MAX_PREALLOC));
             for _ in 0..n_alloc {
                 allocation.push(r.get_u32("record allocated node")?);
             }
@@ -813,7 +820,7 @@ impl Checkpointable for CampaignState {
             });
         }
         let n_log = r.get_usize("log line count")?;
-        let mut log = Vec::with_capacity(n_log);
+        let mut log = Vec::with_capacity(n_log.min(MAX_PREALLOC));
         for _ in 0..n_log {
             log.push(r.get_str("log line")?);
         }
@@ -1093,20 +1100,6 @@ impl Scheduler {
             }
         }
         Ok(state)
-    }
-
-    /// [`Self::resume`], degrading a corrupt or mismatched snapshot into
-    /// a restart from zero: the error comes back alongside the fresh
-    /// state instead of failing the campaign.
-    pub fn resume_or_restart(
-        &self,
-        bytes: &[u8],
-        jobs: &[Job],
-    ) -> (CampaignState, Option<CkptError>) {
-        match self.resume(bytes, jobs) {
-            Ok(state) => (state, None),
-            Err(e) => (self.begin(jobs), Some(e)),
-        }
     }
 
     /// Drive the event loop until the next event lies beyond `until_s`
@@ -1947,7 +1940,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_campaign_snapshot_restarts_from_zero() {
+    fn corrupt_campaign_snapshot_is_refused_typed() {
         use jubench_ckpt::{Checkpointable, CkptError};
         let s = sched(QueuePolicy::Fifo, PlacementPolicy::Contiguous);
         let jobs = vec![
@@ -1958,26 +1951,37 @@ mod tests {
         let mut state = s.begin(&jobs);
         s.advance(&mut state, &jobs, &plan, 1.0);
         let good = state.snapshot();
-        // Bit flip and truncation both degrade into a typed error plus a
-        // fresh state, never a panic.
+        // Bit flip and truncation are typed errors, never a panic.
         let mut flipped = good.clone();
         flipped[12] ^= 0x10;
-        let (restarted, err) = s.resume_or_restart(&flipped, &jobs);
-        assert!(err.is_some());
-        assert_eq!(restarted.now(), 0.0);
-        assert_eq!(restarted.log().len(), 1, "only the header line");
-        let (_, err) = s.resume_or_restart(&good[..good.len() - 3], &jobs);
-        assert!(
-            matches!(err, Some(CkptError::ChecksumMismatch { .. }))
-                || matches!(err, Some(CkptError::Truncated { .. }))
-        );
+        assert!(s.resume(&flipped, &jobs).is_err());
+        assert!(matches!(
+            s.resume(&good[..good.len() - 3], &jobs),
+            Err(CkptError::ChecksumMismatch { .. } | CkptError::Truncated { .. })
+        ));
         // A snapshot of some other campaign is rejected too.
         let other = vec![Job::new(7, "other", 8, 2.0), Job::new(8, "x", 8, 1.0)];
-        let (_, err) = s.resume_or_restart(&good, &other);
-        assert!(matches!(err, Some(CkptError::Malformed { .. })));
-        // The intact snapshot still resumes.
-        let resumed = s.resume(&good, &jobs).unwrap();
-        assert_eq!(resumed.now(), state.now());
+        assert!(matches!(
+            s.resume(&good, &other),
+            Err(CkptError::Malformed { .. })
+        ));
+        // A validly sealed payload whose running / pending / submitted
+        // count lies runs out of bytes; it must not reach the allocator.
+        for empty_vecs in 0..3 {
+            let mut w = SnapshotWriter::new();
+            w.put_f64(0.0);
+            for _ in 0..3 + empty_vecs {
+                w.put_usize(0);
+            }
+            w.put_usize(1 << 60);
+            let lying = seal("sched-campaign", &w.finish());
+            assert!(
+                matches!(s.resume(&lying, &jobs), Err(CkptError::Truncated { .. })),
+                "lying count after {empty_vecs} empty vectors"
+            );
+        }
+        // The intact snapshot still resumes, to the state it was taken of.
+        assert_eq!(s.resume(&good, &jobs).unwrap(), state);
     }
 
     /// Regression-pins the per-instant handler order the event classes

@@ -2,10 +2,10 @@
 //!
 //! Everything that can go wrong while *driving* the service — as
 //! opposed to speaking its protocol ([`WireError`]) — is a
-//! [`ServeError`]: a shard worker panicking mid-drain, a scheduler
-//! snapshot refusing to restore, a migration naming a shard that does
-//! not exist. The drain driver ([`crate::supervisor`]) keeps these from
-//! ever escaping as panics: every drain catches a worker panic and
+//! [`ServeError`]: a shard worker panicking mid-drain, a snapshot or
+//! migration envelope refusing to open, a migration naming a shard that
+//! does not exist. The drain driver ([`crate::supervisor`]) keeps these
+//! from ever escaping as panics: every drain catches a worker panic and
 //! returns it typed, and a supervised drain converts failures into
 //! restarts or typed cancellations.
 
@@ -18,7 +18,8 @@ use std::fmt;
 pub enum ServeError {
     /// A protocol failure on a session transport.
     Wire(WireError),
-    /// A snapshot envelope failed to open or decode.
+    /// A snapshot envelope failed to open or decode — the shard's, a
+    /// migrating campaign's, or the scheduler state embedded in either.
     Ckpt(CkptError),
     /// A shard worker thread panicked (or a chaos plan crashed it).
     ShardPanicked {
@@ -26,14 +27,6 @@ pub enum ServeError {
         shard: u32,
         /// The panic payload, when it was a string.
         message: String,
-    },
-    /// A campaign's own scheduler snapshot failed to restore — the
-    /// shard cannot make progress on it.
-    SchedRestore {
-        /// The campaign whose scheduler state is unusable.
-        campaign: u64,
-        /// The underlying decode failure.
-        source: CkptError,
     },
     /// A caller named a shard the server does not have.
     NoSuchShard {
@@ -51,12 +44,6 @@ impl fmt::Display for ServeError {
             ServeError::Ckpt(e) => write!(f, "checkpoint: {e}"),
             ServeError::ShardPanicked { shard, message } => {
                 write!(f, "shard {shard} worker panicked: {message}")
-            }
-            ServeError::SchedRestore { campaign, source } => {
-                write!(
-                    f,
-                    "campaign {campaign}: scheduler snapshot unusable: {source}"
-                )
             }
             ServeError::NoSuchShard { shard, n_shards } => {
                 write!(f, "no shard {shard}: the server has {n_shards}")

@@ -154,7 +154,7 @@ impl Server {
     pub fn step(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
-            out.extend(shard.step(registry)?);
+            out.extend(shard.step(registry));
         }
         self.forget_finished();
         Ok(out)

@@ -9,6 +9,16 @@
 //! and adopted by another shard ([`ShardState::adopt`]) without
 //! perturbing a single output byte.
 //!
+//! In memory a scheduling campaign is a live value: the [`Scheduler`],
+//! its jobs and the [`CampaignState`] that [`Scheduler::advance`] steps
+//! in place, slice after slice. Bytes exist only at the snapshot
+//! boundary — [`Checkpointable::snapshot`] and [`ShardState::extract`]
+//! write the state's own sealed snapshot, and
+//! [`Checkpointable::restore`] and [`ShardState::adopt`] are where
+//! [`Scheduler::resume`] turns it back into a live value, with every
+//! envelope, structure and job-set check; a bad embedded scheduler
+//! state is refused there, as the [`CkptError`] those two return.
+//!
 //! Determinism contract: the frames a shard emits for one campaign are
 //! a pure function of the campaign spec (plus the registry contents).
 //! The cache changes *whether* a point executes, never what its row
@@ -22,8 +32,7 @@ use crate::spec::CampaignSpec;
 use crate::wire::{CancelReason, Frame};
 use jubench_ckpt::{open, seal, Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
 use jubench_core::{BenchmarkId, Registry, RunConfig};
-use jubench_events::Windows;
-use jubench_sched::{category_priority, Job, Schedule, Scheduler, SchedulerConfig};
+use jubench_sched::{category_priority, CampaignState, Job, Schedule, Scheduler, SchedulerConfig};
 use jubench_trace::{chrome_trace_json, GuardStats, Recorder, RunReport};
 
 /// Envelope kind of a shard snapshot.
@@ -55,8 +64,9 @@ struct ActiveCampaign {
     misses: u64,
     insertions: u64,
     evictions: u64,
-    /// Scheduler state between slices (`None` before the first slice).
-    sched: Option<Vec<u8>>,
+    /// The live scheduler (`None` before the first slice). Boxed so a
+    /// queue entry stays small to shift when a campaign ahead of it retires.
+    sched: Option<Box<LiveSched>>,
     /// Virtual-time horizon the scheduler has been advanced to. Grows by
     /// `slice_s` every unit — independent of `CampaignState::now()`,
     /// which only moves to *processed* events and therefore stalls when
@@ -82,9 +92,9 @@ impl ActiveCampaign {
         w.put_u64(self.evictions);
         match &self.sched {
             None => w.put_bool(false),
-            Some(bytes) => {
+            Some(live) => {
                 w.put_bool(true);
-                w.put_bytes(bytes);
+                w.put_bytes(&live.state.snapshot());
             }
         }
         w.put_f64(self.horizon_s);
@@ -106,8 +116,24 @@ impl ActiveCampaign {
         let misses = r.get_u64("campaign misses")?;
         let insertions = r.get_u64("campaign insertions")?;
         let evictions = r.get_u64("campaign evictions")?;
-        let sched = if r.get_bool("campaign has sched state")? {
-            Some(r.get_bytes("campaign sched state")?)
+        // Progress must agree with itself before anything indexes by
+        // it: one row per executed point, and a scheduler only once every
+        // point has executed (its jobs are derived from all the rows).
+        let has_sched = r.get_bool("campaign has sched state")?;
+        let n_points = spec.points.len();
+        if rows.len() != next_point || next_point > n_points || (has_sched && next_point < n_points)
+        {
+            return Err(CkptError::Malformed {
+                what: format!(
+                    "campaign at point {next_point} of {n_points} has {} rows, \
+                     scheduler state: {has_sched}",
+                    rows.len()
+                ),
+            });
+        }
+        let sched = if has_sched {
+            let bytes = r.get_bytes("campaign sched state")?;
+            Some(Box::new(LiveSched::resume(&spec, &rows, &bytes)?))
         } else {
             None
         };
@@ -127,6 +153,53 @@ impl ActiveCampaign {
             horizon_s,
             streamed_done,
         })
+    }
+}
+
+/// A campaign's scheduling phase as it lives in memory between slices.
+/// `scheduler` and `jobs` are pure in the campaign's `(spec, rows)`, so
+/// only `state` is ever written to a snapshot.
+#[derive(Debug, Clone)]
+struct LiveSched {
+    scheduler: Scheduler,
+    jobs: Vec<Job>,
+    state: CampaignState,
+}
+
+impl LiveSched {
+    /// Enter the scheduling phase of a campaign whose points have all
+    /// executed: nothing submitted, virtual time zero.
+    fn begin(spec: &CampaignSpec, rows: &[PointResult]) -> Self {
+        let scheduler = Scheduler::new(
+            spec.machine(),
+            spec.backend.net,
+            SchedulerConfig::new(spec.policy, spec.placement, spec.seed),
+        );
+        let jobs = build_jobs(spec, rows);
+        let state = scheduler.begin(&jobs);
+        LiveSched {
+            scheduler,
+            jobs,
+            state,
+        }
+    }
+
+    /// Re-enter it from a [`CampaignState`] snapshot — the only way bytes
+    /// become a live scheduler. [`Scheduler::resume`] checks the envelope,
+    /// the state's structure, and that it belongs to these jobs and this
+    /// machine.
+    fn resume(spec: &CampaignSpec, rows: &[PointResult], bytes: &[u8]) -> Result<Self, CkptError> {
+        let mut live = Self::begin(spec, rows);
+        live.state = live.scheduler.resume(bytes, &live.jobs)?;
+        Ok(live)
+    }
+}
+
+/// `scheduler` and `jobs` follow from fields the owning campaign already
+/// compares.
+impl PartialEq for LiveSched {
+    fn eq(&self, other: &Self) -> bool {
+        self.state == other.state
     }
 }
 
@@ -249,13 +322,10 @@ impl ShardState {
     /// Advance one campaign by one unit (round-robin) and return the
     /// frames produced. An empty vec with [`Self::idle`] still false
     /// can't happen — every unit emits at least one frame except
-    /// scheduler slices in which no job finished. Errors are typed,
-    /// never panics: a scheduler snapshot that refuses to restore
-    /// surfaces as [`ServeError::SchedRestore`] for the supervisor to
-    /// handle.
-    pub fn step(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
+    /// scheduler slices in which no job finished.
+    pub fn step(&mut self, registry: &Registry) -> Vec<Emit> {
         if self.queue.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let idx = self.rr % self.queue.len();
         let client = self.queue[idx].client;
@@ -265,7 +335,7 @@ impl ShardState {
                 UnitOutcome::Running,
             )
         } else {
-            self.sched_slice(idx)?
+            self.sched_slice(idx)
         };
         match outcome {
             UnitOutcome::Running => {
@@ -289,10 +359,10 @@ impl ShardState {
                 };
             }
         }
-        Ok(frames
+        frames
             .into_iter()
             .map(|frame| Emit { client, frame })
-            .collect())
+            .collect()
     }
 
     /// Drive the shard until every campaign is done, collecting all
@@ -322,7 +392,7 @@ impl ShardState {
                     std::thread::yield_now();
                 }
             }
-            out.extend(self.step(registry)?);
+            out.extend(self.step(registry));
             unit += 1;
         }
         Ok(out)
@@ -361,7 +431,7 @@ impl ShardState {
 
     /// Advance campaign `idx`'s scheduler by one `slice_s`-wide slice.
     /// Returns the frames to stream and the campaign's unit outcome.
-    fn sched_slice(&mut self, idx: usize) -> Result<(Vec<Frame>, UnitOutcome), ServeError> {
+    fn sched_slice(&mut self, idx: usize) -> (Vec<Frame>, UnitOutcome) {
         let guard = self.guard;
         let camp = &mut self.queue[idx];
         // The virtual-time deadline is checked at the unit boundary:
@@ -371,7 +441,7 @@ impl ShardState {
         if camp.horizon_s >= camp.spec.deadline_s {
             self.guard.deadline_cancels += 1;
             jubench_metrics::counter_add("serve/deadline_cancels", 1);
-            return Ok((
+            return (
                 vec![Frame::Cancelled {
                     campaign: camp.id,
                     reason: CancelReason::DeadlineExceeded {
@@ -380,34 +450,23 @@ impl ShardState {
                     },
                 }],
                 UnitOutcome::Cancelled,
-            ));
+            );
         }
-        let scheduler = Scheduler::new(
-            camp.spec.machine(),
-            camp.spec.backend.net,
-            SchedulerConfig::new(camp.spec.policy, camp.spec.placement, camp.spec.seed),
-        );
-        let jobs = build_jobs(&camp.spec, &camp.rows);
-        let mut state = match &camp.sched {
-            None => scheduler.begin(&jobs),
-            Some(bytes) => {
-                scheduler
-                    .resume(bytes, &jobs)
-                    .map_err(|source| ServeError::SchedRestore {
-                        campaign: camp.id,
-                        source,
-                    })?
-            }
-        };
+        let mut live = camp
+            .sched
+            .take()
+            .unwrap_or_else(|| Box::new(LiveSched::begin(&camp.spec, &camp.rows)));
         // The slice window grows from the campaign's own horizon, not
         // from `state.now()`: `advance` leaves `now` at the last
         // *processed* event, so a quiet stretch (the next completion
         // several slices away) would otherwise pin the window in place
         // and the campaign would never finish.
-        let until_s = Windows::new(camp.horizon_s.max(state.now()), camp.spec.slice_s).next_end();
-        let done = scheduler.advance(&mut state, &jobs, &camp.spec.plan, until_s);
+        let until_s = camp.horizon_s.max(live.state.now()) + camp.spec.slice_s;
+        let done = live
+            .scheduler
+            .advance(&mut live.state, &live.jobs, &camp.spec.plan, until_s);
         camp.horizon_s = until_s;
-        let finished = state.finished_jobs();
+        let finished = live.state.finished_jobs();
         let mut frames: Vec<Frame> = finished[camp.streamed_done..]
             .iter()
             .map(|&(job, end_s)| Frame::JobDone {
@@ -418,12 +477,12 @@ impl ShardState {
             .collect();
         camp.streamed_done = finished.len();
         if done {
-            let schedule = scheduler.finish(state);
+            let schedule = live.scheduler.finish(live.state);
             frames.push(finish_campaign(camp, &schedule, guard));
-            Ok((frames, UnitOutcome::Finished))
+            (frames, UnitOutcome::Finished)
         } else {
-            camp.sched = Some(state.snapshot());
-            Ok((frames, UnitOutcome::Running))
+            camp.sched = Some(live);
+            (frames, UnitOutcome::Running)
         }
     }
 
@@ -694,7 +753,9 @@ mod tests {
         let mut spec = CampaignSpec::new(tenant, name, 8, seed)
             .with_point(RunPoint::test("STREAM", 2, 1))
             .with_point(RunPoint::test("OSU", 2, 2));
-        spec.slice_s = 2.0;
+        // The schedule ends just past 1 s (the second job's submit
+        // time): several slices per campaign, most of them silent.
+        spec.slice_s = 0.25;
         spec
     }
 
@@ -727,66 +788,135 @@ mod tests {
         assert!(emits.iter().all(|e| e.client == 10));
     }
 
+    /// Shard 0 holding `specs` as campaigns 1, 2, … of client 10.
+    fn shard_with(specs: &[CampaignSpec]) -> ShardState {
+        let mut shard = ShardState::new(0, 64);
+        for (i, spec) in specs.iter().enumerate() {
+            shard.submit(i as u64 + 1, 10, spec.clone());
+        }
+        shard
+    }
+
+    /// Units `shard_with(specs)` takes to go idle.
+    fn count_units(registry: &Registry, specs: &[CampaignSpec]) -> usize {
+        let mut shard = shard_with(specs);
+        let mut units = 0;
+        while !shard.idle() {
+            shard.step(registry);
+            units += 1;
+        }
+        units
+    }
+
     #[test]
     fn snapshot_restore_at_every_unit_boundary_is_byte_identical() {
         let registry = registry();
-        let reference = {
-            let mut shard = ShardState::new(0, 64);
-            shard.submit(1, 10, tiny_spec("a", "c1", 1));
-            shard.submit(2, 10, tiny_spec("b", "c2", 2));
-            shard.drain(&registry, None).unwrap()
-        };
+        let specs = [tiny_spec("a", "c1", 1), tiny_spec("b", "c2", 2)];
+        let reference = shard_with(&specs).drain(&registry, None).unwrap();
 
-        // Count the units first.
-        let total_units = {
-            let mut shard = ShardState::new(0, 64);
-            shard.submit(1, 10, tiny_spec("a", "c1", 1));
-            shard.submit(2, 10, tiny_spec("b", "c2", 2));
-            let mut units = 0;
-            while !shard.idle() {
-                shard.step(&registry).unwrap();
-                units += 1;
-            }
-            units
-        };
-
-        for kill_at in 0..=total_units {
-            let mut shard = ShardState::new(0, 64);
-            shard.submit(1, 10, tiny_spec("a", "c1", 1));
-            shard.submit(2, 10, tiny_spec("b", "c2", 2));
+        let mut mid_schedule = 0;
+        for kill_at in 0..=count_units(&registry, &specs) {
+            let mut shard = shard_with(&specs);
             let mut emits = Vec::new();
             for _ in 0..kill_at {
-                emits.extend(shard.step(&registry).unwrap());
+                emits.extend(shard.step(&registry));
+            }
+            // A campaign with a live scheduler sits between two of its
+            // own slices: restoring it goes bytes → `Scheduler::resume`.
+            if shard.queue.iter().any(|c| c.sched.is_some()) {
+                mid_schedule += 1;
             }
             let snapshot = shard.snapshot();
-            drop(shard); // the kill
             let mut restored = ShardState::new(99, 1); // wrong everything
             restored.restore(&snapshot).unwrap();
+            // snapshot ∘ restore is the identity on live state.
+            assert_eq!(restored, shard, "kill at unit {kill_at}");
+            assert_eq!(restored.snapshot(), snapshot, "kill at unit {kill_at}");
+            drop(shard); // the kill
             emits.extend(restored.drain(&registry, None).unwrap());
             assert_eq!(emits, reference, "kill at unit {kill_at} diverged");
         }
+        assert!(
+            mid_schedule >= 2,
+            "only {mid_schedule} kill points fell between two slices of one campaign"
+        );
     }
 
     #[test]
     fn migration_preserves_the_frame_stream() {
         let registry = registry();
-        let reference = {
-            let mut shard = ShardState::new(0, 64);
-            shard.submit(1, 10, tiny_spec("a", "c1", 1));
-            shard.drain(&registry, None).unwrap()
-        };
+        let specs = [tiny_spec("a", "c1", 1)];
+        let reference = shard_with(&specs).drain(&registry, None).unwrap();
 
+        for move_at in 0..count_units(&registry, &specs) {
+            let mut origin = shard_with(&specs);
+            let mut emits = Vec::new();
+            for _ in 0..move_at {
+                emits.extend(origin.step(&registry));
+            }
+            let envelope = origin.extract(1).expect("campaign is in flight");
+            assert!(origin.idle());
+
+            let mut target = ShardState::new(1, 64);
+            assert_eq!(target.adopt(&envelope).unwrap(), 1);
+            emits.extend(target.drain(&registry, None).unwrap());
+            assert_eq!(emits, reference, "move at unit {move_at} diverged");
+        }
+    }
+
+    #[test]
+    fn forged_campaign_envelopes_are_refused_at_adopt() {
+        let registry = registry();
         let mut origin = ShardState::new(0, 64);
         origin.submit(1, 10, tiny_spec("a", "c1", 1));
-        let mut emits = Vec::new();
-        emits.extend(origin.step(&registry).unwrap()); // one point executed
+        while origin.queue[0].sched.is_none() {
+            origin.step(&registry);
+        }
+        let before = origin.clone();
+        let state_bytes = origin.queue[0].sched.as_ref().unwrap().state.snapshot();
         let envelope = origin.extract(1).expect("campaign is in flight");
-        assert!(origin.idle());
+
+        // Swap the embedded scheduler state for a validly sealed one
+        // whose running count lies, and seal the campaign again.
+        let payload = open(CAMPAIGN_KIND, &envelope).unwrap();
+        let at = payload
+            .windows(state_bytes.len())
+            .position(|w| w == state_bytes)
+            .expect("the envelope embeds the state's own snapshot");
+        let mut lying = SnapshotWriter::new();
+        lying.put_f64(0.0);
+        for _ in 0..3 {
+            lying.put_usize(0);
+        }
+        lying.put_usize(1 << 60);
+        let mut forged = SnapshotWriter::new();
+        forged.put_bytes(&seal("sched-campaign", &lying.finish()));
+        let forged = [
+            &payload[..at - 8], // up to the state's length prefix
+            &forged.finish(),
+            &payload[at + state_bytes.len()..],
+        ]
+        .concat();
 
         let mut target = ShardState::new(1, 64);
-        assert_eq!(target.adopt(&envelope).unwrap(), 1);
-        emits.extend(target.drain(&registry, None).unwrap());
-        assert_eq!(emits, reference);
+        assert!(matches!(
+            target.adopt(&seal(CAMPAIGN_KIND, &forged)),
+            Err(CkptError::Truncated { .. })
+        ));
+        // Progress that disagrees with itself: `next_point` (the field
+        // after the spec blob) says 1, the envelope still holds 2 rows.
+        let spec_len = u64::from_le_bytes(payload[16..24].try_into().unwrap()) as usize;
+        let mut torn = payload.clone();
+        torn[24 + spec_len..32 + spec_len].copy_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            target.adopt(&seal(CAMPAIGN_KIND, &torn)),
+            Err(CkptError::Malformed { .. })
+        ));
+        assert!(target.idle(), "a refused envelope leaves nothing behind");
+        // The genuine envelope still goes home, as `Server::migrate`
+        // sends it when the target refuses.
+        origin.adopt(&envelope).unwrap();
+        assert_eq!(origin, before);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! 2. `supervise` — one shard's attempt loop. With a restart policy,
 //!    every attempt starts from a fresh [`Checkpointable`] snapshot and
 //!    runs under `catch_unwind`; a failed attempt — a chaos-injected
-//!    crash, a genuine panic, a scheduler snapshot that refuses to
-//!    restore — is discarded **wholesale**, frames and state, the shard
-//!    is restored, seeded bounded backoff is charged, and the attempt is
+//!    crash or a genuine panic — is discarded **wholesale**, frames and
+//!    state, the shard is restored, seeded bounded backoff is charged, and the attempt is
 //!    retried. Without a policy (the unsupervised drains) no snapshot is
 //!    taken and the first failure is the shard's result.
 //! 3. The executor — shards in order on the calling thread, or one

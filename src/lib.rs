@@ -70,9 +70,8 @@
 //!   tables with 1 EFLOP/s sub-partition extrapolation.
 //! - [`events`]: the discrete-event core — the deterministic
 //!   timestamped event queue (total-order tie-breaking on
-//!   `(time, class, rank, seq)`), multi-queue merge, and event sources
-//!   that let [`sched`] and [`simmpi`] pop next-event instead of
-//!   stepping virtual time.
+//!   `(time, class, rank, seq)`) that lets [`sched`] and [`simmpi`]
+//!   pop next-event instead of stepping virtual time.
 
 pub use jubench_apps_ai as apps_ai;
 pub use jubench_apps_bio as apps_bio;

@@ -264,35 +264,32 @@ fn campaign_kill_resume_is_byte_identical_across_pool_widths() {
 }
 
 #[test]
-fn corrupt_campaign_snapshot_degrades_into_restart_from_zero() {
+fn corrupt_campaign_snapshot_is_refused_with_a_typed_error() {
     let sched = campaign_scheduler();
     let (jobs, plan) = (campaign_jobs(), campaign_plan());
     let mut state = sched.begin(&jobs);
     sched.advance(&mut state, &jobs, &plan, 2.0);
     let good = state.snapshot();
 
-    // Truncation at every prefix length errors, never panics, and
-    // resume_or_restart hands back a fresh campaign each time.
+    // Truncation at every prefix length errors, never panics.
     for cut in 0..good.len() {
-        let (fresh, err) = sched.resume_or_restart(&good[..cut], &jobs);
-        assert!(err.is_some(), "prefix {cut}");
-        assert_eq!(fresh.now(), 0.0);
-        assert_eq!(fresh.log().len(), 1, "only the header line");
+        assert!(sched.resume(&good[..cut], &jobs).is_err(), "prefix {cut}");
     }
     // A sample of single-bit flips across the snapshot.
     for pos in (0..good.len()).step_by(53) {
         let mut bad = good.clone();
         bad[pos] ^= 0x10;
-        let (fresh, err) = sched.resume_or_restart(&bad, &jobs);
-        assert!(err.is_some(), "bit flip at {pos}");
-        assert_eq!(fresh.log().len(), 1);
+        assert!(sched.resume(&bad, &jobs).is_err(), "bit flip at {pos}");
     }
-    // The intact snapshot still resumes, and the restarted-from-zero
-    // campaign converges to the same final artifact as the resumed one.
-    let (resumed, err) = sched.resume_or_restart(&good, &jobs);
-    assert!(err.is_none());
+    // A snapshot of a different job set is refused too.
+    assert!(matches!(
+        sched.resume(&good, &jobs[1..]),
+        Err(CkptError::Malformed { .. })
+    ));
+    // The intact snapshot still resumes, and a caller that answers a
+    // refusal by restarting from zero converges to the same artifact.
+    let mut resumed = sched.resume(&good, &jobs).unwrap();
     assert_eq!(resumed.now(), state.now());
-    let mut resumed = resumed;
     sched.advance(&mut resumed, &jobs, &plan, f64::INFINITY);
     let mut from_zero = sched.begin(&jobs);
     sched.advance(&mut from_zero, &jobs, &plan, f64::INFINITY);

@@ -774,45 +774,6 @@ fn event_queue_pop_is_the_total_order() {
     }
 }
 
-/// Merging k queues is observationally identical to inserting every
-/// event into one queue: the global pop sequence — keys *and* payloads
-/// — does not depend on how sources were partitioned.
-#[test]
-fn merged_queues_match_single_queue_insertion() {
-    use jubench::events::{EventQueue, MergedQueues};
-    for case in 0..32u64 {
-        let mut rng = rank_rng(0xE8 + case, 21);
-        let n = rng.gen_range(1usize..96);
-        let k = rng.gen_range(1usize..6);
-        // Global sequence numbers, so the same event carries the same key
-        // whichever queue it lands in.
-        let events: Vec<(f64, u8, u32, u64)> = (0..n)
-            .map(|i| {
-                (
-                    f64::from(rng.gen_range(0u8..8)) * 0.25,
-                    rng.gen_range(0u8..3),
-                    rng.gen_range(0u32..3),
-                    i as u64,
-                )
-            })
-            .collect();
-        let mut single = EventQueue::new();
-        let mut parts: Vec<EventQueue<usize>> = (0..k).map(|_| EventQueue::new()).collect();
-        for (i, &(t, class, rank, seq)) in events.iter().enumerate() {
-            single.push_with_seq(t, class, rank, seq, i);
-            parts[rng.gen_range(0usize..k)].push_with_seq(t, class, rank, seq, i);
-        }
-        let mut merged = MergedQueues::from_queues(parts);
-        assert_eq!(merged.len(), single.len(), "case {case}");
-        while let Some(want) = single.pop() {
-            let (_, got) = merged.pop().expect("merged drains in step");
-            assert_eq!(got.key, want.key, "case {case}");
-            assert_eq!(got.payload, want.payload, "case {case}");
-        }
-        assert!(merged.pop().is_none(), "case {case}: both empty together");
-    }
-}
-
 /// Tie-breaking is a property of the keys, not of heap insertion order:
 /// pushing the same explicitly-numbered events in any permutation pops
 /// the identical sequence.
