@@ -1,13 +1,15 @@
-//! The deterministic discrete-event core shared by the virtual-time
-//! engines (`jubench-simmpi` fault arrivals, `jubench-sched`): one
-//! totally ordered queue, nothing else.
+//! A deterministic, totally ordered queue of timestamped events.
 //!
-//! A simulation that costs virtual time step-by-step pays for every
-//! idle tick; one that pops the next timestamped event pays O(events).
-//! The entire value of that trade rests on *determinism*: two engines
-//! (or the same engine at different pool widths) must pop the exact
-//! same events in the exact same order, or byte-identical artifacts —
-//! the suite's reproducibility contract since PR 1 — are lost.
+//! No engine in the workspace owns one: `jubench-sched` and
+//! `jubench-simmpi` still advance virtual time from event to event —
+//! O(instants), never O(idle ticks) — but read the next instant off the
+//! state they already keep. The crate remains as a leaf, re-exported at
+//! `jubench::events`, because the repo benchmark times its push/pop.
+//!
+//! A queue like this is only worth having if it is *deterministic*: two
+//! consumers (or one at different pool widths) must pop the exact same
+//! events in the exact same order, or byte-identical artifacts — the
+//! suite's reproducibility contract since PR 1 — are lost.
 //!
 //! # The total-order contract
 //!
@@ -20,12 +22,9 @@
 //! - `time` — virtual seconds, compared by [`f64::total_cmp`]. Only
 //!   finite times are admitted ([`EventQueue::push`] asserts this), so
 //!   total_cmp agrees with the usual `<` everywhere it is used.
-//! - `class` — a small integer naming the event's kind. Classes are
-//!   domain-owned (the scheduler's live in
-//!   `jubench_sched::event_class`), numbered in the order same-instant
-//!   events must be handled. This is how "crash before drain-start
-//!   before drain-end at the same timestamp" is not a convention but a
-//!   comparison.
+//! - `class` — a small integer naming the event's kind, owned by the
+//!   consumer and numbered in the order same-instant events must be
+//!   handled.
 //! - `rank` — the entity the event addresses (an MPI rank, a node
 //!   index, a job id). Orders same-class collisions.
 //! - `seq` — a monotone sequence number breaking whatever remains.
@@ -39,11 +38,11 @@
 //!
 //! # Stale events
 //!
-//! Queues here are *monotone*: there is no `remove`. An engine whose
-//! state invalidates a scheduled event (a job preempted before its
-//! planned finish) leaves the entry in place and filters it at pop
-//! time — the classic lazy-deletion discipline. [`EventQueue::peek`]
-//! exists so validity can be judged before consuming.
+//! Queues here are *monotone*: there is no `remove`. A consumer whose
+//! state invalidates a scheduled event leaves the entry in place and
+//! filters it at pop time — the classic lazy-deletion discipline.
+//! [`EventQueue::peek`] exists so validity can be judged before
+//! consuming.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

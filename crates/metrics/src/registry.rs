@@ -97,7 +97,10 @@ pub(crate) fn shard_gauge_max(name: &str, value: i64) {
 pub(crate) fn shard_observe(name: &str, value: u64) {
     SHARD.with(|s| {
         let mut hists = s.hists.lock().unwrap();
-        let h = hists.entry(name.to_string()).or_default();
+        let h = match hists.get_mut(name) {
+            Some(h) => h,
+            None => hists.entry(name.to_string()).or_default(),
+        };
         h.counts[bucket_of(value)] += 1;
         h.count += 1;
         h.sum = h.sum.saturating_add(value);
@@ -109,7 +112,10 @@ pub(crate) fn shard_observe(name: &str, value: u64) {
 pub(crate) fn shard_scope_record(path: &str, inclusive_ns: u64, exclusive_ns: u64) {
     SHARD.with(|s| {
         let mut scopes = s.scopes.lock().unwrap();
-        let stat = scopes.entry(path.to_string()).or_default();
+        let stat = match scopes.get_mut(path) {
+            Some(stat) => stat,
+            None => scopes.entry(path.to_string()).or_default(),
+        };
         stat.count += 1;
         stat.inclusive_ns = stat.inclusive_ns.saturating_add(inclusive_ns);
         stat.exclusive_ns = stat.exclusive_ns.saturating_add(exclusive_ns);

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::time::Instant;
 
 struct Frame {
-    name: String,
+    name: &'static str,
     start: Instant,
     /// Inclusive nanoseconds of directly nested scopes closed so far.
     child_ns: u64,
@@ -37,13 +37,13 @@ pub struct ScopeGuard {
 
 impl ScopeGuard {
     /// Open a scope named `name` on this thread's stack.
-    pub fn enter(name: &str) -> ScopeGuard {
+    pub fn enter(name: &'static str) -> ScopeGuard {
         if !crate::enabled() {
             return ScopeGuard { active: false };
         }
         STACK.with(|stack| {
             stack.borrow_mut().push(Frame {
-                name: name.to_string(),
+                name,
                 start: Instant::now(),
                 child_ns: 0,
             });
@@ -62,22 +62,26 @@ impl Drop for ScopeGuard {
             let Some(frame) = stack.pop() else { return };
             let inclusive = frame.start.elapsed().as_nanos() as u64;
             let exclusive = inclusive.saturating_sub(frame.child_ns);
+            // A top-level scope records under its own name; only a
+            // nested one builds the `;`-joined path.
+            let joined;
             let path = if stack.is_empty() {
-                frame.name.clone()
+                frame.name
             } else {
                 let mut p = String::new();
                 for f in stack.iter() {
-                    p.push_str(&f.name);
+                    p.push_str(f.name);
                     p.push(';');
                 }
-                p.push_str(&frame.name);
-                p
+                p.push_str(frame.name);
+                joined = p;
+                &joined
             };
             if let Some(parent) = stack.last_mut() {
                 parent.child_ns = parent.child_ns.saturating_add(inclusive);
             }
             drop(stack);
-            crate::registry::shard_scope_record(&path, inclusive, exclusive);
+            crate::registry::shard_scope_record(path, inclusive, exclusive);
         });
     }
 }

@@ -55,7 +55,7 @@ pub use campaign::{category_priority, registry_jobs, run_campaign};
 pub use job::{CkptSpec, Job};
 pub use placement::{Allocation, PlacementPolicy};
 pub use scheduler::{
-    event_class, Attempt, CampaignState, JobOutcome, JobRecord, QueuePolicy, Schedule, Scheduler,
+    Attempt, CampaignState, JobOutcome, JobRecord, QueuePolicy, Schedule, Scheduler,
     SchedulerConfig, UtilSegment,
 };
 pub use submit::{submit_step, SubmitQueue};

@@ -1,15 +1,16 @@
 //! The deterministic virtual-time batch scheduler: FIFO or conservative
 //! backfill over a [`Machine`], with fault-driven capacity loss.
 //!
-//! The simulation is a discrete-event loop over virtual time, driven by
-//! a [`jubench_events::EventQueue`]: finishes, crashes, drain edges,
-//! submissions, and retry-eligibility instants are timestamped events
-//! popped in `(time, class, rank, seq)` order (classes in
-//! [`event_class`]), so a campaign costs O(events · log events) no
-//! matter how sparse its virtual timeline is. All state lives in
-//! ordered containers and every tie is broken by `(priority, eligible
-//! time, job id)`, so an identical seed and job set produces a
-//! bit-identical [`Schedule::log`] — the same determinism contract as
+//! The simulation is a discrete-event loop over virtual time, and the
+//! campaign's future is its state: the next instant anything happens is
+//! the earliest of the unconsumed crash, drain-start, drain-end and
+//! submission cursors, the running attempts' end times and the pending
+//! jobs' retry-eligibility times. Time jumps from one such instant to
+//! the next, so a campaign costs O(instants) no matter how sparse its
+//! virtual timeline is. All state lives in ordered containers and
+//! every tie is broken by `(priority, eligible time, job id)`, so an
+//! identical seed and job set produces a bit-identical
+//! [`Schedule::log`] — the same determinism contract as
 //! `jubench-faults`. An empty fault plan leaves the schedule identical
 //! to a fault-free run.
 //!
@@ -52,35 +53,11 @@ use jubench_ckpt::{
     open, seal, Checkpointable, CkptError, SnapshotReader, SnapshotWriter, WriteTimes,
 };
 use jubench_cluster::{Machine, NetModel};
-use jubench_events::EventQueue;
 use jubench_faults::{Fault, FaultPlan};
 use jubench_trace::{EventKind, SchedPhase, TraceEvent, TraceSink, SCHED_CELL_TRACK_BASE};
 
 use crate::job::{CkptSpec, Job};
 use crate::placement::{Allocation, PlacementPolicy};
-
-/// Event classes of the scheduler's virtual-time queue. Same-instant
-/// events pop in class order, which is exactly the per-instant handler
-/// order the engine has always enforced (pinned by the
-/// `same_instant_capacity_events_keep_handler_order` test): completions
-/// first, then crashes, drain starts, drain ends, submissions, and
-/// retry eligibility. [`jubench_events::EventKey`] ties break on
-/// `(time, class, rank, seq)`, so this order is a comparison, not a
-/// convention.
-pub mod event_class {
-    /// A running attempt reaches its end time.
-    pub const FINISH: u8 = 0;
-    /// A node crashes permanently.
-    pub const CRASH: u8 = 1;
-    /// A drain window opens: the node leaves service.
-    pub const DRAIN_START: u8 = 2;
-    /// A drain window closes: the node may return to service.
-    pub const DRAIN_END: u8 = 3;
-    /// A job's submit time arrives.
-    pub const SUBMIT: u8 = 4;
-    /// A requeued job's retry backoff expires.
-    pub const ELIGIBLE: u8 = 5;
-}
 
 /// Queueing discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1106,23 +1083,16 @@ impl Scheduler {
     /// (or the campaign completes; returns `true` then). The state stops
     /// with every event at `state.now() ≤ until_s` fully processed, so
     /// stopping, snapshotting, restoring and continuing is invisible in
-    /// the log: re-entering at the same instant is a no-op by
-    /// construction. `jobs` and `plan` must be the ones the state was
-    /// begun with.
+    /// the log: a call whose window holds no event runs no handler and
+    /// leaves the state untouched. `jobs` and `plan` must be the ones
+    /// the state was begun with.
     ///
-    /// Virtual time advances by popping the next live entry of an
-    /// [`EventQueue`] holding every future finish, crash, drain edge,
-    /// submission, and retry-eligibility instant — O(log events) per
-    /// event.
-    /// The queue is rebuilt from the campaign state on every entry and
-    /// never snapshotted, so [`CampaignState`]'s wire format (and every
-    /// existing kill/resume artifact) is engine-agnostic. Entries whose
-    /// state moved on since they were scheduled — a finish for a
-    /// preempted attempt, a drain end with nothing drained or queued —
-    /// are dropped at pop time (lazy deletion), counted under
-    /// `events/stale_dropped`; realized events count under
-    /// `events/processed` and skipped idle virtual seconds under
-    /// `events/ticks_skipped`.
+    /// Virtual time advances to the next instant the state itself names
+    /// — the earliest unconsumed crash, drain edge or submission, the
+    /// earliest running end time, the earliest future retry-eligibility
+    /// time — and the per-instant handlers run there exactly once.
+    /// Log lines written count under `sched/events_processed`, skipped
+    /// idle virtual seconds under `events/ticks_skipped`.
     pub fn advance(
         &self,
         state: &mut CampaignState,
@@ -1172,45 +1142,34 @@ impl Scheduler {
             "submitted set must be a prefix of the submission order"
         );
 
-        // Rebuild the queue from the state. Every entry is strictly in
-        // the future: each handler consumes its events up to and
-        // including the current instant before the state can be
-        // observed between advances. Payloads carry the job index (or
-        // node, for capacity events) so stale entries can be judged
-        // against live state at pop time.
-        let mut queue: EventQueue<usize> = EventQueue::with_capacity(
-            (crashes.len() - *ci)
-                + (drain_starts.len() - *di)
-                + (drain_ends.len() - *ei)
-                + (submit_order.len() - si)
-                + running.len()
-                + pending.len(),
-        );
-        for &(at, node) in &crashes[*ci..] {
-            queue.push(at, event_class::CRASH, node, node as usize);
-        }
-        for &(from, node, _) in &drain_starts[*di..] {
-            queue.push(from, event_class::DRAIN_START, node, node as usize);
-        }
-        for &(until, node) in &drain_ends[*ei..] {
-            queue.push(until, event_class::DRAIN_END, node, node as usize);
-        }
-        for &idx in &submit_order[si..] {
-            queue.push(jobs[idx].submit_s, event_class::SUBMIT, jobs[idx].id, idx);
-        }
-        for r in running.iter() {
-            queue.push(r.end_s, event_class::FINISH, records[r.idx].id, r.idx);
-        }
-        for p in pending.iter() {
-            if p.eligible_s > *now {
-                queue.push(p.eligible_s, event_class::ELIGIBLE, jobs[p.idx].id, p.idx);
-            }
-        }
-
-        let mut processed: u64 = 0;
-        let mut stale: u64 = 0;
-        let mut ticks_skipped: u64 = 0;
         loop {
+            // The next instant anything happens, read off the state.
+            // Drain ends only matter while something is drained or
+            // queued: a gated one is consumed silently by the drain-end
+            // cursor at the next instant. A running attempt may end at
+            // `now` itself (a run time below the clock's resolution at
+            // its start instant); it is handled at `now` again.
+            let capacity_churns = !pending.is_empty() || !down.is_empty();
+            let next = [
+                crashes.get(*ci).map(|c| c.0),
+                drain_starts.get(*di).map(|d| d.0),
+                drain_ends.get(*ei).map(|e| e.0).filter(|_| capacity_churns),
+                submit_order.get(si).map(|&idx| jobs[idx].submit_s),
+            ]
+            .into_iter()
+            .flatten()
+            .chain(running.iter().map(|r| r.end_s))
+            .chain(pending.iter().map(|p| p.eligible_s).filter(|&e| e > *now))
+            .fold(f64::INFINITY, f64::min);
+            if next == f64::INFINITY {
+                *done = true;
+                break;
+            }
+            if next > until_s {
+                break;
+            }
+            jubench_metrics::counter_add("events/ticks_skipped", (next - *now) as u64);
+            *now = next.max(*now);
             let t = *now;
             jubench_metrics::counter_add("sched/advance_steps", 1);
             // Every scheduler event (finish/crash/drain/submit/preempt/
@@ -1329,13 +1288,6 @@ impl Scheduler {
                                 eligible_s: t + backoff,
                                 attempt,
                             });
-                            // The requeue is a future wake-up the queue
-                            // must learn about (a zero backoff is
-                            // eligible this instant — the dispatch below
-                            // already sees it).
-                            if t + backoff > t {
-                                queue.push(t + backoff, event_class::ELIGIBLE, rec.id, r.idx);
-                            }
                             if job.ckpt.is_some() {
                                 log.push(format!(
                                     "[t={:.6}] preempt job {} name={} requeue eligible={:.6} banked={:.6}",
@@ -1409,67 +1361,12 @@ impl Scheduler {
             }
 
             // --- dispatch ----------------------------------------------
-            let started_from = running.len();
             self.dispatch(t, jobs, pending, free, running, records, service_done, log);
-            // `dispatch` only ever appends to `running` (removals all
-            // happen in the handlers above), so the tail holds exactly
-            // this instant's starts — their finishes join the queue.
-            for r in &running[started_from..] {
-                queue.push(r.end_s, event_class::FINISH, records[r.idx].id, r.idx);
-            }
             jubench_metrics::counter_add(
                 "sched/events_processed",
                 (log.len() - log_lines_before) as u64,
             );
-
-            // --- pop the next instant ----------------------------------
-            let mut next = f64::INFINITY;
-            while let Some((&key, &payload)) = queue.peek() {
-                if key.time <= t {
-                    // Realized by this instant's handlers.
-                    processed += 1;
-                    queue.pop();
-                    continue;
-                }
-                let live = match key.class {
-                    event_class::FINISH => running
-                        .iter()
-                        .any(|r| r.idx == payload && r.end_s == key.time),
-                    event_class::ELIGIBLE => pending
-                        .iter()
-                        .any(|p| p.idx == payload && p.eligible_s == key.time),
-                    event_class::SUBMIT => !submitted[payload],
-                    // Drain ends only matter while something is drained
-                    // or queued.
-                    // Dropping a gated one is final — no handler can run
-                    // before its timestamp, and the drain-end cursor
-                    // consumes it silently at the next live instant.
-                    event_class::DRAIN_END => !pending.is_empty() || !down.is_empty(),
-                    // CRASH / DRAIN_START fire unconditionally.
-                    _ => true,
-                };
-                if live {
-                    next = key.time;
-                    break;
-                }
-                stale += 1;
-                queue.pop();
-            }
-            if !next.is_finite() {
-                *done = true;
-                break;
-            }
-            if next > until_s {
-                break;
-            }
-            // Every live entry is strictly in the future: events at t
-            // were all consumed this iteration, so time always advances.
-            ticks_skipped += (next - t) as u64;
-            *now = next;
         }
-        jubench_metrics::counter_add("events/processed", processed);
-        jubench_metrics::counter_add("events/stale_dropped", stale);
-        jubench_metrics::counter_add("events/ticks_skipped", ticks_skipped);
         *done
     }
 
@@ -1984,13 +1881,12 @@ mod tests {
         assert_eq!(s.resume(&good, &jobs).unwrap(), state);
     }
 
-    /// Regression-pins the per-instant handler order the event classes
-    /// mirror: at one shared timestamp, a finishing job logs first,
-    /// then the crash, then the drain start, then the drain end (of an
-    /// earlier window), then submissions — the order
-    /// [`event_class`] encodes numerically. If this ordering ever
-    /// changes, the class numbering (and the differential harness) must
-    /// change with it.
+    /// Regression-pins the per-instant handler order: at one shared
+    /// timestamp, a finishing job logs first, then the crash, then the
+    /// drain start, then the drain end (of an earlier window), then
+    /// submissions — the order the handlers appear in
+    /// [`Scheduler::advance`]. Every byte-identity artifact depends on
+    /// it.
     #[test]
     fn same_instant_capacity_events_keep_handler_order() {
         let s = sched(QueuePolicy::Fifo, PlacementPolicy::Contiguous);
@@ -2041,6 +1937,23 @@ mod tests {
                 "start"
             ],
             "same-instant handler order: {at_3:?}"
+        );
+    }
+
+    /// A run time below the clock's resolution at the start instant
+    /// gives `end_s == t`: the attempt must still finish, at `t`.
+    #[test]
+    fn sub_resolution_job_finishes() {
+        let s = sched(QueuePolicy::Fifo, PlacementPolicy::Contiguous);
+        let jobs = vec![Job::new(0, "blip", 2, 1e-9).with_submit(1.0e9)];
+        let out = s.run(&jobs, &FaultPlan::new(0));
+        assert_eq!(out.records[0].attempts[0].end_s, 1.0e9, "end_s == t");
+        assert_eq!(out.finished(), 1);
+        assert_eq!(out.records[0].end_s, Some(1.0e9));
+        assert!(
+            out.log.iter().any(|l| l.contains("finish job 0")),
+            "{:?}",
+            out.log
         );
     }
 

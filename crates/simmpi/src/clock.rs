@@ -73,25 +73,15 @@ impl VirtualClock {
         self.advance_comm(wait + transfer);
     }
 
-    /// Jump the clock forward to `target` if it is in the future,
-    /// accounting the skipped span as communication time. A `target`
-    /// already in the past is a no-op — time never runs backwards.
-    ///
-    /// This is the event-pop primitive of the virtual-time core: landing
-    /// on the next event's timestamp is a single subtraction and addition
-    /// regardless of how many idle ticks it replaces, so skipping is
-    /// byte-identical to stepping.
-    pub fn advance_to(&mut self, target: f64) {
-        let wait = (target - self.now()).max(0.0);
-        self.advance_comm(wait);
-    }
-
     /// Synchronize to a collective completion time (e.g. a barrier): waits
     /// until `target` if it is in the future, accounting the wait as
-    /// communication. Alias of [`advance_to`](Self::advance_to) named for
-    /// the collective call sites.
+    /// communication. A `target` already in the past is a no-op — time
+    /// never runs backwards. One subtraction and one addition whatever
+    /// the distance, so skipping idle time is byte-identical to stepping
+    /// through it.
     pub fn sync_to(&mut self, target: f64) {
-        self.advance_to(target);
+        let wait = (target - self.now()).max(0.0);
+        self.advance_comm(wait);
     }
 
     pub fn stats(&self) -> ClockStats {
@@ -146,26 +136,6 @@ mod tests {
         c.advance_compute(2.0);
         c.sync_to(1.0);
         assert_eq!(c.now(), 2.0);
-    }
-
-    #[test]
-    fn advance_to_jumps_and_matches_sync_to_bytes() {
-        // One event-pop jump lands on the same bits as the sync path,
-        // whatever the target, because both are the same single add.
-        for target in [0.0, 0.3, 2.0, 2.0 + 1e-16, 1.0e9] {
-            let mut a = VirtualClock::new();
-            let mut b = VirtualClock::new();
-            a.advance_compute(2.0);
-            b.advance_compute(2.0);
-            a.advance_to(target);
-            b.sync_to(target);
-            assert_eq!(a.now().to_bits(), b.now().to_bits());
-            assert_eq!(a.stats().comm_s.to_bits(), b.stats().comm_s.to_bits());
-        }
-        let mut c = VirtualClock::new();
-        c.advance_to(1.0e6);
-        assert_eq!(c.now(), 1.0e6, "skip over a million idle seconds");
-        assert_eq!(c.stats().comm_s, 1.0e6, "the skip is accounted as comm");
     }
 
     #[test]

@@ -7,14 +7,12 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 
 use jubench_cluster::{Distance, NetModel, Roofline, Work};
-use jubench_events::EventQueue;
 use jubench_faults::{DetRng, FaultPlan, RetryPolicy};
 use jubench_trace::{CollectiveKind, EventKind, Regime, TraceEvent, TraceSink};
 
 use crate::clock::{ClockStats, VirtualClock};
 use crate::error::SimError;
 use crate::rankmap::RankMap;
-use crate::world::{fault_arrivals, FAULT_CRASH_CLASS};
 
 /// The topology regime a transfer over `dist` is accounted to.
 pub(crate) fn regime_of(dist: Distance) -> Regime {
@@ -139,12 +137,10 @@ pub struct Comm {
     /// Lazily created deterministic message-drop stream (only consumed on
     /// sends towards a destination with a positive drop probability).
     drop_rng: Option<DetRng>,
-    /// This rank's scheduled fault arrivals (today: at most one crash),
-    /// built once from the plan by
-    /// [`fault_arrivals`](crate::world::fault_arrivals) and popped at
-    /// operation boundaries as the clock passes each instant.
-    arrivals: EventQueue<()>,
-    /// Set once the crash arrival has been popped; every further
+    /// This rank's scheduled crash instant, read once from the plan and
+    /// checked at operation boundaries.
+    crash_at: Option<f64>,
+    /// Set once the clock has passed `crash_at`; every further
     /// communication attempt fails with [`SimError::RankCrashed`].
     crashed: bool,
     /// Node hosting this rank (cached for event stamping).
@@ -180,7 +176,7 @@ impl Comm {
             barrier,
             plan: None,
             drop_rng: None,
-            arrivals: EventQueue::new(),
+            crash_at: None,
             crashed: false,
             sink: None,
             seq: 0,
@@ -188,9 +184,7 @@ impl Comm {
     }
 
     pub(crate) fn with_fault_plan(mut self, plan: Option<Arc<FaultPlan>>) -> Self {
-        if let Some(p) = &plan {
-            self.arrivals = fault_arrivals(p, self.rank);
-        }
+        self.crash_at = plan.as_ref().and_then(|p| p.crash_time(self.rank));
         self.plan = plan;
         self
     }
@@ -295,29 +289,19 @@ impl Comm {
     /// Fail every communication attempt once this rank's scheduled crash
     /// time has passed. The first detection emits a zero-duration `Crash`
     /// marker event.
-    ///
-    /// Crash instants arrive on the rank's fault-arrival event queue; the
-    /// queue is popped here, at operation boundaries, under the exact
-    /// condition the cached-scalar path used (`now >= at_s` is the
-    /// negation of `now < key.time`), so detection instants and the
-    /// emitted marker are byte-identical to the pre-event-core engine.
     fn fail_if_crashed(&mut self) -> Result<(), SimError> {
         if self.crashed {
             return Err(SimError::RankCrashed { rank: self.rank });
         }
-        while let Some((&key, _)) = self.arrivals.peek() {
-            if self.clock.now() < key.time {
-                break;
-            }
-            self.arrivals.pop();
-            if key.class == FAULT_CRASH_CLASS {
+        match self.crash_at {
+            Some(at_s) if self.clock.now() >= at_s => {
                 self.crashed = true;
                 let t0 = self.clock.now();
-                self.emit(t0, EventKind::Crash { at_s: key.time });
-                return Err(SimError::RankCrashed { rank: self.rank });
+                self.emit(t0, EventKind::Crash { at_s });
+                Err(SimError::RankCrashed { rank: self.rank })
             }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Draw the drop fate of one message towards `to`. Consumes the

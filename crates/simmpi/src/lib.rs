@@ -42,4 +42,4 @@ pub use clock::{ClockStats, VirtualClock};
 pub use comm::{Comm, ReduceOp};
 pub use error::SimError;
 pub use rankmap::RankMap;
-pub use world::{fault_arrivals, makespan, RankResult, World, FAULT_CRASH_CLASS};
+pub use world::{makespan, RankResult, World};

@@ -1,19 +1,10 @@
 //! The [`World`]: construction of communicators and thread-based execution
 //! of rank closures.
-//!
-//! The world is also where a [`FaultPlan`] is translated into the
-//! event-driven view each communicator consumes: [`fault_arrivals`]
-//! compiles the plan's *discontinuous* instants (today, rank crashes)
-//! into a per-rank [`EventQueue`] on the global `(time, class, rank,
-//! seq)` order, while *continuous* faults (degraded links, slow nodes)
-//! stay closed-form lookups because they modulate durations rather than
-//! schedule instants.
 
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 use jubench_cluster::{Machine, NetModel, Placement, Roofline};
-use jubench_events::EventQueue;
 use jubench_faults::FaultPlan;
 use jubench_trace::TraceSink;
 
@@ -239,27 +230,6 @@ impl World {
         let makespan = makespan(&results);
         (results, makespan)
     }
-}
-
-/// Event class of a rank's permanent crash on its fault-arrival queue.
-/// Zero so a crash sorts ahead of any other arrival that may later share
-/// its instant — a crashed rank experiences nothing afterwards.
-pub const FAULT_CRASH_CLASS: u8 = 0;
-
-/// The fault-arrival event queue of one rank under `plan`: every instant
-/// at which the rank's behaviour changes discontinuously — today only
-/// the permanent crash, class [`FAULT_CRASH_CLASS`] — keyed into the
-/// global `(time, class, rank, seq)` order. Communicators pop this
-/// queue at operation boundaries instead of re-deriving the schedule on
-/// every call, and the queue form means future fault kinds (flapping
-/// power caps, staged recoveries) merge into the same total order
-/// without new per-operation scans.
-pub fn fault_arrivals(plan: &FaultPlan, rank: u32) -> EventQueue<()> {
-    let mut q = EventQueue::new();
-    if let Some(at_s) = plan.crash_time(rank) {
-        q.push(at_s, FAULT_CRASH_CLASS, rank, ());
-    }
-    q
 }
 
 /// Aggregate per-rank clocks into a makespan: total = max over ranks of the
@@ -747,25 +717,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_arrival_queue_matches_plan_closed_form() {
-        let plan = FaultPlan::new(3)
-            .with_rank_crash(1, 2.5)
-            .with_slow_node(0, 4.0); // continuous fault: not an arrival
-        let mut q = fault_arrivals(&plan, 1);
-        assert_eq!(q.len(), 1);
-        let ev = q.pop().unwrap();
-        assert_eq!(ev.key.time, plan.crash_time(1).unwrap());
-        assert_eq!(ev.key.class, FAULT_CRASH_CLASS);
-        assert_eq!(ev.key.rank, 1);
-        assert!(fault_arrivals(&plan, 0).is_empty(), "rank 0 never crashes");
-    }
-
-    #[test]
     fn crash_arrival_detection_matches_cached_scalar_semantics() {
-        // The event-queue crash path must reproduce the old cached-`at_s`
-        // check bit for bit: detection happens at the first operation
-        // boundary with now >= at_s, the Crash marker carries the plan's
-        // at_s verbatim, and it is emitted exactly once.
+        // Detection happens at the first operation boundary with
+        // now >= at_s, the Crash marker carries the plan's at_s
+        // verbatim, and it is emitted exactly once.
         use jubench_trace::{EventKind, Recorder};
         let at_s = 1.0;
         let rec = Arc::new(Recorder::new());

@@ -68,10 +68,10 @@
 //!   fleet study — the full suite executed on every catalog backend via
 //!   [`serve`], condensed into FOM/composite-score/value-for-money
 //!   tables with 1 EFLOP/s sub-partition extrapolation.
-//! - [`events`]: the discrete-event core — the deterministic
-//!   timestamped event queue (total-order tie-breaking on
-//!   `(time, class, rank, seq)`) that lets [`sched`] and [`simmpi`]
-//!   pop next-event instead of stepping virtual time.
+//! - [`events`]: a deterministic timestamped event queue (total-order
+//!   tie-breaking on `(time, class, rank, seq)`). No engine uses it:
+//!   [`sched`] and [`simmpi`] read the next instant off their own
+//!   state.
 
 pub use jubench_apps_ai as apps_ai;
 pub use jubench_apps_bio as apps_bio;

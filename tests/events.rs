@@ -1,13 +1,15 @@
 //! Determinism harness for the event-driven virtual-time core.
 //!
-//! The scheduler's event engine (`Scheduler::run`, pops the next event
-//! off a global `(time, class, rank, seq)`-ordered queue) is pinned
-//! here: every artifact the suite exports — the decision
-//! log, the rendered schedule table, the `RunReport` aggregate, and the
-//! Chrome trace JSON — is byte-identical across pool widths and across
-//! any snapshot/resume slicing of the same campaign. Any divergence in
-//! event ordering, float arithmetic, or tie-breaking shows up as a byte
-//! diff here, not as a subtly different table in a paper figure.
+//! The scheduler (`Scheduler::run`) moves virtual time from one instant
+//! to the next — the earliest future its `CampaignState` names — and
+//! runs its handlers there in a fixed order. That is pinned here: every
+//! artifact the suite exports — the decision log, the rendered schedule
+//! table, the `RunReport` aggregate, and the Chrome trace JSON — is
+//! byte-identical across pool widths and across any snapshot/resume
+//! slicing of the same campaign, and a slice whose window holds no
+//! event changes nothing. Any divergence in event ordering, float
+//! arithmetic, or tie-breaking shows up as a byte diff here, not as a
+//! subtly different table in a paper figure.
 
 use std::sync::Arc;
 
@@ -90,11 +92,9 @@ fn faulted_matrix_arm_preempts_jobs() {
     assert_ne!(faulted.log, clean.log, "the plan must perturb the log");
 }
 
-/// The event queue is rebuilt from `CampaignState` on each `advance`,
-/// never persisted — so a campaign sliced at arbitrary points, with a
-/// snapshot/restore round trip across every slice boundary, produces
-/// the same bytes as the straight-through run. This is the test that
-/// pins that design now that the cross-engine handover oracle is gone.
+/// `CampaignState` is the whole future of a campaign — so one sliced at
+/// arbitrary points, with a snapshot/restore round trip across every
+/// slice boundary, produces the same bytes as the straight-through run.
 #[test]
 fn snapshot_slicing_matches_the_straight_run() {
     let jobs = registry_jobs(&full_registry(), 0.05);
@@ -146,7 +146,11 @@ fn event_engine_counters_reflect_event_economy() {
     jubench::metrics::reset();
     let schedule = scheduler.run(&jobs, &faulted_plan());
     let snap = jubench::metrics::snapshot();
-    let processed = snap.counters.get("events/processed").copied().unwrap_or(0);
+    let processed = snap
+        .counters
+        .get("sched/events_processed")
+        .copied()
+        .unwrap_or(0);
     let skipped = snap
         .counters
         .get("events/ticks_skipped")
@@ -160,4 +164,43 @@ fn event_engine_counters_reflect_event_economy() {
         schedule.makespan_s
     );
     assert!(skipped > 0, "idle stretches are skipped, not stepped");
+}
+
+/// An `advance` whose window holds no event is free: the state is the
+/// same value and the same bytes, and no handler, backfill scan or
+/// nested scope runs.
+#[test]
+fn silent_reentry_changes_nothing() {
+    let _guard = jubench::metrics::registry::test_mutex().lock().unwrap();
+    jubench::metrics::set_enabled(true);
+    let scheduler = booster_scheduler(2024);
+    let jobs = vec![
+        Job::new(0, "first", 8, 4.0),
+        Job::new(1, "second", 8, 1.0).with_submit(2.0),
+    ];
+    let plan = FaultPlan::new(0);
+    let mut state = scheduler.begin(&jobs);
+    // Past the first start (t=0); the next instant is the submit at 2.
+    assert!(!scheduler.advance(&mut state, &jobs, &plan, 0.5));
+    assert_eq!(state.now(), 0.0);
+    let before = state.clone();
+    let bytes = state.snapshot();
+
+    // The other tests of this binary drive schedulers on their own
+    // threads into the same registry, so a window they touched is taken
+    // again; five dirty windows in a row is the call itself.
+    let moved = (0..5).all(|_| {
+        jubench::metrics::reset();
+        assert!(!scheduler.advance(&mut state, &jobs, &plan, 1.5));
+        let snap = jubench::metrics::snapshot();
+        snap.counters.contains_key("sched/advance_steps")
+            || snap.counters.contains_key("sched/backfill_scans")
+            || snap.scopes.contains_key("sched/advance;sched/backfill")
+    });
+    assert!(
+        !moved,
+        "a silent slice runs no handler and no backfill scan"
+    );
+    assert_eq!(state, before);
+    assert_eq!(state.snapshot(), bytes);
 }
