@@ -2,6 +2,7 @@
 //! their large input datasets.
 
 use std::io::{Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use jubench_apps_common::{outcome, real_exec_world, AppModel, ModelTiming, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
@@ -171,22 +172,33 @@ impl Benchmark for Icon {
 
 /// Write and read back a small deterministic input file — the real-code
 /// path of the input staging (the multi-terabyte dataset itself is
-/// represented by the storage model).
+/// represented by the storage model). The file is private to the call:
+/// runs with one seed overlap (test threads, shards executing the same
+/// point), so the name carries the process id and a process-wide count.
 fn stage_input(seed: u64) -> Result<u64, SuiteError> {
+    static STAGED: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join("jubench-icon");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("input-{seed}.bin"));
+    let path = dir.join(format!(
+        "input-{seed}-{}-{}.bin",
+        std::process::id(),
+        STAGED.fetch_add(1, Ordering::Relaxed)
+    ));
     let payload: Vec<u8> = (0..1 << 16)
         .map(|i| ((i as u64 ^ seed) % 251) as u8)
         .collect();
-    std::fs::File::create(&path)?.write_all(&payload)?;
-    let mut back = Vec::new();
-    std::fs::File::open(&path)?.read_to_end(&mut back)?;
+    let round_trip = || -> std::io::Result<Vec<u8>> {
+        std::fs::File::create(&path)?.write_all(&payload)?;
+        let mut back = Vec::new();
+        std::fs::File::open(&path)?.read_to_end(&mut back)?;
+        Ok(back)
+    };
+    let back = round_trip();
     std::fs::remove_file(&path).ok();
-    if back != payload {
+    if back? != payload {
         return Err(SuiteError::Io("staged input failed round-trip".into()));
     }
-    Ok(back.len() as u64)
+    Ok(payload.len() as u64)
 }
 
 #[cfg(test)]
@@ -221,6 +233,32 @@ mod tests {
             VerificationOutcome::KeyMetrics { .. }
         ));
         assert!(out.metric("staged_bytes").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn concurrent_staging_of_one_seed_never_collides() {
+        // Every round starts all eight calls together; a thread keeps
+        // its failures until the end so the others never wait for it.
+        let start = std::sync::Barrier::new(8);
+        let failures: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        (0..50)
+                            .filter_map(|_| {
+                                start.wait();
+                                stage_input(7).err()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        assert_eq!(failures, vec![]);
     }
 
     #[test]

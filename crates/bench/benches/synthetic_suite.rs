@@ -8,6 +8,7 @@ use jubench_bench::{criterion_group, criterion_main};
 use jubench_core::{Benchmark, Fom, RunConfig};
 use jubench_synthetic::{
     graph500::{bfs, kronecker_edges, Csr},
+    hpcg::{hpcg_pcg, Stencil27},
     stream::stream_kernels,
     Graph500, Hpcg, Hpl, Ior, LinkTest, Osu, Stream,
 };
@@ -56,9 +57,11 @@ fn bench_synthetic(c: &mut Criterion) {
         b.iter(|| bfs(&csr, 0).1);
     });
 
-    // Triad streams three 1M-element f64 arrays per iteration.
-    group.throughput(Throughput::Bytes(3 * 1_000_000 * 8));
-    group.bench_function("stream_triad_1m", |b| {
+    // One pass of the four kernels over 1M-element f64 arrays: copy and
+    // scale move two arrays each, add and triad three — ten array
+    // traversals, 80 MB. The three 8 MB allocations are inside the timing.
+    group.throughput(Throughput::Bytes(10 * 1_000_000 * 8));
+    group.bench_function("stream_pass_1m", |b| {
         b.iter(|| stream_kernels(1_000_000, 1).unwrap().triad);
     });
 
@@ -74,6 +77,46 @@ fn bench_synthetic(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(28 * 12 * 12 * 12 * 8));
     group.bench_function("hpcg_pcg_n12", |b| {
         b.iter(|| Hpcg { n: 12 }.run(&RunConfig::test(1)).unwrap().fom.value());
+    });
+
+    // The shipped default. Per point and iteration the solver touches
+    // 28 values in the SpMV, 2 × 28 in the two Gauss-Seidel sweeps and 16
+    // in its dots and updates; one more smoother application precedes the
+    // loop.
+    let op = Stencil27 { n: 16 };
+    let point_bytes = (op.len() * 8) as u64;
+    let iters = hpcg_pcg(&op, &vec![1.0; op.len()], 1e-8, 200).0 as u64;
+    group.throughput(Throughput::Bytes(
+        (iters * (28 + 56 + 16) + 56) * point_bytes,
+    ));
+    group.bench_function("hpcg_pcg_n16", |b| {
+        b.iter(|| {
+            Hpcg::default()
+                .run(&RunConfig::test(1))
+                .unwrap()
+                .fom
+                .value()
+        });
+    });
+
+    // The two kernels alone on 16³, scratch allocation included: 27 reads
+    // and one write per point, once for the SpMV and once per sweep.
+    let x: Vec<f64> = (0..op.len()).map(|i| (i % 7) as f64 - 3.0).collect();
+    let mut y = vec![0.0; op.len()];
+    group.throughput(Throughput::Bytes(28 * point_bytes));
+    group.bench_function("stencil27_apply_16", |b| {
+        b.iter(|| {
+            op.apply(&x, &mut y);
+            y[0]
+        });
+    });
+    group.throughput(Throughput::Bytes(2 * 28 * point_bytes));
+    group.bench_function("stencil27_sgs_16", |b| {
+        b.iter(|| {
+            y.fill(0.0);
+            op.sym_gauss_seidel(&mut y, &x);
+            y[0]
+        });
     });
 
     group.finish();

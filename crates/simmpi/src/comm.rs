@@ -1,5 +1,11 @@
 //! The per-rank communicator: typed point-to-point messages, collectives,
 //! and virtual-time accounting.
+//!
+//! The `simmpi/{msgs,bytes}/{send,recv}` and `simmpi/{ops,bytes}/<collective>`
+//! metrics are per-rank tallies: plain integers on the [`Comm`] while the
+//! rank runs, added to the registry once when the rank exits (its `Drop`,
+//! so a panicking rank still reports). A snapshot taken while a world is
+//! running does not see that world's traffic yet.
 
 use std::sync::Arc;
 
@@ -117,6 +123,18 @@ impl VBarrier {
     }
 }
 
+/// What this rank sent, received and took part in so far; [`Comm`]'s `Drop`
+/// adds it to the metrics registry.
+#[derive(Default)]
+struct Tally {
+    msgs_send: u64,
+    bytes_send: u64,
+    msgs_recv: u64,
+    bytes_recv: u64,
+    /// `(kind, operations, payload bytes)` of each collective kind used.
+    collectives: Vec<(CollectiveKind, u64, u64)>,
+}
+
 /// The communicator handed to each rank closure by
 /// [`World::run`](crate::world::World::run).
 pub struct Comm {
@@ -150,6 +168,26 @@ pub struct Comm {
     /// Per-rank event sequence number: `(rank, seq)` totally orders the
     /// trace deterministically.
     seq: u64,
+    tally: Tally,
+}
+
+impl Drop for Comm {
+    fn drop(&mut self) {
+        let t = &self.tally;
+        // A name appears once its operation happened, even with zero bytes.
+        if t.msgs_send > 0 {
+            jubench_metrics::counter_add("simmpi/msgs/send", t.msgs_send);
+            jubench_metrics::counter_add("simmpi/bytes/send", t.bytes_send);
+        }
+        if t.msgs_recv > 0 {
+            jubench_metrics::counter_add("simmpi/msgs/recv", t.msgs_recv);
+            jubench_metrics::counter_add("simmpi/bytes/recv", t.bytes_recv);
+        }
+        for &(kind, ops, bytes) in &t.collectives {
+            jubench_metrics::counter_add(&format!("simmpi/ops/{}", kind.label()), ops);
+            jubench_metrics::counter_add(&format!("simmpi/bytes/{}", kind.label()), bytes);
+        }
+    }
 }
 
 impl Comm {
@@ -180,6 +218,7 @@ impl Comm {
             crashed: false,
             sink: None,
             seq: 0,
+            tally: Tally::default(),
         }
     }
 
@@ -338,8 +377,8 @@ impl Comm {
         self.fail_if_crashed()?;
         self.check_rank(to)?;
         let bytes = payload.nbytes();
-        jubench_metrics::counter_add("simmpi/msgs/send", 1);
-        jubench_metrics::counter_add("simmpi/bytes/send", bytes);
+        self.tally.msgs_send += 1;
+        self.tally.bytes_send += bytes;
         let (transfer, regime, degraded) = self.link(to, bytes);
         let t0 = self.clock.now();
         // The sender serializes the message through its adapter (dropped
@@ -414,8 +453,8 @@ impl Comm {
             }
         }
         let bytes = msg.payload.nbytes();
-        jubench_metrics::counter_add("simmpi/msgs/recv", 1);
-        jubench_metrics::counter_add("simmpi/bytes/recv", bytes);
+        self.tally.msgs_recv += 1;
+        self.tally.bytes_recv += bytes;
         let (transfer, regime, _) = self.link(from, bytes);
         let t0 = self.clock.now();
         let wait_s = (msg.sent_at - t0).max(0.0);
@@ -606,10 +645,12 @@ impl Comm {
         algorithm: &'static str,
         bytes: u64,
     ) {
-        // Guarded so the name formatting is free when metrics are off.
-        if jubench_metrics::enabled() {
-            jubench_metrics::counter_add(&format!("simmpi/ops/{}", kind.label()), 1);
-            jubench_metrics::counter_add(&format!("simmpi/bytes/{}", kind.label()), bytes);
+        match self.tally.collectives.iter_mut().find(|c| c.0 == kind) {
+            Some(c) => {
+                c.1 += 1;
+                c.2 += bytes;
+            }
+            None => self.tally.collectives.push((kind, 1, bytes)),
         }
         self.emit(
             t0,
@@ -655,8 +696,7 @@ impl Comm {
         for s in 0..p - 1 {
             let send_idx = (r + p - s) % p;
             let recv_idx = (r + p - s - 1) % p;
-            let out = buf[chunk(send_idx)].to_vec();
-            self.send_f64(right, &out)?;
+            self.send_f64(right, &buf[chunk(send_idx)])?;
             let incoming = self.recv_f64(left)?;
             for (dst, src) in buf[chunk(recv_idx)].iter_mut().zip(incoming) {
                 *dst = op.apply(*dst, src);
@@ -666,8 +706,7 @@ impl Comm {
         for s in 0..p - 1 {
             let send_idx = (r + 1 + p - s) % p;
             let recv_idx = (r + p - s) % p;
-            let out = buf[chunk(send_idx)].to_vec();
-            self.send_f64(right, &out)?;
+            self.send_f64(right, &buf[chunk(send_idx)])?;
             let incoming = self.recv_f64(left)?;
             buf[chunk(recv_idx)].copy_from_slice(&incoming);
         }
@@ -709,7 +748,7 @@ impl Comm {
         let left = ((r + p - 1) % p) as u32;
         let mut cur = local.to_vec();
         for s in 0..p - 1 {
-            self.send_f64(right, &cur)?;
+            self.send_payload(right, 0, Payload::F64(cur))?;
             cur = self.recv_f64(left)?;
             let src = (r + p - 1 - s) % p;
             out[src * n..(src + 1) * n].copy_from_slice(&cur);
