@@ -177,10 +177,7 @@ impl Checkpointable for ShallowWater {
         w.put_usize(self.y0);
         w.put_usize(self.y1);
         for field in [&self.h, &self.u, &self.v] {
-            w.put_usize(field.len());
-            for v in field {
-                w.put_f64(*v);
-            }
+            w.put_seq(field, |w, &v| w.put_f64(v));
         }
         w.put_f64(self.gravity);
         w.put_f64(self.depth);
@@ -202,18 +199,19 @@ impl Checkpointable for ShallowWater {
                 what: format!("slab bounds [{y0}, {y1}) out of range for ny={ny}"),
             });
         }
-        let expect = (y1 - y0 + 2) * nx;
+        let expect = (y1 - y0)
+            .checked_add(2)
+            .and_then(|rows| rows.checked_mul(nx))
+            .ok_or_else(|| CkptError::Malformed {
+                what: format!("slab [{y0}, {y1}) × nx={nx} overflows"),
+            })?;
         let mut fields = Vec::with_capacity(3);
         for name in ["h field", "u field", "v field"] {
-            let len = r.get_usize(name)?;
-            if len != expect {
+            let f = r.get_seq(name, |r| r.get_f64(name))?;
+            if f.len() != expect {
                 return Err(CkptError::Malformed {
-                    what: format!("{name} has {len} values, slab needs {expect}"),
+                    what: format!("{name} has {} values, slab needs {expect}", f.len()),
                 });
-            }
-            let mut f = Vec::with_capacity(len);
-            for _ in 0..len {
-                f.push(r.get_f64(name)?);
             }
             fields.push(f);
         }
@@ -349,6 +347,24 @@ mod tests {
             let mut bad = good.clone();
             bad[good.len() / 3] ^= 0x01;
             assert!(sw.restore(&bad).is_err());
+            // Resealed, a forgery passes the checksum. A row length
+            // whose slab overflows is malformed; one that agrees with a
+            // forged field length (word 4) is still more than the
+            // payload holds, and must not be allocated to find that out.
+            let payload = open("shallow-water", &good).unwrap();
+            let reseal = |nx: u64, h_len: Option<u64>| {
+                let mut p = payload.clone();
+                p[..8].copy_from_slice(&nx.to_le_bytes());
+                if let Some(len) = h_len {
+                    p[32..40].copy_from_slice(&len.to_le_bytes());
+                }
+                seal("shallow-water", &p)
+            };
+            let err = sw.restore(&reseal(1 << 63, None)).unwrap_err();
+            assert!(matches!(err, CkptError::Malformed { .. }), "{err:?}");
+            let rows = (sw.y1 - sw.y0 + 2) as u64;
+            let err = sw.restore(&reseal(1 << 40, Some(rows << 40))).unwrap_err();
+            assert!(matches!(err, CkptError::Truncated { .. }), "{err:?}");
             sw.restore(&good).unwrap();
         });
     }

@@ -400,8 +400,7 @@ impl Checkpointable for HmcChain {
         for d in self.field.dims {
             w.put_usize(d);
         }
-        w.put_usize(self.field.links.len());
-        for site in &self.field.links {
+        w.put_seq(&self.field.links, |w, site| {
             for mu in site {
                 for row in &mu.0 {
                     for c in row {
@@ -410,18 +409,17 @@ impl Checkpointable for HmcChain {
                     }
                 }
             }
-        }
+        });
         w.put_f64(self.beta);
         w.put_u32(self.steps);
         w.put_f64(self.dt);
         w.put_u64(self.seed);
         w.put_u64(self.trajectory);
-        w.put_usize(self.history.len());
-        for (dh, accepted, plaq) in &self.history {
+        w.put_seq(&self.history, |w, (dh, accepted, plaq)| {
             w.put_f64(*dh);
             w.put_bool(*accepted);
             w.put_f64(*plaq);
-        }
+        });
         seal(self.kind(), &w.finish())
     }
 
@@ -432,14 +430,7 @@ impl Checkpointable for HmcChain {
         for d in dims.iter_mut() {
             *d = r.get_usize("lattice dims")?;
         }
-        let volume = r.get_usize("link count")?;
-        if volume != dims.iter().product::<usize>() {
-            return Err(CkptError::Malformed {
-                what: format!("link count {volume} does not match dims {dims:?}"),
-            });
-        }
-        let mut links = Vec::with_capacity(volume);
-        for _ in 0..volume {
+        let links = r.get_seq("link count", |r| {
             let mut site = [Su3::identity(); 4];
             for mu in site.iter_mut() {
                 for row in mu.0.iter_mut() {
@@ -450,21 +441,25 @@ impl Checkpointable for HmcChain {
                     }
                 }
             }
-            links.push(site);
+            Ok(site)
+        })?;
+        if dims.iter().try_fold(1usize, |v, &d| v.checked_mul(d)) != Some(links.len()) {
+            return Err(CkptError::Malformed {
+                what: format!("link count {} does not match dims {dims:?}", links.len()),
+            });
         }
         let beta = r.get_f64("beta")?;
         let steps = r.get_u32("leapfrog steps")?;
         let dt = r.get_f64("dt")?;
         let seed = r.get_u64("seed")?;
         let trajectory = r.get_u64("trajectory counter")?;
-        let n_hist = r.get_usize("history length")?;
-        let mut history = Vec::with_capacity(n_hist);
-        for _ in 0..n_hist {
-            let dh = r.get_f64("history dh")?;
-            let accepted = r.get_bool("history accepted")?;
-            let plaq = r.get_f64("history plaquette")?;
-            history.push((dh, accepted, plaq));
-        }
+        let history = r.get_seq("history length", |r| {
+            Ok((
+                r.get_f64("history dh")?,
+                r.get_bool("history accepted")?,
+                r.get_f64("history plaquette")?,
+            ))
+        })?;
         r.expect_end()?;
         *self = HmcChain {
             field: GaugeField { dims, links },
@@ -618,6 +613,24 @@ mod tests {
         flipped[good.len() / 2] ^= 0x10;
         assert!(target.restore(&flipped).is_err());
         assert!(target.restore(&good[..good.len() - 3]).is_err());
+
+        // Resealed, a forgery passes the checksum. Dims whose product
+        // overflows, and counts no payload could back (links after the
+        // four dims, history before its two 17-byte entries), are typed.
+        let payload = open("hmc-chain", &good).unwrap();
+        let reseal = |at: usize, words: &[u64]| {
+            let mut p = payload.clone();
+            for (i, w) in words.iter().enumerate() {
+                p[at + 8 * i..at + 8 * i + 8].copy_from_slice(&w.to_le_bytes());
+            }
+            seal("hmc-chain", &p)
+        };
+        let err = target.restore(&reseal(0, &[1 << 32; 4])).unwrap_err();
+        assert!(matches!(err, CkptError::Malformed { .. }), "{err:?}");
+        for at in [32, payload.len() - 2 * 17 - 8] {
+            let err = target.restore(&reseal(at, &[1 << 60])).unwrap_err();
+            assert!(matches!(err, CkptError::Truncated { .. }), "{err:?}");
+        }
         assert_eq!(target.snapshot(), before, "failed restore must not mutate");
     }
 

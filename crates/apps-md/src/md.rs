@@ -332,21 +332,19 @@ impl Checkpointable for MdSystem {
         w.put_f64(self.cutoff);
         w.put_f64(self.dt);
         w.put_f64(self.u_shift);
-        w.put_usize(self.atoms.len());
-        for a in &self.atoms {
+        w.put_seq(&self.atoms, |w, a| {
             for v in a.pos.iter().chain(&a.vel).chain(&a.force) {
                 w.put_f64(*v);
             }
-        }
+        });
         // Ghosts are re-derivable by exchange_ghosts, but a snapshot
         // taken between exchange and integration must resume mid-step
         // bit-exactly, so they travel too.
-        w.put_usize(self.ghosts.len());
-        for g in &self.ghosts {
+        w.put_seq(&self.ghosts, |w, g| {
             for v in g {
                 w.put_f64(*v);
             }
-        }
+        });
         seal(self.kind(), &w.finish())
     }
 
@@ -359,28 +357,24 @@ impl Checkpointable for MdSystem {
         let cutoff = r.get_f64("cutoff")?;
         let dt = r.get_f64("dt")?;
         let u_shift = r.get_f64("u_shift")?;
-        let n = r.get_usize("atom count")?;
-        let mut atoms = Vec::with_capacity(n);
-        for _ in 0..n {
+        let atoms = r.get_seq("atom count", |r| {
             let mut vals = [0.0; 9];
             for v in vals.iter_mut() {
                 *v = r.get_f64("atom field")?;
             }
-            atoms.push(Atom {
+            Ok(Atom {
                 pos: [vals[0], vals[1], vals[2]],
                 vel: [vals[3], vals[4], vals[5]],
                 force: [vals[6], vals[7], vals[8]],
-            });
-        }
-        let n_ghosts = r.get_usize("ghost count")?;
-        let mut ghosts = Vec::with_capacity(n_ghosts);
-        for _ in 0..n_ghosts {
+            })
+        })?;
+        let ghosts = r.get_seq("ghost count", |r| {
             let mut g = [0.0; 3];
             for v in g.iter_mut() {
                 *v = r.get_f64("ghost coordinate")?;
             }
-            ghosts.push(g);
-        }
+            Ok(g)
+        })?;
         r.expect_end()?;
         *self = MdSystem {
             box_l,
@@ -576,6 +570,19 @@ mod tests {
             let mut bad = good.clone();
             *bad.last_mut().unwrap() ^= 0xFF;
             assert!(sys.restore(&bad).is_err());
+            // Resealed, a forgery passes the checksum: the atom count
+            // (after six f64s) and the ghost count (after the atoms)
+            // must be refused on their own, before they size anything.
+            let payload = open("md-system", &good).unwrap();
+            let ghost_count_at = 56 + 72 * sys.atoms.len();
+            for at in [48, ghost_count_at] {
+                for forged in [1u64 << 60, 1 << 32, u64::MAX] {
+                    let mut p = payload.clone();
+                    p[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                    let err = sys.restore(&seal("md-system", &p)).unwrap_err();
+                    assert!(matches!(err, CkptError::Truncated { .. }), "{err:?}");
+                }
+            }
             sys.restore(&good).unwrap();
         });
     }

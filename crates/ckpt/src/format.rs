@@ -1,4 +1,11 @@
 //! The snapshot envelope and the little-endian payload serializer.
+//!
+//! Everything a [`SnapshotReader`] sees comes from outside the program —
+//! a wire frame, a snapshot, a file — so a length prefix is a *claim*,
+//! never a size. The one place a decoded count may size an allocation
+//! is [`SnapshotReader::get_seq`]: every length-prefixed sequence in
+//! the workspace is written by [`SnapshotWriter::put_seq`] and read
+//! back through it, so the rule lives here and nowhere else.
 
 use crate::error::CkptError;
 use crate::fnv1a64;
@@ -66,10 +73,16 @@ fn open_inner(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, CkptError> {
     if bytes.len() < 14 {
         return Err(need("kind length", 8, bytes.len() - 6));
     }
-    let kind_len = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
-    if bytes.len() < 14 + kind_len {
-        return Err(need("kind string", kind_len, bytes.len() - 14));
-    }
+    // The two lengths are claims like any other: the word ending at `at`
+    // is compared against what is left, never added to an offset first.
+    let claimed = |what, at: usize| {
+        let len = u64::from_le_bytes(bytes[at - 8..at].try_into().unwrap());
+        match usize::try_from(len) {
+            Ok(n) if n <= bytes.len() - at => Ok(n),
+            _ => Err(need(what, len as usize, bytes.len() - at)),
+        }
+    };
+    let kind_len = claimed("kind string", 14)?;
     let found_kind = std::str::from_utf8(&bytes[14..14 + kind_len])
         .map_err(|_| CkptError::Malformed {
             what: "kind string is not UTF-8".into(),
@@ -79,11 +92,8 @@ fn open_inner(kind: &str, bytes: &[u8]) -> Result<Vec<u8>, CkptError> {
     if bytes.len() < at + 8 {
         return Err(need("payload length", 8, bytes.len() - at));
     }
-    let payload_len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let at = at + 8;
-    if bytes.len() < at + payload_len {
-        return Err(need("payload", payload_len, bytes.len() - at));
-    }
+    let payload_len = claimed("payload", at)?;
     let end = at + payload_len;
     if bytes.len() < end + 8 {
         return Err(need("checksum", 8, bytes.len() - end));
@@ -179,7 +189,26 @@ impl SnapshotWriter {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
+
+    /// Append a length-prefixed sequence: the element count as a u64,
+    /// then each element as `put` writes it (at least one byte each —
+    /// [`SnapshotReader::get_seq`] relies on that).
+    pub fn put_seq<I>(&mut self, items: I, mut put: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.put_usize(items.len());
+        for item in items {
+            put(self, item);
+        }
+    }
 }
+
+/// Most bytes [`SnapshotReader::get_seq`] reserves on the strength of a
+/// count alone; a longer sequence grows as its elements actually decode.
+const MAX_PREALLOC_BYTES: usize = 64 << 10;
 
 /// Cursor over payload bytes; every read is bounds-checked and returns
 /// a [`CkptError`] on truncation instead of panicking.
@@ -283,6 +312,32 @@ impl<'a> SnapshotReader<'a> {
     pub fn get_bytes(&mut self, what: &'static str) -> Result<Vec<u8>, CkptError> {
         let n = self.get_usize(what)?;
         Ok(self.take(what, n)?.to_vec())
+    }
+
+    /// Read a sequence written by [`SnapshotWriter::put_seq`], decoding
+    /// each element with `get`. Every element occupies at least one
+    /// byte, so a count larger than what remains is refused as
+    /// [`CkptError::Truncated`] before any element is read, and the
+    /// count alone never reserves more than `MAX_PREALLOC_BYTES`.
+    pub fn get_seq<T>(
+        &mut self,
+        what: &'static str,
+        mut get: impl FnMut(&mut Self) -> Result<T, CkptError>,
+    ) -> Result<Vec<T>, CkptError> {
+        let n = self.get_usize(what)?;
+        if n > self.remaining() {
+            return Err(CkptError::Truncated {
+                what,
+                needed: n,
+                have: self.remaining(),
+            });
+        }
+        let mut out =
+            Vec::with_capacity(n.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1)));
+        for _ in 0..n {
+            out.push(get(self)?);
+        }
+        Ok(out)
     }
 }
 
@@ -398,6 +453,74 @@ mod tests {
             open("unit-test", &padded).unwrap_err(),
             CkptError::TrailingBytes { extra: 1 }
         );
+    }
+
+    #[test]
+    fn header_lengths_that_overflow_an_offset_are_truncated() {
+        // Not resealed: the structure is judged before the checksum.
+        let good = sample();
+        let payload_len_at = 14 + "unit-test".len();
+        for at in [6, payload_len_at] {
+            for forged in [u64::MAX, u64::MAX - 13, 1 << 60] {
+                let mut bad = good.clone();
+                bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                let err = open("unit-test", &bad).unwrap_err();
+                assert!(matches!(err, CkptError::Truncated { .. }), "{err:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sequence_is_its_count_then_its_elements() {
+        let items = [3u32, 1, 4, 1, 5];
+        let mut w = SnapshotWriter::new();
+        w.put_seq(&items, |w, &v| w.put_u32(v));
+        let mut by_hand = SnapshotWriter::new();
+        by_hand.put_usize(items.len());
+        for v in items {
+            by_hand.put_u32(v);
+        }
+        let bytes = w.finish();
+        assert_eq!(bytes, by_hand.finish(), "put_seq adds no framing");
+        let mut r = SnapshotReader::new(&bytes);
+        assert_eq!(r.get_seq("seq", |r| r.get_u32("item")).unwrap(), items);
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_count_no_payload_could_back_is_refused_before_any_element() {
+        for forged in [1u64 << 60, 1 << 32, 21] {
+            let mut w = SnapshotWriter::new();
+            w.put_u64(forged);
+            w.put_bytes(&[0; 12]); // 20 bytes follow the count
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes);
+            let mut reads = 0;
+            let err = r
+                .get_seq("seq", |r| {
+                    reads += 1;
+                    r.get_u8("item")
+                })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CkptError::Truncated {
+                    what: "seq",
+                    needed: forged as usize,
+                    have: 20
+                }
+            );
+            assert_eq!(reads, 0);
+        }
+        // A count the remaining bytes could back, but do not, fails in
+        // the element that runs out — after a bounded reservation.
+        let mut w = SnapshotWriter::new();
+        w.put_u64(20);
+        w.put_bytes(&[0; 12]);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes);
+        let err = r.get_seq("seq", |r| r.get_u64("item")).unwrap_err();
+        assert!(matches!(err, CkptError::Truncated { what: "item", .. }));
     }
 
     #[test]

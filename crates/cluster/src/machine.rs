@@ -205,6 +205,70 @@ impl Machine {
         Machine { nodes, ..*self }
     }
 
+    /// Whether the model can be computed with: the first field, if any,
+    /// that would divide by zero, overflow a device or memory total, or
+    /// put a NaN, an infinity or a negative time into a virtual clock.
+    /// The presets pass; a model that arrives as data — a decoded
+    /// campaign backend, a user catalog — must be checked before any
+    /// other method here is called on it.
+    pub fn check(&self) -> Result<(), String> {
+        let fail = |what: String| Err(format!("machine `{}`: {what}", self.name));
+        let (node, net, cost) = (&self.node, &self.net, &self.cost);
+        for (what, n) in [
+            ("nodes", self.nodes),
+            ("cell_nodes", self.cell_nodes),
+            ("gpus_per_node", node.gpus_per_node),
+            ("nics_per_node", node.nics_per_node),
+        ] {
+            if n == 0 {
+                return fail(format!("{what} must be ≥ 1"));
+            }
+        }
+        let total_memory = self
+            .nodes
+            .checked_mul(node.gpus_per_node)
+            .and_then(|devices| node.gpu.memory_bytes.checked_mul(devices as u64));
+        if matches!(total_memory, None | Some(0)) {
+            return fail("device count or total device memory is zero or overflows".to_string());
+        }
+        // Rates divide, so finite and positive; latencies and prices
+        // add, so finite and ≥ 0 (an on-prem backend rents for 0, a
+        // cloud one has no capex).
+        for (what, v) in [
+            ("gpu fp64_flops", node.gpu.fp64_flops),
+            ("gpu mem_bw", node.gpu.mem_bw),
+            ("nic_bw", node.nic_bw),
+            ("power_w", node.power_w),
+            ("intra_node bandwidth", net.intra_node.bandwidth),
+            ("intra_cell bandwidth", net.intra_cell.bandwidth),
+            ("inter_cell bandwidth", net.inter_cell.bandwidth),
+            ("inter_module bandwidth", net.inter_module.bandwidth),
+            ("device_copy_bw", net.device_copy_bw),
+            ("congestion_floor", net.congestion_floor),
+            ("pue", cost.pue),
+            ("lifetime_years", cost.lifetime_years),
+            ("utilization", cost.utilization),
+        ] {
+            if !(v > 0.0 && v.is_finite()) {
+                return fail(format!("{what} must be finite and positive, got {v}"));
+            }
+        }
+        for (what, v) in [
+            ("intra_node latency", net.intra_node.latency_s),
+            ("intra_cell latency", net.intra_cell.latency_s),
+            ("inter_cell latency", net.inter_cell.latency_s),
+            ("inter_module latency", net.inter_module.latency_s),
+            ("capex_per_node_eur", cost.capex_per_node_eur),
+            ("rental_eur_per_node_hour", cost.rental_eur_per_node_hour),
+            ("electricity_eur_per_kwh", cost.electricity_eur_per_kwh),
+        ] {
+            if !(v >= 0.0 && v.is_finite()) {
+                return fail(format!("{what} must be finite and ≥ 0, got {v}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Theoretical peak FP64 performance in FLOP/s.
     pub fn peak_flops(&self) -> f64 {
         self.node.peak_flops() * self.nodes as f64
@@ -434,6 +498,38 @@ mod tests {
         let mut rented = base;
         rented.cost = CostModel::cloud(28.0);
         assert_ne!(base.fingerprint_bytes(), rented.fingerprint_bytes());
+    }
+
+    #[test]
+    fn check_passes_the_presets_and_names_the_broken_field() {
+        let presets = [
+            Machine::juwels_booster(),
+            Machine::high_scaling_partition(),
+            Machine::jupiter_proposal(),
+        ];
+        for m in presets {
+            assert_eq!(m.check(), Ok(()), "{}", m.name);
+            assert_eq!(m.partition(1).check(), Ok(()));
+        }
+        type Forge = fn(&mut Machine);
+        let broken: [(&str, Forge); 7] = [
+            ("cell_nodes", |m| m.cell_nodes = 0),
+            ("gpus_per_node", |m| m.node.gpus_per_node = 0),
+            ("nics_per_node", |m| m.node.nics_per_node = 0),
+            ("overflows", |m| m.nodes = u32::MAX),
+            ("inter_cell bandwidth", |m| m.net.inter_cell.bandwidth = 0.0),
+            ("intra_node latency", |m| m.net.intra_node.latency_s = -1e-6),
+            ("pue", |m| m.cost.pue = f64::NAN),
+        ];
+        for (field, forge) in broken {
+            let mut m = Machine::juwels_booster();
+            forge(&mut m);
+            let err = m.check().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        let mut free = Machine::juwels_booster();
+        free.cost = CostModel::cloud(28.0);
+        assert_eq!(free.check(), Ok(()), "zero capex is a price, not an error");
     }
 
     #[test]

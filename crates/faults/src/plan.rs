@@ -1,5 +1,13 @@
 //! The fault plan: a declarative, seeded schedule of faults in virtual
 //! time.
+//!
+//! What makes a fault well-formed is stated once, in `Fault::check` and
+//! `check_recv_timeout`, so every query may assume it (`crash_time`
+//! orders `at_s` values, `link_factor` divides by `period_s`). A plan is
+//! built either by the `with_*` builders, which panic through that check
+//! — a bad literal is a programmer error — or from decoded parts by
+//! [`FaultPlan::from_parts`], which returns it as an `Err` for the
+//! decoder to refuse.
 
 use jubench_kernels::rng::{rank_rng, DetRng};
 
@@ -47,6 +55,51 @@ pub enum Fault {
     /// `rank` fails permanently once its virtual clock reaches `at_s`:
     /// every later communication attempt errors.
     RankCrash { rank: u32, at_s: f64 },
+}
+
+impl Fault {
+    /// Why this fault is out of range, if it is. Every comparison is
+    /// written so that NaN fails it.
+    fn check(&self) -> Result<(), String> {
+        let (ok, rule) = match *self {
+            Fault::DegradedLink { factor, .. } => (factor >= 1.0, "factor ≥ 1"),
+            Fault::FlappingLink {
+                factor,
+                period_s,
+                up_fraction,
+                ..
+            } => (
+                factor >= 1.0 && period_s > 0.0 && (0.0..=1.0).contains(&up_fraction),
+                "factor ≥ 1, period > 0, up fraction in [0, 1]",
+            ),
+            Fault::SlowNode {
+                factor,
+                from_s,
+                until_s,
+                ..
+            } => (
+                factor >= 1.0 && from_s < until_s,
+                "factor ≥ 1, from < until",
+            ),
+            Fault::MessageDrop { probability, .. } => {
+                ((0.0..=1.0).contains(&probability), "probability in [0, 1]")
+            }
+            Fault::RankCrash { at_s, .. } => (at_s >= 0.0, "crash time ≥ 0"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{self:?} needs {rule}"))
+        }
+    }
+}
+
+fn check_recv_timeout(seconds: f64) -> Result<(), String> {
+    if seconds > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("receive timeout must be positive, got {seconds}"))
+    }
 }
 
 fn same_pair(a: u32, b: u32, x: u32, y: u32) -> bool {
@@ -137,35 +190,48 @@ impl FaultPlan {
         plan
     }
 
+    /// The plan of exactly these parts, as a decoder reassembles it — or
+    /// which part is out of range.
+    pub fn from_parts(seed: u64, recv_timeout_s: f64, faults: Vec<Fault>) -> Result<Self, String> {
+        check_recv_timeout(recv_timeout_s)?;
+        faults.iter().try_for_each(Fault::check)?;
+        Ok(FaultPlan {
+            seed,
+            recv_timeout_s,
+            faults,
+        })
+    }
+
     // ----- builders -------------------------------------------------------
 
-    /// Permanently degrade the link between ranks `a` and `b`.
-    pub fn with_degraded_link(mut self, a: u32, b: u32, factor: f64) -> Self {
-        assert!(factor >= 1.0, "a degradation factor must be ≥ 1");
-        self.faults.push(Fault::DegradedLink { a, b, factor });
+    fn with(mut self, fault: Fault) -> Self {
+        fault.check().unwrap_or_else(|why| panic!("{why}"));
+        self.faults.push(fault);
         self
+    }
+
+    /// Permanently degrade the link between ranks `a` and `b`.
+    pub fn with_degraded_link(self, a: u32, b: u32, factor: f64) -> Self {
+        self.with(Fault::DegradedLink { a, b, factor })
     }
 
     /// Add a flapping link: healthy for `up_fraction` of each `period_s`,
     /// degraded by `factor` for the rest.
     pub fn with_flapping_link(
-        mut self,
+        self,
         a: u32,
         b: u32,
         factor: f64,
         period_s: f64,
         up_fraction: f64,
     ) -> Self {
-        assert!(factor >= 1.0 && period_s > 0.0);
-        assert!((0.0..=1.0).contains(&up_fraction));
-        self.faults.push(Fault::FlappingLink {
+        self.with(Fault::FlappingLink {
             a,
             b,
             factor,
             period_s,
             up_fraction,
-        });
-        self
+        })
     }
 
     /// Slow all computation on `node` by `factor`, for all of virtual
@@ -176,45 +242,33 @@ impl FaultPlan {
 
     /// Slow computation on `node` by `factor` within the virtual-time
     /// window `[from_s, until_s)`.
-    pub fn with_slow_node_window(
-        mut self,
-        node: u32,
-        factor: f64,
-        from_s: f64,
-        until_s: f64,
-    ) -> Self {
-        assert!(factor >= 1.0 && from_s < until_s);
-        self.faults.push(Fault::SlowNode {
+    pub fn with_slow_node_window(self, node: u32, factor: f64, from_s: f64, until_s: f64) -> Self {
+        self.with(Fault::SlowNode {
             node,
             factor,
             from_s,
             until_s,
-        });
-        self
+        })
     }
 
     /// Drop each message `from → to` with `probability`.
-    pub fn with_message_drop(mut self, from: u32, to: u32, probability: f64) -> Self {
-        assert!((0.0..=1.0).contains(&probability));
-        self.faults.push(Fault::MessageDrop {
+    pub fn with_message_drop(self, from: u32, to: u32, probability: f64) -> Self {
+        self.with(Fault::MessageDrop {
             from,
             to,
             probability,
-        });
-        self
+        })
     }
 
     /// Crash `rank` once its virtual clock reaches `at_s`.
-    pub fn with_rank_crash(mut self, rank: u32, at_s: f64) -> Self {
-        assert!(at_s >= 0.0);
-        self.faults.push(Fault::RankCrash { rank, at_s });
-        self
+    pub fn with_rank_crash(self, rank: u32, at_s: f64) -> Self {
+        self.with(Fault::RankCrash { rank, at_s })
     }
 
     /// Override the virtual-time receive timeout charged per dropped
     /// message.
     pub fn with_recv_timeout(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0);
+        check_recv_timeout(seconds).unwrap_or_else(|why| panic!("{why}"));
         self.recv_timeout_s = seconds;
         self
     }
@@ -420,6 +474,54 @@ mod tests {
             .with_rank_crash(3, 2.0);
         assert_eq!(p.crash_time(3), Some(2.0));
         assert_eq!(p.crash_time(2), None);
+    }
+
+    #[test]
+    fn from_parts_and_the_builders_share_one_rule() {
+        let built = FaultPlan::new(5)
+            .with_flapping_link(2, 3, 2.0, 5.0, 0.5)
+            .with_rank_crash(7, 0.0)
+            .with_recv_timeout(0.2);
+        let parts = FaultPlan::from_parts(5, 0.2, built.faults().to_vec());
+        assert_eq!(parts, Ok(built));
+
+        let bad_faults = [
+            Fault::DegradedLink {
+                a: 0,
+                b: 1,
+                factor: 0.5,
+            },
+            Fault::FlappingLink {
+                a: 0,
+                b: 1,
+                factor: 2.0,
+                period_s: 0.0,
+                up_fraction: 0.5,
+            },
+            Fault::SlowNode {
+                node: 0,
+                factor: 2.0,
+                from_s: 3.0,
+                until_s: 3.0,
+            },
+            Fault::MessageDrop {
+                from: 0,
+                to: 1,
+                probability: f64::NAN,
+            },
+            Fault::RankCrash {
+                rank: 0,
+                at_s: -1.0,
+            },
+        ];
+        for bad in bad_faults {
+            let err = FaultPlan::from_parts(5, 0.2, vec![bad.clone()]).unwrap_err();
+            assert!(err.contains("needs"), "{err}");
+            let built = std::panic::catch_unwind(|| FaultPlan::new(5).with(bad));
+            assert!(built.is_err(), "the builder panics on the same fault");
+        }
+        assert!(FaultPlan::from_parts(5, 0.0, Vec::new()).is_err());
+        assert!(FaultPlan::from_parts(5, f64::NAN, Vec::new()).is_err());
     }
 
     #[test]

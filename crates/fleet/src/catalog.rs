@@ -167,6 +167,7 @@ mod tests {
     #[test]
     fn every_backend_partitions_to_small_sizes() {
         for model in standard_catalog() {
+            assert_eq!(model.machine.check(), Ok(()), "{}", model.key);
             let p = model.machine.partition(8);
             assert_eq!(p.nodes, 8);
             assert!(p.peak_flops() > 0.0);

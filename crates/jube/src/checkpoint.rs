@@ -80,49 +80,40 @@ impl Checkpointable for WorkflowCheckpoint {
     fn snapshot(&self) -> Vec<u8> {
         let done = self.done.lock().unwrap();
         let mut w = SnapshotWriter::new();
-        w.put_usize(done.len());
-        for ((wp, step), rec) in done.iter() {
+        w.put_seq(done.iter(), |w, ((wp, step), rec)| {
             w.put_u32(*wp);
             w.put_str(step);
             w.put_u32(rec.attempt);
             w.put_bool(rec.succeeded);
-            w.put_usize(rec.outputs.len());
-            for (k, v) in &rec.outputs {
+            w.put_seq(&rec.outputs, |w, (k, v)| {
                 w.put_str(k);
                 w.put_str(v);
-            }
-        }
+            });
+        });
         seal(self.kind(), &w.finish())
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
         let payload = open("jube-workflow", bytes)?;
         let mut r = SnapshotReader::new(&payload);
-        let n = r.get_usize("completed-step count")?;
-        let mut done = BTreeMap::new();
-        for _ in 0..n {
-            let wp = r.get_u32("workpackage")?;
-            let step = r.get_str("step name")?;
+        let done = r.get_seq("completed-step count", |r| {
+            let key = (r.get_u32("workpackage")?, r.get_str("step name")?);
             let attempt = r.get_u32("attempt count")?;
             let succeeded = r.get_bool("succeeded flag")?;
-            let n_out = r.get_usize("output count")?;
-            let mut outputs = StepOutput::new();
-            for _ in 0..n_out {
-                let k = r.get_str("output key")?;
-                let v = r.get_str("output value")?;
-                outputs.insert(k, v);
-            }
-            done.insert(
-                (wp, step),
+            let outputs = r.get_seq("output count", |r| {
+                Ok((r.get_str("output key")?, r.get_str("output value")?))
+            })?;
+            Ok((
+                key,
                 CompletedStep {
                     attempt,
                     succeeded,
-                    outputs,
+                    outputs: outputs.into_iter().collect(),
                 },
-            );
-        }
+            ))
+        })?;
         r.expect_end()?;
-        self.done = Mutex::new(done);
+        self.done = Mutex::new(done.into_iter().collect());
         Ok(())
     }
 }

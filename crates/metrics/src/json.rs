@@ -5,8 +5,16 @@
 //! stream), so this parser covers exactly RFC 8259 structure with plain
 //! `f64` numbers — enough to round-trip our own output, not a general
 //! validator. Objects preserve insertion order, keeping encodings stable.
+//!
+//! The documents still arrive as files, so anything else must come back
+//! as an `Err`: a `\u` escape that is not four hex digits, and nesting
+//! deeper than `MAX_DEPTH` (the parser recurses once per level).
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts;
+/// `BENCH_*.json` nests 3.
+const MAX_DEPTH: usize = 64;
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +69,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -94,6 +103,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +134,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -136,6 +147,22 @@ impl Parser<'_> {
                 self.at
             )),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -186,13 +213,17 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
-                            if self.at + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.at + 1..self.at + 5]).unwrap();
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            // Digit by digit: the four bytes may be the
+                            // middle of a multi-byte character.
+                            let code = self
+                                .bytes
+                                .get(self.at + 1..self.at + 5)
+                                .and_then(|hex| {
+                                    hex.iter().try_fold(0u32, |code, &h| {
+                                        Some(code * 16 + (h as char).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or("\\u escape needs four hex digits")?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.at += 4;
                         }
@@ -287,6 +318,23 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{\"a\" 1}").is_err());
         assert!(JsonValue::parse("123 45").is_err());
+    }
+
+    #[test]
+    fn a_unicode_escape_that_splits_a_character_is_an_error() {
+        assert!(JsonValue::parse("\"\\u000é\"").is_err());
+        assert!(JsonValue::parse("\"\\u00").is_err());
+        assert!(JsonValue::parse("\"\\u+041\"").is_err());
+        assert_eq!(JsonValue::parse("\"\\u00e9\"").unwrap().as_str(), Some("é"));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(JsonValue::parse(&"[".repeat(200_000)).is_err());
+        assert!(JsonValue::parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -590,25 +590,12 @@ impl CampaignState {
     }
 }
 
-/// Most elements a decoded count may pre-allocate. A count that lies
-/// then fails in the per-element reads with `Truncated` instead of
-/// overflowing or exhausting the allocator.
-const MAX_PREALLOC: usize = 4096;
-
 fn put_node_set(w: &mut SnapshotWriter, set: &BTreeSet<u32>) {
-    w.put_usize(set.len());
-    for &n in set {
-        w.put_u32(n);
-    }
+    w.put_seq(set, |w, &n| w.put_u32(n));
 }
 
 fn get_node_set(r: &mut SnapshotReader, what: &'static str) -> Result<BTreeSet<u32>, CkptError> {
-    let n = r.get_usize(what)?;
-    let mut set = BTreeSet::new();
-    for _ in 0..n {
-        set.insert(r.get_u32(what)?);
-    }
-    Ok(set)
+    Ok(r.get_seq(what, |r| r.get_u32(what))?.into_iter().collect())
 }
 
 impl Checkpointable for CampaignState {
@@ -622,42 +609,29 @@ impl Checkpointable for CampaignState {
         put_node_set(&mut w, &self.free);
         put_node_set(&mut w, &self.down);
         put_node_set(&mut w, &self.crashed);
-        w.put_usize(self.running.len());
-        for run in &self.running {
+        w.put_seq(&self.running, |w, run| {
             w.put_usize(run.idx);
-            w.put_usize(run.alloc.nodes.len());
-            for &n in &run.alloc.nodes {
-                w.put_u32(n);
-            }
+            w.put_seq(&run.alloc.nodes, |w, &n| w.put_u32(n));
             w.put_f64(run.end_s);
             w.put_usize(run.attempt_index);
-        }
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
+        });
+        w.put_seq(&self.pending, |w, p| {
             w.put_usize(p.idx);
             w.put_f64(p.eligible_s);
             w.put_u32(p.attempt);
-        }
-        w.put_usize(self.submitted.len());
-        for &s in &self.submitted {
-            w.put_bool(s);
-        }
+        });
+        w.put_seq(&self.submitted, |w, &s| w.put_bool(s));
         w.put_usize(self.di);
         w.put_usize(self.ei);
         w.put_usize(self.ci);
-        w.put_usize(self.service_done.len());
-        for &s in &self.service_done {
-            w.put_f64(s);
-        }
-        w.put_usize(self.records.len());
-        for rec in &self.records {
+        w.put_seq(&self.service_done, |w, &s| w.put_f64(s));
+        w.put_seq(&self.records, |w, rec| {
             w.put_u32(rec.id);
             w.put_str(&rec.name);
             w.put_u32(rec.nodes);
             w.put_u32(rec.priority as u32);
             w.put_f64(rec.submit_s);
-            w.put_usize(rec.attempts.len());
-            for a in &rec.attempts {
+            w.put_seq(&rec.attempts, |w, a| {
                 w.put_f64(a.start_s);
                 w.put_f64(a.end_s);
                 w.put_u32(a.cell);
@@ -668,11 +642,8 @@ impl Checkpointable for CampaignState {
                 w.put_u32(a.ckpts);
                 w.put_f64(a.resumed_service_s);
                 w.put_f64(a.lost_s);
-            }
-            w.put_usize(rec.allocation.len());
-            for &n in &rec.allocation {
-                w.put_u32(n);
-            }
+            });
+            w.put_seq(&rec.allocation, |w, &n| w.put_u32(n));
             w.put_u8(match rec.outcome {
                 JobOutcome::Finished => 0,
                 JobOutcome::Failed => 1,
@@ -686,11 +657,8 @@ impl Checkpointable for CampaignState {
             });
             w.put_f64(spec.interval_s);
             w.put_f64(spec.cost_s);
-        }
-        w.put_usize(self.log.len());
-        for line in &self.log {
-            w.put_str(line);
-        }
+        });
+        w.put_seq(&self.log, |w, line| w.put_str(line));
         w.put_bool(self.done);
         seal(self.kind(), &w.finish())
     }
@@ -702,56 +670,36 @@ impl Checkpointable for CampaignState {
         let free = get_node_set(&mut r, "free node set")?;
         let down = get_node_set(&mut r, "down node set")?;
         let crashed = get_node_set(&mut r, "crashed node set")?;
-        let n_running = r.get_usize("running count")?;
-        let mut running = Vec::with_capacity(n_running.min(MAX_PREALLOC));
-        for _ in 0..n_running {
-            let idx = r.get_usize("running job index")?;
-            let n_nodes = r.get_usize("allocation length")?;
-            let mut nodes = Vec::with_capacity(n_nodes.min(MAX_PREALLOC));
-            for _ in 0..n_nodes {
-                nodes.push(r.get_u32("allocated node")?);
-            }
-            running.push(Running {
-                idx,
-                alloc: Allocation { nodes },
+        let running = r.get_seq("running count", |r| {
+            Ok(Running {
+                idx: r.get_usize("running job index")?,
+                alloc: Allocation {
+                    nodes: r.get_seq("allocation length", |r| r.get_u32("allocated node"))?,
+                },
                 end_s: r.get_f64("running end time")?,
                 attempt_index: r.get_usize("running attempt index")?,
-            });
-        }
-        let n_pending = r.get_usize("pending count")?;
-        let mut pending = Vec::with_capacity(n_pending.min(MAX_PREALLOC));
-        for _ in 0..n_pending {
-            pending.push(Pending {
+            })
+        })?;
+        let pending = r.get_seq("pending count", |r| {
+            Ok(Pending {
                 idx: r.get_usize("pending job index")?,
                 eligible_s: r.get_f64("pending eligible time")?,
                 attempt: r.get_u32("pending attempt")?,
-            });
-        }
-        let n_submitted = r.get_usize("submitted count")?;
-        let mut submitted = Vec::with_capacity(n_submitted.min(MAX_PREALLOC));
-        for _ in 0..n_submitted {
-            submitted.push(r.get_bool("submitted flag")?);
-        }
+            })
+        })?;
+        let submitted = r.get_seq("submitted count", |r| r.get_bool("submitted flag"))?;
         let di = r.get_usize("drain-start cursor")?;
         let ei = r.get_usize("drain-end cursor")?;
         let ci = r.get_usize("crash cursor")?;
-        let n_service = r.get_usize("service-done count")?;
-        let mut service_done = Vec::with_capacity(n_service.min(MAX_PREALLOC));
-        for _ in 0..n_service {
-            service_done.push(r.get_f64("service-done credit")?);
-        }
-        let n_records = r.get_usize("record count")?;
-        let mut records = Vec::with_capacity(n_records.min(MAX_PREALLOC));
-        for _ in 0..n_records {
+        let service_done = r.get_seq("service-done count", |r| r.get_f64("service-done credit"))?;
+        let records = r.get_seq("record count", |r| {
             let id = r.get_u32("job id")?;
             let name = r.get_str("job name")?;
             let nodes = r.get_u32("job nodes")?;
             let priority = r.get_u32("job priority")? as i32;
             let submit_s = r.get_f64("job submit time")?;
-            let n_attempts = r.get_usize("attempt count")?;
-            let mut attempts = Vec::with_capacity(n_attempts.min(MAX_PREALLOC));
-            for _ in 0..n_attempts {
-                attempts.push(Attempt {
+            let attempts = r.get_seq("attempt count", |r| {
+                Ok(Attempt {
                     start_s: r.get_f64("attempt start")?,
                     end_s: r.get_f64("attempt end")?,
                     cell: r.get_u32("attempt cell")?,
@@ -762,13 +710,11 @@ impl Checkpointable for CampaignState {
                     ckpts: r.get_u32("attempt checkpoint count")?,
                     resumed_service_s: r.get_f64("attempt resumed service")?,
                     lost_s: r.get_f64("attempt lost work")?,
-                });
-            }
-            let n_alloc = r.get_usize("record allocation length")?;
-            let mut allocation = Vec::with_capacity(n_alloc.min(MAX_PREALLOC));
-            for _ in 0..n_alloc {
-                allocation.push(r.get_u32("record allocated node")?);
-            }
+                })
+            })?;
+            let allocation = r.get_seq("record allocation length", |r| {
+                r.get_u32("record allocated node")
+            })?;
             let outcome = match r.get_u8("job outcome")? {
                 0 => JobOutcome::Finished,
                 1 => JobOutcome::Failed,
@@ -783,7 +729,7 @@ impl Checkpointable for CampaignState {
             let has_ckpt = r.get_bool("ckpt-spec presence flag")?;
             let interval_s = r.get_f64("ckpt interval")?;
             let cost_s = r.get_f64("ckpt cost")?;
-            records.push(JobRecord {
+            Ok(JobRecord {
                 id,
                 name,
                 nodes,
@@ -794,13 +740,9 @@ impl Checkpointable for CampaignState {
                 outcome,
                 end_s: has_end.then_some(end_val),
                 ckpt: has_ckpt.then_some(CkptSpec { interval_s, cost_s }),
-            });
-        }
-        let n_log = r.get_usize("log line count")?;
-        let mut log = Vec::with_capacity(n_log.min(MAX_PREALLOC));
-        for _ in 0..n_log {
-            log.push(r.get_str("log line")?);
-        }
+            })
+        })?;
+        let log = r.get_seq("log line count", |r| r.get_str("log line"))?;
         let done = r.get_bool("done flag")?;
         r.expect_end()?;
 

@@ -41,27 +41,27 @@ pub struct PointResult {
 
 impl PointResult {
     pub(crate) fn put(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.cells.len());
-        for cell in &self.cells {
-            w.put_str(cell);
-        }
+        w.put_seq(&self.cells, |w, cell| w.put_str(cell));
         w.put_f64(self.service_s);
         w.put_f64(self.comm_fraction);
         w.put_u32(self.priority as u32);
     }
 
     pub(crate) fn get(r: &mut SnapshotReader) -> Result<Self, CkptError> {
-        let n = r.get_usize("result cell count")?;
-        let mut cells = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            cells.push(r.get_str("result cell")?);
-        }
-        Ok(PointResult {
-            cells,
+        let result = PointResult {
+            cells: r.get_seq("result cell count", |r| r.get_str("result cell"))?,
             service_s: r.get_f64("result service")?,
             comm_fraction: r.get_f64("result comm fraction")?,
             priority: r.get_u32("result priority")? as i32,
-        })
+        };
+        // `run_point` clamps the fraction; the job built from a row
+        // asserts it.
+        if !(0.0..=1.0).contains(&result.comm_fraction) {
+            return Err(CkptError::Malformed {
+                what: format!("result comm fraction {}", result.comm_fraction),
+            });
+        }
+        Ok(result)
     }
 }
 
@@ -173,12 +173,11 @@ impl ResultCache {
         w.put_u64(self.stats.misses);
         w.put_u64(self.stats.insertions);
         w.put_u64(self.stats.evictions);
-        w.put_usize(self.entries.len());
-        for (key, entry) in &self.entries {
+        w.put_seq(&self.entries, |w, (key, entry)| {
             w.put_u128(*key);
             w.put_u64(entry.last_access);
             entry.result.put(w);
-        }
+        });
     }
 
     /// Restore a store serialized by [`Self::put`].
@@ -191,22 +190,20 @@ impl ResultCache {
             insertions: r.get_u64("cache insertions")?,
             evictions: r.get_u64("cache evictions")?,
         };
-        let n = r.get_usize("cache entry count")?;
-        let mut entries = BTreeMap::new();
-        for _ in 0..n {
+        let entries = r.get_seq("cache entry count", |r| {
             let key = r.get_u128("cache key")?;
             let last_access = r.get_u64("cache last access")?;
             let result = PointResult::get(r)?;
-            entries.insert(
+            Ok((
                 key,
                 Entry {
                     result,
                     last_access,
                 },
-            );
-        }
+            ))
+        })?;
         Ok(ResultCache {
-            entries,
+            entries: entries.into_iter().collect(),
             capacity,
             clock,
             stats,

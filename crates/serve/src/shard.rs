@@ -82,10 +82,7 @@ impl ActiveCampaign {
         w.put_u64(self.client);
         self.spec.put(w);
         w.put_usize(self.next_point);
-        w.put_usize(self.rows.len());
-        for row in &self.rows {
-            row.put(w);
-        }
+        w.put_seq(&self.rows, |w, row| row.put(w));
         w.put_u64(self.hits);
         w.put_u64(self.misses);
         w.put_u64(self.insertions);
@@ -106,12 +103,13 @@ impl ActiveCampaign {
         let client = r.get_u64("campaign client")?;
         let spec_bytes = r.get_bytes("campaign spec")?;
         let spec = CampaignSpec::decode(&spec_bytes)?;
+        // The spec passed `validate` before it was queued; bytes that say
+        // otherwise are forged, and `LiveSched::resume` below computes
+        // with its numbers.
+        spec.check(None)
+            .map_err(|what| CkptError::Malformed { what })?;
         let next_point = r.get_usize("campaign next point")?;
-        let n = r.get_usize("campaign row count")?;
-        let mut rows = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            rows.push(PointResult::get(r)?);
-        }
+        let rows = r.get_seq("campaign row count", PointResult::get)?;
         let hits = r.get_u64("campaign hits")?;
         let misses = r.get_u64("campaign misses")?;
         let insertions = r.get_u64("campaign insertions")?;
@@ -536,10 +534,7 @@ impl Checkpointable for ShardState {
         w.put_u64(self.guard.deadline_cancels);
         w.put_u64(self.guard.giveups);
         w.put_usize(self.rr);
-        w.put_usize(self.queue.len());
-        for camp in &self.queue {
-            camp.put(&mut w);
-        }
+        w.put_seq(&self.queue, |w, camp| camp.put(w));
         seal(SHARD_KIND, &w.finish())
     }
 
@@ -555,11 +550,7 @@ impl Checkpointable for ShardState {
             giveups: r.get_u64("shard guard giveups")?,
         };
         let rr = r.get_usize("shard rr cursor")?;
-        let n = r.get_usize("shard campaign count")?;
-        let mut queue = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            queue.push(ActiveCampaign::get(&mut r)?);
-        }
+        let queue = r.get_seq("shard campaign count", ActiveCampaign::get)?;
         r.expect_end()?;
         *self = ShardState {
             id,

@@ -7,6 +7,17 @@
 //! form inside shard snapshots, so a spec roundtrips bit-exactly through
 //! both paths.
 //!
+//! Those bytes come from outside, so there are two gates. *Decoding*
+//! yields a well-formed value or a [`CkptError`]: counts go through
+//! [`SnapshotReader::get_seq`], a fault plan through
+//! [`FaultPlan::from_parts`], names are bounded before they are
+//! interned. [`CampaignSpec::validate`] then decides whether the value
+//! is *usable* — the backend through [`Machine::check`], the rest here —
+//! and its refusal is a typed `Rejected` the tenant can read. Nothing
+//! behind `validate` re-checks a spec it was handed; a shard that
+//! decodes one from a snapshot asks again, minus the registry (DESIGN
+//! §13, "the sequence codec and the trust boundary").
+//!
 //! [`CampaignSpec::point_key`] derives the content address of one run
 //! point: a 128-bit FNV-1a key over the canonical bytes of everything a
 //! point's result is a function of — benchmark id, parameter point,
@@ -113,107 +124,101 @@ fn variant_from(code: u8) -> Result<Option<MemoryVariant>, CkptError> {
 fn put_plan(w: &mut SnapshotWriter, plan: &FaultPlan) {
     w.put_u64(plan.seed());
     w.put_f64(plan.recv_timeout_s());
-    w.put_usize(plan.faults().len());
-    for fault in plan.faults() {
-        match *fault {
-            Fault::DegradedLink { a, b, factor } => {
-                w.put_u8(0);
-                w.put_u32(a);
-                w.put_u32(b);
-                w.put_f64(factor);
-            }
-            Fault::FlappingLink {
-                a,
-                b,
-                factor,
-                period_s,
-                up_fraction,
-            } => {
-                w.put_u8(1);
-                w.put_u32(a);
-                w.put_u32(b);
-                w.put_f64(factor);
-                w.put_f64(period_s);
-                w.put_f64(up_fraction);
-            }
-            Fault::SlowNode {
-                node,
-                factor,
-                from_s,
-                until_s,
-            } => {
-                w.put_u8(2);
-                w.put_u32(node);
-                w.put_f64(factor);
-                w.put_f64(from_s);
-                w.put_f64(until_s);
-            }
-            Fault::MessageDrop {
-                from,
-                to,
-                probability,
-            } => {
-                w.put_u8(3);
-                w.put_u32(from);
-                w.put_u32(to);
-                w.put_f64(probability);
-            }
-            Fault::RankCrash { rank, at_s } => {
-                w.put_u8(4);
-                w.put_u32(rank);
-                w.put_f64(at_s);
-            }
+    w.put_seq(plan.faults(), |w, fault| match *fault {
+        Fault::DegradedLink { a, b, factor } => {
+            w.put_u8(0);
+            w.put_u32(a);
+            w.put_u32(b);
+            w.put_f64(factor);
         }
-    }
+        Fault::FlappingLink {
+            a,
+            b,
+            factor,
+            period_s,
+            up_fraction,
+        } => {
+            w.put_u8(1);
+            w.put_u32(a);
+            w.put_u32(b);
+            w.put_f64(factor);
+            w.put_f64(period_s);
+            w.put_f64(up_fraction);
+        }
+        Fault::SlowNode {
+            node,
+            factor,
+            from_s,
+            until_s,
+        } => {
+            w.put_u8(2);
+            w.put_u32(node);
+            w.put_f64(factor);
+            w.put_f64(from_s);
+            w.put_f64(until_s);
+        }
+        Fault::MessageDrop {
+            from,
+            to,
+            probability,
+        } => {
+            w.put_u8(3);
+            w.put_u32(from);
+            w.put_u32(to);
+            w.put_f64(probability);
+        }
+        Fault::RankCrash { rank, at_s } => {
+            w.put_u8(4);
+            w.put_u32(rank);
+            w.put_f64(at_s);
+        }
+    });
 }
 
+/// Decode a plan and hand its parts to [`FaultPlan::from_parts`], which
+/// owns what a valid fault is: a forged factor or window is `Malformed`
+/// here, never an `assert!` inside a builder.
 fn get_plan(r: &mut SnapshotReader) -> Result<FaultPlan, CkptError> {
     let seed = r.get_u64("plan seed")?;
     let recv_timeout_s = r.get_f64("plan recv timeout")?;
-    let mut plan = FaultPlan::new(seed).with_recv_timeout(recv_timeout_s);
-    let n = r.get_usize("plan fault count")?;
-    for _ in 0..n {
-        plan = match r.get_u8("fault kind")? {
-            0 => {
-                let a = r.get_u32("fault a")?;
-                let b = r.get_u32("fault b")?;
-                let factor = r.get_f64("fault factor")?;
-                plan.with_degraded_link(a, b, factor)
-            }
-            1 => {
-                let a = r.get_u32("fault a")?;
-                let b = r.get_u32("fault b")?;
-                let factor = r.get_f64("fault factor")?;
-                let period_s = r.get_f64("fault period")?;
-                let up_fraction = r.get_f64("fault up fraction")?;
-                plan.with_flapping_link(a, b, factor, period_s, up_fraction)
-            }
-            2 => {
-                let node = r.get_u32("fault node")?;
-                let factor = r.get_f64("fault factor")?;
-                let from_s = r.get_f64("fault from")?;
-                let until_s = r.get_f64("fault until")?;
-                plan.with_slow_node_window(node, factor, from_s, until_s)
-            }
-            3 => {
-                let from = r.get_u32("fault from")?;
-                let to = r.get_u32("fault to")?;
-                let probability = r.get_f64("fault probability")?;
-                plan.with_message_drop(from, to, probability)
-            }
-            4 => {
-                let rank = r.get_u32("fault rank")?;
-                let at_s = r.get_f64("fault at")?;
-                plan.with_rank_crash(rank, at_s)
-            }
+    let faults = r.get_seq("plan fault count", |r| {
+        Ok(match r.get_u8("fault kind")? {
+            0 => Fault::DegradedLink {
+                a: r.get_u32("fault a")?,
+                b: r.get_u32("fault b")?,
+                factor: r.get_f64("fault factor")?,
+            },
+            1 => Fault::FlappingLink {
+                a: r.get_u32("fault a")?,
+                b: r.get_u32("fault b")?,
+                factor: r.get_f64("fault factor")?,
+                period_s: r.get_f64("fault period")?,
+                up_fraction: r.get_f64("fault up fraction")?,
+            },
+            2 => Fault::SlowNode {
+                node: r.get_u32("fault node")?,
+                factor: r.get_f64("fault factor")?,
+                from_s: r.get_f64("fault from")?,
+                until_s: r.get_f64("fault until")?,
+            },
+            3 => Fault::MessageDrop {
+                from: r.get_u32("fault from")?,
+                to: r.get_u32("fault to")?,
+                probability: r.get_f64("fault probability")?,
+            },
+            4 => Fault::RankCrash {
+                rank: r.get_u32("fault rank")?,
+                at_s: r.get_f64("fault at")?,
+            },
             _ => {
                 return Err(CkptError::Malformed {
                     what: "fault kind code".to_string(),
                 })
             }
-        };
-    }
-    Ok(plan)
+        })
+    })?;
+    FaultPlan::from_parts(seed, recv_timeout_s, faults)
+        .map_err(|what| CkptError::Malformed { what })
 }
 
 /// Serialize a full machine model (architecture, interconnect, cost) —
@@ -250,16 +255,33 @@ fn put_machine(w: &mut SnapshotWriter, m: &Machine) {
     w.put_f64(m.cost.utilization);
 }
 
-/// Restore a machine model serialized by [`put_machine`]. Names arrive
-/// as owned strings and are interned (machine models carry
-/// `&'static str` names); the intern table is bounded by the number of
-/// distinct backends a process ever decodes.
+/// Longest machine or device name a decoded backend may carry (the
+/// presets' longest is 30 bytes).
+const MAX_NAME_BYTES: usize = 64;
+
+/// Read a name and intern it (machine models carry `&'static str`
+/// names). Every distinct name is leaked once and a frame may hold
+/// megabytes, so the length is refused here, before the intern table
+/// sees it; what one decoded backend can leak is then two short strings.
+fn get_name(r: &mut SnapshotReader, what: &'static str) -> Result<&'static str, CkptError> {
+    let name = r.get_str(what)?;
+    if name.len() > MAX_NAME_BYTES {
+        return Err(CkptError::Malformed {
+            what: format!("{what}: {} bytes exceed {MAX_NAME_BYTES}", name.len()),
+        });
+    }
+    Ok(intern_name(&name))
+}
+
+/// Restore a machine model serialized by [`put_machine`]. The fields
+/// are taken as they come: whether they describe a usable machine is
+/// [`Machine::check`]'s question, asked by [`CampaignSpec::validate`].
 fn get_machine(r: &mut SnapshotReader) -> Result<Machine, CkptError> {
-    let name = intern_name(&r.get_str("machine name")?);
+    let name = get_name(r, "machine name")?;
     let nodes = r.get_u32("machine nodes")?;
     let cell_nodes = r.get_u32("machine cell nodes")?;
     let gpu = GpuSpec {
-        name: intern_name(&r.get_str("gpu name")?),
+        name: get_name(r, "gpu name")?,
         fp64_flops: r.get_f64("gpu flops")?,
         memory_bytes: r.get_u64("gpu memory")?,
         mem_bw: r.get_f64("gpu mem bw")?,
@@ -412,10 +434,7 @@ impl CampaignSpec {
         w.put_f64(self.slice_s);
         w.put_f64(self.deadline_s);
         put_plan(&mut w, &self.plan);
-        w.put_usize(self.points.len());
-        for p in &self.points {
-            p.put(&mut w);
-        }
+        w.put_seq(&self.points, |w, p| p.put(w));
         w.finish()
     }
 
@@ -459,14 +478,7 @@ impl CampaignSpec {
         let slice_s = r.get_f64("spec slice")?;
         let deadline_s = r.get_f64("spec deadline")?;
         let plan = get_plan(r)?;
-        let n = r.get_usize("spec point count")?;
-        // The count is attacker-controlled wire input: cap the
-        // pre-allocation and let the per-point reads hit the
-        // reader's bounds check if the count lies.
-        let mut points = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            points.push(RunPoint::get(r)?);
-        }
+        let points = r.get_seq("spec point count", RunPoint::get)?;
         Ok(CampaignSpec {
             tenant,
             name,
@@ -502,11 +514,28 @@ impl CampaignSpec {
     }
 
     /// Reject malformed campaigns up front, before anything is queued:
-    /// unknown benchmarks, oversized points, empty point lists, or
-    /// non-positive slice widths.
+    /// a backend no model can be computed on, unknown benchmarks,
+    /// oversized points, empty point lists, or non-positive slice
+    /// widths. Everything past this gate — the shard, the scheduler,
+    /// every benchmark — takes the spec's numbers at their word.
     pub fn validate(&self, registry: &Registry) -> Result<(), String> {
+        self.check(Some(registry))
+    }
+
+    /// [`Self::validate`], with the benchmark lookups skipped when there
+    /// is no registry to ask: what a shard applies to a spec it decodes
+    /// from a snapshot or an envelope, where nothing may panic and a
+    /// benchmark that is missing at execution is an error row anyway.
+    pub(crate) fn check(&self, registry: Option<&Registry>) -> Result<(), String> {
         if self.points.is_empty() {
             return Err("campaign has no run points".to_string());
+        }
+        self.backend.check()?;
+        let names = [self.backend.name, self.backend.node.gpu.name];
+        if names.iter().any(|name| name.len() > MAX_NAME_BYTES) {
+            return Err(format!(
+                "backend and device names are limited to {MAX_NAME_BYTES} bytes"
+            ));
         }
         if self.nodes == 0 || self.nodes > self.backend.nodes {
             return Err(format!(
@@ -527,10 +556,12 @@ impl CampaignSpec {
             ));
         }
         for (i, p) in self.points.iter().enumerate() {
-            let id = BenchmarkId::from_name(&p.bench)
-                .ok_or_else(|| format!("point {i}: unknown benchmark `{}`", p.bench))?;
-            if registry.get(id).is_none() {
-                return Err(format!("point {i}: benchmark `{}` not registered", p.bench));
+            if let Some(registry) = registry {
+                let id = BenchmarkId::from_name(&p.bench)
+                    .ok_or_else(|| format!("point {i}: unknown benchmark `{}`", p.bench))?;
+                if registry.get(id).is_none() {
+                    return Err(format!("point {i}: benchmark `{}` not registered", p.bench));
+                }
             }
             if p.nodes == 0 || p.nodes > self.nodes {
                 return Err(format!(
@@ -659,5 +690,32 @@ mod tests {
         // `HPL` parses as a BenchmarkId but an empty registry has no
         // benchmarks, so registration fails first.
         assert!(oversized.validate(&registry).is_err());
+
+        let mut zero_cell =
+            CampaignSpec::new("t", "c", 8, 0).with_point(RunPoint::test("HPL", 4, 0));
+        zero_cell.backend.cell_nodes = 0;
+        let err = zero_cell.validate(&registry).unwrap_err();
+        assert!(err.contains("cell_nodes"), "backend is checked: {err}");
+    }
+
+    #[test]
+    fn oversized_backend_names_are_refused_before_interning() {
+        let mut spec = sample_spec();
+        spec.backend.name = intern_name(&"x".repeat(MAX_NAME_BYTES));
+        assert_eq!(CampaignSpec::decode(&spec.encode()), Ok(spec.clone()));
+        for long in [MAX_NAME_BYTES + 1, 1 << 16] {
+            // Built by hand: the point is that decode never interns it.
+            let mut bytes = spec.encode();
+            let name_at = 8 + spec.tenant.len() + 8 + spec.name.len();
+            let tail = bytes.split_off(name_at + 8 + MAX_NAME_BYTES);
+            bytes.truncate(name_at);
+            bytes.extend_from_slice(&(long as u64).to_le_bytes());
+            bytes.extend(vec![b'y'; long]);
+            bytes.extend(tail);
+            let err = CampaignSpec::decode(&bytes).unwrap_err();
+            assert!(matches!(err, CkptError::Malformed { .. }), "{err:?}");
+        }
+        spec.backend.node.gpu.name = intern_name(&"z".repeat(MAX_NAME_BYTES + 1));
+        assert!(spec.validate(&Registry::new()).is_err());
     }
 }

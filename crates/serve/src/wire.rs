@@ -293,10 +293,7 @@ impl Frame {
                 w.put_u8(TAG_ROW);
                 w.put_u64(*campaign);
                 w.put_u32(*index);
-                w.put_usize(cells.len());
-                for cell in cells {
-                    w.put_str(cell);
-                }
+                w.put_seq(cells, |w, cell| w.put_str(cell));
             }
             Frame::JobDone {
                 campaign,
@@ -357,20 +354,11 @@ impl Frame {
                 tenant: r.get_str("rejected tenant")?,
                 reason: RejectReason::get(&mut r)?,
             },
-            TAG_ROW => {
-                let campaign = r.get_u64("row campaign")?;
-                let index = r.get_u32("row index")?;
-                let n = r.get_usize("row cell count")?;
-                let mut cells = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    cells.push(r.get_str("row cell")?);
-                }
-                Frame::Row {
-                    campaign,
-                    index,
-                    cells,
-                }
-            }
+            TAG_ROW => Frame::Row {
+                campaign: r.get_u64("row campaign")?,
+                index: r.get_u32("row index")?,
+                cells: r.get_seq("row cell count", |r| r.get_str("row cell"))?,
+            },
             TAG_JOB_DONE => Frame::JobDone {
                 campaign: r.get_u64("job-done campaign")?,
                 job: r.get_u32("job-done job")?,

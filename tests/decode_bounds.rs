@@ -1,0 +1,309 @@
+//! Allocation-bounded decoding: a length prefix is a claim, not a size.
+//!
+//! Every type that is decoded from bytes the program did not just write
+//! — wire frames, specs, shard snapshots, migration envelopes, scheduler
+//! states, workflow stores, application restart files — is encoded once
+//! validly, and then every 8-byte window of the encoding is overwritten
+//! in turn with 2^60, 2^32 and `len + 1` (the values a forged count or
+//! dimension would take), resealed where an envelope's checksum would
+//! otherwise mask the forgery, and decoded. The decoder may accept or
+//! refuse, but it may not panic, and the largest single allocation it
+//! requests must stay under a fixed budget plus a small multiple of the
+//! input length. A counting global allocator observes the requests.
+//!
+//! The bound lives in `SnapshotReader::get_seq`; deleting it there makes
+//! this suite fail (CHANGES.md records the mutation run).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use jubench::apps_earth::ShallowWater;
+use jubench::apps_lattice::HmcChain;
+use jubench::apps_md::MdSystem;
+use jubench::ckpt::{open, seal};
+use jubench::jube::{output1, CompletedStep, WorkflowCheckpoint};
+use jubench::prelude::*;
+use jubench::serve::{CancelReason, Frame, RejectReason, ShardState};
+
+/// Forwards to [`System`], noting the largest request of the current
+/// thread (decoding is single-threaded, the test harness is not).
+struct Counting;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator is still called while a thread's locals
+    // are being torn down.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` allocates nothing
+// (a const-initialised `Cell<usize>` has no lazy init and no destructor).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` and `layout` are the caller's, from this
+        // allocator, which only ever hands out `System` blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What a count alone may reserve (`get_seq` allows itself 64 KiB),
+/// with room for the fixed-size tables a decoder builds around it.
+const FIXED_BUDGET: usize = 128 << 10;
+/// In-memory bytes per input byte: a `Vec` that doubles as it grows may
+/// hold twice its elements, and the fattest element relative to its
+/// encoding (a `String` cell: 24 bytes for an 8-byte length prefix)
+/// is three times its encoding.
+const PER_INPUT_BYTE: usize = 8;
+
+/// Overwrite every 8-byte window of `valid` with each forged value and
+/// decode. With `sealed`, the window slides over the envelope's payload
+/// and the envelope is sealed again, so the forgery reaches the decoder
+/// behind a good checksum; the raw envelope (header lengths included)
+/// is swept as well. Returns how many forgeries were refused.
+fn sweep(name: &str, valid: &[u8], sealed: bool, mut decode: impl FnMut(&[u8]) -> bool) -> usize {
+    assert!(decode(valid), "{name}: the valid encoding must decode");
+    let mut refused = 0;
+    let mut forge = |body: &[u8], finish: &dyn Fn(Vec<u8>) -> Vec<u8>, what: &str| {
+        for at in 0..body.len().saturating_sub(7) {
+            for forged in [1u64 << 60, 1 << 32, body.len() as u64 + 1] {
+                let mut bytes = body.to_vec();
+                bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+                let bytes = finish(bytes);
+                LARGEST.with(|l| l.set(0));
+                let outcome = catch_unwind(AssertUnwindSafe(|| decode(&bytes)));
+                let largest = LARGEST.with(Cell::get);
+                let case = format!("{name}: {what} bytes {at}..{} = {forged}", at + 8);
+                match outcome {
+                    Ok(accepted) => refused += usize::from(!accepted),
+                    Err(_) => panic!("{case}: the decoder panicked"),
+                }
+                let budget = FIXED_BUDGET + PER_INPUT_BYTE * bytes.len();
+                assert!(
+                    largest <= budget,
+                    "{case}: one allocation of {largest} bytes for a {}-byte input (budget {budget})",
+                    bytes.len()
+                );
+            }
+        }
+    };
+    forge(valid, &|bytes| bytes, "raw");
+    if sealed {
+        let kind_len = u64::from_le_bytes(valid[6..14].try_into().unwrap()) as usize;
+        let kind = std::str::from_utf8(&valid[14..14 + kind_len]).unwrap();
+        let payload = open(kind, valid).unwrap();
+        forge(&payload, &|bytes| seal(kind, &bytes), "resealed payload");
+    }
+    assert!(refused > 0, "{name}: no forgery was refused");
+    refused
+}
+
+fn faulted_spec() -> CampaignSpec {
+    let mut spec = CampaignSpec::new("tenant", "bounds", 16, 7)
+        .with_point(RunPoint::test("STREAM", 2, 1))
+        .with_point(RunPoint::test("OSU", 2, 2))
+        .with_deadline(900.0);
+    spec.slice_s = 5.0;
+    spec.plan = FaultPlan::new(11)
+        .with_degraded_link(0, 1, 3.5)
+        .with_flapping_link(2, 3, 2.5, 5.5, 0.625)
+        .with_slow_node_window(4, 1.75, 6.5, 9.5)
+        .with_message_drop(5, 6, 0.375)
+        .with_rank_crash(7, 42.0)
+        .with_recv_timeout(0.2);
+    spec
+}
+
+#[test]
+fn frames_of_every_tag_and_specs_decode_within_bounds() {
+    let frames = [
+        Frame::Submit {
+            spec: faulted_spec(),
+        },
+        Frame::Drain,
+        Frame::Stats {
+            prefix: "serve/".into(),
+        },
+        Frame::Bye,
+        Frame::Accepted {
+            campaign: 7,
+            shard: 3,
+        },
+        Frame::Rejected {
+            tenant: "tenant".into(),
+            reason: RejectReason::Invalid {
+                what: "unknown benchmark `x`".into(),
+            },
+        },
+        Frame::Rejected {
+            tenant: "tenant".into(),
+            reason: RejectReason::TokensExhausted {
+                requested: 64,
+                available: 3,
+            },
+        },
+        Frame::Row {
+            campaign: 7,
+            index: 2,
+            cells: vec!["STREAM".into(), "2".into(), "pass".into()],
+        },
+        Frame::JobDone {
+            campaign: 7,
+            job: 2,
+            end_s: 41.5,
+        },
+        Frame::Done {
+            campaign: 7,
+            table: "| a | b |\n".into(),
+            chrome_trace: "[]".into(),
+            report: "makespan 41.5".into(),
+        },
+        Frame::Cancelled {
+            campaign: 7,
+            reason: CancelReason::DeadlineExceeded {
+                deadline_s: 100.0,
+                horizon_s: 150.0,
+            },
+        },
+        Frame::Cancelled {
+            campaign: 7,
+            reason: CancelReason::ShardFailed { restarts: 3 },
+        },
+        Frame::StatsReply {
+            prometheus: "# TYPE x counter\nx 1\n".into(),
+        },
+    ];
+    for frame in &frames {
+        let bytes = frame.encode();
+        if bytes.len() < 8 {
+            continue; // `Drain` and `Bye` are a bare tag
+        }
+        sweep(&format!("{frame:?}")[..8], &bytes, false, |b| {
+            Frame::decode(b).is_ok()
+        });
+    }
+    sweep("CampaignSpec", &faulted_spec().encode(), false, |b| {
+        CampaignSpec::decode(b).is_ok()
+    });
+}
+
+#[test]
+fn shard_snapshots_and_campaign_envelopes_decode_within_bounds() {
+    let registry = full_registry();
+    let mut shard = ShardState::new(0, 64);
+    // One campaign into its scheduling phase, one mid-points, one
+    // untouched, and a cache holding the executed points.
+    shard.submit(1, 10, faulted_spec());
+    for _ in 0..3 {
+        shard.step(&registry);
+    }
+    let mut second = faulted_spec();
+    second.name = "second".into();
+    second.points.push(RunPoint::test("LinkTest", 4, 3));
+    shard.submit(2, 10, second);
+    shard.step(&registry);
+    shard.step(&registry);
+    shard.submit(3, 11, faulted_spec());
+    let snapshot = shard.snapshot();
+    let embeds = |bytes: &[u8], kind: &str| bytes.windows(kind.len()).any(|w| w == kind.as_bytes());
+    assert!(
+        embeds(&snapshot, "sched-campaign"),
+        "a campaign must be in its scheduling phase"
+    );
+    sweep("ShardState", &snapshot, true, |b| {
+        ShardState::new(9, 4).restore(b).is_ok()
+    });
+
+    let envelope = shard.extract(1).expect("campaign 1 is in flight");
+    assert!(embeds(&envelope, "sched-campaign"));
+    sweep("campaign envelope", &envelope, true, |b| {
+        ShardState::new(1, 64).adopt(b).is_ok()
+    });
+}
+
+#[test]
+fn scheduler_states_and_workflow_stores_decode_within_bounds() {
+    let sched = Scheduler::new(
+        Machine::juwels_booster().partition(96),
+        NetModel::juwels_booster(),
+        SchedulerConfig::new(
+            QueuePolicy::ConservativeBackfill,
+            PlacementPolicy::Contiguous,
+            9,
+        ),
+    );
+    let jobs: Vec<Job> = (0..6u32)
+        .map(|i| {
+            Job::new(i, &format!("job{i}"), 8 + 8 * (i % 4), 2.0 + 0.3 * i as f64)
+                .with_submit(0.25 * i as f64)
+                .with_retry(RetryPolicy::new(16, 0.05).with_multiplier(1.0))
+                .with_checkpointing(0.4, 0.02)
+        })
+        .collect();
+    let plan = FaultPlan::new(9)
+        .with_slow_node_window(5, 4.0, 1.0, 3.0)
+        .with_rank_crash(40, 2.5);
+    let mut state = sched.begin(&jobs);
+    sched.advance(&mut state, &jobs, &plan, 2.7);
+    sweep("CampaignState", &state.snapshot(), true, |b| {
+        sched.resume(b, &jobs).is_ok()
+    });
+
+    let store = WorkflowCheckpoint::new();
+    for (wp, succeeded) in [(0, true), (1, false), (2, true)] {
+        store.record(
+            wp,
+            "execute",
+            CompletedStep {
+                attempt: wp + 1,
+                succeeded,
+                outputs: output1("fom", "17.25"),
+            },
+        );
+    }
+    sweep("WorkflowCheckpoint", &store.snapshot(), true, |b| {
+        WorkflowCheckpoint::new().restore(b).is_ok()
+    });
+}
+
+#[test]
+fn application_restart_files_decode_within_bounds() {
+    let mut chain = HmcChain::cold([2, 2, 2, 2], 5.5, 4, 0.02, 7);
+    chain.run(2);
+    sweep("HmcChain", &chain.snapshot(), true, |b| {
+        chain.restore(b).is_ok()
+    });
+
+    // These two are built on a rank, so they are swept on it.
+    World::per_node(Machine::juwels_booster().partition(1)).run(|comm| {
+        let mut md = MdSystem::lattice(comm, 8.0, 8, 2.0, 11);
+        md.prepare(comm).unwrap();
+        sweep("MdSystem", &md.snapshot(), true, |b| md.restore(b).is_ok());
+        let mut water = ShallowWater::gaussian(comm, 8, 8);
+        sweep("ShallowWater", &water.snapshot(), true, |b| {
+            water.restore(b).is_ok()
+        });
+    });
+}

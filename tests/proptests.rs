@@ -918,6 +918,57 @@ fn quantum_gates_are_unitary() {
     }
 }
 
+fn every_fault_plan() -> FaultPlan {
+    FaultPlan::new(11)
+        .with_degraded_link(0, 1, 3.5)
+        .with_flapping_link(2, 3, 2.5, 5.5, 0.625)
+        .with_slow_node_window(4, 1.75, 6.5, 9.5)
+        .with_message_drop(5, 6, 0.375)
+        .with_rank_crash(7, 42.0)
+        .with_recv_timeout(0.2)
+}
+
+/// Every rule `FaultPlan`'s builders assert, broken one field at a time
+/// in an encoded `Submit`: the frame is refused as `Malformed`, never a
+/// panic in a builder, and the untouched frame still decodes.
+#[test]
+fn forged_fault_fields_in_a_submit_are_malformed() {
+    use jubench::serve::{CampaignSpec, Frame, RunPoint, WireError};
+    let mut spec =
+        CampaignSpec::new("mallory", "forged", 16, 9).with_point(RunPoint::test("STREAM", 1, 1));
+    spec.plan = every_fault_plan();
+    let good = Frame::Submit { spec }.encode();
+    assert!(Frame::decode(&good).is_ok());
+    // Each valid value occurs exactly once in the frame, so its bit
+    // pattern locates the field.
+    let forgeries: [(f64, &[f64]); 9] = [
+        (0.2, &[0.0, -1.0, f64::NAN]),     // recv timeout > 0
+        (3.5, &[0.5, f64::NAN]),           // degraded-link factor ≥ 1
+        (2.5, &[0.5, f64::NAN]),           // flapping factor ≥ 1
+        (5.5, &[0.0, -5.0, f64::NAN]),     // flapping period > 0
+        (0.625, &[-0.1, 1.5, f64::NAN]),   // up fraction in [0, 1]
+        (1.75, &[0.0, f64::NAN]),          // slow-node factor ≥ 1
+        (6.5, &[9.5, 10.0, f64::NAN]),     // window from < until (= 9.5)
+        (0.375, &[-0.25, 1.25, f64::NAN]), // drop probability in [0, 1]
+        (42.0, &[-1.0, f64::NAN]),         // crash time ≥ 0
+    ];
+    for (valid, bad_values) in forgeries {
+        let pattern = valid.to_bits().to_le_bytes();
+        let hits: Vec<usize> = (0..good.len() - 7)
+            .filter(|&at| good[at..at + 8] == pattern)
+            .collect();
+        assert_eq!(hits.len(), 1, "{valid} must locate exactly one field");
+        for &bad in bad_values {
+            let mut forged = good.clone();
+            forged[hits[0]..hits[0] + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            assert!(
+                matches!(Frame::decode(&forged), Err(WireError::Malformed(_))),
+                "{valid} forged to {bad} must be refused as malformed"
+            );
+        }
+    }
+}
+
 /// `Frame::decode` on arbitrarily corrupted bytes — truncations, bit
 /// flips, spliced garbage, pure noise — returns a typed error or a
 /// valid frame, never panics; and whatever it accepts re-encodes to
@@ -925,12 +976,18 @@ fn quantum_gates_are_unitary() {
 #[test]
 fn wire_decode_survives_arbitrary_corruption() {
     use jubench::serve::{CampaignSpec, CancelReason, Frame, RunPoint};
+    // One fault of each kind and a non-default timeout, so flips land
+    // in every field `FaultPlan` has a rule about.
+    let mut faulted =
+        CampaignSpec::new("fuzz", "faulted", 16, 9).with_point(RunPoint::test("STREAM", 1, 1));
+    faulted.plan = every_fault_plan();
     let pool: Vec<Frame> = vec![
         Frame::Submit {
             spec: CampaignSpec::new("fuzz", "campaign", 16, 9)
                 .with_point(RunPoint::test("STREAM", 1, 1))
                 .with_deadline(250.0),
         },
+        Frame::Submit { spec: faulted },
         Frame::Drain,
         Frame::Stats {
             prefix: "serve/".into(),
@@ -992,11 +1049,14 @@ fn wire_decode_survives_arbitrary_corruption() {
                     .collect();
             }
         }
+        // Compared as bytes: a flip may turn a spec's f64 into a NaN,
+        // which round-trips bit-exactly but is not equal to itself.
         if let Ok(frame) = Frame::decode(&bytes) {
-            let roundtrip = Frame::decode(&frame.encode());
+            let encoded = frame.encode();
+            let roundtrip = Frame::decode(&encoded).map(|f| f.encode());
             assert_eq!(
                 roundtrip,
-                Ok(frame),
+                Ok(encoded),
                 "case {case}: accepted frames round-trip"
             );
         }

@@ -162,3 +162,71 @@ fn migration_mid_campaign_preserves_artifacts() {
     assert!(server.migrate(id, (shard + 2) % 4).unwrap());
     assert_eq!(artifacts(&server.drain(&registry).unwrap()), reference);
 }
+
+/// A backend no model can be computed on is refused at submit, even
+/// when it arrives as wire bytes: it never reaches the shard it would
+/// have shared with another tenant, whose artifacts are those of a solo
+/// run under both the plain and the supervised drain.
+#[test]
+fn an_uncomputable_backend_is_rejected_and_cannot_sink_its_co_tenant() {
+    use jubench::serve::{RejectReason, SupervisorConfig};
+    let registry = full_registry();
+    let alice = || {
+        let mut spec = campaign("alice-nightly", 5);
+        spec.tenant = "alice".to_string();
+        spec
+    };
+    let mut forged = campaign("mallory-probe", 6);
+    forged.tenant = "mallory".to_string();
+    forged.backend.cell_nodes = 0;
+    let Ok(Frame::Submit { spec: mallory }) =
+        Frame::decode(&Frame::Submit { spec: forged }.encode())
+    else {
+        panic!("a zero cell size is the validator's to refuse, not the decoder's");
+    };
+
+    type Drain = fn(&mut Server, &Registry) -> Vec<Emit>;
+    let drains: [Drain; 2] = [
+        |server, registry| server.drain(registry).unwrap(),
+        |server, registry| {
+            let outcome = server
+                .drain_supervised(registry, &SupervisorConfig::default(), None)
+                .unwrap();
+            assert_eq!(outcome.restarts, 0, "nothing to restart");
+            assert!(outcome.cancelled.is_empty() && !outcome.degraded());
+            outcome.emits
+        },
+    ];
+    for drain in drains {
+        let mut solo = Server::new(1, 64);
+        solo.submit(1, alice(), &registry).unwrap();
+        let solo_frames: Vec<Vec<u8>> = drain(&mut solo, &registry)
+            .iter()
+            .map(|e| e.frame.encode())
+            .collect();
+
+        let mut shared = Server::new(1, 64);
+        shared.submit(1, alice(), &registry).unwrap();
+        let rejection = shared.submit(2, mallory.clone(), &registry).unwrap_err();
+        assert_eq!(rejection.tenant, "mallory");
+        assert!(
+            matches!(&rejection.reason, RejectReason::Invalid { what } if what.contains("cell_nodes")),
+            "refused as invalid: {rejection:?}"
+        );
+        let shared_frames: Vec<Vec<u8>> = drain(&mut shared, &registry)
+            .iter()
+            .map(|e| e.frame.encode())
+            .collect();
+        assert!(
+            matches!(
+                Frame::decode(shared_frames.last().unwrap()),
+                Ok(Frame::Done { .. })
+            ),
+            "alice finishes"
+        );
+        assert_eq!(
+            shared_frames, solo_frames,
+            "alice's stream is her solo run's"
+        );
+    }
+}
