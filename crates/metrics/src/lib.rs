@@ -8,8 +8,12 @@
 //!
 //! - [`registry`]: a process-wide metrics registry — counters, gauges,
 //!   and fixed-bucket histograms — sharded per recording thread and
-//!   merged deterministically at snapshot time. Snapshots render as a
-//!   Prometheus-style text exposition and as a stable JSON encoding.
+//!   merged deterministically at snapshot time. A shard lives as long as
+//!   its thread: at thread exit it is merged into one retired
+//!   accumulator and unregistered, so a service that spawns rank threads
+//!   forever keeps one shard per *live* thread and every count ever
+//!   recorded. Snapshots render as a Prometheus-style text exposition
+//!   and as a stable JSON encoding.
 //! - [`scope`]: wall-clock profiling scopes ([`profile_scope!`]) that
 //!   accumulate exclusive/inclusive nanoseconds per named scope and
 //!   export a collapsed-stack (`flamegraph.pl`-compatible) self-profile.
@@ -103,7 +107,8 @@ pub fn observe(name: &str, value: u64) {
     }
 }
 
-/// Merge every live shard into one deterministic [`MetricsSnapshot`].
+/// Everything recorded so far — by live and exited threads alike — as
+/// one deterministic [`MetricsSnapshot`].
 pub fn snapshot() -> MetricsSnapshot {
     registry::global_snapshot()
 }

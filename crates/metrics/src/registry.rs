@@ -1,52 +1,28 @@
 //! The sharded metrics registry and its deterministic snapshot.
 //!
-//! Every recording thread owns one `Shard` (created lazily, registered
-//! globally, kept alive past thread exit). Recording touches only the
-//! owning thread's shard — one short-held lock with no cross-thread
-//! contention — and the global snapshot merges all shards into one
-//! [`MetricsSnapshot`] with order-independent operators: counters and
-//! histograms merge by sum, gauges by max, scope stats by sum. Merge
-//! order therefore cannot leak into any rendered output, which is what
-//! makes the snapshot deterministic for a deterministic workload even
-//! though shard *contents* are wall-clock measurements.
+//! Every recording thread owns one shard — a [`MetricsSnapshot`] behind
+//! its own lock, created lazily and registered globally — and a shard
+//! lives exactly as long as its thread: the thread-local's destructor
+//! merges it into one `retired` accumulator and unregisters it, so a
+//! process that spawns threads forever (a fresh one per rank per
+//! `World::run`) holds one shard per *live* thread, not one per thread
+//! that ever recorded. Recording touches only the owning thread's shard
+//! — one short-held lock with no cross-thread contention — and the
+//! global snapshot is `retired` merged with every live shard by
+//! [`MetricsSnapshot::merge`], whose operators are order-independent:
+//! counters and histograms merge by sum, gauges by max, scope stats by
+//! sum. Merge order — and which threads have already exited — therefore
+//! cannot leak into any rendered output, which is what makes the
+//! snapshot deterministic for a deterministic workload even though shard
+//! *contents* are wall-clock measurements.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Number of power-of-two histogram buckets. Bucket `i` counts values in
 /// `[2^(i-1), 2^i - 1]` (bucket 0 holds zero); 48 buckets cover every
 /// nanosecond duration up to ~3.25 days.
 pub const HIST_BUCKETS: usize = 48;
-
-/// One thread's private slice of the registry.
-#[derive(Default)]
-struct Shard {
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, i64>>,
-    hists: Mutex<BTreeMap<String, Hist>>,
-    scopes: Mutex<BTreeMap<String, ScopeStat>>,
-}
-
-#[derive(Clone)]
-struct Hist {
-    counts: [u64; HIST_BUCKETS],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Hist {
-    fn default() -> Self {
-        Hist {
-            counts: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
 
 /// Bucket index of one observed value: `ceil(log2(v))`, clamped.
 fn bucket_of(value: u64) -> usize {
@@ -57,49 +33,90 @@ fn bucket_of(value: u64) -> usize {
     }
 }
 
-fn shards() -> &'static Mutex<Vec<Arc<Shard>>> {
-    static SHARDS: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-    SHARDS.get_or_init(|| Mutex::new(Vec::new()))
+/// One thread's private slice of the registry.
+type Shard = Arc<Mutex<MetricsSnapshot>>;
+
+#[derive(Default)]
+struct Shards {
+    /// Everything recorded by threads that have exited.
+    retired: MetricsSnapshot,
+    /// One shard per live recording thread.
+    live: Vec<Shard>,
+}
+
+fn shards() -> &'static Mutex<Shards> {
+    static SHARDS: OnceLock<Mutex<Shards>> = OnceLock::new();
+    SHARDS.get_or_init(Mutex::default)
+}
+
+/// Lock `m`, poisoned or not: every update below leaves its map valid
+/// at every step (an insert, a saturating add), and a thread-local
+/// destructor must not panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's handle on its shard. Dropped when the thread exits, which
+/// retires the shard. Lock order everywhere: registry, then shard.
+struct Local(Shard);
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        let mut shards = lock(shards());
+        shards.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+        shards.retired.merge(&lock(&self.0));
+    }
 }
 
 thread_local! {
-    static SHARD: Arc<Shard> = {
-        let shard = Arc::new(Shard::default());
-        shards().lock().unwrap().push(Arc::clone(&shard));
-        shard
+    static SHARD: Local = {
+        let shard = Shard::default();
+        lock(shards()).live.push(Arc::clone(&shard));
+        Local(shard)
     };
 }
 
+/// Apply `update` to this thread's shard — or, when the thread is
+/// already tearing its locals down and the shard is gone, straight to
+/// the retired accumulator.
+fn record(update: impl Fn(&mut MetricsSnapshot)) {
+    if SHARD.try_with(|s| update(&mut lock(&s.0))).is_err() {
+        update(&mut lock(shards()).retired);
+    }
+}
+
 pub(crate) fn shard_counter_add(name: &str, delta: u64) {
-    SHARD.with(|s| {
-        let mut counters = s.counters.lock().unwrap();
-        match counters.get_mut(name) {
-            Some(v) => *v = v.saturating_add(delta),
-            None => {
-                counters.insert(name.to_string(), delta);
-            }
+    record(|m| match m.counters.get_mut(name) {
+        Some(v) => *v = v.saturating_add(delta),
+        None => {
+            m.counters.insert(name.to_string(), delta);
         }
     });
 }
 
 pub(crate) fn shard_gauge_max(name: &str, value: i64) {
-    SHARD.with(|s| {
-        let mut gauges = s.gauges.lock().unwrap();
-        match gauges.get_mut(name) {
-            Some(v) => *v = (*v).max(value),
-            None => {
-                gauges.insert(name.to_string(), value);
-            }
+    record(|m| match m.gauges.get_mut(name) {
+        Some(v) => *v = (*v).max(value),
+        None => {
+            m.gauges.insert(name.to_string(), value);
         }
     });
 }
 
 pub(crate) fn shard_observe(name: &str, value: u64) {
-    SHARD.with(|s| {
-        let mut hists = s.hists.lock().unwrap();
-        let h = match hists.get_mut(name) {
+    record(|m| {
+        let h = match m.histograms.get_mut(name) {
             Some(h) => h,
-            None => hists.entry(name.to_string()).or_default(),
+            None => m
+                .histograms
+                .entry(name.to_string())
+                .or_insert(HistogramSnapshot {
+                    counts: vec![0; HIST_BUCKETS],
+                    count: 0,
+                    sum: 0,
+                    min: u64::MAX,
+                    max: 0,
+                }),
         };
         h.counts[bucket_of(value)] += 1;
         h.count += 1;
@@ -110,11 +127,10 @@ pub(crate) fn shard_observe(name: &str, value: u64) {
 }
 
 pub(crate) fn shard_scope_record(path: &str, inclusive_ns: u64, exclusive_ns: u64) {
-    SHARD.with(|s| {
-        let mut scopes = s.scopes.lock().unwrap();
-        let stat = match scopes.get_mut(path) {
+    record(|m| {
+        let stat = match m.scopes.get_mut(path) {
             Some(stat) => stat,
-            None => scopes.entry(path.to_string()).or_default(),
+            None => m.scopes.entry(path.to_string()).or_default(),
         };
         stat.count += 1;
         stat.inclusive_ns = stat.inclusive_ns.saturating_add(inclusive_ns);
@@ -122,22 +138,24 @@ pub(crate) fn shard_scope_record(path: &str, inclusive_ns: u64, exclusive_ns: u6
     });
 }
 
-/// Merge every shard registered so far into one snapshot.
+/// Everything recorded so far: the retired accumulator merged with
+/// every live shard.
 pub(crate) fn global_snapshot() -> MetricsSnapshot {
-    let mut snap = MetricsSnapshot::default();
-    for shard in shards().lock().unwrap().iter() {
-        snap.merge_shard(shard);
+    let shards = lock(shards());
+    let mut snap = shards.retired.clone();
+    for shard in &shards.live {
+        snap.merge(&lock(shard));
     }
     snap
 }
 
-/// Clear every shard in place (the shards themselves stay registered).
+/// Clear the retired accumulator and every live shard in place (the
+/// shards themselves stay registered).
 pub(crate) fn global_reset() {
-    for shard in shards().lock().unwrap().iter() {
-        shard.counters.lock().unwrap().clear();
-        shard.gauges.lock().unwrap().clear();
-        shard.hists.lock().unwrap().clear();
-        shard.scopes.lock().unwrap().clear();
+    let mut shards = lock(shards());
+    shards.retired = MetricsSnapshot::default();
+    for shard in &shards.live {
+        *lock(shard) = MetricsSnapshot::default();
     }
 }
 
@@ -172,16 +190,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn from_hist(h: &Hist) -> Self {
-        HistogramSnapshot {
-            counts: h.counts.to_vec(),
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-        }
-    }
-
     /// Mean observation, zero when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -228,9 +236,10 @@ impl HistogramSnapshot {
     }
 }
 
-/// A deterministic merge of every shard: the exported face of the
-/// registry. All maps are `BTreeMap`s, so iteration — and therefore every
-/// rendering — is name-sorted and independent of recording order.
+/// A deterministic merge of every shard — and what each shard is: the
+/// exported face of the registry. All maps are `BTreeMap`s, so iteration
+/// — and therefore every rendering — is name-sorted and independent of
+/// recording order.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -240,56 +249,38 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    fn merge_shard(&mut self, shard: &Shard) {
-        for (k, v) in shard.counters.lock().unwrap().iter() {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in shard.gauges.lock().unwrap().iter() {
-            let slot = self.gauges.entry(k.clone()).or_insert(i64::MIN);
-            *slot = (*slot).max(*v);
-        }
-        for (k, h) in shard.hists.lock().unwrap().iter() {
-            let snap = HistogramSnapshot::from_hist(h);
-            match self.histograms.get_mut(k) {
-                Some(existing) => existing.merge(&snap),
-                None => {
-                    self.histograms.insert(k.clone(), snap);
-                }
-            }
-        }
-        for (k, v) in shard.scopes.lock().unwrap().iter() {
-            let stat = self.scopes.entry(k.clone()).or_default();
-            stat.count += v.count;
-            stat.inclusive_ns = stat.inclusive_ns.saturating_add(v.inclusive_ns);
-            stat.exclusive_ns = stat.exclusive_ns.saturating_add(v.exclusive_ns);
-        }
-    }
-
     /// Merge another snapshot into this one. Commutative and associative
     /// (sum/max/sum operators), so any merge order yields the same value —
-    /// the property `tests/proptests.rs` sweeps.
+    /// the property `tests/proptests.rs` sweeps. The registry itself
+    /// merges with nothing else: a retiring thread's shard into the
+    /// retired accumulator, and both into the global snapshot.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let slot = self.gauges.entry(k.clone()).or_insert(i64::MIN);
-            *slot = (*slot).max(*v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(existing) => existing.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
+        /// Fold `other` into `into` name by name; `op` combines the two
+        /// values of a name both sides hold.
+        fn fold<V: Clone>(
+            into: &mut BTreeMap<String, V>,
+            other: &BTreeMap<String, V>,
+            op: impl Fn(&mut V, &V),
+        ) {
+            for (name, v) in other {
+                match into.get_mut(name) {
+                    Some(slot) => op(slot, v),
+                    None => {
+                        into.insert(name.clone(), v.clone());
+                    }
                 }
             }
         }
-        for (k, v) in &other.scopes {
-            let stat = self.scopes.entry(k.clone()).or_default();
-            stat.count += v.count;
-            stat.inclusive_ns = stat.inclusive_ns.saturating_add(v.inclusive_ns);
-            stat.exclusive_ns = stat.exclusive_ns.saturating_add(v.exclusive_ns);
-        }
+        fold(&mut self.counters, &other.counters, |a, b| {
+            *a = a.saturating_add(*b)
+        });
+        fold(&mut self.gauges, &other.gauges, |a, b| *a = (*a).max(*b));
+        fold(&mut self.histograms, &other.histograms, |a, b| a.merge(b));
+        fold(&mut self.scopes, &other.scopes, |a, b| {
+            a.count += b.count;
+            a.inclusive_ns = a.inclusive_ns.saturating_add(b.inclusive_ns);
+            a.exclusive_ns = a.exclusive_ns.saturating_add(b.exclusive_ns);
+        });
     }
 
     /// The sub-snapshot of metrics whose name starts with `prefix` —

@@ -45,10 +45,13 @@
 //! through [`submit_step`] instead of executing inline, mirroring how
 //! JUBE hands jobs to SLURM.
 
+mod backfill;
 pub mod campaign;
 pub mod job;
 pub mod placement;
+mod schedule;
 pub mod scheduler;
+mod state;
 pub mod submit;
 
 pub use campaign::{category_priority, registry_jobs, run_campaign};

@@ -27,6 +27,14 @@ use crate::wire::{read_frame, write_frame, Frame, WireError};
 use jubench_core::{fnv1a64, Registry};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Tenants that get a `serve/tenant/<name>/…` series of their own: the
+/// first this many distinct names (of at most this many bytes) a server
+/// sees. Tenant names come off the wire, so everyone after that counts
+/// under [`OTHER_TENANTS`] and the registry stays bounded.
+const MAX_TENANT_SERIES: usize = 64;
+/// The series of every tenant past [`MAX_TENANT_SERIES`].
+const OTHER_TENANTS: &str = "_other";
+
 /// Where a live campaign sits and what it holds against its tenant's
 /// quotas (refunded when the campaign retires).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,6 +55,8 @@ pub struct Server {
     /// Campaign → placement and quota charge, for status queries,
     /// migration, and admission refunds.
     routes: BTreeMap<u64, Route>,
+    /// The tenants that have a metric series of their own.
+    tenant_series: BTreeSet<String>,
     /// Frames produced while a different client was draining, held for
     /// delivery on their owner's next drain.
     mailbox: BTreeMap<u64, Vec<Frame>>,
@@ -66,6 +76,7 @@ impl Server {
                 .collect(),
             next_campaign: 1,
             routes: BTreeMap::new(),
+            tenant_series: BTreeSet::new(),
             mailbox: BTreeMap::new(),
             admission: AdmissionGate::new(AdmissionConfig::default()),
         }
@@ -114,8 +125,8 @@ impl Server {
     /// enqueue it for `client`. Returns the assigned
     /// `(campaign id, shard)` or a typed [`Rejection`]. The quota
     /// charge (one point token per run point, one campaign slot) is
-    /// refunded when the campaign retires — finishes, is cancelled, or
-    /// is given up on.
+    /// refunded when the campaign retires: when its terminal frame —
+    /// `Done`, or `Cancelled` by a deadline or a give-up — is emitted.
     pub fn submit(
         &mut self,
         client: u64,
@@ -124,11 +135,11 @@ impl Server {
     ) -> Result<(u64, u32), Rejection> {
         let tenant = spec.tenant.clone();
         if let Err(what) = spec.validate(registry) {
-            return Err(reject(tenant, RejectReason::Invalid { what }));
+            return Err(self.reject(tenant, RejectReason::Invalid { what }));
         }
         let points = spec.points.len() as u32;
         if let Err(reason) = self.admission.admit(&tenant, points) {
-            return Err(reject(tenant, reason));
+            return Err(self.reject(tenant, reason));
         }
         let shard = self.route(&spec);
         let campaign = self.next_campaign;
@@ -156,7 +167,7 @@ impl Server {
         for shard in &mut self.shards {
             out.extend(shard.step(registry));
         }
-        self.forget_finished();
+        self.retire(&out);
         Ok(out)
     }
 
@@ -214,31 +225,62 @@ impl Server {
         Ok(true)
     }
 
-    /// Drop routes of campaigns that are no longer live on any shard,
-    /// refunding their admission charge.
-    pub(crate) fn forget_finished(&mut self) {
-        let live: BTreeSet<u64> = self.shards.iter().flat_map(|s| s.active()).collect();
-        let mut retired: Vec<Route> = Vec::new();
-        self.routes.retain(|campaign, route| {
-            if live.contains(campaign) {
-                true
-            } else {
-                retired.push(route.clone());
-                false
-            }
-        });
-        for route in retired {
+    /// Retire the campaigns whose terminal frame is among `emits` — a
+    /// shard emits exactly one `Done` or `Cancelled` per campaign: drop
+    /// the route, refund the admission charge, and count a completion
+    /// for its tenant.
+    pub(crate) fn retire(&mut self, emits: &[Emit]) {
+        for emit in emits {
+            let (campaign, done) = match emit.frame {
+                Frame::Done { campaign, .. } => (campaign, true),
+                Frame::Cancelled { campaign, .. } => (campaign, false),
+                _ => continue,
+            };
+            let Some(route) = self.routes.remove(&campaign) else {
+                continue;
+            };
             self.admission.release(&route.tenant, route.points);
+            if done {
+                self.count_for_tenant(&route.tenant, "campaigns");
+            }
         }
     }
-}
 
-/// Count and build a typed rejection (one place, so the counters can't
-/// drift from the returned value).
-fn reject(tenant: String, reason: RejectReason) -> Rejection {
-    jubench_metrics::counter_add("serve/rejected", 1);
-    jubench_metrics::counter_add(&format!("serve/tenant/{tenant}/rejected"), 1);
-    Rejection { tenant, reason }
+    /// Retire the campaigns routed to `shard` that are no longer in its
+    /// queue — for a shard whose frames, terminal ones included, were
+    /// lost with a failed unsupervised attempt.
+    pub(crate) fn retire_lost(&mut self, shard: u32) {
+        let live = self.shards[shard as usize].active();
+        let admission = &mut self.admission;
+        self.routes.retain(|campaign, route| {
+            let keep = route.shard != shard || live.contains(campaign);
+            if !keep {
+                admission.release(&route.tenant, route.points);
+            }
+            keep
+        });
+    }
+
+    /// Add one to `serve/tenant/<series>/<what>`, the series being the
+    /// tenant's own while [`MAX_TENANT_SERIES`] allows.
+    fn count_for_tenant(&mut self, tenant: &str, what: &str) {
+        let known = &mut self.tenant_series;
+        let room = known.len() < MAX_TENANT_SERIES && tenant.len() <= MAX_TENANT_SERIES;
+        if room && !known.contains(tenant) {
+            known.insert(tenant.to_string());
+        }
+        let own = known.contains(tenant);
+        let series = if own { tenant } else { OTHER_TENANTS };
+        jubench_metrics::counter_add(&format!("serve/tenant/{series}/{what}"), 1);
+    }
+
+    /// Count and build a typed rejection (one place, so the counters
+    /// can't drift from the returned value).
+    fn reject(&mut self, tenant: String, reason: RejectReason) -> Rejection {
+        jubench_metrics::counter_add("serve/rejected", 1);
+        self.count_for_tenant(&tenant, "rejected");
+        Rejection { tenant, reason }
+    }
 }
 
 /// Serve one client session over a transport: the server side of the

@@ -28,7 +28,7 @@
 use crate::cache::{PointResult, ResultCache};
 use crate::chaos::ChaosRuntime;
 use crate::error::ServeError;
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, RunPoint};
 use crate::wire::{CancelReason, Frame};
 use jubench_ckpt::{open, seal, Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
 use jubench_core::{BenchmarkId, Registry, RunConfig};
@@ -165,15 +165,20 @@ struct LiveSched {
 }
 
 impl LiveSched {
-    /// Enter the scheduling phase of a campaign whose points have all
-    /// executed: nothing submitted, virtual time zero.
-    fn begin(spec: &CampaignSpec, rows: &[PointResult]) -> Self {
+    /// The scheduler and jobs of a campaign whose points have all
+    /// executed.
+    fn parts(spec: &CampaignSpec, rows: &[PointResult]) -> (Scheduler, Vec<Job>) {
         let scheduler = Scheduler::new(
             spec.machine(),
             spec.backend.net,
             SchedulerConfig::new(spec.policy, spec.placement, spec.seed),
         );
-        let jobs = build_jobs(spec, rows);
+        (scheduler, build_jobs(spec, rows))
+    }
+
+    /// Enter the scheduling phase: nothing submitted, virtual time zero.
+    fn begin(spec: &CampaignSpec, rows: &[PointResult]) -> Self {
+        let (scheduler, jobs) = Self::parts(spec, rows);
         let state = scheduler.begin(&jobs);
         LiveSched {
             scheduler,
@@ -187,9 +192,13 @@ impl LiveSched {
     /// the state's structure, and that it belongs to these jobs and this
     /// machine.
     fn resume(spec: &CampaignSpec, rows: &[PointResult], bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut live = Self::begin(spec, rows);
-        live.state = live.scheduler.resume(bytes, &live.jobs)?;
-        Ok(live)
+        let (scheduler, jobs) = Self::parts(spec, rows);
+        let state = scheduler.resume(bytes, &jobs)?;
+        Ok(LiveSched {
+            scheduler,
+            jobs,
+            state,
+        })
     }
 }
 
@@ -340,13 +349,9 @@ impl ShardState {
                 self.rr = (idx + 1) % self.queue.len();
             }
             UnitOutcome::Finished | UnitOutcome::Cancelled => {
-                let done = self.queue.remove(idx);
+                self.queue.remove(idx);
                 if matches!(outcome, UnitOutcome::Finished) {
                     jubench_metrics::counter_add("serve/campaigns_done", 1);
-                    jubench_metrics::counter_add(
-                        &format!("serve/tenant/{}/campaigns", done.spec.tenant),
-                        1,
-                    );
                 } else {
                     jubench_metrics::counter_add("serve/campaigns_cancelled", 1);
                 }
@@ -563,6 +568,21 @@ impl Checkpointable for ShardState {
     }
 }
 
+/// The eight cells of `p`'s result row; a point that did not execute
+/// shows a dash for `time` and `comm`.
+fn row_cells(p: &RunPoint, time: &str, comm: &str, status: String) -> Vec<String> {
+    vec![
+        p.bench.clone(),
+        p.nodes.to_string(),
+        format!("{:?}", p.scale),
+        p.variant.map_or("base".to_string(), |v| format!("{v:?}")),
+        p.seed.to_string(),
+        time.to_string(),
+        comm.to_string(),
+        status,
+    ]
+}
+
 /// Execute one run point for real. Pure in its inputs: the registry's
 /// benchmark, the point parameters, and nothing else.
 ///
@@ -572,30 +592,17 @@ impl Checkpointable for ShardState {
 /// takes the whole drain down.
 fn run_point(registry: &Registry, spec: &CampaignSpec, index: usize) -> PointResult {
     let p = &spec.points[index];
-    let variant_label = match p.variant {
-        None => "base".to_string(),
-        Some(v) => format!("{v:?}"),
-    };
-    let missing_row = |why: &str| PointResult {
-        cells: vec![
-            p.bench.clone(),
-            p.nodes.to_string(),
-            format!("{:?}", p.scale),
-            variant_label.clone(),
-            p.seed.to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            format!("error: {why}"),
-        ],
+    let failed = |why: String, priority: i32| PointResult {
+        cells: row_cells(p, "-", "-", format!("error: {why}")),
         service_s: 0.0,
         comm_fraction: 0.0,
-        priority: 0,
+        priority,
     };
     let Some(id) = BenchmarkId::from_name(&p.bench) else {
-        return missing_row(&format!("unknown benchmark `{}`", p.bench));
+        return failed(format!("unknown benchmark `{}`", p.bench), 0);
     };
     let Some(bench) = registry.get(id) else {
-        return missing_row(&format!("benchmark `{}` not registered", p.bench));
+        return failed(format!("benchmark `{}` not registered", p.bench), 0);
     };
     let config = RunConfig {
         nodes: p.nodes,
@@ -604,6 +611,7 @@ fn run_point(registry: &Registry, spec: &CampaignSpec, index: usize) -> PointRes
         seed: p.seed,
         backend: spec.backend,
     };
+    let priority = category_priority(bench.meta().category);
     match bench.run(&config) {
         Ok(outcome) => {
             let comm_fraction = if outcome.virtual_time_s > 0.0 {
@@ -611,41 +619,24 @@ fn run_point(registry: &Registry, spec: &CampaignSpec, index: usize) -> PointRes
             } else {
                 0.0
             };
+            let verified = if outcome.verification.passed() {
+                "pass"
+            } else {
+                "FAIL"
+            };
             PointResult {
-                cells: vec![
-                    p.bench.clone(),
-                    p.nodes.to_string(),
-                    format!("{:?}", p.scale),
-                    variant_label,
-                    p.seed.to_string(),
-                    format!("{:.6}", outcome.virtual_time_s),
-                    format!("{comm_fraction:.4}"),
-                    if outcome.verification.passed() {
-                        "pass".to_string()
-                    } else {
-                        "FAIL".to_string()
-                    },
-                ],
+                cells: row_cells(
+                    p,
+                    &format!("{:.6}", outcome.virtual_time_s),
+                    &format!("{comm_fraction:.4}"),
+                    verified.to_string(),
+                ),
                 service_s: outcome.virtual_time_s,
                 comm_fraction,
-                priority: category_priority(bench.meta().category),
+                priority,
             }
         }
-        Err(err) => PointResult {
-            cells: vec![
-                p.bench.clone(),
-                p.nodes.to_string(),
-                format!("{:?}", p.scale),
-                variant_label,
-                p.seed.to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                format!("error: {err}"),
-            ],
-            service_s: 0.0,
-            comm_fraction: 0.0,
-            priority: category_priority(bench.meta().category),
-        },
+        Err(err) => failed(err.to_string(), priority),
     }
 }
 
@@ -738,7 +729,6 @@ fn render_table(spec: &CampaignSpec, rows: &[PointResult], schedule: &Schedule) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::RunPoint;
 
     fn tiny_spec(tenant: &str, name: &str, seed: u64) -> CampaignSpec {
         let mut spec = CampaignSpec::new(tenant, name, 8, seed)

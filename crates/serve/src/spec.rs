@@ -259,6 +259,11 @@ fn put_machine(w: &mut SnapshotWriter, m: &Machine) {
 /// presets' longest is 30 bytes).
 const MAX_NAME_BYTES: usize = 64;
 
+/// Largest partition a campaign may name: ten times JUPITER's ≈ 6 000
+/// nodes, 17 times the catalog's largest backend. The scheduler keeps a
+/// set entry per node, and a decoded backend may claim a billion.
+const MAX_PARTITION_NODES: u32 = 65_536;
+
 /// Read a name and intern it (machine models carry `&'static str`
 /// names). Every distinct name is leaked once and a frame may hold
 /// megabytes, so the length is refused here, before the intern table
@@ -537,9 +542,10 @@ impl CampaignSpec {
                 "backend and device names are limited to {MAX_NAME_BYTES} bytes"
             ));
         }
-        if self.nodes == 0 || self.nodes > self.backend.nodes {
+        if self.nodes == 0 || self.nodes > self.backend.nodes.min(MAX_PARTITION_NODES) {
             return Err(format!(
-                "invalid partition size {} of the {}-node backend `{}`",
+                "invalid partition size {} of the {}-node backend `{}` \
+                 (a partition holds at most {MAX_PARTITION_NODES} nodes)",
                 self.nodes, self.backend.nodes, self.backend.name
             ));
         }
@@ -696,6 +702,14 @@ mod tests {
         zero_cell.backend.cell_nodes = 0;
         let err = zero_cell.validate(&registry).unwrap_err();
         assert!(err.contains("cell_nodes"), "backend is checked: {err}");
+
+        // A backend may be larger than any partition of it may be.
+        let mut huge = CampaignSpec::new("t", "c", MAX_PARTITION_NODES, 0)
+            .with_point(RunPoint::test("HPL", 4, 0));
+        huge.backend.nodes = 4 * MAX_PARTITION_NODES;
+        assert_eq!(huge.check(None), Ok(()));
+        huge.nodes += 1;
+        assert!(huge.check(None).unwrap_err().contains("partition"));
     }
 
     #[test]

@@ -225,7 +225,15 @@ impl Server {
                 .collect()
             }
         };
-        self.forget_finished();
+        // Retire from every run that is kept, before a failed shard's
+        // error discards them all. That shard's own frames went with its
+        // attempt, so whatever left its queue is gone without one.
+        for (shard, run) in runs.iter().enumerate() {
+            match run {
+                Ok(run) => self.retire(&run.emits),
+                Err(_) => self.retire_lost(shard as u32),
+            }
+        }
         let mut outcome = DrainOutcome::default();
         for (i, run) in runs.into_iter().enumerate() {
             let run = run?;
@@ -268,6 +276,48 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{CampaignSpec, RunPoint};
+    use jubench_core::{Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError};
+
+    /// STREAM with a bug: every run panics.
+    struct BrokenStream(Registry);
+
+    impl Benchmark for BrokenStream {
+        fn meta(&self) -> BenchmarkMeta {
+            self.0.get(BenchmarkId::Stream).unwrap().meta()
+        }
+        fn run(&self, _: &RunConfig) -> Result<RunOutcome, SuiteError> {
+            panic!("STREAM blew up");
+        }
+    }
+
+    /// An unsupervised drain loses a failed shard's frames, terminal
+    /// ones included — but not the quota of the campaigns that finished
+    /// before the failure: what left the shard's queue is refunded, what
+    /// is still queued stays charged.
+    #[test]
+    fn a_failed_unsupervised_drain_refunds_what_left_the_queue() {
+        let mut registry = jubench_scaling::full_registry();
+        registry.register(Box::new(BrokenStream(jubench_scaling::full_registry())));
+        let mut server = Server::new(1, 16);
+        // One unit each, round-robin: `quick` is done by the time
+        // `doomed` reaches its STREAM point.
+        let quick = CampaignSpec::new("quick", "q", 8, 1).with_point(RunPoint::test("OSU", 2, 1));
+        let doomed = CampaignSpec::new("doomed", "d", 8, 2)
+            .with_point(RunPoint::test("OSU", 2, 2))
+            .with_point(RunPoint::test("OSU", 2, 3))
+            .with_point(RunPoint::test("STREAM", 2, 4));
+        let (quick_id, _) = server.submit(1, quick, &registry).unwrap();
+        let (doomed_id, _) = server.submit(1, doomed, &registry).unwrap();
+        assert!(matches!(
+            server.drain(&registry),
+            Err(ServeError::ShardPanicked { shard: 0, .. })
+        ));
+        assert_eq!(server.shard(0).active(), [doomed_id], "`quick` finished");
+        assert_eq!(server.admission().usage("quick").active, 0, "refunded");
+        assert_eq!(server.admission().usage("doomed").active, 1, "still live");
+        assert_eq!(server.migrate(quick_id, 0), Ok(false), "route gone");
+    }
 
     #[test]
     fn backoff_is_seeded_bounded_and_grows() {

@@ -307,3 +307,67 @@ fn application_restart_files_decode_within_bounds() {
         });
     });
 }
+
+/// A spec the decoder accepts may still name a partition of any size,
+/// and `Scheduler::begin` keeps a set entry per node of it: `validate`
+/// is where a partition is capped. A forged `Submit` for all 10⁹ nodes
+/// of a backend whose device and memory products still fit is `Rejected`
+/// without anything being sized by the claim; and with 10⁹ or 2³⁰
+/// written over every 4-byte window of a spec in turn — its two node
+/// counts among them — what still validates begins its scheduler within
+/// the budget.
+#[test]
+fn forged_partition_sizes_are_rejected_or_begin_within_bounds() {
+    let registry = full_registry();
+    let budget = |input: &[u8]| FIXED_BUDGET + PER_INPUT_BYTE * input.len();
+
+    let mut forged = faulted_spec();
+    (forged.backend.nodes, forged.nodes) = (1_000_000_000, 1_000_000_000);
+    forged.backend.node.gpus_per_node = 1;
+    forged.backend.node.gpu.memory_bytes = 1 << 30;
+    let bytes = Frame::Submit { spec: forged }.encode();
+    LARGEST.with(|l| l.set(0));
+    let Ok(Frame::Submit { spec }) = Frame::decode(&bytes) else {
+        panic!("a node count is the validator's to refuse, not the decoder's");
+    };
+    let mut server = Server::new(1, 4);
+    let rejection = server
+        .submit(1, spec, &registry)
+        .expect_err("a 10^9-node partition");
+    assert!(
+        matches!(&rejection.reason, RejectReason::Invalid { what } if what.contains("partition")),
+        "refused as invalid: {rejection:?}"
+    );
+    assert!(server.drain(&registry).unwrap().is_empty() && server.idle());
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= budget(&bytes),
+        "one allocation of {largest} bytes"
+    );
+
+    let valid = faulted_spec().encode();
+    let (mut refused, mut begun) = (0, 0);
+    for at in 0..valid.len() - 3 {
+        for forged in [1_000_000_000u32, 1 << 30] {
+            let mut bytes = valid.clone();
+            bytes[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            LARGEST.with(|l| l.set(0));
+            match CampaignSpec::decode(&bytes) {
+                Ok(spec) if spec.validate(&registry).is_ok() => {
+                    let config = SchedulerConfig::new(spec.policy, spec.placement, spec.seed);
+                    let scheduler = Scheduler::new(spec.machine(), spec.backend.net, config);
+                    assert!(scheduler.begin(&[]).now() == 0.0);
+                    begun += 1;
+                }
+                _ => refused += 1,
+            }
+            let largest = LARGEST.with(Cell::get);
+            assert!(
+                largest <= budget(&bytes),
+                "bytes {at}..{} = {forged}: one allocation of {largest} bytes",
+                at + 4
+            );
+        }
+    }
+    assert!(refused > 0 && begun > 0, "{refused} refused, {begun} begun");
+}

@@ -230,3 +230,241 @@ fn an_uncomputable_backend_is_rejected_and_cannot_sink_its_co_tenant() {
         );
     }
 }
+
+/// Sum of the counters whose name starts with `prefix`.
+fn counted(prefix: &str) -> u64 {
+    let snapshot = jubench::metrics::snapshot().filter_prefix(prefix);
+    snapshot.counters.values().sum()
+}
+
+/// A campaign retires when its terminal frame is emitted — on every road
+/// to one: the quota it held is refunded, its route is gone, and its
+/// tenant's completion counter moves once per `Done`, however many
+/// attempts a supervised drain took to produce it.
+#[test]
+fn quota_is_refunded_and_completions_counted_once_on_every_retirement_path() {
+    use jubench::serve::wire::CancelReason;
+    let registry = full_registry();
+    let cfg = SupervisorConfig::default();
+    // Three campaigns on one partition — one shard, `home` — and one
+    // elsewhere, all of the path's own tenant.
+    let populated = |tenant: &str| {
+        let mut server = Server::new(4, 64);
+        let spec = |name: &str, nodes: u32, seed: u64| {
+            let mut spec = campaign(name, seed);
+            (spec.tenant, spec.nodes) = (tenant.to_string(), nodes);
+            spec
+        };
+        let home = server.route(&spec("a", 8, 3));
+        let elsewhere = [16, 24, 48, 96]
+            .into_iter()
+            .find(|&n| server.route(&spec("d", n, 27)) != home);
+        for (name, nodes, seed) in [
+            ("a", 8, 3),
+            ("b", 8, 11),
+            ("c", 8, 19),
+            ("d", elsewhere.unwrap(), 27),
+        ] {
+            server
+                .submit(1, spec(name, nodes, seed), &registry)
+                .unwrap();
+        }
+        (server, home)
+    };
+    // Units `home` takes to go idle: a crash at `units - 1` discards an
+    // attempt in which campaigns had already finished.
+    let units = {
+        let (server, home) = populated("retire-probe");
+        let mut shard = server.shard(home).clone();
+        let mut units = 0;
+        while !shard.idle() {
+            shard.step(&registry);
+            units += 1;
+        }
+        units
+    };
+
+    type Path<'a> = (&'a str, Box<dyn Fn(&mut Server, u32) -> Vec<Emit> + 'a>);
+    let paths: Vec<Path> = vec![
+        (
+            "step",
+            Box::new(|server, _| {
+                let mut emits = Vec::new();
+                while !server.idle() {
+                    emits.extend(server.step(&registry).unwrap());
+                }
+                emits
+            }),
+        ),
+        (
+            "drain",
+            Box::new(|server, _| server.drain(&registry).unwrap()),
+        ),
+        (
+            "drain_parallel",
+            Box::new(|server, _| server.drain_parallel(&registry).unwrap()),
+        ),
+        (
+            "two_crashes",
+            Box::new(|server, home| {
+                let plan = ChaosPlan::new(1)
+                    .with_shard_crash(home, units - 2)
+                    .with_shard_crash(home, units - 1);
+                let outcome = server.drain_supervised(&registry, &cfg, Some(&plan));
+                let outcome = outcome.unwrap();
+                assert_eq!((outcome.restarts, outcome.degraded()), (2, false));
+                outcome.emits
+            }),
+        ),
+        (
+            "give_up",
+            Box::new(|server, home| {
+                let mut plan = ChaosPlan::new(2);
+                for _ in 0..=cfg.max_restarts {
+                    plan = plan.with_shard_crash(home, units - 1);
+                }
+                let outcome = server.drain_supervised_parallel(&registry, &cfg, Some(&plan));
+                let outcome = outcome.unwrap();
+                assert!(outcome.degraded());
+                assert_eq!(outcome.cancelled.len(), 3, "all of `home` is given up on");
+                outcome.emits
+            }),
+        ),
+        (
+            "deadline",
+            Box::new(|server, _| {
+                let mut doomed = campaign("doomed", 5).with_deadline(1.0);
+                doomed.tenant = "retire-deadline".to_string();
+                doomed.slice_s = 0.75;
+                server.submit(1, doomed, &registry).unwrap();
+                let emits = server.drain(&registry).unwrap();
+                let reasons: Vec<_> = emits
+                    .iter()
+                    .filter_map(|e| match &e.frame {
+                        Frame::Cancelled { reason, .. } => Some(reason),
+                        _ => None,
+                    })
+                    .collect();
+                assert!(matches!(
+                    reasons.as_slice(),
+                    [CancelReason::DeadlineExceeded { .. }]
+                ));
+                emits
+            }),
+        ),
+        (
+            "migration",
+            Box::new(|server, home| {
+                let mut emits = server.step(&registry).unwrap();
+                let moved = server.shard(home).active()[1];
+                assert!(server.migrate(moved, (home + 1) % 4).unwrap());
+                emits.extend(server.drain(&registry).unwrap());
+                emits
+            }),
+        ),
+    ];
+    for (path, drive) in paths {
+        let tenant = format!("retire-{path}");
+        let series = format!("serve/tenant/{tenant}/campaigns");
+        let (mut server, home) = populated(&tenant);
+        let counted_before = counted(&series);
+        let emits = drive(&mut server, home);
+        assert!(server.idle(), "{path}");
+
+        let usage = server.admission().usage(&tenant);
+        assert_eq!(
+            (usage.active, usage.tokens),
+            (0, 0),
+            "{path}: quota at idle"
+        );
+        let terminal = |done: bool| {
+            let ids = emits.iter().filter_map(move |e| match e.frame {
+                Frame::Done { campaign, .. } if done => Some(campaign),
+                Frame::Cancelled { campaign, .. } if !done => Some(campaign),
+                _ => None,
+            });
+            ids.collect::<Vec<u64>>()
+        };
+        let (done, cancelled) = (terminal(true), terminal(false));
+        assert_eq!(
+            done.len() + cancelled.len(),
+            4 + usize::from(path == "deadline"),
+            "{path}: one terminal frame per campaign"
+        );
+        for id in done.iter().chain(&cancelled) {
+            assert!(
+                !server.migrate(*id, 0).unwrap(),
+                "{path}: route {id} is gone"
+            );
+        }
+        if jubench::metrics::enabled() {
+            assert_eq!(
+                counted(&series) - counted_before,
+                done.len() as u64,
+                "{path}: one completion per `Done`, whatever the attempts"
+            );
+        }
+    }
+}
+
+/// Tenant names come off the wire, so a session may invent one per
+/// frame: the first 64 get a metric series of their own, the rest share
+/// `_other`, and no count is lost — rejected specs included.
+#[test]
+fn invented_tenants_cannot_grow_the_metrics_registry() {
+    use jubench::serve::{serve_session, DuplexPipe, Transport};
+    if !jubench::metrics::enabled() {
+        return;
+    }
+    let registry = full_registry();
+    let (mut client_end, mut server_end) = DuplexPipe::pair();
+    let server_thread = std::thread::spawn(move || {
+        let mut server = Server::new(2, 64);
+        serve_session(&mut server, &registry, &mut server_end, 1).unwrap();
+    });
+    // The series this session can move: its tenants' own and `_other`.
+    let series = || {
+        let snapshot = jubench::metrics::snapshot().filter_prefix("serve/tenant/");
+        let ours = |name: &str| name.contains("/invented-") || name.contains("/_other/");
+        let mut counters = snapshot.counters;
+        counters.retain(|name, _| ours(name));
+        counters
+    };
+    let before = series();
+    let mut accepted = 0;
+    for i in 0..1000 {
+        let mut spec = CampaignSpec::new(&format!("invented-{i}"), "probe", 8, i)
+            .with_point(RunPoint::test("STREAM", 2, 1));
+        if i % 2 == 1 {
+            spec.slice_s = -1.0; // fails validation
+        }
+        jubench::serve::write_frame(&mut client_end, &Frame::Submit { spec }).unwrap();
+        match jubench::serve::read_frame(&mut client_end).unwrap() {
+            Frame::Accepted { .. } => accepted += 1,
+            Frame::Rejected { .. } => {}
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(accepted, 500);
+    jubench::serve::write_frame(&mut client_end, &Frame::Drain).unwrap();
+    let mut done = 0;
+    while done < accepted {
+        if let Frame::Done { .. } = jubench::serve::read_frame(&mut client_end).unwrap() {
+            done += 1;
+        }
+    }
+    jubench::serve::write_frame(&mut client_end, &Frame::Bye).unwrap();
+    client_end.shutdown();
+    server_thread.join().unwrap();
+
+    let mut moved = series();
+    for (name, n) in &mut moved {
+        *n -= before.get(name).copied().unwrap_or(0);
+    }
+    assert!(moved.len() <= 2 * 65, "{} tenant series", moved.len());
+    let sum_of = |what: &str| -> u64 {
+        let series = moved.iter().filter(|(name, _)| name.ends_with(what));
+        series.map(|(_, n)| *n).sum()
+    };
+    assert_eq!((sum_of("/rejected"), sum_of("/campaigns")), (500, 500));
+}
