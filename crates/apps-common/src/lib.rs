@@ -95,12 +95,6 @@ impl AppModel {
         }
     }
 
-    /// Override the roofline device.
-    pub fn with_device(mut self, device: Roofline) -> Self {
-        self.device = device;
-        self
-    }
-
     pub fn with_phase(mut self, phase: Phase) -> Self {
         self.phases.push(phase);
         self

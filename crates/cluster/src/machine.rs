@@ -5,23 +5,33 @@ use crate::netmodel::NetModel;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
+/// Distinct names [`intern_name`] will ever leak. Decoded backends name
+/// their machine and device, and those bytes come off the wire: without
+/// a bound a session could send a million names that never come back.
+const MAX_INTERNED_NAMES: usize = 1024;
+
 /// Intern a machine or device name, returning a `&'static str` for it.
 ///
 /// Machine models keep their names as `&'static str` so [`Machine`]
 /// stays `Copy` and fingerprinting stays allocation-free on the preset
-/// path. Backends decoded from snapshots or built from catalog data
-/// arrive with owned strings; interning leaks each *distinct* name once
-/// (deduplicated through a global set) — bounded by the number of
-/// distinct machine models a process ever sees, which is tiny.
-pub fn intern_name(name: &str) -> &'static str {
+/// path (the presets and catalogs carry literals and never come here).
+/// Backends decoded from snapshots or frames arrive with owned strings;
+/// interning leaks each *distinct* name once (deduplicated through a
+/// global set), the first `MAX_INTERNED_NAMES` (1 024) of them. After
+/// that a name already interned is still found and a new one is refused
+/// (`None`).
+pub fn intern_name(name: &str) -> Option<&'static str> {
     static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     let mut set = INTERNED.lock().expect("name intern table poisoned");
     if let Some(existing) = set.get(name) {
-        return existing;
+        return Some(existing);
+    }
+    if set.len() >= MAX_INTERNED_NAMES {
+        return None;
     }
     let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
     set.insert(leaked);
-    leaked
+    Some(leaked)
 }
 
 /// An accelerator device. The preparation system uses NVIDIA A100-40GB.
@@ -532,11 +542,21 @@ mod tests {
         assert_eq!(free.check(), Ok(()), "zero capex is a price, not an error");
     }
 
+    /// One test, because the table is the process's: past the cap
+    /// nothing new is interned for anyone.
     #[test]
-    fn intern_deduplicates_and_matches_static_presets() {
-        let a = intern_name("Fleet Backend X");
-        let b = intern_name(&String::from("Fleet Backend X"));
+    fn intern_deduplicates_matches_static_presets_and_is_capped() {
+        let a = intern_name("Fleet Backend X").unwrap();
+        let b = intern_name(&String::from("Fleet Backend X")).unwrap();
         assert!(std::ptr::eq(a, b), "same name interns to the same slice");
-        assert_eq!(intern_name("JUWELS Booster"), "JUWELS Booster");
+        assert_eq!(intern_name("JUWELS Booster"), Some("JUWELS Booster"));
+
+        let flood: Vec<&str> = (0..2 * MAX_INTERNED_NAMES)
+            .map_while(|i| intern_name(&format!("capped backend {i}")))
+            .collect();
+        assert_eq!(flood.len(), MAX_INTERNED_NAMES - 2, "the two above count");
+        assert_eq!(intern_name("one name too many"), None);
+        assert_eq!(intern_name("capped backend 0"), Some(flood[0]));
+        assert_eq!(intern_name("Fleet Backend X"), Some(a));
     }
 }

@@ -114,6 +114,20 @@ impl RunOutcome {
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)
     }
+
+    /// Share of the virtual makespan spent communicating, in `[0, 1]`
+    /// (0 for a run that took no virtual time) — what a scheduler job
+    /// derived from this run is slowed by when its placement spreads.
+    pub fn comm_fraction(&self) -> f64 {
+        let share = self.comm_time_s / self.virtual_time_s;
+        // A machine model slow enough to overflow both times makes the
+        // share ∞/∞, and `clamp` would hand the NaN through.
+        if self.virtual_time_s > 0.0 && !share.is_nan() {
+            share.clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    }
 }
 
 /// A benchmark of the suite: a workload with a defined configuration space,

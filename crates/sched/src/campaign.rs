@@ -24,6 +24,25 @@ pub fn category_priority(category: Category) -> i32 {
     }
 }
 
+/// The campaign job of measured run `i`: `virtual_time_s` of service on
+/// `nodes` nodes (floored at a nanosecond — a job must take time),
+/// submitted `i * spacing_s` into the campaign. The arrival is multiplied
+/// per index, never accumulated.
+pub fn measured_job(
+    i: usize,
+    name: &str,
+    nodes: u32,
+    virtual_time_s: f64,
+    comm_fraction: f64,
+    priority: i32,
+    spacing_s: f64,
+) -> Job {
+    Job::new(i as u32, name, nodes, virtual_time_s.max(1e-9))
+        .with_comm_fraction(comm_fraction)
+        .with_priority(priority)
+        .with_submit(i as f64 * spacing_s)
+}
+
 /// Derive one job per registry benchmark: node count from
 /// `reference_nodes()`, service time and communication fraction from a
 /// test-scale virtual-time run, submissions `spacing_s` apart in
@@ -31,8 +50,7 @@ pub fn category_priority(category: Category) -> i32 {
 pub fn registry_jobs(registry: &Registry, spacing_s: f64) -> Vec<Job> {
     // The probe runs are independent virtual-time executions, so they fan
     // across the shared pool; the indexed map keeps the jobs in registry
-    // (id) order, which fixes job ids and submit times. Arrival `i` is
-    // `i * spacing_s`, multiplied per index and never accumulated.
+    // (id) order, which fixes job ids and submit times.
     let benches: Vec<&dyn jubench_core::Benchmark> = registry.iter().collect();
     jubench_pool::par_map_indexed(benches.len(), |i| {
         let bench = benches[i];
@@ -41,16 +59,15 @@ pub fn registry_jobs(registry: &Registry, spacing_s: f64) -> Vec<Job> {
         let outcome = bench
             .run(&RunConfig::test(nodes))
             .unwrap_or_else(|e| panic!("campaign probe of {} failed: {e:?}", meta.id.name()));
-        let service_s = outcome.virtual_time_s.max(1e-9);
-        let comm_fraction = if outcome.virtual_time_s > 0.0 {
-            (outcome.comm_time_s / outcome.virtual_time_s).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        Job::new(i as u32, meta.id.name(), nodes, service_s)
-            .with_comm_fraction(comm_fraction)
-            .with_priority(category_priority(meta.category))
-            .with_submit(i as f64 * spacing_s)
+        measured_job(
+            i,
+            meta.id.name(),
+            nodes,
+            outcome.virtual_time_s,
+            outcome.comm_fraction(),
+            category_priority(meta.category),
+            spacing_s,
+        )
     })
 }
 

@@ -22,7 +22,7 @@ pub struct CkptSpec {
 /// allocation; the placement the scheduler actually grants inflates the
 /// communication share of that time (see
 /// [`Allocation::slowdown`](crate::placement::Allocation::slowdown)).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Caller-assigned id; schedule records and trace tracks key on it.
     pub id: u32,

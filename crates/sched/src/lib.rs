@@ -54,7 +54,7 @@ pub mod scheduler;
 mod state;
 pub mod submit;
 
-pub use campaign::{category_priority, registry_jobs, run_campaign};
+pub use campaign::{category_priority, measured_job, registry_jobs, run_campaign};
 pub use job::{CkptSpec, Job};
 pub use placement::{Allocation, PlacementPolicy};
 pub use scheduler::{

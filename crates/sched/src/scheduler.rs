@@ -69,7 +69,7 @@ impl QueuePolicy {
 }
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     pub policy: QueuePolicy,
     pub placement: PlacementPolicy,
@@ -91,7 +91,7 @@ impl SchedulerConfig {
 }
 
 /// The batch scheduler over one machine and network model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scheduler {
     pub(crate) machine: Machine,
     pub(crate) net: NetModel,
@@ -274,10 +274,15 @@ impl Scheduler {
         if state.done {
             return true;
         }
-        jubench_metrics::profile_scope!("sched/advance");
         let mut at = Handlers::new(self, jobs, plan, state);
+        let mut next = at.next_instant();
+        // A silent slice — most of a sparse campaign's — records nothing,
+        // not even the scope.
+        if next > until_s && next != f64::INFINITY {
+            return false;
+        }
+        jubench_metrics::profile_scope!("sched/advance");
         loop {
-            let next = at.next_instant();
             if next == f64::INFINITY {
                 at.state.done = true;
                 break;
@@ -309,6 +314,7 @@ impl Scheduler {
                 "sched/events_processed",
                 (at.state.log.len() - log_lines_before) as u64,
             );
+            next = at.next_instant();
         }
         at.state.done
     }

@@ -65,6 +65,23 @@ impl PointResult {
     }
 }
 
+/// Serialize cache tallies (a shard's, or one campaign's).
+pub(crate) fn put_stats(w: &mut SnapshotWriter, stats: &CacheStats) {
+    w.put_u64(stats.hits);
+    w.put_u64(stats.misses);
+    w.put_u64(stats.insertions);
+    w.put_u64(stats.evictions);
+}
+
+pub(crate) fn get_stats(r: &mut SnapshotReader) -> Result<CacheStats, CkptError> {
+    Ok(CacheStats {
+        hits: r.get_u64("cache hits")?,
+        misses: r.get_u64("cache misses")?,
+        insertions: r.get_u64("cache insertions")?,
+        evictions: r.get_u64("cache evictions")?,
+    })
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
     result: PointResult,
@@ -169,10 +186,7 @@ impl ResultCache {
     pub(crate) fn put(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.capacity);
         w.put_u64(self.clock);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.insertions);
-        w.put_u64(self.stats.evictions);
+        put_stats(w, &self.stats);
         w.put_seq(&self.entries, |w, (key, entry)| {
             w.put_u128(*key);
             w.put_u64(entry.last_access);
@@ -184,12 +198,7 @@ impl ResultCache {
     pub(crate) fn get(r: &mut SnapshotReader) -> Result<Self, CkptError> {
         let capacity = r.get_usize("cache capacity")?;
         let clock = r.get_u64("cache clock")?;
-        let stats = CacheStats {
-            hits: r.get_u64("cache hits")?,
-            misses: r.get_u64("cache misses")?,
-            insertions: r.get_u64("cache insertions")?,
-            evictions: r.get_u64("cache evictions")?,
-        };
+        let stats = get_stats(r)?;
         let entries = r.get_seq("cache entry count", |r| {
             let key = r.get_u128("cache key")?;
             let last_access = r.get_u64("cache last access")?;

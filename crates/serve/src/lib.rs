@@ -22,10 +22,11 @@
 //!   [`ResultCache`]. Keys are 128-bit FNV-1a content addresses of
 //!   (benchmark, parameter point, machine fingerprint, seed, fault
 //!   plan); eviction is LRU by a logical clock.
-//! - [`shard`]: one worker shard — a campaign state machine advancing
-//!   in snapshottable units, [`Checkpointable`](jubench_ckpt::Checkpointable)
-//!   at every unit boundary, with live extraction/adoption of in-flight
-//!   campaigns for migration.
+//! - `pipeline`, `campaign`, [`shard`]: what a campaign is (point → row
+//!   → jobs → schedule → artifacts, as pure functions), one campaign in
+//!   flight (its unit, its bytes and their checks), and one worker shard
+//!   — queue, cursor, cache; [`Checkpointable`](jubench_ckpt::Checkpointable)
+//!   at every unit boundary, extracting and adopting in-flight campaigns.
 //! - [`server`]: shard routing (campaigns keyed to shards by machine
 //!   fingerprint), the public drains, the session loop, and the
 //!   [`Client`] helper.
@@ -62,8 +63,10 @@
 
 pub mod admission;
 pub mod cache;
+mod campaign;
 pub mod chaos;
 pub mod error;
+mod pipeline;
 pub mod server;
 pub mod shard;
 pub mod spec;

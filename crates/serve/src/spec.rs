@@ -267,7 +267,8 @@ const MAX_PARTITION_NODES: u32 = 65_536;
 /// Read a name and intern it (machine models carry `&'static str`
 /// names). Every distinct name is leaked once and a frame may hold
 /// megabytes, so the length is refused here, before the intern table
-/// sees it; what one decoded backend can leak is then two short strings.
+/// sees it: one decoded backend can leak two short strings, and all of
+/// them together the table's cap — past it a new name is refused too.
 fn get_name(r: &mut SnapshotReader, what: &'static str) -> Result<&'static str, CkptError> {
     let name = r.get_str(what)?;
     if name.len() > MAX_NAME_BYTES {
@@ -275,7 +276,9 @@ fn get_name(r: &mut SnapshotReader, what: &'static str) -> Result<&'static str, 
             what: format!("{what}: {} bytes exceed {MAX_NAME_BYTES}", name.len()),
         });
     }
-    Ok(intern_name(&name))
+    intern_name(&name).ok_or_else(|| CkptError::Malformed {
+        what: format!("{what}: too many distinct names decoded, `{name}` is new"),
+    })
 }
 
 /// Restore a machine model serialized by [`put_machine`]. The fields
@@ -443,19 +446,18 @@ impl CampaignSpec {
         w.finish()
     }
 
-    /// Decode a canonical encoding produced by [`Self::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut r = SnapshotReader::new(bytes);
-        let spec = Self::get(&mut r)?;
-        r.expect_end()?;
-        Ok(spec)
-    }
-
     pub(crate) fn put(&self, w: &mut SnapshotWriter) {
         w.put_bytes(&self.encode());
     }
 
-    pub(crate) fn get(r: &mut SnapshotReader) -> Result<Self, CkptError> {
+    /// Read a spec written by [`Self::put`].
+    pub(crate) fn get(r: &mut SnapshotReader, what: &'static str) -> Result<Self, CkptError> {
+        Self::decode(&r.get_bytes(what)?)
+    }
+
+    /// Decode a canonical encoding produced by [`Self::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
+        let r = &mut SnapshotReader::new(bytes);
         let tenant = r.get_str("spec tenant")?;
         let name = r.get_str("spec name")?;
         let backend = get_machine(r)?;
@@ -484,6 +486,7 @@ impl CampaignSpec {
         let deadline_s = r.get_f64("spec deadline")?;
         let plan = get_plan(r)?;
         let points = r.get_seq("spec point count", RunPoint::get)?;
+        r.expect_end()?;
         Ok(CampaignSpec {
             tenant,
             name,
@@ -715,7 +718,7 @@ mod tests {
     #[test]
     fn oversized_backend_names_are_refused_before_interning() {
         let mut spec = sample_spec();
-        spec.backend.name = intern_name(&"x".repeat(MAX_NAME_BYTES));
+        spec.backend.name = intern_name(&"x".repeat(MAX_NAME_BYTES)).unwrap();
         assert_eq!(CampaignSpec::decode(&spec.encode()), Ok(spec.clone()));
         for long in [MAX_NAME_BYTES + 1, 1 << 16] {
             // Built by hand: the point is that decode never interns it.
@@ -729,7 +732,7 @@ mod tests {
             let err = CampaignSpec::decode(&bytes).unwrap_err();
             assert!(matches!(err, CkptError::Malformed { .. }), "{err:?}");
         }
-        spec.backend.node.gpu.name = intern_name(&"z".repeat(MAX_NAME_BYTES + 1));
+        spec.backend.node.gpu.name = intern_name(&"z".repeat(MAX_NAME_BYTES + 1)).unwrap();
         assert!(spec.validate(&Registry::new()).is_err());
     }
 }

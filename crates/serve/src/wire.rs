@@ -335,12 +335,9 @@ impl Frame {
         let mut r = SnapshotReader::new(bytes);
         let tag = r.get_u8("frame tag")?;
         let frame = match tag {
-            TAG_SUBMIT => {
-                let spec_bytes = r.get_bytes("submit spec")?;
-                Frame::Submit {
-                    spec: CampaignSpec::decode(&spec_bytes)?,
-                }
-            }
+            TAG_SUBMIT => Frame::Submit {
+                spec: CampaignSpec::get(&mut r, "submit spec")?,
+            },
             TAG_DRAIN => Frame::Drain,
             TAG_STATS => Frame::Stats {
                 prefix: r.get_str("stats prefix")?,

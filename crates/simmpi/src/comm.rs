@@ -7,10 +7,8 @@
 //! so a panicking rank still reports). A snapshot taken while a world is
 //! running does not see that world's traffic yet.
 
-use std::sync::Arc;
-
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use jubench_cluster::{Distance, NetModel, Roofline, Work};
 use jubench_faults::{DetRng, FaultPlan, RetryPolicy};
@@ -37,7 +35,6 @@ pub(crate) fn regime_of(dist: Distance) -> Regime {
 pub enum Payload {
     F64(Vec<f64>),
     U64(Vec<u64>),
-    Bytes(Vec<u8>),
 }
 
 impl Payload {
@@ -45,7 +42,6 @@ impl Payload {
         match self {
             Payload::F64(_) => "f64",
             Payload::U64(_) => "u64",
-            Payload::Bytes(_) => "bytes",
         }
     }
 
@@ -53,7 +49,20 @@ impl Payload {
         match self {
             Payload::F64(v) => (v.len() * 8) as u64,
             Payload::U64(v) => (v.len() * 8) as u64,
-            Payload::Bytes(v) => v.len() as u64,
+        }
+    }
+
+    fn into_f64(self) -> Result<Vec<f64>, Payload> {
+        match self {
+            Payload::F64(v) => Ok(v),
+            other => Err(other),
+        }
+    }
+
+    fn into_u64(self) -> Result<Vec<u64>, Payload> {
+        match self {
+            Payload::U64(v) => Ok(v),
+            other => Err(other),
         }
     }
 }
@@ -89,37 +98,89 @@ impl ReduceOp {
     }
 }
 
-/// Virtual-time barrier: synchronizes all rank clocks to the maximum.
+/// Virtual-time barrier: synchronizes the clocks of the ranks still
+/// running to their maximum.
+///
+/// One generation counter under one mutex. The barrier knows its
+/// participants: a rank whose [`Comm`] is dropped — it returned, or it
+/// panicked — [`leaves`](Self::leave), and counts as arrived from then
+/// on, so the ranks it leaves behind are released instead of blocking
+/// `World::run` forever.
 pub(crate) struct VBarrier {
-    barrier: std::sync::Barrier,
-    max: Mutex<f64>,
+    state: Mutex<BarrierState>,
+    released: Condvar,
+}
+
+struct BarrierState {
+    /// Ranks that have not left.
+    present: usize,
+    /// Of those, the ones waiting in the current generation.
+    waiting: usize,
+    /// Maximum entry time of the current generation so far.
+    max: f64,
+    /// Completed generations, and what the last one released. A waiter
+    /// reads it before the next generation can complete: that one needs
+    /// the waiter to arrive or leave first.
+    generation: u64,
+    released_max: f64,
+}
+
+impl BarrierState {
+    /// Everyone present has arrived: complete the generation.
+    fn release(&mut self, released: &Condvar) -> f64 {
+        self.released_max = std::mem::replace(&mut self.max, 0.0);
+        self.waiting = 0;
+        self.generation += 1;
+        released.notify_all();
+        self.released_max
+    }
 }
 
 impl VBarrier {
     pub(crate) fn new(n: usize) -> Self {
         VBarrier {
-            barrier: std::sync::Barrier::new(n),
-            max: Mutex::new(0.0),
+            state: Mutex::new(BarrierState {
+                present: n,
+                waiting: 0,
+                max: 0.0,
+                generation: 0,
+                released_max: 0.0,
+            }),
+            released: Condvar::new(),
         }
     }
 
-    /// Enter with local virtual time `t`; returns the maximum over all
-    /// participants.
+    /// The lock is held across integer and `f64::max` updates only, so a
+    /// poisoned state is still a consistent one (and `leave` runs in a
+    /// `Drop`, which must not panic).
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Enter with local virtual time `t`; returns the maximum over the
+    /// participants that arrived.
     fn wait(&self, t: f64) -> f64 {
-        {
-            let mut m = self.max.lock().unwrap();
-            if t > *m {
-                *m = t;
-            }
+        let mut s = self.lock();
+        s.max = s.max.max(t);
+        s.waiting += 1;
+        if s.waiting == s.present {
+            return s.release(&self.released);
         }
-        self.barrier.wait();
-        let v = *self.max.lock().unwrap();
-        let res = self.barrier.wait();
-        if res.is_leader() {
-            *self.max.lock().unwrap() = 0.0;
+        let generation = s.generation;
+        while s.generation == generation {
+            s = self.released.wait(s).unwrap_or_else(|p| p.into_inner());
         }
-        self.barrier.wait();
-        v
+        s.released_max
+    }
+
+    /// A participant is gone for good; if it was the last one the
+    /// current generation waited for, release it.
+    fn leave(&self) {
+        let mut s = self.lock();
+        s.present -= 1;
+        if s.waiting > 0 && s.waiting == s.present {
+            s.release(&self.released);
+        }
     }
 }
 
@@ -173,6 +234,7 @@ pub struct Comm {
 
 impl Drop for Comm {
     fn drop(&mut self) {
+        self.barrier.leave();
         let t = &self.tally;
         // A name appears once its operation happened, even with zero bytes.
         if t.msgs_send > 0 {
@@ -487,54 +549,34 @@ impl Comm {
         self.send_payload(to, 0, Payload::U64(data.to_vec()))
     }
 
-    pub fn send_bytes(&mut self, to: u32, data: &[u8]) -> Result<(), SimError> {
-        self.send_payload(to, 0, Payload::Bytes(data.to_vec()))
+    /// Receive the next message from `from` (requiring `tag`, if given)
+    /// as the payload type `take` extracts.
+    fn recv_typed<T>(
+        &mut self,
+        from: u32,
+        tag: Option<u32>,
+        expected: &'static str,
+        take: impl FnOnce(Payload) -> Result<T, Payload>,
+    ) -> Result<T, SimError> {
+        take(self.recv_payload(from, tag)?).map_err(|other| SimError::TypeMismatch {
+            from,
+            expected,
+            found: other.type_name(),
+        })
     }
 
     /// Receive the next `f64` message from `from` (any tag).
     pub fn recv_f64(&mut self, from: u32) -> Result<Vec<f64>, SimError> {
-        match self.recv_payload(from, None)? {
-            Payload::F64(v) => Ok(v),
-            other => Err(SimError::TypeMismatch {
-                from,
-                expected: "f64",
-                found: other.type_name(),
-            }),
-        }
+        self.recv_typed(from, None, "f64", Payload::into_f64)
     }
 
     /// Receive an `f64` message from `from`, requiring `tag`.
     pub fn recv_f64_tag(&mut self, from: u32, tag: u32) -> Result<Vec<f64>, SimError> {
-        match self.recv_payload(from, Some(tag))? {
-            Payload::F64(v) => Ok(v),
-            other => Err(SimError::TypeMismatch {
-                from,
-                expected: "f64",
-                found: other.type_name(),
-            }),
-        }
+        self.recv_typed(from, Some(tag), "f64", Payload::into_f64)
     }
 
     pub fn recv_u64(&mut self, from: u32) -> Result<Vec<u64>, SimError> {
-        match self.recv_payload(from, None)? {
-            Payload::U64(v) => Ok(v),
-            other => Err(SimError::TypeMismatch {
-                from,
-                expected: "u64",
-                found: other.type_name(),
-            }),
-        }
-    }
-
-    pub fn recv_bytes(&mut self, from: u32) -> Result<Vec<u8>, SimError> {
-        match self.recv_payload(from, None)? {
-            Payload::Bytes(v) => Ok(v),
-            other => Err(SimError::TypeMismatch {
-                from,
-                expected: "bytes",
-                found: other.type_name(),
-            }),
-        }
+        self.recv_typed(from, None, "u64", Payload::into_u64)
     }
 
     /// Simultaneous exchange with `peer`: send `data`, receive the peer's
@@ -542,12 +584,6 @@ impl Comm {
     pub fn sendrecv_f64(&mut self, peer: u32, data: &[f64]) -> Result<Vec<f64>, SimError> {
         self.send_f64(peer, data)?;
         self.recv_f64(peer)
-    }
-
-    /// Exchange `u64` data with `peer`.
-    pub fn sendrecv_u64(&mut self, peer: u32, data: &[u64]) -> Result<Vec<u64>, SimError> {
-        self.send_u64(peer, data)?;
-        self.recv_u64(peer)
     }
 
     // ----- resilient point-to-point ---------------------------------------
@@ -874,7 +910,6 @@ mod tests {
     fn payload_sizes_and_names() {
         assert_eq!(Payload::F64(vec![0.0; 4]).nbytes(), 32);
         assert_eq!(Payload::U64(vec![0; 2]).nbytes(), 16);
-        assert_eq!(Payload::Bytes(vec![0; 3]).nbytes(), 3);
         assert_eq!(Payload::F64(vec![]).type_name(), "f64");
     }
 

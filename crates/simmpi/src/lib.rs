@@ -29,8 +29,10 @@
 //! *tombstones*, so receivers never block in wall time. The resilient
 //! pair [`Comm::send_f64_reliable`] / [`Comm::recv_f64_reliable`] retries
 //! over drops with exponential backoff charged to the virtual clock. The
-//! barrier is **not** crash-safe: a crashed rank must still reach it (or
-//! the run must avoid barriers after the crash time).
+//! barrier knows its participants: a rank that is gone — it returned, or
+//! it panicked — counts as arrived from then on, so the ranks it leaves
+//! behind synchronize to the maximum over those that did arrive instead
+//! of blocking [`World::run`] forever.
 
 pub mod clock;
 pub mod comm;

@@ -109,12 +109,6 @@ impl World {
         self
     }
 
-    /// Override the network model.
-    pub fn with_net(mut self, net: NetModel) -> Self {
-        self.net = net;
-        self
-    }
-
     /// Install a trace sink: every communicator of subsequent runs records
     /// compute spans, point-to-point transfers, and collectives into it.
     /// Without a recorder installed the instrumentation hooks are no-ops.

@@ -13,6 +13,12 @@
 //!
 //! The bound lives in `SnapshotReader::get_seq`; deleting it there makes
 //! this suite fail (CHANGES.md records the mutation run).
+//!
+//! Decoding is half the path. A shard snapshot's forgeries that still
+//! restore are then *driven* (decode → execute must not panic either),
+//! the progress fields a campaign derives rather than stores are refused
+//! when forged, and the one table decoding grows for good — interned
+//! backend and device names — is shown to stop growing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,7 +30,7 @@ use jubench::apps_md::MdSystem;
 use jubench::ckpt::{open, seal};
 use jubench::jube::{output1, CompletedStep, WorkflowCheckpoint};
 use jubench::prelude::*;
-use jubench::serve::{CancelReason, Frame, RejectReason, ShardState};
+use jubench::serve::{CancelReason, Frame, RejectReason, ShardState, CAMPAIGN_KIND, SHARD_KIND};
 
 /// Forwards to [`System`], noting the largest request of the current
 /// thread (decoding is single-threaded, the test harness is not).
@@ -32,6 +38,8 @@ struct Counting;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
@@ -40,27 +48,36 @@ fn note(size: usize) {
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
+fn note_live(delta: isize) {
+    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; `note` allocates nothing
-// (a const-initialised `Cell<usize>` has no lazy init and no destructor).
+// (a const-initialised `Cell` of an integer has no lazy init and no
+// destructor).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_live(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` and `layout` are the caller's, from this
         // allocator, which only ever hands out `System` blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -370,4 +387,158 @@ fn forged_partition_sizes_are_rejected_or_begin_within_bounds() {
         }
     }
     assert!(refused > 0 && begun > 0, "{refused} refused, {begun} begun");
+}
+
+/// A shard holding one campaign mid-points and, last in its queue, one
+/// between two scheduler slices with a completion already streamed.
+fn shard_between_two_slices(registry: &Registry) -> ShardState {
+    let mut shard = ShardState::new(0, 64);
+    let mut first = faulted_spec();
+    first.points.push(RunPoint::test("LinkTest", 4, 3));
+    // A point the cache already holds: what a restored shard executes
+    // next costs a lookup unless a forgery changed its key.
+    first.points.push(RunPoint::test("OSU", 2, 2));
+    shard.submit(1, 10, first);
+    shard.submit(2, 10, faulted_spec());
+    // Round-robin: two points each, then campaign 1's third point and
+    // campaign 2's first slice.
+    for _ in 0..6 {
+        shard.step(registry);
+    }
+    shard
+}
+
+/// The progress a campaign's bytes claim is derived — the next point
+/// from the rows, the streamed completions from the scheduler state —
+/// and a claim the rest of the bytes do not back is `Malformed` where
+/// it arrives: taken at its word, `streamed_done` = 2^40 restored fine
+/// and panicked in the next slice (`range start index … out of range`),
+/// and a smaller lie streamed `JobDone`s twice.
+#[test]
+fn forged_progress_fields_are_malformed_at_restore_and_adopt() {
+    let registry = full_registry();
+    let mut shard = shard_between_two_slices(&registry);
+    let untouched = shard.clone();
+    let payloads = [
+        (SHARD_KIND, open(SHARD_KIND, &shard.snapshot()).unwrap()),
+        (
+            CAMPAIGN_KIND,
+            open(CAMPAIGN_KIND, &shard.clone().extract(2).unwrap()).unwrap(),
+        ),
+    ];
+    for (kind, payload) in &payloads {
+        // `streamed_done` is the campaign's — and so the payload's —
+        // last field.
+        let tail = payload.len() - 8;
+        let finished = u64::from_le_bytes(payload[tail..].try_into().unwrap());
+        assert!(finished > 0, "zero must be a forgery here");
+        for forged in [1u64 << 40, 0, finished + 1] {
+            let mut bytes = payload.clone();
+            bytes[tail..].copy_from_slice(&forged.to_le_bytes());
+            let sealed = seal(kind, &bytes);
+            LARGEST.with(|l| l.set(0));
+            let refusal = if *kind == SHARD_KIND {
+                shard.restore(&sealed).map(|()| 0)
+            } else {
+                shard.adopt(&sealed)
+            };
+            assert!(
+                matches!(refusal, Err(CkptError::Malformed { .. })),
+                "{kind}: streamed_done = {forged} of {finished}: {refusal:?}"
+            );
+            assert!(LARGEST.with(Cell::get) <= FIXED_BUDGET + PER_INPUT_BYTE * sealed.len());
+            assert_eq!(shard, untouched, "a refused forgery changes nothing");
+        }
+    }
+}
+
+/// Decode → execute, not decode alone: every 8-byte window of a shard
+/// snapshot is forged in turn, and whatever still restores is then
+/// driven for 64 units — the genuine shard is idle after a handful; a
+/// forged slice width or horizon may ask for millions. Nothing on that
+/// path may panic.
+#[test]
+fn forged_shard_snapshots_that_restore_also_drain() {
+    let registry = full_registry();
+    let shard = shard_between_two_slices(&registry);
+    let payload = open(SHARD_KIND, &shard.snapshot()).unwrap();
+    let (mut refused, mut driven) = (0, 0);
+    for at in 0..payload.len() - 7 {
+        for forged in [1u64 << 60, 1 << 32, payload.len() as u64 + 1] {
+            let mut bytes = payload.clone();
+            bytes[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            let sealed = seal(SHARD_KIND, &bytes);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut restored = ShardState::new(9, 4);
+                if restored.restore(&sealed).is_err() {
+                    return false;
+                }
+                for _ in 0..64 {
+                    restored.step(&registry);
+                }
+                true
+            }));
+            match outcome {
+                Ok(true) => driven += 1,
+                Ok(false) => refused += 1,
+                Err(_) => panic!(
+                    "payload bytes {at}..{} = {forged}: restore → step panicked",
+                    at + 8
+                ),
+            }
+        }
+    }
+    assert!(
+        refused > 0 && driven > 0,
+        "{refused} refused, {driven} driven"
+    );
+}
+
+/// Decoded backends name their machine and their device, names are
+/// interned (leaked) once each, and the bytes come off the wire: the
+/// table is capped, so a session that invents names runs into a typed
+/// refusal instead of growing the process for good. 5 000 specs with
+/// pairwise distinct names: a prefix of them decodes, the rest is
+/// `Malformed` and the heap stops growing — and a backend whose names
+/// are already known still decodes.
+#[test]
+fn invented_backend_names_cannot_grow_the_intern_table() {
+    let known = faulted_spec().encode();
+    assert!(CampaignSpec::decode(&known).is_ok());
+    // Names are spliced into the encoding, four digits each: nothing
+    // here allocates per spec but the decoder.
+    let mut template = faulted_spec();
+    (template.backend.name, template.backend.node.gpu.name) = ("machine ####", "device ####");
+    let mut bytes = template.encode();
+    let digits_of = |name: &str| {
+        let at = bytes.windows(name.len()).position(|w| w == name.as_bytes());
+        at.expect("the encoding spells the name") + name.len() - 4
+    };
+    let slots = [digits_of("machine ####"), digits_of("device ####")];
+    let (mut accepted, mut live_at_2000) = (0, 0);
+    for i in 0..5_000 {
+        for at in slots {
+            bytes[at..at + 4].copy_from_slice(format!("{i:04}").as_bytes());
+        }
+        if i == 2_000 {
+            live_at_2000 = LIVE.with(Cell::get);
+        }
+        match CampaignSpec::decode(&bytes) {
+            Ok(spec) => {
+                assert_eq!(spec.backend.name, format!("machine {i:04}"));
+                assert_eq!(accepted, i, "a name was interned after one was refused");
+                accepted += 1;
+            }
+            Err(e) => assert!(matches!(e, CkptError::Malformed { .. }), "spec {i}: {e:?}"),
+        }
+    }
+    // Two names a spec, 1 024 names in all; the sweeps of this binary
+    // run beside this test and their forged names are interned too.
+    assert!((256..=512).contains(&accepted), "{accepted} specs decoded");
+    let grown = LIVE.with(Cell::get) - live_at_2000;
+    assert!(grown <= 0, "3 000 refused specs left {grown} bytes behind");
+    assert!(
+        CampaignSpec::decode(&known).is_ok(),
+        "known names still decode"
+    );
 }
