@@ -1,11 +1,11 @@
 //! The MMoCLIP benchmark: contrastive language-image pre-training with a
 //! global embedding allgather.
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::{gemm, rank_rng, Matrix};
 use jubench_simmpi::{Comm, ReduceOp, SimError};
@@ -164,13 +164,23 @@ impl Benchmark for MmoClip {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
-        let world = real_exec_world(machine);
-        let seed = cfg.seed;
-        let results = world.run(move |comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for MmoClip {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let seed = layout.seed;
+        let results = real_world(layout).run(move |comm| {
             let inputs = 12;
             let (images, texts) = paired_batch(8, inputs, seed, comm.rank());
             let mut model = TwoTower::new(inputs, 16, seed);
@@ -194,14 +204,17 @@ impl Benchmark for MmoClip {
                 detail: format!("contrastive loss did not decrease: {first} → {last}"),
             }
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("dataset_pairs".into(), DATASET_PAIRS),
-                ("final_loss".into(), last),
-            ],
-        ))
+            metrics: vec![("final_loss".into(), last)],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        let mut metrics = vec![("dataset_pairs".into(), DATASET_PAIRS)];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The Megatron-LM benchmark: 175 B parameters, 20 M tokens, tensor +
 //! pipeline + data parallelism.
 
-use jubench_apps_common::{real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::Matrix;
 
@@ -106,20 +106,26 @@ impl Benchmark for MegatronLm {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
-        // Tokens/s from the modeled step time.
-        let steps = (FOM_TOKENS / TOKENS_PER_STEP).ceil();
-        let tokens_per_s = FOM_TOKENS / timing.total_s;
-        let _ = steps;
+        self.run_composed(cfg)
+    }
 
-        // Real execution: data-parallel training with gradient allreduce;
-        // ranks must end bit-identical (synchronous SGD) and the loss must
-        // decrease (framework-inherent verification).
-        let world = real_exec_world(machine);
-        let seed = cfg.seed;
-        let results = world.run(move |comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for MegatronLm {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    /// Data-parallel training with gradient allreduce; ranks must end
+    /// bit-identical (synchronous SGD) and the loss must decrease
+    /// (framework-inherent verification).
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let seed = layout.seed;
+        let results = real_world(layout).run(move |comm| {
             let (x, labels) = synthetic_task_shard(32, 8, 4, seed, comm.rank());
             let mut mlp = MlpClassifier::new(8, 16, 4, seed); // same init everywhere
             let initial = mlp.loss(&x, &labels);
@@ -160,22 +166,28 @@ impl Benchmark for MegatronLm {
                 detail: format!("consistent={consistent}, loss_fell={loss_fell}"),
             }
         };
-
-        let mut out = jubench_apps_common::outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("tokens_per_second".into(), tokens_per_s),
-                ("parameters".into(), PARAMETERS),
-                ("final_loss".into(), results[0].value.1),
-            ],
-        );
+            metrics: vec![("final_loss".into(), results[0].value.1)],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        // Tokens/s from the modeled step time.
+        let tokens_per_s = FOM_TOKENS / timing.total_s;
+        let mut metrics = vec![
+            ("tokens_per_second".into(), tokens_per_s),
+            ("parameters".into(), PARAMETERS),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        let mut out = outcome(timing, track.verification.clone(), metrics);
         // The paper's FOM conversion: rate × pre-defined token count.
         out.fom = Fom::Rate {
             per_second: tokens_per_s,
             items: FOM_TOKENS,
         };
-        Ok(out)
+        out
     }
 }
 

@@ -2,11 +2,11 @@
 //! convolutions and a Horovod-style ring allreduce (prepared for the
 //! procurement but ultimately not used).
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::{rank_rng, DetRng, Matrix};
 use jubench_simmpi::ReduceOp;
@@ -63,13 +63,23 @@ impl Benchmark for ResNet {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
-        let world = real_exec_world(machine);
-        let seed = cfg.seed;
-        let results = world.run(move |comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for ResNet {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let seed = layout.seed;
+        let results = real_world(layout).run(move |comm| {
             let n = 8;
             let mut rng = rank_rng(seed, comm.rank());
             let images: Vec<(Vec<f64>, usize)> = (0..8)
@@ -152,14 +162,17 @@ impl Benchmark for ResNet {
                 detail: format!("loss did not decrease: {initial} → {fin}"),
             }
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("parameters".into(), PARAMETERS),
-                ("final_loss".into(), fin),
-            ],
-        ))
+            metrics: vec![("final_loss".into(), fin)],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        let mut metrics = vec![("parameters".into(), PARAMETERS)];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

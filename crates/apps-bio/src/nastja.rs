@@ -1,10 +1,10 @@
 //! The NAStJA benchmark definition.
 
-use jubench_apps_common::{outcome, real_exec_world_per_node, AppModel, Phase};
+use jubench_apps_common::{layout_per_node, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ReduceOp;
 
@@ -54,16 +54,27 @@ impl Benchmark for Nastja {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
-        // Real execution: distributed cell sorting; verification by cell
-        // statistics (site conservation, energy descent).
-        let world = real_exec_world_per_node(machine);
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Nastja {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_node(cfg))
+    }
+
+    /// Distributed cell sorting; verification by cell statistics (site
+    /// conservation, energy descent).
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let world = real_world(layout);
         let ranks = world.ranks() as usize;
-        let seed = cfg.seed;
-        let cold_sweeps = jubench_apps_common::scale_steps(cfg.scale, 10, 40, 100);
+        let seed = layout.seed;
+        let cold_sweeps = jubench_apps_common::scale_steps(layout.scale, 10, 40, 100);
         let results = world.run(move |comm| {
             let nx = 4 * ranks; // equal slabs of 4 planes
             let mut block = PottsBlock::cell_sorting(comm, [nx, 8, 8], 4, seed);
@@ -106,17 +117,24 @@ impl Benchmark for Nastja {
                 ],
             }
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("mc_steps".into(), MC_STEPS as f64),
-                ("cells".into(), CELLS as f64),
+            metrics: vec![
                 ("accepted_moves".into(), accepted as f64),
                 ("type_a_volume".into(), composition[1]),
                 ("type_b_volume".into(), composition[2]),
             ],
-        ))
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        let mut metrics = vec![
+            ("mc_steps".into(), MC_STEPS as f64),
+            ("cells".into(), CELLS as f64),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

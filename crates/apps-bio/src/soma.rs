@@ -3,11 +3,11 @@
 //! fields accumulated on a grid — chains are independent given the
 //! fields, which is what makes the model "massively parallel".
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::rank_rng;
 use jubench_kernels::DetRng;
@@ -271,13 +271,23 @@ impl Benchmark for Soma {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
-        let world = real_exec_world(machine);
-        let seed = cfg.seed;
-        let results = world.run(move |comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Soma {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let seed = layout.seed;
+        let results = real_world(layout).run(move |comm| {
             let mut sys = SomaSystem::new(comm, 6, 4, 8, seed);
             sys.update_fields(comm).unwrap();
             let beads0 = sys.global_beads(comm).unwrap();
@@ -301,14 +311,18 @@ impl Benchmark for Soma {
                 metrics: vec![("beads".into(), b1, b0), ("acceptance".into(), acc, acc)],
             }
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
+            metrics: vec![
                 ("acceptance_rate".into(), acc),
                 ("mean_bond_sq".into(), bond_sq),
             ],
-        ))
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        outcome(timing, track.verification.clone(), track.metrics.clone())
     }
 }
 

@@ -2,11 +2,11 @@
 //! order 9 with 600 time steps, Base and High-Scaling element counts, and
 //! the strong-scaling limit of 7000–8000 elements per GPU.
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RunConfig, RunOutcome,
-    SuiteError, VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
+    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 
 use crate::solver::SemPoisson;
@@ -93,40 +93,61 @@ impl Benchmark for NekRs {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let elements = Self::elements(cfg.variant, machine.devices());
-        let e_per_gpu = elements as f64 / machine.devices() as f64;
-        let timing = Self::model(machine, elements).timing();
+        self.run_composed(cfg)
+    }
 
-        // Real execution: a small manufactured-solution SEM solve — the
-        // "key metrics extracted from the computed solution for comparison
-        // to a model" class of verification.
-        let world = real_exec_world(machine);
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for NekRs {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    /// A small manufactured-solution SEM solve — the "key metrics
+    /// extracted from the computed solution for comparison to a model"
+    /// class of verification.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let world = real_world(layout);
         let ranks = world.ranks() as usize;
         // Polynomial order of the real solve grows with the scale (the
         // benchmark case itself uses order 9).
-        let order = jubench_apps_common::scale_steps(cfg.scale, 5, 7, 9) as usize;
+        let order = jubench_apps_common::scale_steps(layout.scale, 5, 7, 9) as usize;
         let results = world.run(move |comm| {
             let sp = SemPoisson::new(comm, order, ranks.max(4), 2, 2);
             sp.manufactured_solution_error(comm, 1e-10, 500).unwrap()
         });
         let (err, iters, resid) = results[0].value;
-        let verification = VerificationOutcome::key_metrics(
-            vec![("max_nodal_error_plus_one".into(), 1.0 + err, 1.0)],
-            1e-2,
-        );
+        Ok(RealTrack {
+            verification: VerificationOutcome::key_metrics(
+                vec![("max_nodal_error_plus_one".into(), 1.0 + err, 1.0)],
+                1e-2,
+            ),
+            metrics: vec![
+                ("real_exec_cg_iterations".into(), iters as f64),
+                ("real_exec_residual".into(), resid),
+            ],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let machine = cfg.machine();
+        let elements = Self::elements(cfg.variant, machine.devices());
+        let e_per_gpu = elements as f64 / machine.devices() as f64;
+        let timing = Self::model(machine, elements).timing();
         let mut metrics = vec![
             ("elements".into(), elements as f64),
             ("elements_per_gpu".into(), e_per_gpu),
-            ("real_exec_cg_iterations".into(), iters as f64),
-            ("real_exec_residual".into(), resid),
         ];
+        metrics.extend(track.metrics.iter().cloned());
         metrics.push((
             "above_strong_scaling_limit".into(),
             f64::from(e_per_gpu >= STRONG_SCALING_LIMIT_PER_GPU),
         ));
-        Ok(outcome(timing, verification, metrics))
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

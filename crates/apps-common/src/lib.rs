@@ -2,21 +2,37 @@
 //!
 //! Shared plumbing for the 16 application-benchmark proxies.
 //!
-//! Every proxy follows the same two-track design:
+//! Every proxy is a [`SplitRun`](jubench_core::SplitRun): its
+//! `Benchmark::run` is `cost ∘ execute ∘ layout`.
 //!
-//! 1. **Real execution**: the app's genuine distributed kernel runs through
-//!    the simulated MPI runtime on a small partition (threads exchanging
-//!    real data), which produces the *verified result* and the FOM-relevant
-//!    metrics.
-//! 2. **Analytic model**: the same iteration is described as per-rank
-//!    roofline [`Work`] plus [`CommPattern`]s and evaluated on the full
-//!    requested partition (up to the 936 JUWELS Booster nodes and beyond),
-//!    which produces the *virtual* compute/communication times the scaling
-//!    studies plot. Both tracks share one network and roofline model, so
-//!    they agree where they overlap.
+//! 1. **`layout(cfg)`** validates the configuration and names what the
+//!    real execution depends on — the workload scale, the memory variant,
+//!    the seed, and the world: how many ranks ([`layout_per_gpu`],
+//!    [`layout_per_node`]; capped at [`MAX_REAL_RANKS`]) or none at all
+//!    ([`layout_serial`]). Nothing else of the machine survives this
+//!    stage.
+//! 2. **`execute(layout)`** runs the app's genuine distributed kernel
+//!    through the simulated MPI runtime (threads exchanging real data) on
+//!    [`real_world`] — that many ranks of one fixed reference machine,
+//!    whatever backend was asked for — and returns the *verified result*
+//!    and the metrics read off it. Virtual clocks tick there too, but no
+//!    proxy reads them, so the track is a pure function of the layout:
+//!    the cloud backend's 2 × 8 ranks compute what Booster's 4 × 4 do.
+//! 3. **`cost(cfg, track)`** describes the same iteration as per-rank
+//!    roofline [`Work`] plus [`CommPattern`]s, evaluates it on the full
+//!    requested partition of `cfg`'s backend (up to the 936 JUWELS
+//!    Booster nodes and beyond) — the *virtual* compute/communication
+//!    times the scaling studies plot, and the FOM — adds the
+//!    model-derived metrics, and joins both with [`outcome`].
+//!
+//! Only `cost` knows the machine; a caller that already holds the track
+//! of an equal layout (the campaign service, across catalog backends)
+//! skips `execute`.
 
 use jubench_cluster::{pattern_time, CommPattern, Machine, NetModel, Placement, Roofline, Work};
-use jubench_core::{Fom, RunOutcome, VerificationOutcome, WorkloadScale};
+use jubench_core::{
+    Fom, RealLayout, RealWorld, RunConfig, RunOutcome, VerificationOutcome, WorkloadScale,
+};
 use jubench_simmpi::World;
 
 /// One named phase of an application iteration (e.g. "ion channels",
@@ -168,15 +184,36 @@ pub fn real_exec_machine(machine: Machine) -> Machine {
     machine.partition(machine.nodes.min(max_nodes))
 }
 
-/// A world for the real execution track.
+/// A world on `machine` itself, for a code that times the world
+/// (LinkTest). The split proxies launch [`real_world`] instead.
 pub fn real_exec_world(machine: Machine) -> World {
     World::new(real_exec_machine(machine))
 }
 
-/// A per-node world for the real execution track of CPU codes.
-pub fn real_exec_world_per_node(machine: Machine) -> World {
-    let m = machine.partition(machine.nodes.min(MAX_REAL_RANKS));
-    World::per_node(m)
+/// The layout of a real execution with one rank per device of `cfg`'s
+/// partition.
+pub fn layout_per_gpu(cfg: &RunConfig) -> RealLayout {
+    let ranks = real_exec_machine(cfg.machine()).devices();
+    RealLayout::new(cfg, RealWorld::PerGpu { ranks })
+}
+
+/// The layout of a real execution with one rank per node of `cfg`'s
+/// partition (the CPU codes).
+pub fn layout_per_node(cfg: &RunConfig) -> RealLayout {
+    let ranks = cfg.nodes.min(MAX_REAL_RANKS);
+    RealLayout::new(cfg, RealWorld::PerNode { ranks })
+}
+
+/// The layout of a real execution that launches no world.
+pub fn layout_serial(cfg: &RunConfig) -> RealLayout {
+    RealLayout::new(cfg, RealWorld::Serial)
+}
+
+/// The world of a real execution: `layout`'s rank count, one rank per
+/// node of a fixed reference machine. The backend a run was asked for
+/// is not an input — by type, not by audit.
+pub fn real_world(layout: &RealLayout) -> World {
+    World::per_node(Machine::juwels_booster().partition(layout.world.ranks()))
 }
 
 /// Assemble a [`RunOutcome`] from the model timing plus the real

@@ -4,11 +4,11 @@
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, ModelTiming, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, ModelTiming, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 
 use crate::shallow_water::ShallowWater;
@@ -119,23 +119,25 @@ impl Benchmark for Icon {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let (model, io_time) = self.model(machine);
-        let t = model.timing();
-        let timing = ModelTiming {
-            compute_s: t.compute_s,
-            comm_s: t.comm_s + io_time,
-            exposed_comm_s: t.exposed_comm_s + io_time,
-            total_s: t.total_s + io_time,
-        };
+        self.run_composed(cfg)
+    }
 
-        // Real execution: stage a small binary input through the
-        // filesystem (the I/O path), then run the shallow-water core and
-        // verify the key metrics.
-        let staged = stage_input(cfg.seed)?;
-        let world = real_exec_world(machine);
-        let results = world.run(|comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Icon {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    /// Stage a small binary input through the filesystem (the I/O path),
+    /// then run the shallow-water core and verify the key metrics.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let staged = stage_input(layout.seed)?;
+        let results = real_world(layout).run(|comm| {
             let mut sw = ShallowWater::gaussian(comm, 24, 24);
             let m0 = sw.total_mass(comm).unwrap();
             let e0 = sw.total_energy(comm).unwrap();
@@ -147,26 +149,37 @@ impl Benchmark for Icon {
             (m0, m1, e0, e1)
         });
         let (m0, m1, e0, e1) = results[0].value;
-        let verification = VerificationOutcome::key_metrics(
-            vec![
-                ("total_mass".into(), m1, m0),
-                ("total_energy".into(), e1, e0),
-            ],
-            2e-2,
-        );
-        Ok(outcome(
-            timing,
-            verification,
-            vec![
-                ("cells".into(), self.resolution.cells() as f64),
-                (
-                    "input_tb".into(),
-                    self.resolution.input_bytes() as f64 / 1e12,
-                ),
-                ("io_time_s".into(), io_time),
-                ("staged_bytes".into(), staged as f64),
-            ],
-        ))
+        Ok(RealTrack {
+            verification: VerificationOutcome::key_metrics(
+                vec![
+                    ("total_mass".into(), m1, m0),
+                    ("total_energy".into(), e1, e0),
+                ],
+                2e-2,
+            ),
+            metrics: vec![("staged_bytes".into(), staged as f64)],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let (model, io_time) = self.model(cfg.machine());
+        let t = model.timing();
+        let timing = ModelTiming {
+            compute_s: t.compute_s,
+            comm_s: t.comm_s + io_time,
+            exposed_comm_s: t.exposed_comm_s + io_time,
+            total_s: t.total_s + io_time,
+        };
+        let mut metrics = vec![
+            ("cells".into(), self.resolution.cells() as f64),
+            (
+                "input_tb".into(),
+                self.resolution.input_bytes() as f64 / 1e12,
+            ),
+            ("io_time_s".into(), io_time),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The ParFlow benchmark: multigrid-preconditioned CG on the ClayL
 //! problem (infiltration into clay soil, 1008 × 1008 × 240 cells).
 
-use jubench_apps_common::{outcome, AppModel, Phase};
+use jubench_apps_common::{layout_serial, outcome, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::multigrid::{apply_neg_laplacian, relative_residual};
 use jubench_kernels::{poisson_vcycle, rank_rng};
@@ -98,29 +98,44 @@ impl Benchmark for ParFlow {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
-        // Real execution: one PCG solve on a reduced ClayL-like box,
-        // verified by the residual norm.
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for ParFlow {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_serial(cfg))
+    }
+
+    /// One PCG solve on a reduced ClayL-like box, verified by the
+    /// residual norm.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
         let n = 16;
-        let mut rng = rank_rng(cfg.seed, 0);
+        let mut rng = rank_rng(layout.seed, 0);
         let b: Vec<f64> = (0..n * n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let (_, iters, resid) = pcg_poisson(n, &b, 1e-8, 60);
-        let verification = VerificationOutcome::tolerance(resid, 1e-6);
-        Ok(outcome(
-            timing,
-            verification,
-            vec![
-                (
-                    "cells".into(),
-                    CLAYL_CELLS.iter().map(|&c| c as f64).product(),
-                ),
+        Ok(RealTrack {
+            verification: VerificationOutcome::tolerance(resid, 1e-6),
+            metrics: vec![
                 ("pcg_iterations".into(), iters as f64),
                 ("pcg_residual".into(), resid),
             ],
-        ))
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        let mut metrics = vec![(
+            "cells".into(),
+            CLAYL_CELLS.iter().map(|&c| c as f64).product(),
+        )];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -1,10 +1,12 @@
 //! The Chroma-QCD and DynQCD benchmark definitions.
 
-use jubench_apps_common::{outcome, AppModel, Phase};
+use jubench_apps_common::{
+    layout_per_gpu, layout_per_node, outcome, real_world, AppModel, ModelTiming, Phase,
+};
 use jubench_cluster::{balanced_dims4, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RunConfig, RunOutcome,
-    SuiteError, VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
+    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::rank_rng;
 
@@ -71,21 +73,12 @@ fn lattice_model(
 
 /// Run the real distributed HMC-style update on a small hot lattice and
 /// verify the solver residual against `tol`.
-fn real_lattice_execution(
-    machine: Machine,
-    per_node: bool,
-    tol: f64,
-    seed: u64,
-) -> (VerificationOutcome, Vec<(String, f64)>) {
+fn real_lattice_execution(layout: &RealLayout, tol: f64) -> RealTrack {
     // A 16-rank 2⁴-per-rank hot lattice (global 4⁴ decomposed 2×2×2×2) or
     // smaller if the requested partition is smaller.
-    let world = if per_node {
-        jubench_apps_common::real_exec_world_per_node(machine)
-    } else {
-        jubench_apps_common::real_exec_world(machine)
-    };
-    // Round rank count down to a power of 16-compatible 4D grid.
+    let world = real_world(layout);
     let ranks = world.ranks();
+    let seed = layout.seed;
     let results = world.run(|comm| {
         let rank_dims = balanced_dims4(ranks);
         let mut rng = rank_rng(seed, comm.rank());
@@ -121,10 +114,10 @@ fn real_lattice_execution(
     metrics.push(("cg_relative_residual".into(), max_resid));
     metrics.push(("interior_plaquette".into(), plaq_sum / results.len() as f64));
     metrics.push(("cg_iterations".into(), results[0].value.0.iterations as f64));
-    (
-        verification.unwrap_or(VerificationOutcome::tolerance(max_resid, tol)),
+    RealTrack {
+        verification: verification.unwrap_or(VerificationOutcome::tolerance(max_resid, tol)),
         metrics,
-    )
+    }
 }
 
 /// **Chroma-QCD**: HMC trajectories on the GPU module; the FOM is "the
@@ -177,6 +170,16 @@ impl Benchmark for ChromaQcd {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for ChromaQcd {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         if self.updates < 2 {
             return Err(SuiteError::RuleViolation {
@@ -186,8 +189,31 @@ impl Benchmark for ChromaQcd {
                     .into(),
             });
         }
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let tol = if layout.variant.is_some() {
+            TOL_HIGH_SCALING
+        } else {
+            TOL_BASE
+        };
+        let mut track = real_lattice_execution(layout, tol);
+        // A real HMC trajectory (pure-gauge sector) on a small lattice:
+        // the molecular-dynamics side of the update, with its ΔH.
+        let mut gauge = crate::hmc::GaugeField::hot([2, 2, 2, 2], layout.seed);
+        let (dh, accepted, plaquette) =
+            crate::hmc::hmc_trajectory(&mut gauge, 5.5, 10, 0.02, layout.seed ^ 0x4AC);
+        track.metrics.push(("hmc_delta_h".into(), dh));
+        track
+            .metrics
+            .push(("hmc_accepted".into(), f64::from(accepted)));
+        track.metrics.push(("hmc_plaquette".into(), plaquette));
+        Ok(track)
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
         let machine = cfg.machine();
-        let is_high_scaling = cfg.variant.is_some();
         // Base: a fixed lattice strong-scales over the partition;
         // High-Scaling variants fill each GPU (weak scaling).
         let sites = match cfg.variant {
@@ -202,30 +228,16 @@ impl Benchmark for ChromaQcd {
         let per_update = lattice_model(machine, false, sites, dirac_apps).timing();
         // FOM: updates excluding the first.
         let fom_updates = (self.updates - 1) as f64;
-        let timing = jubench_apps_common::ModelTiming {
+        let timing = ModelTiming {
             compute_s: per_update.compute_s * fom_updates,
             comm_s: per_update.comm_s * fom_updates,
             exposed_comm_s: per_update.exposed_comm_s * fom_updates,
             total_s: per_update.total_s * fom_updates,
         };
-
-        let tol = if is_high_scaling {
-            TOL_HIGH_SCALING
-        } else {
-            TOL_BASE
-        };
-        let (verification, mut metrics) = real_lattice_execution(machine, false, tol, cfg.seed);
-        // A real HMC trajectory (pure-gauge sector) on a small lattice:
-        // the molecular-dynamics side of the update, with its ΔH.
-        let mut gauge = crate::hmc::GaugeField::hot([2, 2, 2, 2], cfg.seed);
-        let (dh, accepted, plaquette) =
-            crate::hmc::hmc_trajectory(&mut gauge, 5.5, 10, 0.02, cfg.seed ^ 0x4AC);
-        metrics.push(("hmc_delta_h".into(), dh));
-        metrics.push(("hmc_accepted".into(), f64::from(accepted)));
-        metrics.push(("hmc_plaquette".into(), plaquette));
+        let mut metrics = track.metrics.clone();
         metrics.push(("sites_per_gpu".into(), sites));
         metrics.push(("hmc_updates".into(), self.updates as f64));
-        Ok(outcome(timing, verification, metrics))
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 
@@ -255,7 +267,25 @@ impl Benchmark for DynQcd {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for DynQcd {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_node(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        Ok(real_lattice_execution(layout, TOL_BASE))
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
         let machine = cfg.machine();
         // CPU workload: a fixed lattice sized to ~5 % of the 8-node
         // reference partition's 512 GB-per-node memory (the rest holds
@@ -265,9 +295,9 @@ impl Benchmark for DynQcd {
         let sites_per_node = 0.05 * node_mem / BYTES_PER_SITE * 8.0 / machine.nodes as f64;
         let dirac_apps = 2 * Self::CG_ITERS_PER_PROPAGATOR * self.propagators;
         let timing = lattice_model(machine, true, sites_per_node, dirac_apps).timing();
-        let (verification, mut metrics) = real_lattice_execution(machine, true, TOL_BASE, cfg.seed);
+        let mut metrics = track.metrics.clone();
         metrics.push(("propagators".into(), self.propagators as f64));
-        Ok(outcome(timing, verification, metrics))
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

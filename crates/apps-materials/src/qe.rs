@@ -1,11 +1,11 @@
 //! The Quantum ESPRESSO benchmark definition: Car-Parrinello MD for the
 //! ZrO₂ slab with 792 atoms (MaX project use case).
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::C64;
 
@@ -70,14 +70,24 @@ impl Benchmark for QuantumEspresso {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = Self::model(machine).timing();
+        self.run_composed(cfg)
+    }
 
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for QuantumEspresso {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
         // Real execution 1: the distributed FFT (QE's hot kernel) on real
         // data — round trip must be exact.
-        let world = real_exec_world(machine);
-        let fft_results = world.run(|comm| {
+        let fft_results = real_world(layout).run(|comm| {
             let plan = DistFft::new(comm, 16);
             let mut slab: Vec<C64> = (0..plan.slab_len())
                 .map(|i| C64::new((i as f64 * 0.13).sin(), (i as f64 * 0.07).cos()))
@@ -95,7 +105,7 @@ impl Benchmark for QuantumEspresso {
         // Real execution 2: the plane-wave minimizer against the exactly
         // known free-particle ground state.
         let n = 8;
-        let mut solver = PlaneWaveSolver::new(n, 2, vec![0.0; n * n * n], cfg.seed);
+        let mut solver = PlaneWaveSolver::new(n, 2, vec![0.0; n * n * n], layout.seed);
         let e_first = solver.iterate(0.1);
         let mut e_last = e_first;
         for _ in 0..400 {
@@ -111,17 +121,24 @@ impl Benchmark for QuantumEspresso {
             // Free-particle ground state is exactly 0.
             VerificationOutcome::tolerance(ground.abs(), 1e-3)
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("atoms".into(), ATOMS as f64),
-                ("bands".into(), BANDS as f64),
+            metrics: vec![
                 ("fft_round_trip_error".into(), fft_err),
                 ("ground_state_energy".into(), ground),
                 ("cp_energy_drop".into(), e_first - e_last),
             ],
-        ))
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let timing = Self::model(cfg.machine()).timing();
+        let mut metrics = vec![
+            ("atoms".into(), ATOMS as f64),
+            ("bands".into(), BANDS as f64),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -1,10 +1,10 @@
 //! The GROMACS and Amber benchmark definitions.
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ReduceOp;
 
@@ -91,14 +91,10 @@ fn md_model(machine: Machine, atoms: u64, with_pme: bool) -> AppModel {
 
 /// Run the real MD engine on a small system and verify energy
 /// conservation.
-fn real_md_execution(
-    machine: Machine,
-    seed: u64,
-    scale: jubench_core::WorkloadScale,
-) -> (VerificationOutcome, Vec<(String, f64)>) {
-    let world = real_exec_world(machine);
-    let steps = jubench_apps_common::scale_steps(scale, 60, 300, 1000);
-    let results = world.run(move |comm| {
+fn real_md_execution(layout: &RealLayout) -> RealTrack {
+    let seed = layout.seed;
+    let steps = jubench_apps_common::scale_steps(layout.scale, 60, 300, 1000);
+    let results = real_world(layout).run(move |comm| {
         // The slab decomposition ghosts only the two neighbouring slabs,
         // so each slab must stay at least one cutoff wide: weak-scale the
         // box with the rank count (8.0 keeps ≤4-rank worlds as dense as
@@ -119,15 +115,23 @@ fn real_md_execution(
     });
     let (e0, e1, atoms) = results[0].value;
     let drift = (e1 - e0).abs() / e0.abs().max(1.0);
-    let verification = VerificationOutcome::tolerance(drift, 0.05);
-    (
-        verification,
-        vec![
+    RealTrack {
+        verification: VerificationOutcome::tolerance(drift, 0.05),
+        metrics: vec![
             ("energy_drift".into(), drift),
             ("real_exec_atoms".into(), atoms),
             ("total_energy".into(), e1),
         ],
-    )
+    }
+}
+
+/// The model timing of `atoms` on `cfg`'s partition joined with the real
+/// track.
+fn md_cost(cfg: &RunConfig, atoms: u64, track: &RealTrack) -> RunOutcome {
+    let timing = md_model(cfg.machine(), atoms, true).timing();
+    let mut metrics = track.metrics.clone();
+    metrics.push(("atoms".into(), atoms as f64));
+    outcome(timing, track.verification.clone(), metrics)
 }
 
 /// The GROMACS benchmark.
@@ -162,12 +166,26 @@ impl Benchmark for Gromacs {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Gromacs {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = md_model(machine, self.case.atoms(), true).timing();
-        let (verification, mut metrics) = real_md_execution(machine, cfg.seed, cfg.scale);
-        metrics.push(("atoms".into(), self.case.atoms() as f64));
-        Ok(outcome(timing, verification, metrics))
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        Ok(real_md_execution(layout))
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        md_cost(cfg, self.case.atoms(), track)
     }
 }
 
@@ -201,12 +219,26 @@ impl Benchmark for Amber {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Amber {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let timing = md_model(machine, Self::ATOMS, true).timing();
-        let (verification, mut metrics) = real_md_execution(machine, cfg.seed, cfg.scale);
-        metrics.push(("atoms".into(), Self::ATOMS as f64));
-        Ok(outcome(timing, verification, metrics))
+        Ok(layout_per_gpu(cfg))
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        Ok(real_md_execution(layout))
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        md_cost(cfg, Self::ATOMS, track)
     }
 }
 

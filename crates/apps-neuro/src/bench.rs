@@ -2,11 +2,11 @@
 //! scaling to the full Booster, the 52 % / 33 % cost-center profile, and
 //! spike-count validation.
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RunConfig, RunOutcome,
-    SuiteError, VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
+    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 
 use crate::network::{RingConfig, RingNetwork};
@@ -102,20 +102,38 @@ impl Benchmark for Arbor {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl Arbor {
+    /// Cells per GPU of `cfg`'s workload. Base: a fixed total network
+    /// strong-scales over the partition. High-Scaling variants: the
+    /// workload "is parameterized to fill the GPU memory" — weak scaling
+    /// with the partition.
+    fn workload_cells_per_gpu(cfg: &RunConfig) -> f64 {
         let machine = cfg.machine();
         let gpu_mem = machine.node.gpu.memory_bytes;
-        // Base: a fixed total network strong-scales over the partition.
-        // High-Scaling variants: the workload "is parameterized to fill
-        // the GPU memory" — weak scaling with the partition.
-        let cells_per_gpu = match cfg.variant {
+        match cfg.variant {
             None => {
                 Self::base_total_cells(gpu_mem, machine.node.gpus_per_node) as f64
                     / machine.devices() as f64
             }
             Some(v) => Self::cells_per_gpu(v, gpu_mem) as f64,
-        };
-        let per_gpu_bytes = cells_per_gpu * COMPARTMENTS_PER_CELL * BYTES_PER_COMPARTMENT;
+        }
+    }
+}
+
+impl SplitRun for Arbor {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        let gpu_mem = cfg.machine().node.gpu.memory_bytes;
+        let per_gpu_bytes =
+            Self::workload_cells_per_gpu(cfg) * COMPARTMENTS_PER_CELL * BYTES_PER_COMPARTMENT;
         if per_gpu_bytes > gpu_mem as f64 {
             return Err(SuiteError::OutOfMemory {
                 benchmark: "Arbor",
@@ -123,10 +141,12 @@ impl Benchmark for Arbor {
                 available_bytes: gpu_mem,
             });
         }
-        let timing = Self::model(machine, cells_per_gpu).timing();
+        Ok(layout_per_gpu(cfg))
+    }
 
-        // ---- real execution: small ring network, exact spike count -----
-        let world = real_exec_world(machine);
+    /// A small ring network with an exact spike count.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let world = real_world(layout);
         let ranks = world.ranks();
         let epochs = 3u64;
         let results = world.run(|comm| {
@@ -160,16 +180,20 @@ impl Benchmark for Arbor {
                 };
             }
         }
-
-        let cells_total = (cells_per_gpu * machine.devices() as f64) as u64;
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("cells".into(), cells_total as f64),
-                ("real_exec_spikes".into(), generated as f64),
-            ],
-        ))
+            metrics: vec![("real_exec_spikes".into(), generated as f64)],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let machine = cfg.machine();
+        let cells_per_gpu = Self::workload_cells_per_gpu(cfg);
+        let timing = Self::model(machine, cells_per_gpu).timing();
+        let cells_total = (cells_per_gpu * machine.devices() as f64) as u64;
+        let mut metrics = vec![("cells".into(), cells_total as f64)];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -1,11 +1,11 @@
 //! The PIConGPU benchmark definition: KHI grids, 25 particles per cell,
 //! the 640-node decomposition limit, and framework-inherent verification.
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RunConfig, RunOutcome,
-    SuiteError, VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
+    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ReduceOp;
 
@@ -115,18 +115,27 @@ impl Benchmark for PiconGpu {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        let cells = Self::cells(cfg.variant, machine.devices());
-        let timing = Self::model(machine, cells).timing();
+        self.run_composed(cfg)
+    }
 
-        // Real execution: a small KHI run; framework-inherent verification
-        // requires the key data (charge conservation, particle count,
-        // field-energy history) in the output.
-        let world = real_exec_world(machine);
-        let seed = cfg.seed;
-        let pic_steps = jubench_apps_common::scale_steps(cfg.scale, 4, 12, 40);
-        let results = world.run(move |comm| {
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for PiconGpu {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        Ok(layout_per_gpu(cfg))
+    }
+
+    /// A small KHI run; framework-inherent verification requires the key
+    /// data (charge conservation, particle count, field-energy history)
+    /// in the output.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let seed = layout.seed;
+        let pic_steps = jubench_apps_common::scale_steps(layout.scale, 4, 12, 40);
+        let results = real_world(layout).run(move |comm| {
             let mut sim = PicSim::kelvin_helmholtz(comm, [16, 8, 8], 5, 0.8, seed);
             let charge0 = comm
                 .allreduce_scalar(sim.local_charge(), ReduceOp::Sum)
@@ -169,15 +178,22 @@ impl Benchmark for PiconGpu {
                 ],
             }
         };
-        Ok(outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
-                ("cells".into(), cells),
-                ("particles".into(), cells * PARTICLES_PER_CELL as f64),
-                ("real_exec_field_energy".into(), *energy.last().unwrap()),
-            ],
-        ))
+            metrics: vec![("real_exec_field_energy".into(), *energy.last().unwrap())],
+        })
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let machine = cfg.machine();
+        let cells = Self::cells(cfg.variant, machine.devices());
+        let timing = Self::model(machine, cells).timing();
+        let mut metrics = vec![
+            ("cells".into(), cells),
+            ("particles".into(), cells * PARTICLES_PER_CELL as f64),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(timing, track.verification.clone(), metrics)
     }
 }
 

@@ -2,11 +2,11 @@
 //! L: n = 42), extrapolation rules to the exascale setup (S: n = 45, L:
 //! n = 46), and the MSA variant (n = 34 split between Cluster and Booster).
 
-use jubench_apps_common::{outcome, real_exec_world, AppModel, Phase};
+use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RunConfig, RunOutcome,
-    SuiteError, VerificationOutcome,
+    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
+    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
 };
 
 use crate::statevector::{DistStateVector, Gate1};
@@ -64,6 +64,16 @@ impl Benchmark for Juqcs {
     }
 
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        self.run_composed(cfg)
+    }
+
+    fn split(&self) -> Option<&dyn SplitRun> {
+        Some(self)
+    }
+}
+
+impl SplitRun for Juqcs {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         if let Some(v) = cfg.variant {
             let offered = self.meta().high_scale.unwrap().variants;
@@ -80,8 +90,7 @@ impl Benchmark for Juqcs {
             }
         }
         let machine = cfg.machine();
-        let n = Self::qubits_for(&machine, cfg.variant);
-        let required = state_bytes(n);
+        let required = state_bytes(Self::qubits_for(&machine, cfg.variant));
         let available = machine.gpu_memory_bytes() as u128;
         if required > available {
             return Err(SuiteError::OutOfMemory {
@@ -90,39 +99,15 @@ impl Benchmark for Juqcs {
                 available_bytes: machine.gpu_memory_bytes(),
             });
         }
+        Ok(layout_per_gpu(cfg))
+    }
 
-        // ---- analytic model at the requested scale --------------------
-        let ranks = machine.devices();
-        let rank_bits = 31 - ranks.leading_zeros();
-        let local_bits = n - rank_bits;
-        let local_amps = 2f64.powi(local_bits as i32);
-        // Per gate: read+write every local amplitude (32 B) with ~14 FLOP
-        // per pair update.
-        let gate_work = Work::new(7.0 * local_amps, 32.0 * local_amps);
-        // Per global gate: exchange half of the local amplitudes with the
-        // partner differing in the top rank bit — machine-wide, half of
-        // all memory (§IV-A2c).
-        let half_local_bytes = (16.0 * local_amps / 2.0) as u64;
-        let model = AppModel::new(machine, GLOBAL_GATES)
-            .with_efficiencies(0.5, 0.85)
-            .with_phase(Phase::compute("gate update", gate_work))
-            .with_phase(Phase::comm(
-                // A gate on the top qubit pairs rank r with r + P/2: a
-                // pairwise exchange across the machine bisection, moving
-                // half the local amplitudes each way.
-                "state exchange",
-                CommPattern::PairwiseBisection {
-                    bytes: half_local_bytes,
-                },
-            ));
-        let timing = model.timing();
-
-        // ---- real execution (reduced qubit count, same algorithm) ------
-        let world = real_exec_world(machine);
-        let real_ranks = world.ranks();
+    /// The same algorithm at a reduced qubit count.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let world = real_world(layout);
         // 6 local qubits at test scale, 10 at bench scale (16× the state).
-        let local_bits = jubench_apps_common::scale_steps(cfg.scale, 6, 10, 12);
-        let real_n = real_ranks.trailing_zeros() + local_bits;
+        let local_bits = jubench_apps_common::scale_steps(layout.scale, 6, 10, 12);
+        let real_n = world.ranks().trailing_zeros() + local_bits;
         let results = world.run(|comm| {
             let mut sv = DistStateVector::zero_state(comm, real_n);
             // H on every qubit, then `GLOBAL_GATES` phase gates on the top
@@ -165,19 +150,47 @@ impl Benchmark for Juqcs {
                 }
             }
         }
-        let verification = verification.unwrap_or(VerificationOutcome::Exact {
-            checked_values: checked + results.len(),
-        });
+        Ok(RealTrack {
+            verification: verification.unwrap_or(VerificationOutcome::Exact {
+                checked_values: checked + results.len(),
+            }),
+            metrics: vec![("real_exec_bytes_exchanged".into(), exchanged_total as f64)],
+        })
+    }
 
-        Ok(outcome(
-            timing,
-            verification,
-            vec![
-                ("qubits".into(), n as f64),
-                ("state_bytes".into(), state_bytes(n) as f64),
-                ("real_exec_bytes_exchanged".into(), exchanged_total as f64),
-            ],
-        ))
+    /// The analytic model at the requested scale.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let machine = cfg.machine();
+        let n = Self::qubits_for(&machine, cfg.variant);
+        let ranks = machine.devices();
+        let rank_bits = 31 - ranks.leading_zeros();
+        let local_bits = n - rank_bits;
+        let local_amps = 2f64.powi(local_bits as i32);
+        // Per gate: read+write every local amplitude (32 B) with ~14 FLOP
+        // per pair update.
+        let gate_work = Work::new(7.0 * local_amps, 32.0 * local_amps);
+        // Per global gate: exchange half of the local amplitudes with the
+        // partner differing in the top rank bit — machine-wide, half of
+        // all memory (§IV-A2c).
+        let half_local_bytes = (16.0 * local_amps / 2.0) as u64;
+        let model = AppModel::new(machine, GLOBAL_GATES)
+            .with_efficiencies(0.5, 0.85)
+            .with_phase(Phase::compute("gate update", gate_work))
+            .with_phase(Phase::comm(
+                // A gate on the top qubit pairs rank r with r + P/2: a
+                // pairwise exchange across the machine bisection, moving
+                // half the local amplitudes each way.
+                "state exchange",
+                CommPattern::PairwiseBisection {
+                    bytes: half_local_bytes,
+                },
+            ));
+        let mut metrics = vec![
+            ("qubits".into(), n as f64),
+            ("state_bytes".into(), state_bytes(n) as f64),
+        ];
+        metrics.extend(track.metrics.iter().cloned());
+        outcome(model.timing(), track.verification.clone(), metrics)
     }
 }
 

@@ -130,6 +130,89 @@ impl RunOutcome {
     }
 }
 
+/// Which simulated-MPI world the real execution of a [`SplitRun`] launches
+/// — how its rank count was derived from the partition, and the count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RealWorld {
+    /// No world: a serial kernel (ParFlow's PCG solve).
+    Serial,
+    /// One rank per device of the partition, capped.
+    PerGpu { ranks: u32 },
+    /// One rank per node of the partition, capped (the CPU codes).
+    PerNode { ranks: u32 },
+}
+
+impl RealWorld {
+    /// Ranks the real execution launches.
+    pub fn ranks(self) -> u32 {
+        match self {
+            RealWorld::Serial => 1,
+            RealWorld::PerGpu { ranks } | RealWorld::PerNode { ranks } => ranks,
+        }
+    }
+}
+
+/// Everything the real execution of a [`SplitRun`] benchmark depends on.
+/// There is no machine in it: two configurations on different backends
+/// whose layouts compare equal run the same arithmetic.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RealLayout {
+    pub scale: WorkloadScale,
+    pub variant: Option<MemoryVariant>,
+    pub seed: u64,
+    pub world: RealWorld,
+}
+
+impl RealLayout {
+    /// The layout of `cfg`'s real execution on `world`.
+    pub fn new(cfg: &RunConfig, world: RealWorld) -> Self {
+        RealLayout {
+            scale: cfg.scale,
+            variant: cfg.variant,
+            seed: cfg.seed,
+            world,
+        }
+    }
+}
+
+/// What a real execution produces: a pure function of its
+/// [`RealLayout`] (and the benchmark), with no virtual time in it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RealTrack {
+    /// Verification of the computed result.
+    pub verification: VerificationOutcome,
+    /// The metrics read off the computed result, in report order.
+    pub metrics: Vec<(String, f64)>,
+}
+
+/// A run in its separable form: `run = cost ∘ execute ∘ layout`.
+///
+/// The application proxies run two tracks — a real execution of the
+/// kernel on a small world, which yields the verified result, and an
+/// analytic model of the full partition, which yields every virtual time
+/// and the FOM. Only the second knows the machine, so a caller holding
+/// the [`RealTrack`] of an equal layout may skip [`SplitRun::execute`]
+/// and cost it on another backend.
+pub trait SplitRun: Send + Sync {
+    /// Validate `cfg` and name what its real execution depends on.
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError>;
+
+    /// Run the real kernel. No machine reaches this stage: the world is
+    /// built from the layout on a fixed reference machine.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError>;
+
+    /// Model `cfg` (which passed [`SplitRun::layout`]) on its machine and
+    /// join the timing with the track of an equal layout.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome;
+
+    /// The composition, which is what [`Benchmark::run`] is for a split
+    /// benchmark.
+    fn run_composed(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        let layout = self.layout(cfg)?;
+        Ok(self.cost(cfg, &self.execute(&layout)?))
+    }
+}
+
 /// A benchmark of the suite: a workload with a defined configuration space,
 /// execution procedure, verification, and FOM.
 ///
@@ -143,6 +226,14 @@ pub trait Benchmark: Send + Sync {
     /// Run the workload under `cfg`, returning FOM, virtual timing, and
     /// verification.
     fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError>;
+
+    /// The separable form of [`Benchmark::run`], for the benchmarks that
+    /// have one (the application proxies). The synthetic codes report
+    /// wall-clock rates or time the world itself, so their result is not
+    /// a pure function of a layout and they have none.
+    fn split(&self) -> Option<&dyn SplitRun> {
+        None
+    }
 
     /// Validate a node count against the benchmark's algorithmic
     /// limitations (footnote 1 of the paper: e.g. powers of two). The

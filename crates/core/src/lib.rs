@@ -22,7 +22,9 @@ pub mod registry;
 pub mod variant;
 pub mod verify;
 
-pub use benchmark::{Benchmark, RunConfig, RunOutcome, WorkloadScale};
+pub use benchmark::{
+    Benchmark, RealLayout, RealTrack, RealWorld, RunConfig, RunOutcome, SplitRun, WorkloadScale,
+};
 pub use checklist::{Checklist, ChecklistItem};
 pub use error::SuiteError;
 pub use fom::{Fom, TimeMetric};

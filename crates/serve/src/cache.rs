@@ -10,7 +10,10 @@
 //!
 //! The store is bounded and its eviction is deterministic:
 //! least-recently-used by a logical access clock that ticks once per
-//! lookup/insert, with the smaller key breaking ties. No wall-clock
+//! lookup/insert, with the smaller key breaking ties — the first entry
+//! of a recency index ordered by `(last access, key)`, kept beside the
+//! map once the cache is full so that it does not scan itself on every
+//! miss (a cache that never fills never builds one). No wall-clock
 //! time, no hash-map iteration order — a cache that replays a workload
 //! replays its evictions.
 //!
@@ -22,7 +25,7 @@
 
 use jubench_ckpt::{CkptError, SnapshotReader, SnapshotWriter};
 use jubench_trace::CacheStats;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The cached product of one run point: exactly what campaign assembly
 /// needs downstream — the rendered table cells plus the numbers the
@@ -94,6 +97,12 @@ struct Entry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultCache {
     entries: BTreeMap<u128, Entry>,
+    /// `(last_access, key)` of every entry while the cache is full, empty
+    /// until then — only a full cache evicts, and a warm one that never
+    /// fills should pay nothing per hit or per restore. Derived from
+    /// `entries` and `capacity`, never serialized; its first element is
+    /// the eviction victim.
+    recency: BTreeSet<(u64, u128)>,
     capacity: usize,
     /// Logical access clock; ticks once per lookup or insertion.
     clock: u64,
@@ -107,6 +116,7 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             entries: BTreeMap::new(),
+            recency: BTreeSet::new(),
             capacity,
             clock: 0,
             stats: CacheStats::default(),
@@ -138,6 +148,7 @@ impl ResultCache {
         self.clock += 1;
         match self.entries.get_mut(&key) {
             Some(entry) => {
+                refresh(&mut self.recency, key, entry.last_access, self.clock);
                 entry.last_access = self.clock;
                 self.stats.hits += 1;
                 jubench_metrics::counter_add("serve/cache/hits", 1);
@@ -159,24 +170,24 @@ impl ResultCache {
         if self.capacity == 0 {
             return;
         }
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(k, e)| (e.last_access, **k))
-                .map(|(k, _)| *k)
-                .expect("non-empty at capacity");
-            self.entries.remove(&victim);
-            self.stats.evictions += 1;
-            jubench_metrics::counter_add("serve/cache/evictions", 1);
+        let fresh = Entry {
+            result,
+            last_access: self.clock,
+        };
+        match self.entries.insert(key, fresh) {
+            Some(replaced) => refresh(&mut self.recency, key, replaced.last_access, self.clock),
+            None if self.entries.len() > self.capacity => {
+                let (_, victim) = self.recency.pop_first().expect("indexed while full");
+                self.entries.remove(&victim);
+                self.recency.insert((self.clock, key));
+                self.stats.evictions += 1;
+                jubench_metrics::counter_add("serve/cache/evictions", 1);
+            }
+            None if self.entries.len() == self.capacity => {
+                self.recency = recency_of(&self.entries, self.capacity);
+            }
+            None => {}
         }
-        self.entries.insert(
-            key,
-            Entry {
-                result,
-                last_access: self.clock,
-            },
-        );
         self.stats.insertions += 1;
         jubench_metrics::counter_add("serve/cache/insertions", 1);
     }
@@ -211,13 +222,35 @@ impl ResultCache {
                 },
             ))
         })?;
+        let entries: BTreeMap<u128, Entry> = entries.into_iter().collect();
         Ok(ResultCache {
-            entries: entries.into_iter().collect(),
+            recency: recency_of(&entries, capacity),
+            entries,
             capacity,
             clock,
             stats,
         })
     }
+}
+
+/// Move `key`'s index entry from access time `was` to `now` — if there
+/// is an index (the cache is full).
+fn refresh(recency: &mut BTreeSet<(u64, u128)>, key: u128, was: u64, now: u64) {
+    if recency.remove(&(was, key)) {
+        recency.insert((now, key));
+    }
+}
+
+/// The recency index of `entries` in a cache of `capacity`: every entry
+/// if the cache is full, none if it has room.
+fn recency_of(entries: &BTreeMap<u128, Entry>, capacity: usize) -> BTreeSet<(u64, u128)> {
+    if entries.len() < capacity {
+        return BTreeSet::new();
+    }
+    entries
+        .iter()
+        .map(|(key, entry)| (entry.last_access, *key))
+        .collect()
 }
 
 #[cfg(test)]
@@ -273,6 +306,102 @@ mod tests {
         a.insert(9, result("c"));
         b.insert(9, result("c"));
         assert_eq!(a, b, "replayed eviction picks the same victim");
+    }
+
+    /// The eviction rule as it was written before the recency index: scan
+    /// every entry for the least `(last_access, key)`.
+    struct ScanCache {
+        entries: BTreeMap<u128, Entry>,
+        capacity: usize,
+        clock: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanCache {
+        fn lookup(&mut self, key: u128) -> Option<PointResult> {
+            self.clock += 1;
+            let Some(entry) = self.entries.get_mut(&key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            entry.last_access = self.clock;
+            self.stats.hits += 1;
+            Some(entry.result.clone())
+        }
+
+        fn insert(&mut self, key: u128, result: PointResult) {
+            self.clock += 1;
+            if self.capacity == 0 {
+                return;
+            }
+            if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(k, e)| (e.last_access, **k))
+                    .map(|(k, _)| *k)
+                    .unwrap();
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+            }
+            let last_access = self.clock;
+            self.entries.insert(
+                key,
+                Entry {
+                    result,
+                    last_access,
+                },
+            );
+            self.stats.insertions += 1;
+        }
+    }
+
+    /// Seeded lookup/insert sequences: after every operation the indexed
+    /// cache holds what the scanning one holds — same answers, same
+    /// tallies, same snapshot bytes (so the same victims) — also when it
+    /// continues from a restored snapshot, whose index is rebuilt.
+    #[test]
+    fn the_recency_index_picks_the_victims_the_scan_picked() {
+        for capacity in [1usize, 2, 64] {
+            let mut rng = jubench_kernels::rank_rng(0xCAC4E + capacity as u64, 0);
+            let mut cache = ResultCache::new(capacity);
+            let mut scan = ScanCache {
+                entries: BTreeMap::new(),
+                capacity,
+                clock: 0,
+                stats: CacheStats::default(),
+            };
+            for op in 0..4_000 {
+                let key = rng.gen_range(0u64..3 * capacity as u64 + 2) as u128;
+                if rng.gen_bool(0.5) {
+                    assert_eq!(
+                        cache.lookup(key),
+                        scan.lookup(key),
+                        "cap {capacity} op {op}"
+                    );
+                } else {
+                    let value = result(&format!("{key}@{op}"));
+                    cache.insert(key, value.clone());
+                    scan.insert(key, value);
+                }
+                assert_eq!(cache.entries, scan.entries, "cap {capacity} op {op}");
+                assert_eq!(cache.stats(), scan.stats, "cap {capacity} op {op}");
+                assert_eq!(
+                    cache.recency,
+                    recency_of(&scan.entries, capacity),
+                    "cap {capacity} op {op}"
+                );
+                if op % 500 == 499 {
+                    let mut w = SnapshotWriter::new();
+                    cache.put(&mut w);
+                    let bytes = w.finish();
+                    let restored = ResultCache::get(&mut SnapshotReader::new(&bytes)).unwrap();
+                    assert_eq!(restored, cache, "cap {capacity} op {op}");
+                    cache = restored;
+                }
+            }
+            assert!(capacity == 64 || scan.stats.evictions > 1_000);
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 use crate::cache::{get_stats, put_stats, PointResult, ResultCache};
 use crate::pipeline::{artifacts, build_jobs, run_point, scheduler};
 use crate::spec::CampaignSpec;
+use crate::tracks::RealTracks;
 use crate::wire::{CancelReason, Frame};
 use jubench_ckpt::{Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
 use jubench_core::Registry;
@@ -119,13 +120,14 @@ impl ActiveCampaign {
         Ok(camp)
     }
 
-    /// Advance by one unit: execute (or answer from `cache`) the next run
-    /// point and emit its row, or advance the scheduler by one slice.
-    /// Returns the frames and whether the campaign retired — the last
-    /// frame is then its terminal one.
+    /// Advance by one unit: execute (or answer from `cache`, or cost the
+    /// track `tracks` holds for) the next run point and emit its row, or
+    /// advance the scheduler by one slice. Returns the frames and whether
+    /// the campaign retired — the last frame is then its terminal one.
     pub(crate) fn unit(
         &mut self,
         cache: &mut ResultCache,
+        tracks: Option<&RealTracks>,
         registry: &Registry,
         guard: &mut GuardStats,
     ) -> (Vec<Frame>, bool) {
@@ -138,7 +140,7 @@ impl ActiveCampaign {
         let result = match cache.lookup(key) {
             Some(hit) => hit,
             None => {
-                let computed = run_point(registry, &self.spec, i);
+                let computed = run_point(registry, &self.spec, i, tracks);
                 cache.insert(key, computed.clone());
                 jubench_metrics::counter_add("serve/points_executed", 1);
                 computed

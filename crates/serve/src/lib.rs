@@ -21,7 +21,14 @@
 //! - [`cache`]: the bounded, deterministic, content-addressed
 //!   [`ResultCache`]. Keys are 128-bit FNV-1a content addresses of
 //!   (benchmark, parameter point, machine fingerprint, seed, fault
-//!   plan); eviction is LRU by a logical clock.
+//!   plan); eviction is LRU by a logical clock. One per shard, part of
+//!   its snapshot: the first cache level.
+//! - `tracks`: the second level, one per [`Server`] and shared by its
+//!   shards — the real executions of the application proxies, keyed by
+//!   benchmark and [`RealLayout`](jubench_core::RealLayout), in which
+//!   no machine appears: campaigns on different backends cost the same
+//!   track. Asked only after a result-cache miss, never snapshotted,
+//!   gone with its server; [`RealTrackStats`] tallies it.
 //! - `pipeline`, `campaign`, [`shard`]: what a campaign is (point → row
 //!   → jobs → schedule → artifacts, as pure functions), one campaign in
 //!   flight (its unit, its bytes and their checks), and one worker shard
@@ -51,7 +58,7 @@
 //! streams are equal frame for frame), any
 //! kill-and-restore point, live migration mid-campaign, warm vs cold
 //! caches — and any seeded chaos plan the supervisor recovers from. The
-//! cache changes *when* work happens, never *what* is produced; the
+//! caches change *when* work happens, never *what* is produced; the
 //! guard changes *how many attempts* work takes, never its outcome.
 //! Their tallies surface only in the out-of-band
 //! [`CacheStats`](jubench_trace::CacheStats) /
@@ -71,6 +78,7 @@ pub mod server;
 pub mod shard;
 pub mod spec;
 pub mod supervisor;
+mod tracks;
 pub mod transport;
 pub mod wire;
 
@@ -82,5 +90,6 @@ pub use server::{serve_session, Client, Server};
 pub use shard::{Emit, ShardState, CAMPAIGN_KIND, SHARD_KIND};
 pub use spec::{CampaignSpec, RunPoint};
 pub use supervisor::{DrainOutcome, SupervisorConfig};
+pub use tracks::RealTrackStats;
 pub use transport::{DuplexPipe, Transport, TransportError};
 pub use wire::{read_frame, write_frame, CancelReason, Frame, WireError, MAX_FRAME_BYTES};

@@ -4,13 +4,20 @@
 //! so is a campaign: [`run_point`] per point, [`build_jobs`] from the
 //! rows, the [`scheduler`] of its partition, [`artifacts`] of the
 //! finished [`Schedule`]. Each stage is a pure function of the spec and
-//! the stage before it; nothing here knows a shard, a cache, a snapshot
-//! or the wire. [`crate::campaign`] runs the stages a unit at a time;
-//! `reference` (under `cfg(test)`) composes them straight through, and
-//! is the model the service is tested against.
+//! the stage before it; nothing here knows a shard, a result cache, a
+//! snapshot or the wire. [`crate::campaign`] runs the stages a unit at a
+//! time; `reference` (under `cfg(test)`) composes them straight through,
+//! and is the model the service is tested against.
+//!
+//! The one thing [`run_point`] may be handed is the server's
+//! [`RealTracks`]: for a benchmark in separable form it then asks the
+//! store for the real track instead of executing it unconditionally.
+//! A track is a pure function of its key, so the row is the same either
+//! way — `reference` passes `None` and goes through `Benchmark::run`.
 
 use crate::cache::PointResult;
 use crate::spec::{CampaignSpec, RunPoint};
+use crate::tracks::RealTracks;
 use jubench_core::{BenchmarkId, Registry, RunConfig};
 use jubench_sched::{category_priority, measured_job, Job, Schedule, Scheduler, SchedulerConfig};
 use jubench_trace::{chrome_trace_json, Recorder, RunReport};
@@ -31,13 +38,20 @@ fn row_cells(p: &RunPoint, time: &str, comm: &str, status: String) -> Vec<String
 }
 
 /// Execute one run point for real. Pure in its inputs: the registry's
-/// benchmark, the point parameters, and nothing else.
+/// benchmark, the point parameters, and nothing else — `tracks` decides
+/// whether the real track of a split benchmark is executed here or was
+/// already, never what it is.
 ///
 /// Specs are validated at submit, but the registry handed to a *drain*
 /// is a different argument than the one validated against — a
 /// mismatched caller must get an error row, not a worker panic that
 /// takes the whole drain down.
-pub(crate) fn run_point(registry: &Registry, spec: &CampaignSpec, index: usize) -> PointResult {
+pub(crate) fn run_point(
+    registry: &Registry,
+    spec: &CampaignSpec,
+    index: usize,
+    tracks: Option<&RealTracks>,
+) -> PointResult {
     let p = &spec.points[index];
     let failed = |why: String, priority: i32| PointResult {
         cells: row_cells(p, "-", "-", format!("error: {why}")),
@@ -59,7 +73,22 @@ pub(crate) fn run_point(registry: &Registry, spec: &CampaignSpec, index: usize) 
         backend: spec.backend,
     };
     let priority = category_priority(bench.meta().category);
-    match bench.run(&config) {
+    let outcome = match (tracks, bench.split()) {
+        (Some(tracks), Some(split)) => split.layout(&config).and_then(|layout| {
+            let track = tracks.get_or_execute(id, layout, |layout| split.execute(layout))?;
+            Ok(split.cost(&config, &track))
+        }),
+        _ => bench.run(&config),
+    };
+    match outcome {
+        // A job of that length would never end (or end before it
+        // started) in the schedule built from this row.
+        Ok(outcome) if !(outcome.virtual_time_s.is_finite() && outcome.virtual_time_s >= 0.0) => {
+            failed(
+                format!("virtual time {} s", outcome.virtual_time_s),
+                priority,
+            )
+        }
         Ok(outcome) => {
             let comm_fraction = outcome.comm_fraction();
             let verified = if outcome.verification.passed() {
@@ -182,7 +211,7 @@ pub(crate) struct Reference {
 #[cfg(test)]
 pub(crate) fn reference(registry: &Registry, spec: &CampaignSpec) -> Reference {
     let rows: Vec<PointResult> = (0..spec.points.len())
-        .map(|i| run_point(registry, spec, i))
+        .map(|i| run_point(registry, spec, i, None))
         .collect();
     let schedule = scheduler(spec).run(&build_jobs(spec, &rows), &spec.plan);
     let artifacts = artifacts(spec, &rows, &schedule);
@@ -200,6 +229,7 @@ mod tests {
     use crate::server::Server;
     use crate::shard::{Emit, ShardState};
     use crate::supervisor::SupervisorConfig;
+    use crate::tracks::RealTracks;
     use crate::wire::Frame;
     use jubench_ckpt::Checkpointable;
     use jubench_faults::{DetRng, FaultPlan};
@@ -248,6 +278,30 @@ mod tests {
             spec.deadline_s = 1e6; // past any makespan here
         }
         spec
+    }
+
+    /// Make `specs` a two-backend population: every campaign gains the
+    /// point of a split proxy, and a twin on a second backend whose
+    /// layouts equal its own — what the real-track store shares between
+    /// campaigns, and between shards. Drawn from a stream of its own, so
+    /// every other draw of the case is a single-backend population's.
+    fn add_second_backend(specs: &mut Vec<CampaignSpec>, case: u64) {
+        let rng = &mut rank_rng(0x2BAC + case, 23);
+        let twins: Vec<CampaignSpec> = specs
+            .iter_mut()
+            .map(|spec| {
+                let bench = pick(rng, &["ParFlow", "SOMA", "PIConGPU", "ICON"]);
+                let seed = rng.gen_range(1u64..3);
+                spec.points
+                    .push(RunPoint::test(bench, pick(rng, &[2, 4]), seed));
+                let mut twin = spec
+                    .clone()
+                    .with_backend(jubench_cluster::Machine::jupiter_proposal());
+                twin.name.push_str("-twin");
+                twin
+            })
+            .collect();
+        specs.extend(twins);
     }
 
     fn server_with(
@@ -341,15 +395,20 @@ mod tests {
 
     /// A machine model may be slow enough to overflow a run's virtual
     /// times — its rates are still positive and finite, so it validates.
-    /// The communication share is then ∞/∞: the point must come back as
-    /// a row and the campaign must finish, not panic its worker (and,
-    /// under supervision, burn the restart budget of its co-tenants).
+    /// A job of infinite length never ends in the schedule (`end_s`
+    /// `inf` in the table), so the point must come back as the typed
+    /// error row and the campaign must finish — whether the time came
+    /// from a synthetic's `run` or a split proxy's `cost`, and without
+    /// panicking its worker on the ∞/∞ communication share (which,
+    /// under supervision, would burn the restart budget of its
+    /// co-tenants).
     #[test]
-    fn a_model_slow_enough_to_overflow_finishes_instead_of_panicking() {
+    fn a_model_slow_enough_to_overflow_is_an_error_row_not_an_endless_job() {
         let registry = jubench_scaling::full_registry();
         let mut spec = CampaignSpec::new("t", "glacial", 8, 1)
             .with_point(RunPoint::test("OSU", 2, 1))
-            .with_point(RunPoint::test("HPL", 2, 2));
+            .with_point(RunPoint::test("SOMA", 4, 2))
+            .with_point(RunPoint::test("STREAM", 1, 3));
         let glacial = f64::from_bits(1 << 32);
         let net = &mut spec.backend.net;
         for link in [
@@ -362,13 +421,24 @@ mod tests {
         }
         spec.backend.node.nic_bw = glacial;
         spec.validate(&registry).expect("positive finite rates");
-        let row = run_point(&registry, &spec, 0);
-        assert_eq!(row.service_s, f64::INFINITY, "{:?}", row.cells);
-        assert!((0.0..=1.0).contains(&row.comm_fraction), "{row:?}");
+        let tracks = RealTracks::new(4);
+        for (i, tracks) in [(0, None), (1, None), (1, Some(&tracks))] {
+            let row = run_point(&registry, &spec, i, tracks);
+            assert_eq!(row.cells[7], "error: virtual time inf s", "{:?}", row.cells);
+            assert_eq!((row.service_s, row.comm_fraction), (0.0, 0.0));
+        }
+        // A node-local run never touches the network.
+        assert_eq!(run_point(&registry, &spec, 2, None).cells[7], "pass");
         let emits = server_with(&[spec.clone()], &registry, 1, 4)
             .drain(&registry)
             .unwrap();
-        assert_matches_model(&emits, &[reference(&registry, &spec)], "glacial backend");
+        let model = reference(&registry, &spec);
+        assert!(
+            !model.artifacts.0.contains("inf |"),
+            "{}",
+            model.artifacts.0
+        );
+        assert_matches_model(&emits, &[model], "glacial backend");
     }
 
     /// The service against its model: whatever the shard count, the
@@ -379,9 +449,13 @@ mod tests {
         let registry = jubench_scaling::full_registry();
         for case in 0..CASES {
             let rng = &mut rank_rng(0x90DE1 + case, 19);
-            let specs: Vec<CampaignSpec> = (0..rng.gen_range(1usize..5))
+            let mut specs: Vec<CampaignSpec> = (0..rng.gen_range(1usize..5))
                 .map(|i| spec(rng, &format!("case{case}-{i}")))
                 .collect();
+            let two_backends = case % 4 == 3;
+            if two_backends {
+                add_second_backend(&mut specs, case);
+            }
             let model: Vec<_> = specs.iter().map(|s| reference(&registry, s)).collect();
             let shards = rng.gen_range(1usize..5);
             let cap = pick(rng, &[0usize, 2, 64]);
@@ -402,8 +476,16 @@ mod tests {
             assert!(server.idle(), "{}", how("still busy after MAX_UNITS"));
             assert_matches_model(&emits, &model, &how("step + restore"));
 
-            let emits = fresh().drain(&registry).unwrap();
+            let mut server = fresh();
+            let emits = server.drain(&registry).unwrap();
             assert_matches_model(&emits, &model, &how("drain"));
+            // The model never saw the store; the service used it.
+            let shared = server.real_tracks().shared;
+            match cap {
+                0 => assert_eq!(shared, 0, "{}", how("no store, no sharing")),
+                64 if two_backends => assert!(shared > 0, "{}", how("twins share")),
+                _ => {}
+            }
             let emits = fresh().drain_parallel(&registry).unwrap();
             assert_matches_model(&emits, &model, &how("drain_parallel"));
 

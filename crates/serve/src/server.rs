@@ -22,6 +22,7 @@ use crate::error::ServeError;
 use crate::shard::{Emit, ShardState};
 use crate::spec::CampaignSpec;
 use crate::supervisor::Executor;
+use crate::tracks::{RealTrackStats, RealTracks};
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, Frame, WireError};
 use jubench_core::{fnv1a64, Registry};
@@ -51,6 +52,9 @@ pub(crate) struct Route {
 #[derive(Debug)]
 pub struct Server {
     pub(crate) shards: Vec<ShardState>,
+    /// Real tracks of split benchmarks, shared by the shards: the second
+    /// cache level, consulted after a shard's own result cache missed.
+    pub(crate) real_tracks: RealTracks,
     next_campaign: u64,
     /// Campaign → placement and quota charge, for status queries,
     /// migration, and admission refunds.
@@ -66,7 +70,9 @@ pub struct Server {
 
 impl Server {
     /// A service with `n_shards` worker shards, each with its own
-    /// result cache bounded at `cache_capacity` entries. Admission is
+    /// result cache bounded at `cache_capacity` entries, and one store
+    /// of real tracks between them holding as many as the caches hold
+    /// results (so capacity 0 turns both levels off). Admission is
     /// fully permissive; see [`Server::with_admission`].
     pub fn new(n_shards: usize, cache_capacity: usize) -> Self {
         assert!(n_shards > 0, "a server needs at least one shard");
@@ -74,6 +80,7 @@ impl Server {
             shards: (0..n_shards)
                 .map(|i| ShardState::new(i as u32, cache_capacity))
                 .collect(),
+            real_tracks: RealTracks::new(cache_capacity.saturating_mul(n_shards)),
             next_campaign: 1,
             routes: BTreeMap::new(),
             tenant_series: BTreeSet::new(),
@@ -101,6 +108,12 @@ impl Server {
     /// Borrow a shard (monitoring, tests).
     pub fn shard(&self, id: u32) -> &ShardState {
         &self.shards[id as usize]
+    }
+
+    /// What the real-track store shared between the shards has done:
+    /// real executions run, and requests answered without one.
+    pub fn real_tracks(&self) -> RealTrackStats {
+        self.real_tracks.stats()
     }
 
     /// Mutably borrow a shard (kill/restore and migration drills).
@@ -165,7 +178,7 @@ impl Server {
     pub fn step(&mut self, registry: &Registry) -> Result<Vec<Emit>, ServeError> {
         let mut out = Vec::new();
         for shard in &mut self.shards {
-            out.extend(shard.step(registry));
+            out.extend(shard.step_sharing(registry, Some(&self.real_tracks)));
         }
         self.retire(&out);
         Ok(out)

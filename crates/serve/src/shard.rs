@@ -23,6 +23,7 @@ use crate::campaign::ActiveCampaign;
 use crate::chaos::ChaosRuntime;
 use crate::error::ServeError;
 use crate::spec::CampaignSpec;
+use crate::tracks::RealTracks;
 use crate::wire::{CancelReason, Frame};
 use jubench_ckpt::{open, seal, Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
 use jubench_core::Registry;
@@ -156,13 +157,23 @@ impl ShardState {
     /// can't happen — every unit emits at least one frame except
     /// scheduler slices in which no job finished.
     pub fn step(&mut self, registry: &Registry) -> Vec<Emit> {
+        self.step_sharing(registry, None)
+    }
+
+    /// [`Self::step`] for a shard of a server: a point that misses the
+    /// cache may find its real track in the server's `tracks`.
+    pub(crate) fn step_sharing(
+        &mut self,
+        registry: &Registry,
+        tracks: Option<&RealTracks>,
+    ) -> Vec<Emit> {
         if self.queue.is_empty() {
             return Vec::new();
         }
         self.rr %= self.queue.len();
         let camp = &mut self.queue[self.rr];
         let client = camp.client;
-        let (frames, retired) = camp.unit(&mut self.cache, registry, &mut self.guard);
+        let (frames, retired) = camp.unit(&mut self.cache, tracks, registry, &mut self.guard);
         if retired {
             // A campaign's one terminal frame is the last of its last unit.
             let counter = match frames.last() {
@@ -193,6 +204,16 @@ impl ShardState {
         registry: &Registry,
         chaos: Option<&ChaosRuntime<'_>>,
     ) -> Result<Vec<Emit>, ServeError> {
+        self.drain_sharing(registry, chaos, None)
+    }
+
+    /// [`Self::drain`] for a shard of a server (see [`Self::step_sharing`]).
+    pub(crate) fn drain_sharing(
+        &mut self,
+        registry: &Registry,
+        chaos: Option<&ChaosRuntime<'_>>,
+        tracks: Option<&RealTracks>,
+    ) -> Result<Vec<Emit>, ServeError> {
         let mut out = Vec::new();
         let mut unit = 0u64;
         while !self.idle() {
@@ -207,7 +228,7 @@ impl ShardState {
                     std::thread::yield_now();
                 }
             }
-            out.extend(self.step(registry));
+            out.extend(self.step_sharing(registry, tracks));
             unit += 1;
         }
         Ok(out)

@@ -41,6 +41,7 @@ use crate::chaos::{ChaosPlan, ChaosRuntime};
 use crate::error::ServeError;
 use crate::server::Server;
 use crate::shard::{Emit, ShardState};
+use crate::tracks::RealTracks;
 use crate::wire::Frame;
 use jubench_ckpt::Checkpointable;
 use jubench_core::Registry;
@@ -159,13 +160,16 @@ fn supervise(
     registry: &Registry,
     cfg: Option<&SupervisorConfig>,
     chaos: Option<&ChaosRuntime<'_>>,
+    tracks: &RealTracks,
 ) -> Result<ShardRun, ServeError> {
     let id = shard.id();
     let mut run = ShardRun::default();
     while !shard.idle() {
         let policy = cfg.map(|cfg| (cfg, shard.snapshot()));
-        let attempt = catch_unwind(AssertUnwindSafe(|| shard.drain(registry, chaos)))
-            .unwrap_or_else(|panic| Err(shard_panicked(id, panic)));
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            shard.drain_sharing(registry, chaos, Some(tracks))
+        }))
+        .unwrap_or_else(|panic| Err(shard_panicked(id, panic)));
         let err = match attempt {
             Ok(emits) => {
                 run.emits = emits;
@@ -210,7 +214,8 @@ impl Server {
         let chaos = supervision
             .and_then(|(_, plan)| plan)
             .map(ChaosRuntime::new);
-        let one = |shard: &mut ShardState| supervise(shard, registry, cfg, chaos.as_ref());
+        let tracks = &self.real_tracks;
+        let one = |shard: &mut ShardState| supervise(shard, registry, cfg, chaos.as_ref(), tracks);
         let runs: Vec<Result<ShardRun, ServeError>> = match executor {
             Executor::Inline => self.shards.iter_mut().map(one).collect(),
             Executor::Dedicated => {

@@ -25,8 +25,17 @@ fn main() {
         registry.len(),
         study.n_shards
     );
-    let report = study.run(&registry).expect("fleet study");
+    let mut server = Server::new(study.n_shards, study.cache_capacity);
+    let report = study.run_on(&mut server, &registry).expect("fleet study");
     println!("{}", report.render());
+    // How the study was computed, not what it found — so on stderr: the
+    // application points of all backends share the real executions
+    // whose layouts are equal.
+    let tracks = server.real_tracks();
+    eprintln!(
+        "real tracks: {} executed, {} shared",
+        tracks.executed, tracks.shared
+    );
 
     // Sub-partition economics: what the 1 EFLOP/s slice of each backend
     // would cost over its own horizon.

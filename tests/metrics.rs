@@ -137,6 +137,58 @@ fn kill_switch_disables_every_layer_at_runtime() {
     assert_eq!(snap, MetricsSnapshot::default());
 }
 
+/// Recording is observational over the real-track store too: one
+/// campaign of application points on each of two backends whose layouts
+/// are equal drains to the same frames with metrics on and off, and at
+/// 1 and 8 pool threads. With metrics on, every executed point is either
+/// an executed or a shared real track; with metrics off the registry
+/// stays empty and the server's own tally still counts.
+#[test]
+fn a_two_backend_drain_is_byte_identical_with_metrics_on_and_off() {
+    let registry = full_registry();
+    let drain = || {
+        let mut server = Server::new(2, 64);
+        for backend in [Machine::juwels_booster(), Machine::jupiter_proposal()] {
+            let spec = CampaignSpec::new("t", "twin", 8, 3)
+                .with_backend(backend)
+                .with_point(RunPoint::test("SOMA", 4, 1))
+                .with_point(RunPoint::test("ParFlow", 4, 2))
+                .with_point(RunPoint::test("PIConGPU", 4, 1));
+            server.submit(1, spec, &registry).unwrap();
+        }
+        let emits = server.drain_parallel(&registry).unwrap();
+        (emits, server.real_tracks())
+    };
+    let (on, off) = with_registry(|| {
+        let reference = jubench::pool::with_threads(1, drain);
+        let on = (reference.clone(), metrics::snapshot());
+        metrics::set_enabled(false);
+        metrics::reset();
+        for threads in [1, 8] {
+            let got = jubench::pool::with_threads(threads, drain);
+            assert_eq!(got.0, reference.0, "metrics off at {threads} pool threads");
+            assert_eq!((got.1.executed, got.1.shared), (3, 3));
+        }
+        let off = metrics::snapshot();
+        metrics::set_enabled(true);
+        (on, off)
+    });
+    assert_eq!(off, MetricsSnapshot::default());
+    let ((_, tally), snap) = on;
+    assert_eq!((tally.executed, tally.shared), (3, 3));
+    assert_eq!(snap.counters["serve/real_tracks/executed"], tally.executed);
+    assert_eq!(snap.counters["serve/real_tracks/shared"], tally.shared);
+    assert_eq!(
+        snap.counters["serve/points_executed"],
+        tally.executed + tally.shared,
+        "every point of this population is a split proxy's"
+    );
+    assert_eq!(
+        snap.counters.get("serve/real_tracks/waited").copied(),
+        (tally.waited > 0).then_some(tally.waited)
+    );
+}
+
 #[test]
 fn prometheus_and_json_expositions_cover_the_snapshot() {
     let (text, json) = with_registry(|| {
