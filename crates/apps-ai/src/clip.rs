@@ -4,8 +4,8 @@
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
-    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_kernels::{gemm, rank_rng, Matrix};
 use jubench_simmpi::{Comm, ReduceOp, SimError};
@@ -157,22 +157,9 @@ impl MmoClip {
 
 impl Benchmark for MmoClip {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::MmoClip)
-            .unwrap()
+        BenchmarkId::MmoClip.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for MmoClip {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))

@@ -1,9 +1,10 @@
 //! # jubench-apps-common
 //!
-//! Shared plumbing for the 16 application-benchmark proxies.
+//! Shared plumbing for the benchmarks' three stages.
 //!
-//! Every proxy is a [`SplitRun`](jubench_core::SplitRun): its
-//! `Benchmark::run` is `cost ∘ execute ∘ layout`.
+//! Every [`Benchmark`](jubench_core::Benchmark) — application proxy or
+//! synthetic — is three stages: its `run` is `cost ∘ execute ∘ layout`.
+//! For an application proxy:
 //!
 //! 1. **`layout(cfg)`** validates the configuration and names what the
 //!    real execution depends on — the workload scale, the memory variant,
@@ -27,7 +28,11 @@
 //!
 //! Only `cost` knows the machine; a caller that already holds the track
 //! of an equal layout (the campaign service, across catalog backends)
-//! skips `execute`.
+//! skips `execute`. The synthetics use the same pieces: the five compute
+//! codes execute a serial host kernel ([`layout_serial`]) and `cost`
+//! reads their FOM off the host rate the track reports; OSU and
+//! LinkTest, whose measurement *is* the target machine's network,
+//! execute nothing and do all their work in `cost`.
 
 use jubench_cluster::{pattern_time, CommPattern, Machine, NetModel, Placement, Roofline, Work};
 use jubench_core::{
@@ -185,7 +190,7 @@ pub fn real_exec_machine(machine: Machine) -> Machine {
 }
 
 /// A world on `machine` itself, for a code that times the world
-/// (LinkTest). The split proxies launch [`real_world`] instead.
+/// (LinkTest, in `cost`). An `execute` launches [`real_world`] instead.
 pub fn real_exec_world(machine: Machine) -> World {
     World::new(real_exec_machine(machine))
 }

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, ModelTiming, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
-    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 
 use crate::shallow_water::ShallowWater;
@@ -108,26 +108,13 @@ impl Icon {
 
 impl Benchmark for Icon {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Icon)
-            .unwrap()
+        BenchmarkId::Icon.meta()
     }
 
     fn reference_nodes(&self) -> u32 {
         self.resolution.reference_nodes()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for Icon {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))

@@ -5,8 +5,8 @@ use jubench_apps_common::{
 };
 use jubench_cluster::{balanced_dims4, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
-    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SuiteError, VerificationOutcome,
 };
 use jubench_kernels::rank_rng;
 
@@ -152,10 +152,7 @@ impl ChromaQcd {
 
 impl Benchmark for ChromaQcd {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::ChromaQcd)
-            .unwrap()
+        BenchmarkId::ChromaQcd.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -169,16 +166,6 @@ impl Benchmark for ChromaQcd {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for ChromaQcd {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         if self.updates < 2 {
@@ -260,22 +247,9 @@ impl DynQcd {
 
 impl Benchmark for DynQcd {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::DynQcd)
-            .unwrap()
+        BenchmarkId::DynQcd.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for DynQcd {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_node(cfg))

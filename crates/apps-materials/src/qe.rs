@@ -4,8 +4,8 @@
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
-    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_kernels::C64;
 
@@ -63,22 +63,9 @@ impl QuantumEspresso {
 
 impl Benchmark for QuantumEspresso {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::QuantumEspresso)
-            .unwrap()
+        BenchmarkId::QuantumEspresso.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for QuantumEspresso {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))

@@ -3,8 +3,8 @@
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig,
-    RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ReduceOp;
 
@@ -155,26 +155,13 @@ impl Gromacs {
 
 impl Benchmark for Gromacs {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Gromacs)
-            .unwrap()
+        BenchmarkId::Gromacs.meta()
     }
 
     fn reference_nodes(&self) -> u32 {
         self.case.reference_nodes()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for Gromacs {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))
@@ -199,10 +186,7 @@ impl Amber {
 
 impl Benchmark for Amber {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Amber)
-            .unwrap()
+        BenchmarkId::Amber.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -218,16 +202,6 @@ impl Benchmark for Amber {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for Amber {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))

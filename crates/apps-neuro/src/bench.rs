@@ -5,8 +5,8 @@
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
-    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SuiteError, VerificationOutcome,
 };
 
 use crate::network::{RingConfig, RingNetwork};
@@ -91,26 +91,7 @@ impl Arbor {
             // evolution [...] hiding communication completely."
             .with_overlap(1.0)
     }
-}
 
-impl Benchmark for Arbor {
-    fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Arbor)
-            .unwrap()
-    }
-
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl Arbor {
     /// Cells per GPU of `cfg`'s workload. Base: a fixed total network
     /// strong-scales over the partition. High-Scaling variants: the
     /// workload "is parameterized to fill the GPU memory" — weak scaling
@@ -128,7 +109,11 @@ impl Arbor {
     }
 }
 
-impl SplitRun for Arbor {
+impl Benchmark for Arbor {
+    fn meta(&self) -> BenchmarkMeta {
+        BenchmarkId::Arbor.meta()
+    }
+
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         let gpu_mem = cfg.machine().node.gpu.memory_bytes;

@@ -4,8 +4,8 @@
 use jubench_apps_common::{layout_per_gpu, outcome, real_world, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Machine, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack,
-    RunConfig, RunOutcome, SplitRun, SuiteError, VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, MemoryVariant, RealLayout, RealTrack, RunConfig,
+    RunOutcome, SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ReduceOp;
 
@@ -88,10 +88,7 @@ impl PiconGpu {
 
 impl Benchmark for PiconGpu {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::PIConGpu)
-            .unwrap()
+        BenchmarkId::PIConGpu.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -114,16 +111,6 @@ impl Benchmark for PiconGpu {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.run_composed(cfg)
-    }
-
-    fn split(&self) -> Option<&dyn SplitRun> {
-        Some(self)
-    }
-}
-
-impl SplitRun for PiconGpu {
     fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
         Ok(layout_per_gpu(cfg))

@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use jubench_core::{Benchmark, BenchmarkId, Registry, RunConfig};
 use jubench_faults::FaultPlan;
+use jubench_metrics::{classify, DeltaKind};
 
 use crate::baseline::BaselineStore;
 
@@ -163,9 +164,7 @@ fn monitor_nodes(bench: &dyn Benchmark) -> Option<u32> {
         BenchmarkId::Stream | BenchmarkId::Amber => 1,
         _ => bench.reference_nodes().min(16),
     };
-    (1..=preferred)
-        .rev()
-        .find(|&n| bench.validate_nodes(n).is_ok())
+    bench.closest_valid_nodes(preferred)
 }
 
 impl Monitor {
@@ -214,18 +213,12 @@ impl Monitor {
         let mut entries = Vec::new();
         for (&id, &measured) in measurements {
             let baseline = baselines.get(id);
-            let status = match (baseline, measured) {
-                (_, None) => CheckStatus::Failed,
-                (None, Some(_)) => CheckStatus::MissingBaseline,
-                (Some(b), Some(m)) => {
-                    if m > b * (1.0 + self.tolerance) {
-                        CheckStatus::Regressed
-                    } else if m < b * (1.0 - self.tolerance) {
-                        CheckStatus::Improved
-                    } else {
-                        CheckStatus::Ok
-                    }
-                }
+            let status = match classify(baseline, measured, self.tolerance).1 {
+                DeltaKind::OnlyInBaseline => CheckStatus::Failed,
+                DeltaKind::OnlyInNew => CheckStatus::MissingBaseline,
+                DeltaKind::Regression => CheckStatus::Regressed,
+                DeltaKind::Improvement => CheckStatus::Improved,
+                DeltaKind::Unchanged => CheckStatus::Ok,
             };
             entries.push(CheckEntry {
                 id,
@@ -310,6 +303,28 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("REGRESSED") && rendered.contains("no-base"));
         assert!(rendered.contains("seed 1"), "provenance column present");
+    }
+
+    /// The band is `jubench_metrics::gate::classify`'s: a measurement of
+    /// exactly `baseline · (1 ± tolerance)` is still inside it.
+    #[test]
+    fn the_edge_of_the_band_is_ok() {
+        let monitor = Monitor {
+            tolerance: 0.1,
+            seed: 1,
+        };
+        let mut baselines = BaselineStore::new();
+        baselines.set(B::Arbor, 1000.0);
+        for (measured, expected) in [
+            (1100.0, CheckStatus::Ok),
+            (900.0, CheckStatus::Ok),
+            (1101.0, CheckStatus::Regressed),
+            (899.0, CheckStatus::Improved),
+        ] {
+            let measurements = BTreeMap::from([(B::Arbor, Some(measured))]);
+            let report = monitor.compare(&baselines, &measurements);
+            assert_eq!(report.entries[0].status, expected, "{measured}");
+        }
     }
 
     #[test]

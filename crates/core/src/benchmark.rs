@@ -130,11 +130,12 @@ impl RunOutcome {
     }
 }
 
-/// Which simulated-MPI world the real execution of a [`SplitRun`] launches
-/// — how its rank count was derived from the partition, and the count.
+/// Which simulated-MPI world a benchmark's real execution launches — how
+/// its rank count was derived from the partition, and the count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RealWorld {
-    /// No world: a serial kernel (ParFlow's PCG solve).
+    /// No world: a serial kernel (ParFlow's PCG solve, the synthetic
+    /// host kernels).
     Serial,
     /// One rank per device of the partition, capped.
     PerGpu { ranks: u32 },
@@ -152,9 +153,9 @@ impl RealWorld {
     }
 }
 
-/// Everything the real execution of a [`SplitRun`] benchmark depends on.
-/// There is no machine in it: two configurations on different backends
-/// whose layouts compare equal run the same arithmetic.
+/// Everything the real execution of a benchmark depends on. There is no
+/// machine in it: two configurations on different backends whose layouts
+/// compare equal run the same arithmetic.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RealLayout {
     pub scale: WorkloadScale,
@@ -175,8 +176,12 @@ impl RealLayout {
     }
 }
 
-/// What a real execution produces: a pure function of its
-/// [`RealLayout`] (and the benchmark), with no virtual time in it.
+/// What a real execution produces, with no virtual time in it: a pure
+/// function of the benchmark and its [`RealLayout`] — *except* the
+/// metrics a benchmark declares as host rates (STREAM's four kernels,
+/// `measured_flops`, `measured_teps`, IOR's `write_bw` / `read_bw`),
+/// which time the kernel on the wall clock and differ between two
+/// executions. No row, table, trace, report or digest reads those.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealTrack {
     /// Verification of the computed result.
@@ -185,36 +190,15 @@ pub struct RealTrack {
     pub metrics: Vec<(String, f64)>,
 }
 
-/// A run in its separable form: `run = cost ∘ execute ∘ layout`.
-///
-/// The application proxies run two tracks — a real execution of the
-/// kernel on a small world, which yields the verified result, and an
-/// analytic model of the full partition, which yields every virtual time
-/// and the FOM. Only the second knows the machine, so a caller holding
-/// the [`RealTrack`] of an equal layout may skip [`SplitRun::execute`]
-/// and cost it on another backend.
-pub trait SplitRun: Send + Sync {
-    /// Validate `cfg` and name what its real execution depends on.
-    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError>;
-
-    /// Run the real kernel. No machine reaches this stage: the world is
-    /// built from the layout on a fixed reference machine.
-    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError>;
-
-    /// Model `cfg` (which passed [`SplitRun::layout`]) on its machine and
-    /// join the timing with the track of an equal layout.
-    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome;
-
-    /// The composition, which is what [`Benchmark::run`] is for a split
-    /// benchmark.
-    fn run_composed(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        let layout = self.layout(cfg)?;
-        Ok(self.cost(cfg, &self.execute(&layout)?))
-    }
-}
-
 /// A benchmark of the suite: a workload with a defined configuration space,
 /// execution procedure, verification, and FOM.
+///
+/// A run is three stages, `run = cost ∘ execute ∘ layout`: a real
+/// execution of the kernel, which yields the verified result, and an
+/// analytic model of the full partition, which yields every virtual time
+/// and (for the applications) the FOM. Only the model knows the machine,
+/// so a caller holding the [`RealTrack`] of an equal layout may skip
+/// [`Benchmark::execute`] and cost it on another backend.
 ///
 /// `Send + Sync` is a supertrait so that campaign and scaling sweeps can
 /// fan independent runs of one `&dyn Benchmark` across the shared thread
@@ -223,16 +207,22 @@ pub trait Benchmark: Send + Sync {
     /// Static metadata (Tables I & II row).
     fn meta(&self) -> BenchmarkMeta;
 
-    /// Run the workload under `cfg`, returning FOM, virtual timing, and
-    /// verification.
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError>;
+    /// Validate `cfg` and name what its real execution depends on.
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError>;
 
-    /// The separable form of [`Benchmark::run`], for the benchmarks that
-    /// have one (the application proxies). The synthetic codes report
-    /// wall-clock rates or time the world itself, so their result is not
-    /// a pure function of a layout and they have none.
-    fn split(&self) -> Option<&dyn SplitRun> {
-        None
+    /// Run the real kernel. No machine reaches this stage: a world is
+    /// built from the layout on a fixed reference machine.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError>;
+
+    /// Model `cfg` (which passed [`Benchmark::layout`]) on its machine and
+    /// join the timing with the track of an equal layout.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome;
+
+    /// Run the workload under `cfg`, returning FOM, virtual timing, and
+    /// verification: the three stages, composed.
+    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        let layout = self.layout(cfg)?;
+        Ok(self.cost(cfg, &self.execute(&layout)?))
     }
 
     /// Validate a node count against the benchmark's algorithmic
@@ -247,6 +237,13 @@ pub trait Benchmark: Send + Sync {
             });
         }
         Ok(())
+    }
+
+    /// The closest node count ≤ `target` the benchmark accepts (footnote 1
+    /// of the paper: "the smaller, closest compatible number of nodes is
+    /// taken").
+    fn closest_valid_nodes(&self, target: u32) -> Option<u32> {
+        (1..=target).rev().find(|&n| self.validate_nodes(n).is_ok())
     }
 
     /// The reference node count for the Base execution (§II-C: usually 8).

@@ -23,7 +23,7 @@ pub mod variant;
 pub mod verify;
 
 pub use benchmark::{
-    Benchmark, RealLayout, RealTrack, RealWorld, RunConfig, RunOutcome, SplitRun, WorkloadScale,
+    Benchmark, RealLayout, RealTrack, RealWorld, RunConfig, RunOutcome, WorkloadScale,
 };
 pub use checklist::{Checklist, ChecklistItem};
 pub use error::SuiteError;

@@ -94,6 +94,11 @@ impl BenchmarkId {
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|id| id.name() == name)
     }
+
+    /// This benchmark's row of Tables I and II.
+    pub fn meta(self) -> BenchmarkMeta {
+        SUITE_META[self as usize].clone()
+    }
 }
 
 /// Benchmark category (§II-B).
@@ -285,301 +290,305 @@ const TSML: &[MemoryVariant] = &[V::Tiny, V::Small, V::Medium, V::Large];
 const SML: &[MemoryVariant] = &[V::Small, V::Medium, V::Large];
 const SL: &[MemoryVariant] = &[V::Small, V::Large];
 
+/// The 23 rows, in the order of [`BenchmarkId::ALL`] (so an id indexes
+/// its row).
+const SUITE_META: [BenchmarkMeta; 23] = [
+    BenchmarkMeta {
+        id: B::Amber,
+        category: Category::Base,
+        domain: Domain::MolecularDynamics,
+        dwarfs: &[D::NBodyParticle, D::SpectralMethods],
+        languages: "Fortran, CUDA",
+        license: "Custom",
+        base_nodes: NodeSpecification::Fixed(1),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: false,
+    },
+    BenchmarkMeta {
+        id: B::Arbor,
+        category: Category::HighScaling,
+        domain: Domain::Neuroscience,
+        dwarfs: &[D::SparseLinearAlgebra],
+        languages: "C++, CUDA/HIP",
+        license: "BSD-3-Clause",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: Some(HighScaleSpec {
+            nodes: 642,
+            variants: TSML,
+        }),
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::ChromaQcd,
+        category: Category::HighScaling,
+        domain: Domain::QuantumChromodynamics,
+        dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
+        languages: "C++, QUDA, CUDA/HIP",
+        license: "JLab",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: Some(HighScaleSpec {
+            nodes: 512,
+            variants: SML,
+        }),
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Gromacs,
+        category: Category::Base,
+        domain: Domain::MolecularDynamics,
+        dwarfs: &[D::NBodyParticle, D::SpectralMethods],
+        languages: "C++, CUDA/SYCL",
+        license: "LGPLv2.1",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[3, 128]),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Icon,
+        category: Category::Base,
+        domain: Domain::Climate,
+        dwarfs: &[D::StructuredGrid],
+        languages: "Fortran/C, OpenACC/CUDA/HIP",
+        license: "BSD-3-Clause",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[120, 300]),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::Storage],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Juqcs,
+        category: Category::HighScaling,
+        domain: Domain::QuantumComputing,
+        dwarfs: &[D::DenseLinearAlgebra],
+        languages: "Fortran, CUDA/OpenMP",
+        license: "None",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: Some(HighScaleSpec {
+            nodes: 512,
+            variants: SL,
+        }),
+        targets: &[T::BoosterGpu, T::Msa],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::NekRs,
+        category: Category::HighScaling,
+        domain: Domain::ComputationalFluidDynamics,
+        dwarfs: &[D::SpectralMethods, D::UnstructuredGrid],
+        languages: "C++/C, OCCA, CUDA/HIP/SYCL",
+        license: "BSD-3-Clause",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: Some(HighScaleSpec {
+            nodes: 642,
+            variants: SL,
+        }),
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::ParFlow,
+        category: Category::Base,
+        domain: Domain::EarthSystems,
+        dwarfs: &[D::StructuredGrid],
+        languages: "C, Hypre, CUDA/HIP",
+        license: "LGPL",
+        base_nodes: NodeSpecification::Fixed(4),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: false,
+    },
+    BenchmarkMeta {
+        id: B::PIConGpu,
+        category: Category::HighScaling,
+        domain: Domain::PlasmaPhysics,
+        dwarfs: &[D::NBodyParticle],
+        languages: "C++, Alpaka, CUDA/HIP",
+        license: "GPLv3+",
+        base_nodes: NodeSpecification::Fixed(4),
+        high_scale: Some(HighScaleSpec {
+            nodes: 640,
+            variants: SML,
+        }),
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::QuantumEspresso,
+        category: Category::Base,
+        domain: Domain::MaterialsScience,
+        dwarfs: &[D::DenseLinearAlgebra, D::SpectralMethods],
+        languages: "Fortran, ELPA, OpenACC/CUF",
+        license: "GPL",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Soma,
+        category: Category::Base,
+        domain: Domain::PolymerSystems,
+        dwarfs: &[D::NBodyParticle],
+        languages: "C, OpenACC",
+        license: "LGPL",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: false,
+    },
+    BenchmarkMeta {
+        id: B::MmoClip,
+        category: Category::Base,
+        domain: Domain::AiMultiModal,
+        dwarfs: &[D::DenseLinearAlgebra],
+        languages: "Python, PyTorch, CUDA/ROCm",
+        license: "MIT",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::MegatronLm,
+        category: Category::Base,
+        domain: Domain::AiLargeLanguageModel,
+        dwarfs: &[D::DenseLinearAlgebra],
+        languages: "Python, PyTorch/Apex, CUDA/ROCm",
+        license: "BSD-3-Clause",
+        base_nodes: NodeSpecification::Fixed(96),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::ResNet,
+        category: Category::Base,
+        domain: Domain::AiVision,
+        dwarfs: &[D::DenseLinearAlgebra],
+        languages: "Python, TensorFlow/Horovod, CUDA/ROCm",
+        license: "Apache-2.0",
+        base_nodes: NodeSpecification::Fixed(10),
+        high_scale: None,
+        targets: &[T::BoosterGpu],
+        used_in_procurement: false,
+    },
+    BenchmarkMeta {
+        id: B::DynQcd,
+        category: Category::Base,
+        domain: Domain::QuantumChromodynamics,
+        dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
+        languages: "C, OpenMP",
+        license: "None",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: None,
+        targets: &[T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Nastja,
+        category: Category::Base,
+        domain: Domain::Biology,
+        dwarfs: &[D::StructuredGrid],
+        languages: "C++, MPI",
+        license: "MPL-2.0",
+        base_nodes: NodeSpecification::Fixed(8),
+        high_scale: None,
+        targets: &[T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Graph500,
+        category: Category::Synthetic,
+        domain: Domain::GraphAnalytics,
+        dwarfs: &[D::GraphTraversal],
+        languages: "C, MPI",
+        license: "MIT",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[4, 16]),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Hpcg,
+        category: Category::Synthetic,
+        domain: Domain::ConjugateGradient,
+        dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
+        languages: "C++, OpenMP, CUDA/HIP",
+        license: "BSD-3-Clause",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[1, 4]),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Hpl,
+        category: Category::Synthetic,
+        domain: Domain::LinearAlgebra,
+        dwarfs: &[D::DenseLinearAlgebra],
+        languages: "C, BLAS, OpenMP, CUDA/HIP",
+        license: "BSD-4-Clause",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[1, 16]),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Ior,
+        category: Category::Synthetic,
+        domain: Domain::Filesystem,
+        dwarfs: &[D::InputOutput],
+        languages: "C, MPI",
+        license: "GPLv2",
+        base_nodes: NodeSpecification::AtLeast(64),
+        high_scale: None,
+        targets: &[T::Storage],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::LinkTest,
+        category: Category::Synthetic,
+        domain: Domain::Network,
+        dwarfs: &[D::PointToPointTopology],
+        languages: "C++, MPI/SIONlib",
+        license: "BSD-4-Clause+",
+        base_nodes: NodeSpecification::FullSystem,
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Osu,
+        category: Category::Synthetic,
+        domain: Domain::Network,
+        dwarfs: &[D::MessageExchangeDma],
+        languages: "C, MPI, CUDA",
+        license: "BSD",
+        base_nodes: NodeSpecification::PerSubBenchmark(&[1, 2]),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+    BenchmarkMeta {
+        id: B::Stream,
+        category: Category::Synthetic,
+        domain: Domain::Memory,
+        dwarfs: &[D::RegularMemoryAccess],
+        languages: "C, CUDA/ROCm/OpenACC",
+        license: "Custom",
+        base_nodes: NodeSpecification::Fixed(1),
+        high_scale: None,
+        targets: &[T::BoosterGpu, T::ClusterCpu],
+        used_in_procurement: true,
+    },
+];
+
 /// The full suite metadata, in the row order of Tables I and II.
 pub fn suite_meta() -> Vec<BenchmarkMeta> {
-    vec![
-        BenchmarkMeta {
-            id: B::Amber,
-            category: Category::Base,
-            domain: Domain::MolecularDynamics,
-            dwarfs: &[D::NBodyParticle, D::SpectralMethods],
-            languages: "Fortran, CUDA",
-            license: "Custom",
-            base_nodes: NodeSpecification::Fixed(1),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: false,
-        },
-        BenchmarkMeta {
-            id: B::Arbor,
-            category: Category::HighScaling,
-            domain: Domain::Neuroscience,
-            dwarfs: &[D::SparseLinearAlgebra],
-            languages: "C++, CUDA/HIP",
-            license: "BSD-3-Clause",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: Some(HighScaleSpec {
-                nodes: 642,
-                variants: TSML,
-            }),
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::ChromaQcd,
-            category: Category::HighScaling,
-            domain: Domain::QuantumChromodynamics,
-            dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
-            languages: "C++, QUDA, CUDA/HIP",
-            license: "JLab",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: Some(HighScaleSpec {
-                nodes: 512,
-                variants: SML,
-            }),
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Gromacs,
-            category: Category::Base,
-            domain: Domain::MolecularDynamics,
-            dwarfs: &[D::NBodyParticle, D::SpectralMethods],
-            languages: "C++, CUDA/SYCL",
-            license: "LGPLv2.1",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[3, 128]),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Icon,
-            category: Category::Base,
-            domain: Domain::Climate,
-            dwarfs: &[D::StructuredGrid],
-            languages: "Fortran/C, OpenACC/CUDA/HIP",
-            license: "BSD-3-Clause",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[120, 300]),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::Storage],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Juqcs,
-            category: Category::HighScaling,
-            domain: Domain::QuantumComputing,
-            dwarfs: &[D::DenseLinearAlgebra],
-            languages: "Fortran, CUDA/OpenMP",
-            license: "None",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: Some(HighScaleSpec {
-                nodes: 512,
-                variants: SL,
-            }),
-            targets: &[T::BoosterGpu, T::Msa],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::NekRs,
-            category: Category::HighScaling,
-            domain: Domain::ComputationalFluidDynamics,
-            dwarfs: &[D::SpectralMethods, D::UnstructuredGrid],
-            languages: "C++/C, OCCA, CUDA/HIP/SYCL",
-            license: "BSD-3-Clause",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: Some(HighScaleSpec {
-                nodes: 642,
-                variants: SL,
-            }),
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::ParFlow,
-            category: Category::Base,
-            domain: Domain::EarthSystems,
-            dwarfs: &[D::StructuredGrid],
-            languages: "C, Hypre, CUDA/HIP",
-            license: "LGPL",
-            base_nodes: NodeSpecification::Fixed(4),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: false,
-        },
-        BenchmarkMeta {
-            id: B::PIConGpu,
-            category: Category::HighScaling,
-            domain: Domain::PlasmaPhysics,
-            dwarfs: &[D::NBodyParticle],
-            languages: "C++, Alpaka, CUDA/HIP",
-            license: "GPLv3+",
-            base_nodes: NodeSpecification::Fixed(4),
-            high_scale: Some(HighScaleSpec {
-                nodes: 640,
-                variants: SML,
-            }),
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::QuantumEspresso,
-            category: Category::Base,
-            domain: Domain::MaterialsScience,
-            dwarfs: &[D::DenseLinearAlgebra, D::SpectralMethods],
-            languages: "Fortran, ELPA, OpenACC/CUF",
-            license: "GPL",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Soma,
-            category: Category::Base,
-            domain: Domain::PolymerSystems,
-            dwarfs: &[D::NBodyParticle],
-            languages: "C, OpenACC",
-            license: "LGPL",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: false,
-        },
-        BenchmarkMeta {
-            id: B::MmoClip,
-            category: Category::Base,
-            domain: Domain::AiMultiModal,
-            dwarfs: &[D::DenseLinearAlgebra],
-            languages: "Python, PyTorch, CUDA/ROCm",
-            license: "MIT",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::MegatronLm,
-            category: Category::Base,
-            domain: Domain::AiLargeLanguageModel,
-            dwarfs: &[D::DenseLinearAlgebra],
-            languages: "Python, PyTorch/Apex, CUDA/ROCm",
-            license: "BSD-3-Clause",
-            base_nodes: NodeSpecification::Fixed(96),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::ResNet,
-            category: Category::Base,
-            domain: Domain::AiVision,
-            dwarfs: &[D::DenseLinearAlgebra],
-            languages: "Python, TensorFlow/Horovod, CUDA/ROCm",
-            license: "Apache-2.0",
-            base_nodes: NodeSpecification::Fixed(10),
-            high_scale: None,
-            targets: &[T::BoosterGpu],
-            used_in_procurement: false,
-        },
-        BenchmarkMeta {
-            id: B::DynQcd,
-            category: Category::Base,
-            domain: Domain::QuantumChromodynamics,
-            dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
-            languages: "C, OpenMP",
-            license: "None",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: None,
-            targets: &[T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Nastja,
-            category: Category::Base,
-            domain: Domain::Biology,
-            dwarfs: &[D::StructuredGrid],
-            languages: "C++, MPI",
-            license: "MPL-2.0",
-            base_nodes: NodeSpecification::Fixed(8),
-            high_scale: None,
-            targets: &[T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Graph500,
-            category: Category::Synthetic,
-            domain: Domain::GraphAnalytics,
-            dwarfs: &[D::GraphTraversal],
-            languages: "C, MPI",
-            license: "MIT",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[4, 16]),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Hpcg,
-            category: Category::Synthetic,
-            domain: Domain::ConjugateGradient,
-            dwarfs: &[D::SparseLinearAlgebra, D::StructuredGrid],
-            languages: "C++, OpenMP, CUDA/HIP",
-            license: "BSD-3-Clause",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[1, 4]),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Hpl,
-            category: Category::Synthetic,
-            domain: Domain::LinearAlgebra,
-            dwarfs: &[D::DenseLinearAlgebra],
-            languages: "C, BLAS, OpenMP, CUDA/HIP",
-            license: "BSD-4-Clause",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[1, 16]),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Ior,
-            category: Category::Synthetic,
-            domain: Domain::Filesystem,
-            dwarfs: &[D::InputOutput],
-            languages: "C, MPI",
-            license: "GPLv2",
-            base_nodes: NodeSpecification::AtLeast(64),
-            high_scale: None,
-            targets: &[T::Storage],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::LinkTest,
-            category: Category::Synthetic,
-            domain: Domain::Network,
-            dwarfs: &[D::PointToPointTopology],
-            languages: "C++, MPI/SIONlib",
-            license: "BSD-4-Clause+",
-            base_nodes: NodeSpecification::FullSystem,
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Osu,
-            category: Category::Synthetic,
-            domain: Domain::Network,
-            dwarfs: &[D::MessageExchangeDma],
-            languages: "C, MPI, CUDA",
-            license: "BSD",
-            base_nodes: NodeSpecification::PerSubBenchmark(&[1, 2]),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-        BenchmarkMeta {
-            id: B::Stream,
-            category: Category::Synthetic,
-            domain: Domain::Memory,
-            dwarfs: &[D::RegularMemoryAccess],
-            languages: "C, CUDA/ROCm/OpenACC",
-            license: "Custom",
-            base_nodes: NodeSpecification::Fixed(1),
-            high_scale: None,
-            targets: &[T::BoosterGpu, T::ClusterCpu],
-            used_in_procurement: true,
-        },
-    ]
+    SUITE_META.to_vec()
 }
 
 impl BenchmarkMeta {
@@ -652,6 +661,13 @@ mod tests {
         let meta = suite_meta();
         let ids: Vec<_> = meta.iter().map(|m| m.id).collect();
         assert_eq!(ids, BenchmarkId::ALL.to_vec());
+    }
+
+    #[test]
+    fn an_id_looks_up_its_own_row() {
+        for id in BenchmarkId::ALL {
+            assert_eq!(id.meta().id, id);
+        }
     }
 
     #[test]

@@ -60,27 +60,36 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::benchmark::{RunConfig, RunOutcome};
+    use crate::benchmark::{RealLayout, RealTrack, RealWorld, RunConfig, RunOutcome};
     use crate::error::SuiteError;
     use crate::fom::Fom;
-    use crate::meta::{suite_meta, BenchmarkMeta};
+    use crate::meta::BenchmarkMeta;
     use crate::verify::VerificationOutcome;
 
     struct Fake(BenchmarkId);
 
     impl Benchmark for Fake {
         fn meta(&self) -> BenchmarkMeta {
-            suite_meta().into_iter().find(|m| m.id == self.0).unwrap()
+            self.0.meta()
         }
-        fn run(&self, _cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-            Ok(RunOutcome {
+        fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+            Ok(RealLayout::new(cfg, RealWorld::Serial))
+        }
+        fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+            Ok(RealTrack {
+                verification: VerificationOutcome::Exact { checked_values: 0 },
+                metrics: vec![],
+            })
+        }
+        fn cost(&self, _cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+            RunOutcome {
                 fom: Fom::RuntimeSeconds(1.0),
                 virtual_time_s: 1.0,
                 compute_time_s: 1.0,
                 comm_time_s: 0.0,
-                verification: VerificationOutcome::Exact { checked_values: 0 },
+                verification: track.verification.clone(),
                 metrics: vec![],
-            })
+            }
         }
     }
 

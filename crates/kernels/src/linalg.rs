@@ -1,4 +1,4 @@
-//! Dense linear algebra: a row-major matrix type, blocked GEMM, and LU
+//! Dense linear algebra: a row-major matrix type, GEMM, and LU
 //! factorization with partial pivoting (the computational core of HPL and
 //! of the transformer-training proxies).
 
@@ -105,8 +105,8 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-/// C = A·B using a cache-blocked i-k-j loop order, row-parallel across
-/// the shared thread pool.
+/// C = A·B in plain i-k-j loop order (row-streaming, not blocked),
+/// row-parallel across the shared thread pool.
 pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols, b.rows, "gemm dimension mismatch");
     let (_m, k, n) = (a.rows, a.cols, b.cols);

@@ -39,6 +39,41 @@ pub enum DeltaKind {
     OnlyInNew,
 }
 
+/// The one tolerance band: the relative delta `new/baseline - 1` (where
+/// both sides exist; 0 for `0 → 0`, `+∞` for `0 →` anything else) and
+/// its class. A value stays [`DeltaKind::Unchanged`] up to and including
+/// `baseline · (1 ± tolerance)` — the edge is the product, which a
+/// caller can compute exactly, not the rounded quotient. A missing `new`
+/// is [`DeltaKind::OnlyInBaseline`] whether or not there was a baseline:
+/// nothing was measured.
+pub fn classify(
+    baseline: Option<f64>,
+    new: Option<f64>,
+    tolerance: f64,
+) -> (Option<f64>, DeltaKind) {
+    match (baseline, new) {
+        (_, None) => (None, DeltaKind::OnlyInBaseline),
+        (None, Some(_)) => (None, DeltaKind::OnlyInNew),
+        (Some(b), Some(n)) => {
+            let ratio = if b != 0.0 {
+                n / b - 1.0
+            } else if n == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            };
+            let kind = if n > b * (1.0 + tolerance) {
+                DeltaKind::Regression
+            } else if n < b * (1.0 - tolerance) {
+                DeltaKind::Improvement
+            } else {
+                DeltaKind::Unchanged
+            };
+            (Some(ratio), kind)
+        }
+    }
+}
+
 /// One benchmark's comparison row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
@@ -150,30 +185,11 @@ pub fn compare(baseline: &PerfReport, new: &PerfReport, config: GateConfig) -> G
         .map(|id| {
             let b = baseline.get(id).map(|r| r.median_ns);
             let n = new.get(id).map(|r| r.median_ns);
-            let (ratio, kind) = match (b, n) {
-                (Some(b_ns), Some(n_ns)) => {
-                    let ratio = if b_ns == 0 {
-                        if n_ns == 0 {
-                            0.0
-                        } else {
-                            f64::INFINITY
-                        }
-                    } else {
-                        n_ns as f64 / b_ns as f64 - 1.0
-                    };
-                    let kind = if ratio > config.tolerance {
-                        DeltaKind::Regression
-                    } else if ratio < -config.tolerance {
-                        DeltaKind::Improvement
-                    } else {
-                        DeltaKind::Unchanged
-                    };
-                    (Some(ratio), kind)
-                }
-                (Some(_), None) => (None, DeltaKind::OnlyInBaseline),
-                (None, Some(_)) => (None, DeltaKind::OnlyInNew),
-                (None, None) => unreachable!("id came from one of the reports"),
-            };
+            let (ratio, kind) = classify(
+                b.map(|ns| ns as f64),
+                n.map(|ns| ns as f64),
+                config.tolerance,
+            );
             Delta {
                 id: id.to_string(),
                 baseline_ns: b,
@@ -242,6 +258,26 @@ mod tests {
         let kinds: Vec<DeltaKind> = gate.deltas.iter().map(|d| d.kind).collect();
         assert!(kinds.contains(&DeltaKind::OnlyInBaseline));
         assert!(kinds.contains(&DeltaKind::OnlyInNew));
+    }
+
+    /// `new = baseline · (1 ± tolerance)` is still inside the band, also
+    /// where the quotient rounds past it (`1100 / 1000 - 1` is
+    /// `0.10000000000000009`).
+    #[test]
+    fn the_edge_of_the_band_is_unchanged() {
+        let base = report(&[("a/x", 1000)]);
+        for (tolerance, edges) in [(0.1, [1100, 900]), (0.25, [1250, 750])] {
+            for edge in edges {
+                let gate = compare(&base, &report(&[("a/x", edge)]), GateConfig { tolerance });
+                assert_eq!(gate.deltas[0].kind, DeltaKind::Unchanged, "{edge}");
+            }
+            let slower = report(&[("a/x", edges[0] + 1)]);
+            let gate = compare(&base, &slower, GateConfig { tolerance });
+            assert_eq!(gate.deltas[0].kind, DeltaKind::Regression);
+            let faster = report(&[("a/x", edges[1] - 1)]);
+            let gate = compare(&base, &faster, GateConfig { tolerance });
+            assert_eq!(gate.deltas[0].kind, DeltaKind::Improvement);
+        }
     }
 
     #[test]

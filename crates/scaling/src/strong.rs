@@ -53,26 +53,13 @@ impl Fig2Series {
     }
 }
 
-/// The closest node count ≤ `target` the benchmark accepts (footnote 1 of
-/// the paper: "the smaller, closest compatible number of nodes is taken").
-fn closest_valid_nodes(bench: &dyn Benchmark, target: u32) -> Option<u32> {
-    let mut n = target;
-    while n >= 1 {
-        if bench.validate_nodes(n).is_ok() {
-            return Some(n);
-        }
-        n -= 1;
-    }
-    None
-}
-
 /// Produce the strong-scaling series of one benchmark, using its
 /// reference node count and the surrounding multipliers.
 pub fn strong_scaling_series(bench: &dyn Benchmark, seed: u64) -> Fig2Series {
     let reference_nodes = bench.reference_nodes();
     let mut nodes: Vec<u32> = strong_scaling_points(reference_nodes)
         .into_iter()
-        .filter_map(|n| closest_valid_nodes(bench, n))
+        .filter_map(|n| bench.closest_valid_nodes(n))
         .collect();
     nodes.dedup();
     let reference_runtime_s = bench
@@ -97,11 +84,7 @@ pub fn strong_scaling_series(bench: &dyn Benchmark, seed: u64) -> Fig2Series {
             relative_nodes: n as f64 / reference_nodes as f64,
             runtime_s: out.virtual_time_s,
             relative_runtime: out.virtual_time_s / reference_runtime_s,
-            comm_fraction: if out.virtual_time_s > 0.0 {
-                out.comm_time_s / out.virtual_time_s
-            } else {
-                0.0
-            },
+            comm_fraction: out.comm_fraction(),
         })
     })
     .into_iter()

@@ -71,12 +71,7 @@ pub fn weak_scaling_series(bench: &dyn Benchmark, variant: MemoryVariant, seed: 
     let mut comm_fractions: Vec<(u32, f64)> = Vec::new();
     for (n, out) in outcomes.into_iter().flatten() {
         runtimes.push((n, out.virtual_time_s));
-        let frac = if out.virtual_time_s > 0.0 {
-            out.comm_time_s / out.virtual_time_s
-        } else {
-            0.0
-        };
-        comm_fractions.push((n, frac));
+        comm_fractions.push((n, out.comm_fraction()));
     }
     let t0 = runtimes.first().map(|&(_, t)| t).unwrap_or(f64::NAN);
     Fig3Series {

@@ -87,23 +87,35 @@ mod tests {
     use super::*;
     use crate::placement::PlacementPolicy;
     use crate::scheduler::QueuePolicy;
-    use jubench_core::{suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, RunOutcome, SuiteError};
+    use jubench_core::{
+        Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RealWorld, RunOutcome,
+        SuiteError,
+    };
 
     struct Fake(BenchmarkId, f64);
 
     impl Benchmark for Fake {
         fn meta(&self) -> BenchmarkMeta {
-            suite_meta().into_iter().find(|m| m.id == self.0).unwrap()
+            self.0.meta()
         }
-        fn run(&self, _cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-            Ok(RunOutcome {
+        fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+            Ok(RealLayout::new(cfg, RealWorld::Serial))
+        }
+        fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+            Ok(RealTrack {
+                verification: jubench_core::VerificationOutcome::Exact { checked_values: 0 },
+                metrics: vec![],
+            })
+        }
+        fn cost(&self, _cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+            RunOutcome {
                 fom: jubench_core::Fom::RuntimeSeconds(self.1),
                 virtual_time_s: self.1,
                 compute_time_s: self.1 * 0.7,
                 comm_time_s: self.1 * 0.3,
-                verification: jubench_core::VerificationOutcome::Exact { checked_values: 0 },
+                verification: track.verification.clone(),
                 metrics: vec![],
-            })
+            }
         }
     }
 

@@ -24,7 +24,7 @@
 //!   plan); eviction is LRU by a logical clock. One per shard, part of
 //!   its snapshot: the first cache level.
 //! - `tracks`: the second level, one per [`Server`] and shared by its
-//!   shards — the real executions of the application proxies, keyed by
+//!   shards — the real execution of every benchmark, keyed by
 //!   benchmark and [`RealLayout`](jubench_core::RealLayout), in which
 //!   no machine appears: campaigns on different backends cost the same
 //!   track. Asked only after a result-cache miss, never snapshotted,

@@ -10,10 +10,10 @@
 //! and is the model the service is tested against.
 //!
 //! The one thing [`run_point`] may be handed is the server's
-//! [`RealTracks`]: for a benchmark in separable form it then asks the
-//! store for the real track instead of executing it unconditionally.
-//! A track is a pure function of its key, so the row is the same either
-//! way — `reference` passes `None` and goes through `Benchmark::run`.
+//! [`RealTracks`]: it then asks the store for the point's real track
+//! instead of executing it unconditionally. What a row reads of a track
+//! is a pure function of its key, so the row is the same either way —
+//! `reference` passes `None` and executes every point.
 
 use crate::cache::PointResult;
 use crate::spec::{CampaignSpec, RunPoint};
@@ -21,6 +21,7 @@ use crate::tracks::RealTracks;
 use jubench_core::{BenchmarkId, Registry, RunConfig};
 use jubench_sched::{category_priority, measured_job, Job, Schedule, Scheduler, SchedulerConfig};
 use jubench_trace::{chrome_trace_json, Recorder, RunReport};
+use std::sync::Arc;
 
 /// The eight cells of `p`'s result row; a point that did not execute
 /// shows a dash for `time` and `comm`.
@@ -39,8 +40,8 @@ fn row_cells(p: &RunPoint, time: &str, comm: &str, status: String) -> Vec<String
 
 /// Execute one run point for real. Pure in its inputs: the registry's
 /// benchmark, the point parameters, and nothing else — `tracks` decides
-/// whether the real track of a split benchmark is executed here or was
-/// already, never what it is.
+/// whether the point's real track is executed here or was already, never
+/// what the row says.
 ///
 /// Specs are validated at submit, but the registry handed to a *drain*
 /// is a different argument than the one validated against — a
@@ -73,13 +74,13 @@ pub(crate) fn run_point(
         backend: spec.backend,
     };
     let priority = category_priority(bench.meta().category);
-    let outcome = match (tracks, bench.split()) {
-        (Some(tracks), Some(split)) => split.layout(&config).and_then(|layout| {
-            let track = tracks.get_or_execute(id, layout, |layout| split.execute(layout))?;
-            Ok(split.cost(&config, &track))
-        }),
-        _ => bench.run(&config),
-    };
+    let outcome = bench.layout(&config).and_then(|layout| {
+        let track = match tracks {
+            Some(tracks) => tracks.get_or_execute(id, layout, |layout| bench.execute(layout))?,
+            None => Arc::new(bench.execute(&layout)?),
+        };
+        Ok(bench.cost(&config, &track))
+    });
     match outcome {
         // A job of that length would never end (or end before it
         // started) in the schedule built from this row.

@@ -52,7 +52,7 @@ pub(crate) struct Route {
 #[derive(Debug)]
 pub struct Server {
     pub(crate) shards: Vec<ShardState>,
-    /// Real tracks of split benchmarks, shared by the shards: the second
+    /// Every benchmark's real tracks, shared by the shards: the second
     /// cache level, consulted after a shard's own result cache missed.
     pub(crate) real_tracks: RealTracks,
     next_campaign: u64,

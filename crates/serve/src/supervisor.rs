@@ -282,17 +282,26 @@ impl Server {
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, RunPoint};
-    use jubench_core::{Benchmark, BenchmarkId, BenchmarkMeta, RunConfig, RunOutcome, SuiteError};
+    use jubench_core::{
+        Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RealWorld, RunConfig,
+        RunOutcome, SuiteError,
+    };
 
-    /// STREAM with a bug: every run panics.
-    struct BrokenStream(Registry);
+    /// STREAM with a bug: every execution panics (on any node count).
+    struct BrokenStream;
 
     impl Benchmark for BrokenStream {
         fn meta(&self) -> BenchmarkMeta {
-            self.0.get(BenchmarkId::Stream).unwrap().meta()
+            BenchmarkId::Stream.meta()
         }
-        fn run(&self, _: &RunConfig) -> Result<RunOutcome, SuiteError> {
+        fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+            Ok(RealLayout::new(cfg, RealWorld::Serial))
+        }
+        fn execute(&self, _: &RealLayout) -> Result<RealTrack, SuiteError> {
             panic!("STREAM blew up");
+        }
+        fn cost(&self, _: &RunConfig, _: &RealTrack) -> RunOutcome {
+            unreachable!("no execution returns a track to cost")
         }
     }
 
@@ -303,7 +312,7 @@ mod tests {
     #[test]
     fn a_failed_unsupervised_drain_refunds_what_left_the_queue() {
         let mut registry = jubench_scaling::full_registry();
-        registry.register(Box::new(BrokenStream(jubench_scaling::full_registry())));
+        registry.register(Box::new(BrokenStream));
         let mut server = Server::new(1, 16);
         // One unit each, round-robin: `quick` is done by the time
         // `doomed` reaches its STREAM point.

@@ -3,11 +3,11 @@
 //! The [`ResultCache`](crate::cache::ResultCache) is the first level: a
 //! shard's own, keyed by the content address of a run point — machine
 //! fingerprint included — so two backends never share a *point*. But
-//! the 16 application proxies are [`SplitRun`](jubench_core::SplitRun)s:
-//! their expensive half, the real execution, depends on a
-//! [`RealLayout`] in which no machine appears, and a point that missed
-//! the result cache may still find its track here — executed by another
-//! backend's campaign, on another shard.
+//! every [`Benchmark`](jubench_core::Benchmark) is three stages, and
+//! the expensive one, the real execution, depends on a [`RealLayout`]
+//! in which no machine appears: a point that missed the result cache
+//! may still find its track here — executed by another backend's
+//! campaign, on another shard.
 //!
 //! One once-cell per `(benchmark, layout)`: the map lock is held only to
 //! find or make the cell, never while executing; whoever takes the empty
@@ -15,9 +15,11 @@
 //! on the cell instead of recomputing. An execution that fails or panics
 //! leaves the cell empty, so the next caller retries.
 //!
-//! The store is **observational**, like the cache in front of it: a
-//! track is a pure function of its key, so sharing changes *whether* a
-//! real execution runs, never what a row says. Nothing of it is
+//! The store is **observational**, like the cache in front of it: what
+//! a row reads of a track is a pure function of its key (the host rates
+//! the compute synthetics report are not, and no row reads them), so
+//! sharing changes *whether* a real execution runs, never what a row
+//! says. Nothing of it is
 //! snapshotted, migrated, framed or reported; it dies with its server.
 //!
 //! [`Server`]: crate::server::Server

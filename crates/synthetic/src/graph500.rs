@@ -3,11 +3,12 @@
 
 use std::time::Instant;
 
-use jubench_apps_common::{AppModel, Phase};
+use crate::host_rate;
+use jubench_apps_common::{layout_serial, outcome, AppModel, Phase};
 use jubench_cluster::{CommPattern, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_kernels::rank_rng;
 
@@ -238,41 +239,19 @@ impl Default for Graph500 {
 
 impl Benchmark for Graph500 {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Graph500)
-            .unwrap()
+        BenchmarkId::Graph500.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
-        // Analytic model: at full scale, every BFS level is an all-to-all
-        // of frontier vertices with heavy irregular memory access.
-        let scale_full = 38u32; // full-machine Graph500 class
-        let verts = 2f64.powi(scale_full as i32);
-        let devices = machine.devices() as f64;
-        let timing = AppModel::new(machine, 64)
-            .with_efficiencies(0.05, 0.3)
-            .with_phase(Phase::compute(
-                "frontier expansion",
-                Work::new(
-                    8.0 * verts * EDGE_FACTOR as f64 / devices / 64.0,
-                    64.0 * verts / devices,
-                ),
-            ))
-            .with_phase(Phase::comm(
-                "frontier exchange",
-                CommPattern::AllToAll {
-                    bytes_per_pair: (verts * 4.0 / devices / devices).max(64.0) as u64,
-                },
-            ))
-            .timing();
+        Ok(layout_serial(cfg))
+    }
 
-        // Real execution: generate, BFS, validate, measure TEPS.
-        let edges = kronecker_edges(self.scale, cfg.seed);
+    /// Generate, BFS, validate, measure TEPS.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let edges = kronecker_edges(self.scale, layout.seed);
         let csr = Csr::from_edges(1 << self.scale, &edges);
-        let mut rng = rank_rng(cfg.seed ^ 0xBF5, 0);
+        let mut rng = rank_rng(layout.seed ^ 0xBF5, 0);
         let mut total_traversed = 0u64;
         let start = Instant::now();
         let mut validation = Ok(());
@@ -292,16 +271,41 @@ impl Benchmark for Graph500 {
             },
             Err(e) => VerificationOutcome::Failed { detail: e },
         };
-        let mut out = jubench_apps_common::outcome(
-            timing,
+        Ok(RealTrack {
             verification,
-            vec![
+            metrics: vec![
                 ("measured_teps".into(), teps),
                 ("traversed_edges".into(), total_traversed as f64),
             ],
-        );
-        out.fom = Fom::Teps(teps);
-        Ok(out)
+        })
+    }
+
+    /// Analytic model: at full scale, every BFS level is an all-to-all
+    /// of frontier vertices with heavy irregular memory access.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let machine = cfg.machine();
+        let scale_full = 38u32; // full-machine Graph500 class
+        let verts = 2f64.powi(scale_full as i32);
+        let devices = machine.devices() as f64;
+        let timing = AppModel::new(machine, 64)
+            .with_efficiencies(0.05, 0.3)
+            .with_phase(Phase::compute(
+                "frontier expansion",
+                Work::new(
+                    8.0 * verts * EDGE_FACTOR as f64 / devices / 64.0,
+                    64.0 * verts / devices,
+                ),
+            ))
+            .with_phase(Phase::comm(
+                "frontier exchange",
+                CommPattern::AllToAll {
+                    bytes_per_pair: (verts * 4.0 / devices / devices).max(64.0) as u64,
+                },
+            ))
+            .timing();
+        let mut out = outcome(timing, track.verification.clone(), track.metrics.clone());
+        out.fom = Fom::Teps(host_rate(track, "measured_teps"));
+        out
     }
 }
 

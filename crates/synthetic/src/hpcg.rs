@@ -17,11 +17,12 @@
 
 use std::time::Instant;
 
-use jubench_apps_common::{AppModel, Phase};
+use crate::host_rate;
+use jubench_apps_common::{layout_serial, outcome, AppModel, Phase};
 use jubench_cluster::{balanced_dims3, CommPattern, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 
 /// The 27-point operator on an n³ grid with Dirichlet boundaries: diagonal
@@ -220,16 +221,34 @@ impl Default for Hpcg {
 
 impl Benchmark for Hpcg {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Hpcg)
-            .unwrap()
+        BenchmarkId::Hpcg.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
+        Ok(layout_serial(cfg))
+    }
+
+    /// One PCG solve of the 27-point problem (the right-hand side is all
+    /// ones: the seed is not an input).
+    fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let op = Stencil27 { n: self.n };
+        let b = vec![1.0; op.len()];
+        let start = Instant::now();
+        let (iters, resid, flops) = hpcg_pcg(&op, &b, 1e-8, 200);
+        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+        Ok(RealTrack {
+            verification: VerificationOutcome::tolerance(resid, 1e-8),
+            metrics: vec![
+                ("measured_flops".into(), flops / elapsed),
+                ("pcg_iterations".into(), iters as f64),
+            ],
+        })
+    }
+
+    /// Full-scale model: HPCG is bandwidth-bound; halo + dots.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
         let machine = cfg.machine();
-        // Full-scale model: HPCG is bandwidth-bound; halo + dots.
         let points_per_gpu = 104.0f64.powi(3); // standard local 104³ block
         let rank_dims = balanced_dims3(machine.devices());
         let timing = AppModel::new(machine, 500)
@@ -247,25 +266,9 @@ impl Benchmark for Hpcg {
             ))
             .with_phase(Phase::comm("dots", CommPattern::AllReduce { bytes: 8 }))
             .timing();
-
-        // Real execution.
-        let op = Stencil27 { n: self.n };
-        let b = vec![1.0; op.len()];
-        let start = Instant::now();
-        let (iters, resid, flops) = hpcg_pcg(&op, &b, 1e-8, 200);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let rate = flops / elapsed;
-        let verification = VerificationOutcome::tolerance(resid, 1e-8);
-        let mut out = jubench_apps_common::outcome(
-            timing,
-            verification,
-            vec![
-                ("measured_flops".into(), rate),
-                ("pcg_iterations".into(), iters as f64),
-            ],
-        );
-        out.fom = Fom::Flops(rate);
-        Ok(out)
+        let mut out = outcome(timing, track.verification.clone(), track.metrics.clone());
+        out.fom = Fom::Flops(host_rate(track, "measured_flops"));
+        out
     }
 }
 

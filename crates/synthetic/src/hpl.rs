@@ -3,11 +3,12 @@
 
 use std::time::Instant;
 
-use jubench_apps_common::{AppModel, Phase};
+use crate::host_rate;
+use jubench_apps_common::{layout_serial, outcome, AppModel, Phase};
 use jubench_cluster::{CommPattern, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_kernels::linalg::residual_inf;
 use jubench_kernels::{lu_factor, lu_solve, rank_rng, Matrix};
@@ -30,17 +31,46 @@ pub fn hpl_flops(n: f64) -> f64 {
 
 impl Benchmark for Hpl {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Hpl)
-            .unwrap()
+        BenchmarkId::Hpl.meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
+        Ok(layout_serial(cfg))
+    }
+
+    /// Factor, solve, verify the residual.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let n = self.n;
+        let mut rng = rank_rng(layout.seed, 0);
+        let a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-0.5..0.5));
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
+        let start = Instant::now();
+        let f = lu_factor(&a).ok_or(SuiteError::VerificationFailed {
+            benchmark: "HPL",
+            detail: "matrix unexpectedly singular".into(),
+        })?;
+        let x = lu_solve(&f, &b);
+        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+        let flops = hpl_flops(n as f64) / elapsed;
+        // HPL acceptance: ‖Ax − b‖∞ / (ε‖A‖‖x‖n) = O(1); we use a direct
+        // scaled residual bound.
+        let resid = residual_inf(&a, &x, &b);
+        let scale = a.max_abs() * x.iter().fold(0.0f64, |m, v| m.max(v.abs())) * n as f64;
+        let scaled = resid / (f64::EPSILON * scale.max(1e-300));
+        Ok(RealTrack {
+            verification: VerificationOutcome::tolerance(scaled, 100.0),
+            metrics: vec![
+                ("measured_flops".into(), flops),
+                ("scaled_residual".into(), scaled),
+            ],
+        })
+    }
+
+    /// Full-machine model: matrix sized to ~80 % of aggregate memory,
+    /// panel broadcasts + row swaps dominate communication.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
         let machine = cfg.machine();
-        // Full-machine model: matrix sized to ~80 % of aggregate memory,
-        // panel broadcasts + row swaps dominate communication.
         let mem = machine.gpu_memory_bytes() as f64 * 0.8;
         let n_full = (mem / 8.0).sqrt();
         let devices = machine.devices() as f64;
@@ -60,36 +90,9 @@ impl Benchmark for Hpl {
                 },
             ))
             .timing();
-
-        // Real execution: factor, solve, verify the residual.
-        let n = self.n;
-        let mut rng = rank_rng(cfg.seed, 0);
-        let a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-0.5..0.5));
-        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        let start = Instant::now();
-        let f = lu_factor(&a).ok_or(SuiteError::VerificationFailed {
-            benchmark: "HPL",
-            detail: "matrix unexpectedly singular".into(),
-        })?;
-        let x = lu_solve(&f, &b);
-        let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-        let flops = hpl_flops(n as f64) / elapsed;
-        // HPL acceptance: ‖Ax − b‖∞ / (ε‖A‖‖x‖n) = O(1); we use a direct
-        // scaled residual bound.
-        let resid = residual_inf(&a, &x, &b);
-        let scale = a.max_abs() * x.iter().fold(0.0f64, |m, v| m.max(v.abs())) * n as f64;
-        let scaled = resid / (f64::EPSILON * scale.max(1e-300));
-        let verification = VerificationOutcome::tolerance(scaled, 100.0);
-        let mut out = jubench_apps_common::outcome(
-            timing,
-            verification,
-            vec![
-                ("measured_flops".into(), flops),
-                ("scaled_residual".into(), scaled),
-            ],
-        );
-        out.fom = Fom::Flops(flops);
-        Ok(out)
+        let mut out = outcome(timing, track.verification.clone(), track.metrics.clone());
+        out.fom = Fom::Flops(host_rate(track, "measured_flops"));
+        out
     }
 }
 

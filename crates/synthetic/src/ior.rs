@@ -10,9 +10,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use crate::host_rate;
+use jubench_apps_common::layout_serial;
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 
 /// Scratch-file disambiguator: concurrent IOR runs (parallel serve
@@ -192,10 +194,7 @@ impl Ior {
 
 impl Benchmark for Ior {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Ior)
-            .unwrap()
+        BenchmarkId::Ior.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -217,26 +216,36 @@ impl Benchmark for Ior {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
-        let (write_bw, read_bw, bytes) = self.run_io(cfg.seed)?;
-        // Modeled storage-module rates at the requested node count.
-        let model_bw = storage_bw(cfg.nodes, self.mode);
-        let virtual_time = 2.0 * (100u64 << 30) as f64 / model_bw; // 100 GiB each way
-        Ok(RunOutcome {
-            fom: Fom::BytesPerSecond(write_bw.min(read_bw)),
-            virtual_time_s: virtual_time,
-            compute_time_s: 0.0,
-            comm_time_s: virtual_time,
+        Ok(layout_serial(cfg))
+    }
+
+    /// Write, read back, verify — on the host's scratch directory.
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        let (write_bw, read_bw, bytes) = self.run_io(layout.seed)?;
+        Ok(RealTrack {
             verification: VerificationOutcome::Exact {
                 checked_values: bytes as usize / 2,
             },
-            metrics: vec![
-                ("write_bw".into(), write_bw),
-                ("read_bw".into(), read_bw),
-                ("modeled_storage_bw".into(), model_bw),
-            ],
+            metrics: vec![("write_bw".into(), write_bw), ("read_bw".into(), read_bw)],
         })
+    }
+
+    /// Modeled storage-module rates at the requested node count.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let model_bw = storage_bw(cfg.nodes, self.mode);
+        let virtual_time = 2.0 * (100u64 << 30) as f64 / model_bw; // 100 GiB each way
+        let mut metrics = track.metrics.clone();
+        metrics.push(("modeled_storage_bw".into(), model_bw));
+        RunOutcome {
+            fom: Fom::BytesPerSecond(host_rate(track, "write_bw").min(host_rate(track, "read_bw"))),
+            virtual_time_s: virtual_time,
+            compute_time_s: 0.0,
+            comm_time_s: virtual_time,
+            verification: track.verification.clone(),
+            metrics,
+        }
     }
 }
 

@@ -29,3 +29,22 @@ pub use ior::{Ior, IorMode};
 pub use linktest::LinkTest;
 pub use osu::Osu;
 pub use stream::Stream;
+
+use jubench_core::{RealTrack, VerificationOutcome};
+
+/// The host rate `execute` reported under `name` — what a compute
+/// synthetic's FOM is read off.
+fn host_rate(track: &RealTrack, name: &str) -> f64 {
+    let rate = track.metrics.iter().find(|(n, _)| n == name);
+    rate.unwrap_or_else(|| panic!("a track without `{name}` is not this benchmark's"))
+        .1
+}
+
+/// The track of a benchmark whose measurement *is* the target machine's
+/// network (OSU, LinkTest): empty and passing — its `cost` verifies.
+fn nothing_executed() -> RealTrack {
+    RealTrack {
+        verification: VerificationOutcome::Exact { checked_values: 0 },
+        metrics: Vec::new(),
+    }
+}

@@ -3,10 +3,12 @@
 //! messages bidirectionally, and the FOM is the minimum bisection
 //! bandwidth (§IV-B).
 
+use crate::nothing_executed;
+use jubench_apps_common::layout_serial;
 use jubench_cluster::{Distance, Machine, NetModel, Placement, Topology};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::{ClockStats, World};
 
@@ -40,10 +42,7 @@ impl LinkTest {
 
 impl Benchmark for LinkTest {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::LinkTest)
-            .unwrap()
+        BenchmarkId::LinkTest.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -57,14 +56,24 @@ impl Benchmark for LinkTest {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
+        Ok(layout_serial(cfg))
+    }
+
+    /// Nothing: the exchange below times the target machine's own world,
+    /// so it belongs to [`Benchmark::cost`].
+    fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        Ok(nothing_executed())
+    }
+
+    fn cost(&self, cfg: &RunConfig, _track: &RealTrack) -> RunOutcome {
         let machine = cfg.machine();
         let (min_pair_bw, aggregate) = Self::model(machine);
 
-        // Real execution: the actual bisection exchange through simmpi on
-        // a reduced message size; verify payload integrity and measure the
-        // virtual pair bandwidth.
+        // The actual bisection exchange through simmpi on a reduced
+        // message size; verify payload integrity and measure the virtual
+        // pair bandwidth.
         let world = jubench_apps_common::real_exec_world(machine);
         let bytes = 1 << 16;
         let results = world.run(move |comm| {
@@ -104,7 +113,7 @@ impl Benchmark for LinkTest {
             compute_s: 0.0,
             comm_s: virtual_time,
         };
-        Ok(RunOutcome {
+        RunOutcome {
             fom: Fom::BytesPerSecond(min_pair_bw),
             virtual_time_s: clock.total_s(),
             compute_time_s: 0.0,
@@ -115,7 +124,7 @@ impl Benchmark for LinkTest {
                 ("aggregate_bisection_bw".into(), aggregate),
                 ("real_exec_min_pair_bw".into(), measured_min),
             ],
-        })
+        }
     }
 }
 

@@ -1,10 +1,12 @@
 //! OSU micro-benchmarks: point-to-point latency and bandwidth sweeps over
 //! message sizes, run through the simulated MPI layer (virtual time).
 
+use crate::nothing_executed;
+use jubench_apps_common::layout_serial;
 use jubench_cluster::Machine;
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::{ClockStats, World};
 
@@ -80,24 +82,46 @@ pub fn allreduce_sweep(machine: Machine, sizes: &[usize]) -> Vec<(usize, f64)> {
 
 pub struct Osu;
 
-impl Benchmark for Osu {
-    fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Osu)
-            .unwrap()
-    }
-
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
-        self.validate_nodes(cfg.nodes)?;
-        // A single-device node has no intra-node pair; span two nodes of
-        // the backend so the sweep still has a rank pair to measure.
+impl Osu {
+    /// The partition the sweep spans. A single-device node has no
+    /// intra-node pair; span two nodes of the backend so the sweep still
+    /// has a rank pair to measure.
+    fn partition(cfg: &RunConfig) -> Machine {
         let span = if cfg.backend.node.gpus_per_node >= 2 {
             cfg.nodes.min(2)
         } else {
             cfg.backend.nodes.min(2)
         };
-        let machine = cfg.backend.partition(span);
+        cfg.backend.partition(span)
+    }
+}
+
+impl Benchmark for Osu {
+    fn meta(&self) -> BenchmarkMeta {
+        BenchmarkId::Osu.meta()
+    }
+
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
+        self.validate_nodes(cfg.nodes)?;
+        let machine = Self::partition(cfg);
+        if machine.node.gpus_per_node < 2 && machine.nodes < 2 {
+            return Err(SuiteError::InvalidNodeCount {
+                benchmark: "OSU",
+                nodes: cfg.nodes,
+                reason: "OSU needs a rank pair: several devices per node, or two nodes".into(),
+            });
+        }
+        Ok(layout_serial(cfg))
+    }
+
+    /// Nothing: what OSU measures *is* the target machine's network, so
+    /// the whole sweep is [`Benchmark::cost`].
+    fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        Ok(nothing_executed())
+    }
+
+    fn cost(&self, cfg: &RunConfig, _track: &RealTrack) -> RunOutcome {
+        let machine = Self::partition(cfg);
         // Intra-node pair (ranks 0-1) where the node hosts several
         // devices, and, with 2 nodes, inter-node pair (rank 0 to the
         // first rank of node 1 — rank layout is node-major).
@@ -113,16 +137,10 @@ impl Benchmark for Osu {
         } else {
             None
         };
-        let first = match intra.as_ref().or(inter.as_ref()) {
-            Some(points) => points,
-            None => {
-                return Err(SuiteError::InvalidNodeCount {
-                    benchmark: "OSU",
-                    nodes: cfg.nodes,
-                    reason: "OSU needs a rank pair: several devices per node, or two nodes".into(),
-                })
-            }
-        };
+        let first = intra
+            .as_ref()
+            .or(inter.as_ref())
+            .expect("layout refuses a partition without a rank pair");
         let small_latency = first[0].latency_s;
         let mut metrics = Vec::new();
         let mut verification_ok = first
@@ -156,14 +174,14 @@ impl Benchmark for Osu {
             compute_s: 0.0,
             comm_s: small_latency,
         };
-        Ok(RunOutcome {
+        RunOutcome {
             fom: Fom::LatencySeconds(small_latency),
             virtual_time_s: clock.total_s(),
             compute_time_s: 0.0,
             comm_time_s: clock.comm_s,
             verification,
             metrics,
-        })
+        }
     }
 }
 

@@ -2,10 +2,11 @@
 
 use std::time::Instant;
 
+use jubench_apps_common::layout_serial;
 use jubench_cluster::{GpuSpec, Roofline, Work};
 use jubench_core::{
-    suite_meta, Benchmark, BenchmarkId, BenchmarkMeta, Fom, RunConfig, RunOutcome, SuiteError,
-    VerificationOutcome,
+    Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
+    SuiteError, VerificationOutcome,
 };
 use jubench_simmpi::ClockStats;
 
@@ -111,10 +112,7 @@ impl Stream {
 
 impl Benchmark for Stream {
     fn meta(&self) -> BenchmarkMeta {
-        suite_meta()
-            .into_iter()
-            .find(|m| m.id == BenchmarkId::Stream)
-            .unwrap()
+        BenchmarkId::Stream.meta()
     }
 
     fn validate_nodes(&self, nodes: u32) -> Result<(), SuiteError> {
@@ -128,27 +126,19 @@ impl Benchmark for Stream {
         Ok(())
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         self.validate_nodes(cfg.nodes)?;
-        let machine = cfg.machine();
+        Ok(layout_serial(cfg))
+    }
+
+    /// The four kernels on the host (the arrays are constants: the seed
+    /// is not an input). Every metric of the track is a kernel's rate.
+    fn execute(&self, _layout: &RealLayout) -> Result<RealTrack, SuiteError> {
         let rates = stream_kernels(self.n, 4).map_err(|detail| SuiteError::VerificationFailed {
             benchmark: "STREAM",
             detail,
         })?;
-        // Virtual time of the GPU variant: four kernels over a 1 GiB
-        // working set at modeled bandwidth.
-        let bytes = 4.0 * (1u64 << 30) as f64;
-        let device = Roofline::new(machine.node.gpu).with_efficiencies(0.5, 0.85);
-        let virtual_time = device.time(Work::new(2.0 * (1u64 << 27) as f64, bytes));
-        let clock = ClockStats {
-            compute_s: virtual_time,
-            comm_s: 0.0,
-        };
-        Ok(RunOutcome {
-            fom: Fom::BytesPerSecond(rates.best()),
-            virtual_time_s: clock.total_s(),
-            compute_time_s: clock.compute_s,
-            comm_time_s: 0.0,
+        Ok(RealTrack {
             verification: VerificationOutcome::Exact {
                 checked_values: 3 * self.n,
             },
@@ -157,12 +147,32 @@ impl Benchmark for Stream {
                 ("scale".into(), rates.scale),
                 ("add".into(), rates.add),
                 ("triad".into(), rates.triad),
-                (
-                    "gpu_triad_model".into(),
-                    Self::gpu_triad_model(machine.node.gpu),
-                ),
             ],
         })
+    }
+
+    /// Virtual time of the GPU variant: four kernels over a 1 GiB working
+    /// set at modeled bandwidth. The FOM is the best host rate.
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        let gpu = cfg.machine().node.gpu;
+        let bytes = 4.0 * (1u64 << 30) as f64;
+        let device = Roofline::new(gpu).with_efficiencies(0.5, 0.85);
+        let virtual_time = device.time(Work::new(2.0 * (1u64 << 27) as f64, bytes));
+        let clock = ClockStats {
+            compute_s: virtual_time,
+            comm_s: 0.0,
+        };
+        let best = track.metrics.iter().map(|&(_, rate)| rate);
+        let mut metrics = track.metrics.clone();
+        metrics.push(("gpu_triad_model".into(), Self::gpu_triad_model(gpu)));
+        RunOutcome {
+            fom: Fom::BytesPerSecond(best.fold(0.0, f64::max)),
+            virtual_time_s: clock.total_s(),
+            compute_time_s: clock.compute_s,
+            comm_time_s: 0.0,
+            verification: track.verification.clone(),
+            metrics,
+        }
     }
 }
 
@@ -185,6 +195,21 @@ mod tests {
             assert!(out.metric(k).unwrap() > 0.0, "{k} missing");
         }
         assert!(matches!(out.fom, Fom::BytesPerSecond(b) if b > 0.0));
+    }
+
+    /// The FOM is the best of the track's four host rates, whichever
+    /// kernel reached it, and the model's metric comes after them.
+    #[test]
+    fn cost_reads_the_fom_off_the_best_rate_of_the_track() {
+        let rates = [("copy", 1.0), ("scale", 2.0), ("add", 4.0), ("triad", 3.0)];
+        let track = RealTrack {
+            verification: VerificationOutcome::Exact { checked_values: 0 },
+            metrics: rates.map(|(k, v)| (k.to_string(), v)).to_vec(),
+        };
+        let out = Stream::default().cost(&RunConfig::test(1), &track);
+        assert_eq!(out.fom, Fom::BytesPerSecond(4.0));
+        let names: Vec<&str> = out.metrics.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, ["copy", "scale", "add", "triad", "gpu_triad_model"]);
     }
 
     #[test]

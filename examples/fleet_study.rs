@@ -29,8 +29,8 @@ fn main() {
     let report = study.run_on(&mut server, &registry).expect("fleet study");
     println!("{}", report.render());
     // How the study was computed, not what it found — so on stderr: the
-    // application points of all backends share the real executions
-    // whose layouts are equal.
+    // points of all backends share the real executions whose layouts
+    // are equal (36 executed, 56 shared).
     let tracks = server.real_tracks();
     eprintln!(
         "real tracks: {} executed, {} shared",

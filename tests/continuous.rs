@@ -37,9 +37,8 @@ fn interconnect_degradation_is_detected() {
     let mut degraded = std::collections::BTreeMap::new();
     for &id in &WATCHED {
         let bench = registry.get(id).unwrap();
-        let nodes = (1..=bench.reference_nodes().min(16))
-            .rev()
-            .find(|&n| bench.validate_nodes(n).is_ok())
+        let nodes = bench
+            .closest_valid_nodes(bench.reference_nodes().min(16))
             .unwrap();
         let out = bench
             .run(&RunConfig {

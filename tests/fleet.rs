@@ -96,25 +96,26 @@ fn standard_catalog_ranking_is_stable() {
     assert!((reference.composite.score - 1.0).abs() < 1e-12);
 }
 
-/// A cold standard study runs 64 application points (16 proxies × 4
-/// backends) but only 29 distinct real executions — the other 35 are
-/// costed on a track another backend's campaign executed. The store
-/// dies with its server, so a second study on a *fresh* server executes
-/// the 29 again; on the *same* server the result cache answers first
-/// and the store is never asked.
+/// A cold standard study runs 92 points (23 benchmarks × 4 backends)
+/// but only 36 distinct real executions — the 29 application tracks
+/// plus one per synthetic, whose serial layout is every backend's. The
+/// other 56 are costed on a track another backend's campaign executed.
+/// The store dies with its server, so a second study on a *fresh*
+/// server executes the 36 again; on the *same* server the result cache
+/// answers first and the store is never asked.
 #[test]
 fn a_cold_study_executes_each_distinct_real_track_once() {
     let registry = full_registry();
     let study = FleetStudy::standard();
-    let application_points =
-        registry.iter().filter(|b| b.split().is_some()).count() as u64 * study.catalog.len() as u64;
-    assert_eq!(application_points, 64);
+    let points = registry.len() as u64 * study.catalog.len() as u64;
+    assert_eq!(points, 92);
     let mut cold = None;
     for _ in 0..2 {
         let mut server = Server::new(study.n_shards, study.cache_capacity);
         let report = study.run_on(&mut server, &registry).unwrap().render();
         let tracks = server.real_tracks();
-        assert_eq!((tracks.executed, tracks.shared), (29, 35));
+        assert_eq!((tracks.executed, tracks.shared), (36, 56));
+        assert_eq!(tracks.executed + tracks.shared, points);
         assert!(tracks.waited <= tracks.shared);
         assert_eq!(*cold.get_or_insert(report.clone()), report);
 

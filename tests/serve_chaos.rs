@@ -8,7 +8,7 @@
 //! typed, quota-accounted rejection/cancellation. Never a panic, never
 //! a hang.
 
-use jubench::core::BenchmarkMeta;
+use jubench::core::{BenchmarkMeta, RealLayout, RealTrack};
 use jubench::prelude::*;
 use jubench::serve::wire::CancelReason;
 use jubench::serve::{
@@ -385,14 +385,25 @@ impl Benchmark for PanickyStream {
         self.real().meta()
     }
 
-    fn run(&self, cfg: &RunConfig) -> Result<RunOutcome, SuiteError> {
+    /// The bug sits in the first stage, where `run`'s first line was:
+    /// the populations here ask STREAM for two nodes, which the real
+    /// `layout` refuses, so no later stage is ever reached.
+    fn layout(&self, cfg: &RunConfig) -> Result<RealLayout, SuiteError> {
         let armed = self
             .panics
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
         if armed.is_ok() {
             panic!("{GENUINE}");
         }
-        self.real().run(cfg)
+        self.real().layout(cfg)
+    }
+
+    fn execute(&self, layout: &RealLayout) -> Result<RealTrack, SuiteError> {
+        self.real().execute(layout)
+    }
+
+    fn cost(&self, cfg: &RunConfig, track: &RealTrack) -> RunOutcome {
+        self.real().cost(cfg, track)
     }
 }
 

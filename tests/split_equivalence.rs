@@ -1,11 +1,11 @@
 //! The split is the parent, bit for bit.
 //!
-//! The 16 application proxies define `Benchmark::run` as
-//! `cost ∘ execute ∘ layout`. This suite pins every `RunOutcome` of the
-//! registry on the standard catalog to digests taken at the commit
-//! *before* the split (`9725242`), through `run` and through every
-//! cross-backend composition `cost(cfg_b, execute(layout(cfg_a)))` whose
-//! layouts compare equal — the sharing `jubench-serve` performs.
+//! Every benchmark's `run` is `cost ∘ execute ∘ layout`. This suite pins
+//! every `RunOutcome` of the registry on the standard catalog to digests
+//! taken at the commit *before* the split (`9725242`), through `run` and
+//! through every cross-backend composition
+//! `cost(cfg_b, execute(layout(cfg_a)))` whose layouts compare equal —
+//! the sharing `jubench-serve` performs.
 
 use jubench::core::{fnv1a64, RealLayout, RealTrack, RealWorld, WorkloadScale};
 use jubench::fleet::standard_catalog;
@@ -15,9 +15,9 @@ use jubench::scaling::full_registry;
 /// Workload seeds of the pinned digest.
 const SEEDS: [u64; 3] = [2024, 7, 11];
 
-/// Metrics that are wall-clock rates of the host (STREAM, HPL, Graph500,
-/// IOR): two runs of one commit disagree on them, so they stay out of
-/// the digest by name.
+/// Metrics that are wall-clock rates of the host (STREAM, HPL, HPCG,
+/// Graph500, IOR): two runs of one commit disagree on them, so they stay
+/// out of the digest — and out of a track comparison — by name.
 const WALL_CLOCK_METRICS: [&str; 8] = [
     "copy",
     "scale",
@@ -29,8 +29,8 @@ const WALL_CLOCK_METRICS: [&str; 8] = [
     "read_bw",
 ];
 
-/// Benchmarks whose FOM itself is such a host rate (they stay on plain
-/// `run`; their virtual times, verification and other metrics are pinned).
+/// Benchmarks whose FOM itself is such a host rate (their virtual times,
+/// verification and other metrics are pinned).
 const WALL_CLOCK_FOMS: [&str; 5] = ["Graph500", "HPCG", "HPL", "IOR", "STREAM"];
 
 /// The two partitions each benchmark is pinned at: its reference node
@@ -41,6 +41,31 @@ fn node_counts(bench: &dyn Benchmark) -> [u32; 2] {
     [reference, 2 * reference]
 }
 
+/// The metrics that are not host rates, by bit pattern.
+fn metrics_line(metrics: &[(String, f64)]) -> String {
+    let pinned: Vec<String> = metrics
+        .iter()
+        .filter(|(name, _)| !WALL_CLOCK_METRICS.contains(&name.as_str()))
+        .map(|(name, value)| format!("{name}={:016x}", value.to_bits()))
+        .collect();
+    pinned.join(",")
+}
+
+/// Everything of a track that is a function of its layout: all of it
+/// (`Debug` is bit-exact: floats round-trip), less the host rates of the
+/// five benchmarks that report them.
+fn track_line(bench: &dyn Benchmark, track: &RealTrack) -> String {
+    if WALL_CLOCK_FOMS.contains(&bench.meta().id.name()) {
+        format!(
+            "{:?} [{}]",
+            track.verification,
+            metrics_line(&track.metrics)
+        )
+    } else {
+        format!("{track:?}")
+    }
+}
+
 /// Every field of an outcome, floats by bit pattern (`Debug` of an `f64`
 /// round-trips, so the FOM and the verification are exact too).
 fn outcome_line(bench: &dyn Benchmark, result: &Result<RunOutcome, SuiteError>) -> String {
@@ -48,12 +73,6 @@ fn outcome_line(bench: &dyn Benchmark, result: &Result<RunOutcome, SuiteError>) 
     match result {
         Err(err) => format!("Err {err}"),
         Ok(out) => {
-            let metrics: Vec<String> = out
-                .metrics
-                .iter()
-                .filter(|(name, _)| !WALL_CLOCK_METRICS.contains(&name.as_str()))
-                .map(|(name, value)| format!("{name}={:016x}", value.to_bits()))
-                .collect();
             format!(
                 "Ok fom={} virtual={:016x} compute={:016x} comm={:016x} verification={:?} \
                  metrics=[{}]",
@@ -66,7 +85,7 @@ fn outcome_line(bench: &dyn Benchmark, result: &Result<RunOutcome, SuiteError>) 
                 out.compute_time_s.to_bits(),
                 out.comm_time_s.to_bits(),
                 out.verification,
-                metrics.join(","),
+                metrics_line(&out.metrics),
             )
         }
     }
@@ -144,8 +163,8 @@ fn pinned(bench: &dyn Benchmark) -> u64 {
         .1
 }
 
-/// Every outcome of the registry through `run` — which for the 16
-/// proxies *is* `cost ∘ execute ∘ layout` — is the parent's.
+/// Every outcome of the registry through `run` — which *is*
+/// `cost ∘ execute ∘ layout` — is the parent's.
 #[test]
 fn run_reproduces_the_parent_digest() {
     let registry = full_registry();
@@ -163,24 +182,22 @@ fn run_reproduces_the_parent_digest() {
 
 /// The sharing the service performs, at its widest: execute the real
 /// track of *every* configuration, require the tracks of equal layouts
-/// to be bit-equal (independence of the backend), then cost every
-/// configuration with the track of each member of its layout group in
-/// turn — `cost(cfg_b, execute(layout(cfg_a)))` — and find the parent's
-/// digest every time.
+/// to be bit-equal but for the host rates (independence of the
+/// backend), then cost every configuration with the track of each
+/// member of its layout group in turn —
+/// `cost(cfg_b, execute(layout(cfg_a)))` — and find the parent's digest
+/// every time.
 #[test]
 fn costing_the_track_of_an_equal_layout_reproduces_the_parent_digest() {
     let registry = full_registry();
-    let mut split = 0;
     for bench in registry.iter() {
-        let Some(parts) = bench.split() else { continue };
-        split += 1;
         let name = bench.meta().id.name();
         // Per configuration: its layout and track, or the typed refusal.
         let staged: Vec<Result<(RealLayout, RealTrack), SuiteError>> = configs(bench)
             .iter()
             .map(|(_, cfg)| {
-                let layout = parts.layout(cfg)?;
-                let track = parts.execute(&layout)?;
+                let layout = bench.layout(cfg)?;
+                let track = bench.execute(&layout)?;
                 Ok((layout, track))
             })
             .collect();
@@ -189,10 +206,9 @@ fn costing_the_track_of_an_equal_layout_reproduces_the_parent_digest() {
         for (layout, track) in valid() {
             for (other_layout, other_track) in valid() {
                 if layout == other_layout {
-                    // `Debug` of a track is bit-exact: floats round-trip.
                     assert_eq!(
-                        format!("{track:?}"),
-                        format!("{other_track:?}"),
+                        track_line(bench, track),
+                        track_line(bench, other_track),
                         "{name}: equal layouts {layout:?}, different tracks"
                     );
                 }
@@ -206,7 +222,7 @@ fn costing_the_track_of_an_equal_layout_reproduces_the_parent_digest() {
                 } else {
                     own_track
                 };
-                Ok(parts.cost(cfg, track))
+                Ok(bench.cost(cfg, track))
             });
             assert_eq!(
                 got,
@@ -215,21 +231,21 @@ fn costing_the_track_of_an_equal_layout_reproduces_the_parent_digest() {
             );
         }
     }
-    assert_eq!(split, 16, "the 16 application proxies are split");
 }
 
-/// `execute` is a pure function of the layout: twice is bit-equal.
+/// `execute` is a pure function of the layout, host rates aside: twice
+/// is bit-equal.
 #[test]
 fn executing_a_layout_twice_is_bit_equal() {
     let registry = full_registry();
     for bench in registry.iter() {
-        let Some(parts) = bench.split() else { continue };
         let cfg = RunConfig::test(bench.reference_nodes()).with_seed(SEEDS[0]);
-        let layout = parts.layout(&cfg).unwrap();
-        let (first, second) = (parts.execute(&layout), parts.execute(&layout));
+        let layout = bench.layout(&cfg).unwrap();
+        let first = bench.execute(&layout).unwrap();
+        let second = bench.execute(&layout).unwrap();
         assert_eq!(
-            format!("{first:?}"),
-            format!("{second:?}"),
+            track_line(bench, &first),
+            track_line(bench, &second),
             "{}",
             bench.meta().id.name()
         );
@@ -240,8 +256,7 @@ fn executing_a_layout_twice_is_bit_equal() {
 #[test]
 fn layouts_differ_by_seed_scale_variant_ranks_and_world_kind_only() {
     let registry = full_registry();
-    let split = |id| registry.get(id).unwrap().split().unwrap();
-    let chroma = split(BenchmarkId::ChromaQcd);
+    let chroma = registry.get(BenchmarkId::ChromaQcd).unwrap();
     let on = |key: &str| {
         let model = standard_catalog().into_iter().find(|m| m.key == key);
         RunConfig::test(8).with_backend(model.unwrap().machine)
@@ -286,7 +301,9 @@ fn layouts_differ_by_seed_scale_variant_ranks_and_world_kind_only() {
     );
 
     // Same seed, scale, variant and rank count, the other kind of world.
-    let dynqcd = split(BenchmarkId::DynQcd)
+    let dynqcd = registry
+        .get(BenchmarkId::DynQcd)
+        .unwrap()
         .layout(&RunConfig {
             nodes: 16,
             ..on("booster")
