@@ -53,7 +53,6 @@ fn bench_ablations(c: &mut Criterion) {
     group.bench_function("alltoall_pair", |b| {
         b.iter(|| alltoall_algorithms(128, 4096))
     });
-    group.finish();
 }
 
 criterion_group!(benches, bench_ablations);

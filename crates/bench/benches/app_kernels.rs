@@ -6,7 +6,7 @@ use jubench_apps_cfd::sem::{DiffMatrix, Element3};
 use jubench_apps_lattice::{dirac::StaggeredDirac, LocalLattice};
 use jubench_apps_neuro::CableCell;
 use jubench_apps_quantum::statevector::{DistStateVector, Gate1};
-use jubench_bench::harness::{Criterion, Throughput};
+use jubench_bench::harness::Criterion;
 use jubench_bench::{criterion_group, criterion_main};
 use jubench_cluster::Machine;
 use jubench_kernels::rank_rng;
@@ -18,7 +18,7 @@ fn bench_app_kernels(c: &mut Criterion) {
 
     // JUQCS: distributed gate application on the highest (global) qubit.
     // The gate reads and writes all 2¹⁴ complex amplitudes (16 B each).
-    group.throughput(Throughput::Bytes(2 * (1 << 14) * 16));
+    group.bytes_per_iter(2 * (1 << 14) * 16);
     group.bench_function("juqcs_global_gate_14q_4ranks", |b| {
         let world = World::new(Machine::juwels_booster().partition(1));
         b.iter(|| {
@@ -34,7 +34,7 @@ fn bench_app_kernels(c: &mut Criterion) {
     // Chroma: the Wilson/staggered Dirac application with 4D halos.
     // 16 ranks × 2⁴ local sites, each 48-byte color vector read and the
     // result written.
-    group.throughput(Throughput::Bytes(2 * 16 * 16 * 48));
+    group.bytes_per_iter(2 * 16 * 16 * 48);
     group.bench_function("chroma_dirac_apply_16ranks", |b| {
         let world = World::new(Machine::juwels_booster().partition(4));
         b.iter(|| {
@@ -57,7 +57,7 @@ fn bench_app_kernels(c: &mut Criterion) {
 
     // Arbor: one cable-cell time step (channels + Hines solve). The four
     // f64 state arrays (v, m, h, n) are read and written per compartment.
-    group.throughput(Throughput::Bytes(2 * 256 * 4 * 8));
+    group.bytes_per_iter(2 * 256 * 4 * 8);
     group.bench_function("arbor_cell_step_256comp", |b| {
         let mut cell = CableCell::new(256);
         b.iter(|| {
@@ -68,7 +68,7 @@ fn bench_app_kernels(c: &mut Criterion) {
 
     // nekRS: the tensor-product stiffness action at polynomial order 9.
     // The element holds (9+1)³ nodes, read once and written once.
-    group.throughput(Throughput::Bytes(2 * 10 * 10 * 10 * 8));
+    group.bytes_per_iter(2 * 10 * 10 * 10 * 8);
     group.bench_function("nekrs_stiffness_order9", |b| {
         let dm = DiffMatrix::new(9);
         let el = Element3 { dm: &dm, h: 0.1 };
@@ -84,7 +84,7 @@ fn bench_app_kernels(c: &mut Criterion) {
     // Megatron: one data-parallel training step of the proxy network.
     // The 16→64→4 MLP's 1348 parameters are touched in forward, backward,
     // and update passes; the 64-sample batch activates 84 units each.
-    group.throughput(Throughput::Bytes((3 * 1348 + 64 * 84) * 8));
+    group.bytes_per_iter((3 * 1348 + 64 * 84) * 8);
     group.bench_function("megatron_mlp_train_step", |b| {
         let (x, labels) = synthetic_task(64, 16, 4, 1);
         let mut mlp = MlpClassifier::new(16, 64, 4, 2);
@@ -93,8 +93,6 @@ fn bench_app_kernels(c: &mut Criterion) {
             mlp.train_step(&x, &labels)
         });
     });
-
-    group.finish();
 }
 
 criterion_group!(benches, bench_app_kernels);

@@ -44,7 +44,6 @@ fn bench_fig2(c: &mut Criterion) {
         let nekrs = registry.get(jubench_core::BenchmarkId::NekRs).unwrap();
         b.iter(|| nekrs.run(&RunConfig::test(8)).unwrap().virtual_time_s);
     });
-    group.finish();
 }
 
 criterion_group!(benches, bench_fig2);

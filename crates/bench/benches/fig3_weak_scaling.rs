@@ -37,7 +37,6 @@ fn bench_fig3(c: &mut Criterion) {
             .comm_time_s
         });
     });
-    group.finish();
 }
 
 criterion_group!(benches, bench_fig3);

@@ -1,81 +1,21 @@
 //! Micro-benchmarks of the shared numeric kernels — the measured
 //! (non-virtual) performance substrate of the suite.
+//!
+//! GEMM, LU, CG and the 3-D FFT are timed by the repo benchmark alone
+//! (`kernels.{gemm_128, lu_96, cg_64, fft3d_32}_us` in `benchmark/`), one
+//! home per id.
 
-use jubench_bench::harness::{BatchSize, Criterion, Throughput};
+use jubench_bench::harness::Criterion;
 use jubench_bench::{criterion_group, criterion_main};
-use jubench_kernels::{
-    cg::{cg_solve, DenseOp},
-    fft_3d, gemm, lu_factor, poisson_vcycle, rank_rng, thomas_solve, Grid3, Matrix, C64,
-};
+use jubench_kernels::{poisson_vcycle, thomas_solve, Grid3};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
 
-    // One 32³ complex grid in and out: 32³ × 16 bytes per transform.
-    group.throughput(Throughput::Bytes(32 * 32 * 32 * 16));
-    group.bench_function("fft_3d_32x32x32", |b| {
-        let mut rng = rank_rng(1, 0);
-        let data: Vec<C64> = (0..32 * 32 * 32)
-            .map(|_| C64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        b.iter_batched(
-            || data.clone(),
-            |mut d| {
-                fft_3d(&mut d, 32, 32, 32);
-                d[0]
-            },
-            BatchSize::LargeInput,
-        );
-    });
-
-    // Two 128² f64 operands read, one 128² product written.
-    group.throughput(Throughput::Bytes(3 * 128 * 128 * 8));
-    group.bench_function("gemm_128", |b| {
-        let mut rng = rank_rng(2, 0);
-        let a = Matrix::from_fn(128, 128, |_, _| rng.gen_range(-1.0..1.0));
-        let m = Matrix::from_fn(128, 128, |_, _| rng.gen_range(-1.0..1.0));
-        b.iter(|| gemm(&a, &m).data[0]);
-    });
-
-    // One 96² f64 matrix read, one in-place factorization written back.
-    group.throughput(Throughput::Bytes(2 * 96 * 96 * 8));
-    group.bench_function("lu_factor_96", |b| {
-        let mut rng = rank_rng(3, 0);
-        let a = Matrix::from_fn(96, 96, |i, j| {
-            rng.gen_range(-1.0..1.0) + if i == j { 96.0 } else { 0.0 }
-        });
-        b.iter(|| lu_factor(&a).unwrap().swaps);
-    });
-
-    // Working set of one solve: the dense 64² operator plus the rhs and
-    // solution vectors, streamed every CG iteration.
-    group.throughput(Throughput::Bytes((64 * 64 + 2 * 64) * 8));
-    group.bench_function("cg_spd_64", |b| {
-        let mut rng = rank_rng(4, 0);
-        let n = 64;
-        let m = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for k in 0..n {
-                    acc += m[(k, i)] * m[(k, j)];
-                }
-                a[(i, j)] = acc + if i == j { n as f64 } else { 0.0 };
-            }
-        }
-        let op = DenseOp(a);
-        let rhs = vec![1.0; n];
-        b.iter(|| {
-            let mut x = vec![0.0; n];
-            cg_solve(&op, &rhs, &mut x, 1e-10, 300).iterations
-        });
-    });
-
     // The V-cycle smooths and computes residuals on every level of the
     // 16→8→4→2 hierarchy: Σn³ = 4680 points, each read and written once
     // per traversal.
-    group.throughput(Throughput::Bytes(2 * 4680 * 8));
+    group.bytes_per_iter(2 * 4680 * 8);
     group.bench_function("multigrid_vcycle_16", |b| {
         let n = 16;
         let rhs = vec![1.0; n * n * n];
@@ -88,7 +28,7 @@ fn bench_kernels(c: &mut Criterion) {
 
     // One 24³ interior read through the 7-point stencil, one written
     // (ghost-layer padding excluded from the denomination).
-    group.throughput(Throughput::Bytes(2 * 24 * 24 * 24 * 8));
+    group.bytes_per_iter(2 * 24 * 24 * 24 * 8);
     group.bench_function("laplacian_grid3_24", |b| {
         let mut g = Grid3::from_fn(24, 24, 24, |i, j, k| (i + 2 * j + 3 * k) as f64);
         g.wrap_periodic();
@@ -100,7 +40,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // Four 1024-element bands/rhs read, one solution vector written.
-    group.throughput(Throughput::Bytes(5 * 1024 * 8));
+    group.bytes_per_iter(5 * 1024 * 8);
     group.bench_function("thomas_solve_1024", |b| {
         let n = 1024;
         let lower = vec![-1.0; n];
@@ -109,8 +49,6 @@ fn bench_kernels(c: &mut Criterion) {
         let rhs = vec![1.0; n];
         b.iter(|| thomas_solve(&lower, &diag, &upper, &rhs)[n / 2]);
     });
-
-    group.finish();
 }
 
 criterion_group!(benches, bench_kernels);

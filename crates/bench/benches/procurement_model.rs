@@ -95,9 +95,10 @@ fn bench_procurement(c: &mut Criterion) {
     let r = reference();
     let p = proposal("A", 3.1, GpuSpec::next_gen_96gb(), 4800, 480.0e6);
     let tco = TcoModel::eurohpc_defaults(p.price_eur);
-    c.bench_function("proposal_evaluation", |b| {
-        b.iter(|| p.evaluate(&r, &tco).unwrap().value_for_money)
-    });
+    c.benchmark_group("bench")
+        .bench_function("proposal_evaluation", |b| {
+            b.iter(|| p.evaluate(&r, &tco).unwrap().value_for_money)
+        });
 }
 
 criterion_group!(benches, bench_procurement);

@@ -3,7 +3,7 @@
 //! hardware-feature tests.
 
 use jubench_bench::banner;
-use jubench_bench::harness::{Criterion, Throughput};
+use jubench_bench::harness::Criterion;
 use jubench_bench::{criterion_group, criterion_main};
 use jubench_core::{Benchmark, Fom, RunConfig};
 use jubench_synthetic::{
@@ -50,7 +50,7 @@ fn bench_synthetic(c: &mut Criterion) {
 
     // One BFS sweep scans the CSR adjacency once: 2¹²·16 edges, both
     // directions, 4-byte indices.
-    group.throughput(Throughput::Bytes(2 * (1 << 12) * 16 * 4));
+    group.bytes_per_iter(2 * (1 << 12) * 16 * 4);
     group.bench_function("graph500_bfs_scale12", |b| {
         let edges = kronecker_edges(12, 1);
         let csr = Csr::from_edges(1 << 12, &edges);
@@ -60,21 +60,20 @@ fn bench_synthetic(c: &mut Criterion) {
     // One pass of the four kernels over 1M-element f64 arrays: copy and
     // scale move two arrays each, add and triad three — ten array
     // traversals, 80 MB. The three 8 MB allocations are inside the timing.
-    group.throughput(Throughput::Bytes(10 * 1_000_000 * 8));
+    group.bytes_per_iter(10 * 1_000_000 * 8);
     group.bench_function("stream_pass_1m", |b| {
         b.iter(|| stream_kernels(1_000_000, 1).unwrap().triad);
     });
 
-    // The LU panel sweep reads and writes the 96×96 matrix — the same
-    // denomination as kernels/lu_factor_96.
-    group.throughput(Throughput::Bytes(2 * 96 * 96 * 8));
+    // The LU panel sweep reads and writes the 96×96 matrix.
+    group.bytes_per_iter(2 * 96 * 96 * 8);
     group.bench_function("hpl_lu_96", |b| {
         b.iter(|| Hpl { n: 96 }.run(&RunConfig::test(1)).unwrap().fom.value());
     });
 
     // The PCG iteration is dominated by the 27-point SpMV over the 12³
     // grid: 27 reads plus one write per point.
-    group.throughput(Throughput::Bytes(28 * 12 * 12 * 12 * 8));
+    group.bytes_per_iter(28 * 12 * 12 * 12 * 8);
     group.bench_function("hpcg_pcg_n12", |b| {
         b.iter(|| Hpcg { n: 12 }.run(&RunConfig::test(1)).unwrap().fom.value());
     });
@@ -86,9 +85,7 @@ fn bench_synthetic(c: &mut Criterion) {
     let op = Stencil27 { n: 16 };
     let point_bytes = (op.len() * 8) as u64;
     let iters = hpcg_pcg(&op, &vec![1.0; op.len()], 1e-8, 200).0 as u64;
-    group.throughput(Throughput::Bytes(
-        (iters * (28 + 56 + 16) + 56) * point_bytes,
-    ));
+    group.bytes_per_iter((iters * (28 + 56 + 16) + 56) * point_bytes);
     group.bench_function("hpcg_pcg_n16", |b| {
         b.iter(|| {
             Hpcg::default()
@@ -103,14 +100,14 @@ fn bench_synthetic(c: &mut Criterion) {
     // and one write per point, once for the SpMV and once per sweep.
     let x: Vec<f64> = (0..op.len()).map(|i| (i % 7) as f64 - 3.0).collect();
     let mut y = vec![0.0; op.len()];
-    group.throughput(Throughput::Bytes(28 * point_bytes));
+    group.bytes_per_iter(28 * point_bytes);
     group.bench_function("stencil27_apply_16", |b| {
         b.iter(|| {
             op.apply(&x, &mut y);
             y[0]
         });
     });
-    group.throughput(Throughput::Bytes(2 * 28 * point_bytes));
+    group.bytes_per_iter(2 * 28 * point_bytes);
     group.bench_function("stencil27_sgs_16", |b| {
         b.iter(|| {
             y.fill(0.0);
@@ -118,8 +115,6 @@ fn bench_synthetic(c: &mut Criterion) {
             y[0]
         });
     });
-
-    group.finish();
 }
 
 criterion_group!(benches, bench_synthetic);

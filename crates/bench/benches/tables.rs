@@ -20,7 +20,6 @@ fn bench_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("tables");
     group.bench_function("render_table1", |b| b.iter(|| render_table1().len()));
     group.bench_function("render_table2", |b| b.iter(|| render_table2().len()));
-    group.finish();
 }
 
 criterion_group!(benches, bench_tables);

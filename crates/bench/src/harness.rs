@@ -1,32 +1,30 @@
 //! A minimal wall-clock timing harness with a Criterion-shaped API.
 //!
 //! Implements exactly the surface the bench targets use — `Criterion`,
-//! `benchmark_group`, `sample_size`, `warm_up_time`, `throughput`,
-//! `bench_function`, `Bencher::iter` / `iter_batched`, `BatchSize`,
-//! `black_box`, and the `criterion_group!` / `criterion_main!` macros —
-//! so the figure/table benches compile without any external crate.
+//! `benchmark_group`, the group's `sample_size` / `bytes_per_iter` /
+//! `bench_function`, `Bencher::iter`, and the `criterion_group!` /
+//! `criterion_main!` macros — so the figure/table benches compile
+//! without any external crate.
 //!
 //! Each benchmark is warmed up *individually* (repeated passes until the
 //! warm-up budget elapses, so caches and page tables are hot per target,
-//! not per group), then timed over its resolved sample count. Sample
-//! count resolution, most specific wins:
-//!
-//! 1. the `JUBENCH_BENCH_SAMPLES` environment variable (CI smoke runs),
-//! 2. the group-level [`BenchmarkGroup::sample_size`] override,
-//! 3. the harness-level [`Criterion::sample_size`] default (20).
+//! not per group), then timed over its resolved sample count: the
+//! `JUBENCH_BENCH_SAMPLES` environment variable (CI smoke runs) when set,
+//! else the group's [`BenchmarkGroup::sample_size`] (default 20).
 //!
 //! Beyond the human-readable summary line, every benchmark emits a
 //! structured [`PerfRecord`] (median/p10/p90 nanoseconds, sample count,
-//! bytes-per-iteration when a [`Throughput`] was declared). When the
-//! `JUBENCH_BENCH_JSON` environment variable names a file, records are
-//! appended there as JSON lines; `bench merge` folds those streams into
-//! the `BENCH_<n>.json` baseline artifact (see `jubench_metrics::perf`).
+//! and the group's [`BenchmarkGroup::bytes_per_iter`] when declared).
+//! When the `JUBENCH_BENCH_JSON` environment variable names a file,
+//! records are appended there as JSON lines; `bench merge` folds those
+//! streams into the `BENCH_<n>.json` baseline artifact (see
+//! `jubench_metrics::perf`).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use jubench_metrics::perf::fmt_ns;
 use jubench_metrics::PerfRecord;
-
-pub use std::hint::black_box;
 
 /// Environment variable overriding every sample count (smoke runs).
 pub const SAMPLES_ENV: &str = "JUBENCH_BENCH_SAMPLES";
@@ -34,48 +32,21 @@ pub const SAMPLES_ENV: &str = "JUBENCH_BENCH_SAMPLES";
 /// Environment variable naming the JSON-lines record sink.
 pub const JSON_ENV: &str = "JUBENCH_BENCH_JSON";
 
-/// How `iter_batched` treats the setup output; kept for call-site
-/// compatibility (the in-repo harness handles all sizes the same way).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-}
-
-/// Declared per-iteration payload, turning a time into a rate.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Bytes processed by one iteration.
-    Bytes(u64),
-    /// Abstract elements processed by one iteration (not exported into
-    /// records — kept for Criterion API compatibility).
-    Elements(u64),
-}
-
 /// The harness entry point: hands out named benchmark groups.
 #[derive(Debug)]
 pub struct Criterion {
-    sample_size: usize,
     warm_up: Duration,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Criterion {
-            sample_size: 20,
             warm_up: Duration::from_millis(10),
         }
     }
 }
 
 impl Criterion {
-    /// Harness-level default sample count, honored by every group that
-    /// does not override it.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
     /// Per-benchmark warm-up budget (default 10 ms; zero means exactly
     /// one warm-up pass).
     pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
@@ -87,36 +58,20 @@ impl Criterion {
         println!("-- group: {name}");
         BenchmarkGroup {
             group: name.to_string(),
-            sample_size: self.sample_size,
+            sample_size: 20,
             warm_up: self.warm_up,
-            throughput: None,
+            bytes_per_iter: None,
         }
-    }
-
-    /// Run one benchmark outside any named group (Criterion's top-level
-    /// `bench_function`).
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        BenchmarkGroup {
-            group: "bench".to_string(),
-            sample_size: self.sample_size,
-            warm_up: self.warm_up,
-            throughput: None,
-        }
-        .bench_function(name, f);
-        self
     }
 }
 
 /// A named collection of benchmarks sharing a sample count, warm-up
-/// budget, and (sticky, Criterion-style) throughput declaration.
+/// budget, and (sticky) bytes-per-iteration declaration.
 pub struct BenchmarkGroup {
     group: String,
     sample_size: usize,
     warm_up: Duration,
-    throughput: Option<Throughput>,
+    bytes_per_iter: Option<u64>,
 }
 
 /// `JUBENCH_BENCH_SAMPLES` as a sample count, when set and valid.
@@ -127,31 +82,41 @@ fn env_samples() -> Option<usize> {
 }
 
 impl BenchmarkGroup {
-    /// Number of timed samples per benchmark (Criterion's meaning),
-    /// overriding the harness-level default for this group.
+    /// Number of timed samples per benchmark of this group (Criterion's
+    /// meaning; `JUBENCH_BENCH_SAMPLES` overrides it).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(2);
         self
     }
 
-    /// Per-benchmark warm-up budget for this group.
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.warm_up = d;
-        self
-    }
-
-    /// Declare the per-iteration payload of subsequent benchmarks in
-    /// this group (sticky until changed, mirroring Criterion).
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
+    /// Declare the payload bytes one iteration of the subsequent
+    /// benchmarks in this group processes (sticky until changed); lands
+    /// in [`PerfRecord::bytes_per_iter`].
+    pub fn bytes_per_iter(&mut self, bytes: u64) -> &mut Self {
+        self.bytes_per_iter = Some(bytes);
         self
     }
 
     /// Run and report one benchmark.
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
+        let record = self.measure(name, f);
+        println!(
+            "{}: median {}  (p10 {}, p90 {}, {} samples)",
+            record.id,
+            fmt_ns(record.median_ns),
+            fmt_ns(record.p10_ns),
+            fmt_ns(record.p90_ns),
+            record.samples,
+        );
+        emit_record(&record);
+        self
+    }
+
+    /// Warm up and time one benchmark into its record.
+    fn measure(&self, name: &str, mut f: impl FnMut(&mut Bencher)) -> PerfRecord {
         let samples = env_samples().unwrap_or(self.sample_size);
         let mut bencher = Bencher {
             samples: Vec::with_capacity(samples),
@@ -182,24 +147,8 @@ impl BenchmarkGroup {
             .iter()
             .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
             .collect();
-        let bytes = match self.throughput {
-            Some(Throughput::Bytes(b)) => Some(b),
-            _ => None,
-        };
-        let record = PerfRecord::from_samples(format!("{}/{name}", self.group), &ns, bytes);
-        println!(
-            "{}: median {}  (p10 {}, p90 {}, {} samples)",
-            record.id,
-            fmt_ns(record.median_ns),
-            fmt_ns(record.p10_ns),
-            fmt_ns(record.p90_ns),
-            record.samples,
-        );
-        emit_record(&record);
-        self
+        PerfRecord::from_samples(format!("{}/{name}", self.group), &ns, self.bytes_per_iter)
     }
-
-    pub fn finish(self) {}
 }
 
 /// Append one record to the `JUBENCH_BENCH_JSON` JSON-lines sink, when
@@ -229,18 +178,6 @@ fn emit_record(record: &PerfRecord) {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
 /// Passed to each benchmark closure; records one timing sample per call.
 pub struct Bencher {
     samples: Vec<Duration>,
@@ -251,19 +188,6 @@ impl Bencher {
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
         let start = Instant::now();
         black_box(f());
-        self.samples.push(start.elapsed());
-    }
-
-    /// Time `routine` on a fresh `setup()` value, excluding setup time.
-    pub fn iter_batched<S, R>(
-        &mut self,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> R,
-        _size: BatchSize,
-    ) {
-        let input = setup();
-        let start = Instant::now();
-        black_box(routine(input));
         self.samples.push(start.elapsed());
     }
 }
@@ -293,28 +217,29 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bench_function_reports_and_runs() {
+    fn group(sample_size: usize) -> BenchmarkGroup {
         let mut c = Criterion::default();
         c.warm_up_time(Duration::ZERO);
         let mut group = c.benchmark_group("t");
+        group.sample_size(sample_size);
+        group
+    }
+
+    #[test]
+    fn bench_function_reports_and_runs() {
         let mut runs = 0;
-        group.sample_size(3).bench_function("count", |b| {
+        group(3).bench_function("count", |b| {
             b.iter(|| {
                 runs += 1;
             });
         });
-        group.finish();
         // 2 warm-up passes (zero budget + adjacent pass) + 3 samples.
         assert_eq!(runs, 5);
     }
 
     #[test]
     fn warm_up_is_per_benchmark_not_per_group() {
-        let mut c = Criterion::default();
-        c.warm_up_time(Duration::ZERO);
-        let mut group = c.benchmark_group("t");
-        group.sample_size(2);
+        let mut group = group(2);
         let mut first = 0;
         let mut second = 0;
         group.bench_function("first", |b| b.iter(|| first += 1));
@@ -325,45 +250,14 @@ mod tests {
     }
 
     #[test]
-    fn groups_inherit_the_criterion_sample_size() {
-        let mut c = Criterion::default();
-        c.sample_size(4).warm_up_time(Duration::ZERO);
-        let mut runs = 0;
-        c.benchmark_group("t").bench_function("inherit", |b| {
-            b.iter(|| {
-                runs += 1;
-            });
-        });
-        assert_eq!(runs, 6); // 2 warm-ups + 4 inherited samples
-    }
-
-    #[test]
-    fn iter_batched_excludes_setup() {
-        let mut b = Bencher {
-            samples: Vec::new(),
-        };
-        b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::LargeInput);
-        assert_eq!(b.samples.len(), 1);
-    }
-
-    #[test]
-    fn throughput_bytes_lands_in_the_record() {
-        let mut c = Criterion::default();
-        c.warm_up_time(Duration::ZERO);
-        let mut group = c.benchmark_group("t");
-        group.sample_size(2).throughput(Throughput::Bytes(4096));
-        // The record itself is observed through the JSON sink in the
-        // integration tests; here we only exercise the code path.
-        group.bench_function("tp", |b| b.iter(|| 1 + 1));
-        group.throughput(Throughput::Elements(7));
-        group.bench_function("el", |b| b.iter(|| 1 + 1));
-    }
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(12), "12 ns");
-        assert_eq!(fmt_ns(1_500), "1.500 µs");
-        assert_eq!(fmt_ns(2_000_000), "2.000 ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000 s");
+    fn bytes_per_iter_is_sticky_and_lands_in_the_record() {
+        let mut group = group(2);
+        let plain = group.measure("plain", |b| b.iter(|| 1 + 1));
+        assert_eq!((plain.id.as_str(), plain.bytes_per_iter), ("t/plain", None));
+        group.bytes_per_iter(4096);
+        for name in ["tp", "again"] {
+            let record = group.measure(name, |b| b.iter(|| 1 + 1));
+            assert_eq!(record.bytes_per_iter, Some(4096), "{name}");
+        }
     }
 }

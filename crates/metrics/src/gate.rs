@@ -6,23 +6,13 @@
 //! deltas across the board — the round-trip sanity check CI runs against
 //! the committed baseline.
 
-use crate::perf::PerfReport;
+use crate::perf::{fmt_ns, PerfReport};
 
-/// Gate parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Relative tolerance band: a benchmark regresses when its median
-    /// grows by more than this fraction (improves when it shrinks by
-    /// more). Wall-clock medians on shared CI runners jitter, so the
-    /// default is deliberately loose.
-    pub tolerance: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig { tolerance: 0.25 }
-    }
-}
+/// The tolerance `bench compare` gates with unless told otherwise. A
+/// benchmark regresses when its median grows by more than this fraction
+/// (improves when it shrinks by more); wall-clock medians on shared CI
+/// runners jitter, so it is deliberately loose.
+pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
 /// Classification of one benchmark's delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,20 +148,9 @@ impl GateReport {
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
-/// Compare `new` against `baseline` under `config`.
-pub fn compare(baseline: &PerfReport, new: &PerfReport, config: GateConfig) -> GateReport {
+/// Compare `new` against `baseline`, classifying each median delta with
+/// [`classify`] under `tolerance`.
+pub fn compare(baseline: &PerfReport, new: &PerfReport, tolerance: f64) -> GateReport {
     let mut ids: Vec<&str> = baseline
         .records
         .iter()
@@ -185,11 +164,7 @@ pub fn compare(baseline: &PerfReport, new: &PerfReport, config: GateConfig) -> G
         .map(|id| {
             let b = baseline.get(id).map(|r| r.median_ns);
             let n = new.get(id).map(|r| r.median_ns);
-            let (ratio, kind) = classify(
-                b.map(|ns| ns as f64),
-                n.map(|ns| ns as f64),
-                config.tolerance,
-            );
+            let (ratio, kind) = classify(b.map(|ns| ns as f64), n.map(|ns| ns as f64), tolerance);
             Delta {
                 id: id.to_string(),
                 baseline_ns: b,
@@ -199,10 +174,7 @@ pub fn compare(baseline: &PerfReport, new: &PerfReport, config: GateConfig) -> G
             }
         })
         .collect();
-    GateReport {
-        deltas,
-        tolerance: config.tolerance,
-    }
+    GateReport { deltas, tolerance }
 }
 
 #[cfg(test)]
@@ -229,7 +201,7 @@ mod tests {
     #[test]
     fn self_compare_reports_zero_deltas() {
         let r = report(&[("a/x", 1000), ("b/y", 2000)]);
-        let gate = compare(&r, &r, GateConfig::default());
+        let gate = compare(&r, &r, DEFAULT_TOLERANCE);
         assert!(gate.passed());
         assert!(gate.deltas.iter().all(|d| d.ratio == Some(0.0)));
         assert!(gate.deltas.iter().all(|d| d.kind == DeltaKind::Unchanged));
@@ -239,7 +211,7 @@ mod tests {
     fn synthetic_slowdown_is_flagged() {
         let base = report(&[("a/x", 1000), ("b/y", 2000)]);
         let slow = report(&[("a/x", 2000), ("b/y", 2000)]);
-        let gate = compare(&base, &slow, GateConfig::default());
+        let gate = compare(&base, &slow, DEFAULT_TOLERANCE);
         assert!(!gate.passed());
         let regs = gate.regressions();
         assert_eq!(regs.len(), 1);
@@ -252,7 +224,7 @@ mod tests {
     fn improvements_and_membership_changes_do_not_fail_the_gate() {
         let base = report(&[("a/x", 2000), ("gone/z", 10)]);
         let new = report(&[("a/x", 1000), ("added/w", 10)]);
-        let gate = compare(&base, &new, GateConfig::default());
+        let gate = compare(&base, &new, DEFAULT_TOLERANCE);
         assert!(gate.passed());
         assert_eq!(gate.improvements().len(), 1);
         let kinds: Vec<DeltaKind> = gate.deltas.iter().map(|d| d.kind).collect();
@@ -268,14 +240,14 @@ mod tests {
         let base = report(&[("a/x", 1000)]);
         for (tolerance, edges) in [(0.1, [1100, 900]), (0.25, [1250, 750])] {
             for edge in edges {
-                let gate = compare(&base, &report(&[("a/x", edge)]), GateConfig { tolerance });
+                let gate = compare(&base, &report(&[("a/x", edge)]), tolerance);
                 assert_eq!(gate.deltas[0].kind, DeltaKind::Unchanged, "{edge}");
             }
             let slower = report(&[("a/x", edges[0] + 1)]);
-            let gate = compare(&base, &slower, GateConfig { tolerance });
+            let gate = compare(&base, &slower, tolerance);
             assert_eq!(gate.deltas[0].kind, DeltaKind::Regression);
             let faster = report(&[("a/x", edges[1] - 1)]);
-            let gate = compare(&base, &faster, GateConfig { tolerance });
+            let gate = compare(&base, &faster, tolerance);
             assert_eq!(gate.deltas[0].kind, DeltaKind::Improvement);
         }
     }
@@ -284,9 +256,9 @@ mod tests {
     fn tolerance_band_is_symmetric_and_configurable() {
         let base = report(&[("a/x", 1000)]);
         let ten_pct = report(&[("a/x", 1100)]);
-        let loose = compare(&base, &ten_pct, GateConfig { tolerance: 0.25 });
+        let loose = compare(&base, &ten_pct, 0.25);
         assert!(loose.passed());
-        let strict = compare(&base, &ten_pct, GateConfig { tolerance: 0.05 });
+        let strict = compare(&base, &ten_pct, 0.05);
         assert!(!strict.passed());
     }
 }

@@ -36,13 +36,6 @@ impl JsonValue {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),

@@ -44,7 +44,7 @@ pub mod perf;
 pub mod registry;
 pub mod scope;
 
-pub use gate::{classify, compare, Delta, DeltaKind, GateConfig, GateReport};
+pub use gate::{classify, compare, Delta, DeltaKind, GateReport};
 pub use json::JsonValue;
 pub use perf::{PerfRecord, PerfReport, BENCH_SCHEMA};
 pub use registry::{HistogramSnapshot, MetricsSnapshot, ScopeStat};

@@ -14,8 +14,8 @@
 //! {
 //!   "schema": "jubench-bench/v1",
 //!   "benchmarks": [
-//!     {"id": "kernels/gemm_128", "median_ns": 310415, "p10_ns": 309416,
-//!      "p90_ns": 317634, "samples": 20, "bytes_per_iter": 131072}
+//!     {"id": "kernels/laplacian_grid3_24", "median_ns": 23474, "p10_ns": 23337,
+//!      "p90_ns": 23490, "samples": 3, "bytes_per_iter": 221184}
 //!   ]
 //! }
 //! ```
@@ -68,16 +68,6 @@ impl PerfRecord {
         }
     }
 
-    /// Median throughput in bytes per second, when a throughput was
-    /// declared and the median is non-zero.
-    pub fn bytes_per_sec(&self) -> Option<f64> {
-        let bytes = self.bytes_per_iter?;
-        if self.median_ns == 0 {
-            return None;
-        }
-        Some(bytes as f64 * 1e9 / self.median_ns as f64)
-    }
-
     /// One self-contained JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
         let bytes = self
@@ -110,7 +100,8 @@ impl PerfRecord {
             median_ns: num("median_ns")?,
             p10_ns: num("p10_ns")?,
             p90_ns: num("p90_ns")?,
-            samples: num("samples")? as u32,
+            samples: u32::try_from(num("samples")?)
+                .map_err(|_| "record field \"samples\" is not a non-negative integer")?,
             bytes_per_iter: match v.get("bytes_per_iter") {
                 None | Some(JsonValue::Null) => None,
                 Some(b) => Some(
@@ -119,6 +110,21 @@ impl PerfRecord {
                 ),
             },
         })
+    }
+}
+
+/// A nanosecond duration in the largest unit that keeps it ≥ 1, three
+/// decimals (`12 ns`, `1.500 µs`, `2.000 ms`, `3.000 s`) — how the harness
+/// summary line and the gate table print a median.
+pub fn fmt_ns(ns: u64) -> String {
+    if ns >= 1_000_000_000 {
+        format!("{:.3} s", ns as f64 / 1e9)
+    } else if ns >= 1_000_000 {
+        format!("{:.3} ms", ns as f64 / 1e6)
+    } else if ns >= 1_000 {
+        format!("{:.3} µs", ns as f64 / 1e3)
+    } else {
+        format!("{ns} ns")
     }
 }
 
@@ -238,8 +244,7 @@ mod tests {
         assert_eq!(r.median_ns, 51);
         assert_eq!(r.p10_ns, 11);
         assert_eq!(r.p90_ns, 90);
-        let gib = r.bytes_per_sec().unwrap();
-        assert!(gib > 0.0);
+        assert_eq!(r.bytes_per_iter, Some(1 << 20));
     }
 
     #[test]
@@ -259,6 +264,31 @@ mod tests {
     fn schema_mismatch_is_rejected() {
         let text = "{\"schema\": \"other/v9\", \"benchmarks\": []}";
         assert!(PerfReport::from_json(text).is_err());
+    }
+
+    /// A sample count past `u32::MAX` is refused, not wrapped
+    /// (`4294967299` once read as 3).
+    #[test]
+    fn samples_beyond_u32_are_refused() {
+        let text = record("a/x", 1000)
+            .to_json()
+            .replace("\"samples\": 20", "\"samples\": 4294967299");
+        let err = PerfRecord::from_json(&JsonValue::parse(&text).unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            "record field \"samples\" is not a non-negative integer"
+        );
+        let max = text.replace("4294967299", &u32::MAX.to_string());
+        let r = PerfRecord::from_json(&JsonValue::parse(&max).unwrap()).unwrap();
+        assert_eq!(r.samples, u32::MAX);
+    }
+
+    #[test]
+    fn ns_formatting() {
+        assert_eq!(fmt_ns(12), "12 ns");
+        assert_eq!(fmt_ns(1_500), "1.500 µs");
+        assert_eq!(fmt_ns(2_000_000), "2.000 ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.000 s");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! ordered by `(rank, seq)` and all numbers are formatted through the
 //! same fixed-precision paths.
 
+use jubench_metrics::json::escape;
+
 use crate::event::{EventKind, TraceEvent, SCHED_CELL_TRACK_BASE, WORKFLOW_NODE};
 
 /// Serialize an ordered event stream (as produced by
@@ -157,24 +159,6 @@ fn args(e: &TraceEvent) -> String {
 /// is byte-stable across values that happen to round short.
 fn fmt_f64(v: f64) -> String {
     format!("{v:.9}")
-}
-
-/// Minimal JSON string escaping for the step names we embed (parameter
-/// substitution can inject arbitrary text).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

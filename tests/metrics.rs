@@ -8,7 +8,8 @@
 
 use std::sync::Arc;
 
-use jubench::metrics::{self, compare, GateConfig, MetricsSnapshot, PerfRecord, PerfReport};
+use jubench::metrics::gate::DEFAULT_TOLERANCE;
+use jubench::metrics::{self, compare, MetricsSnapshot, PerfRecord, PerfReport};
 use jubench::prelude::*;
 use jubench::profile_scope;
 use jubench::sched::{registry_jobs, run_campaign};
@@ -253,7 +254,7 @@ fn committed_baseline_parses_and_self_compares_to_zero_deltas() {
     );
     // Encoding is stable: parse → encode reproduces the committed bytes.
     assert_eq!(baseline.to_json(), text);
-    let gate = compare(&baseline, &baseline, GateConfig::default());
+    let gate = compare(&baseline, &baseline, DEFAULT_TOLERANCE);
     assert!(gate.passed());
     assert!(gate.deltas.iter().all(|d| d.ratio == Some(0.0)));
 }
@@ -277,11 +278,11 @@ fn gate_flags_synthetic_slowdown_against_the_committed_baseline() {
             })
             .collect(),
     );
-    let gate = compare(&baseline, &slowed, GateConfig::default());
+    let gate = compare(&baseline, &slowed, DEFAULT_TOLERANCE);
     assert!(!gate.passed());
     assert_eq!(gate.regressions().len(), baseline.records.len());
     // And the reverse direction reads as improvements, not regressions.
-    let reverse = compare(&slowed, &baseline, GateConfig::default());
+    let reverse = compare(&slowed, &baseline, DEFAULT_TOLERANCE);
     assert!(reverse.passed());
     assert_eq!(reverse.improvements().len(), baseline.records.len());
 }
