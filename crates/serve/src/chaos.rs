@@ -15,8 +15,8 @@
 //! a typed rejection/cancellation — never a panic, never a hang).
 //!
 //! Crash points are **consumed once**, tracked in a [`ChaosRuntime`]
-//! that lives *outside* shard snapshots: when the supervisor restores a
-//! crashed shard and re-drives it, the shard passes the same unit
+//! that lives *outside* the shard: when the supervisor rolls a crashed
+//! shard back and re-drives it, the shard passes the same unit
 //! boundary again, and a crash that re-fired on every pass would
 //! livelock the retry loop. Consuming the point models the real
 //! phenomenon anyway — a crash is an event, not a property of the unit.
@@ -107,7 +107,7 @@ impl<'p> ChaosRuntime<'p> {
 
     /// Should `shard` crash at `unit` of the current drive attempt?
     /// Each scheduled entry is consumed once: a boundary listed once
-    /// passes clean on the retry after a supervised restore, while a
+    /// passes clean on the retry after a supervised rollback, while a
     /// boundary listed N times re-crashes on N successive passes (the
     /// way tests exhaust a restart budget).
     pub fn crash_due(&self, shard: u32, unit: u64) -> bool {

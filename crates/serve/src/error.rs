@@ -2,15 +2,15 @@
 //!
 //! Everything that can go wrong while *driving* the service — as
 //! opposed to speaking its protocol ([`WireError`]) — is a
-//! [`ServeError`]: a shard worker panicking mid-drain, a snapshot or
-//! migration envelope refusing to open, a migration naming a shard that
-//! does not exist. The drain driver ([`crate::supervisor`]) keeps these
+//! [`ServeError`]: a shard worker panicking mid-drain, a migration
+//! naming a shard that does not exist — never bytes refusing to open:
+//! no drain or migration reads any (that `CkptError` is `restore`'s or
+//! `adopt`'s). The drain driver ([`crate::supervisor`]) keeps these
 //! from ever escaping as panics: every drain catches a worker panic and
 //! returns it typed, and a supervised drain converts failures into
 //! restarts or typed cancellations.
 
 use crate::wire::WireError;
-use jubench_ckpt::CkptError;
 use std::fmt;
 
 /// A failure while driving the campaign service.
@@ -18,9 +18,6 @@ use std::fmt;
 pub enum ServeError {
     /// A protocol failure on a session transport.
     Wire(WireError),
-    /// A snapshot envelope failed to open or decode — the shard's, a
-    /// migrating campaign's, or the scheduler state embedded in either.
-    Ckpt(CkptError),
     /// A shard worker thread panicked (or a chaos plan crashed it).
     ShardPanicked {
         /// The shard whose worker died.
@@ -41,7 +38,6 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Wire(e) => write!(f, "wire: {e}"),
-            ServeError::Ckpt(e) => write!(f, "checkpoint: {e}"),
             ServeError::ShardPanicked { shard, message } => {
                 write!(f, "shard {shard} worker panicked: {message}")
             }
@@ -57,11 +53,5 @@ impl std::error::Error for ServeError {}
 impl From<WireError> for ServeError {
     fn from(e: WireError) -> Self {
         ServeError::Wire(e)
-    }
-}
-
-impl From<CkptError> for ServeError {
-    fn from(e: CkptError) -> Self {
-        ServeError::Ckpt(e)
     }
 }

@@ -32,8 +32,9 @@
 //! - `pipeline`, `campaign`, [`shard`]: what a campaign is (point → row
 //!   → jobs → schedule → artifacts, as pure functions), one campaign in
 //!   flight (its unit, its bytes and their checks), and one worker shard
-//!   — queue, cursor, cache; [`Checkpointable`](jubench_ckpt::Checkpointable)
-//!   at every unit boundary, extracting and adopting in-flight campaigns.
+//!   — queue, cursor, cache; at every unit boundary a value to clone or
+//!   move a campaign out of, and bytes only to leave the process:
+//!   [`Checkpointable`](jubench_ckpt::Checkpointable), `extract` / `adopt`.
 //! - [`server`]: shard routing (campaigns keyed to shards by machine
 //!   fingerprint), the public drains, the session loop, and the
 //!   [`Client`] helper.
@@ -41,7 +42,7 @@
 //!   campaign quotas and a refund-on-retire point-token bucket. Denials
 //!   are typed [`Rejection`]s carried on the wire, never panics.
 //! - [`supervisor`]: the one drain driver behind every public drain —
-//!   per shard, snapshot at attempt start, restore-and-retry on a typed
+//!   per shard, a clone at attempt start, roll-back-and-retry on a typed
 //!   error or caught panic, seeded bounded backoff, and a
 //!   typed-cancellation degrade path after the restart budget is
 //!   exhausted; inline or on dedicated threads, one frame order.

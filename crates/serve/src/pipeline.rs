@@ -123,7 +123,7 @@ pub(crate) fn scheduler(spec: &CampaignSpec) -> Scheduler {
 }
 
 /// Derive the campaign's scheduler jobs from its executed rows. Pure in
-/// `(spec, rows)`, so a restored or migrated campaign rebuilds exactly
+/// `(spec, rows)`, so a restored or adopted campaign rebuilds exactly
 /// the jobs its snapshot was taken against.
 pub(crate) fn build_jobs(spec: &CampaignSpec, rows: &[PointResult]) -> Vec<Job> {
     spec.points

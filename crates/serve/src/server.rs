@@ -201,12 +201,11 @@ impl Server {
             .map(|o| o.emits)
     }
 
-    /// Migrate in-flight campaign `campaign` to shard `to`. Returns
-    /// `Ok(false)` if the campaign is not live (unknown or already
-    /// done), `Err` if `to` is not a shard of this server (the campaign
-    /// stays where it is) or the extracted envelope failed to adopt
-    /// (the campaign is re-adopted by its origin shard first, so
-    /// nothing is lost).
+    /// Migrate in-flight campaign `campaign` to shard `to`: the
+    /// campaign moves as a value, so nothing on the way can refuse it.
+    /// Returns `Ok(false)` if the campaign is not live (unknown or
+    /// already done), `Err` if `to` is not a shard of this server (the
+    /// campaign stays where it is).
     pub fn migrate(&mut self, campaign: u64, to: u32) -> Result<bool, ServeError> {
         if to as usize >= self.shards.len() {
             return Err(ServeError::NoSuchShard {
@@ -214,27 +213,17 @@ impl Server {
                 n_shards: self.shards.len(),
             });
         }
-        let Some(route) = self.routes.get(&campaign) else {
+        let Some(route) = self.routes.get_mut(&campaign) else {
             return Ok(false);
         };
-        let from = route.shard;
-        if from == to {
+        if route.shard == to {
             return Ok(true);
         }
-        let Some(envelope) = self.shards[from as usize].extract(campaign) else {
+        let Some(camp) = self.shards[route.shard as usize].take_campaign(campaign) else {
             return Ok(false);
         };
-        if let Err(e) = self.shards[to as usize].adopt(&envelope) {
-            // Put the campaign back where it came from; the envelope
-            // was sealed from live state, so this re-adopt is the same
-            // bytes the target just refused — if even the origin
-            // refuses them, the envelope itself is unusable.
-            self.shards[from as usize].adopt(&envelope)?;
-            return Err(ServeError::Ckpt(e));
-        }
-        if let Some(route) = self.routes.get_mut(&campaign) {
-            route.shard = to;
-        }
+        self.shards[to as usize].queue_campaign(camp);
+        route.shard = to;
         Ok(true)
     }
 

@@ -5,11 +5,13 @@
 //! [`ShardState::step`] advances the campaign under the cursor by one
 //! *unit* — one run point or one scheduler slice — then moves the cursor
 //! on, or removes the campaign once its terminal frame went out. Every
-//! unit boundary is a safe point: the shard is [`Checkpointable`] there,
-//! and one in-flight campaign can be extracted ([`ShardState::extract`])
-//! and adopted by another shard ([`ShardState::adopt`]). Bytes that do
-//! not decode to a consistent campaign are refused as the [`CkptError`]
-//! `restore` / `adopt` return, and the shard is left as it was.
+//! unit boundary is a safe point: there the shard can be cloned (the
+//! supervisor's rollback) and a campaign moved to another shard. Bytes
+//! are only for leaving the process: the shard is [`Checkpointable`],
+//! a campaign travels as an [`ShardState::extract`] envelope for
+//! [`ShardState::adopt`], and bytes that do not decode to a consistent
+//! campaign are refused as the [`CkptError`] `restore` / `adopt` return,
+//! the shard left as it was.
 //!
 //! Determinism contract: the frames a shard emits for one campaign are
 //! a pure function of the campaign spec (plus the registry contents) —
@@ -85,9 +87,9 @@ impl ShardState {
         self.guard
     }
 
-    /// Record one supervised restart: the shard was restored from its
-    /// snapshot after a worker failure, charging `backoff_s` virtual
-    /// seconds of seeded backoff.
+    /// Record one supervised restart: the shard was rolled back to its
+    /// state at attempt start after a worker failure, charging
+    /// `backoff_s` virtual seconds of seeded backoff.
     pub fn note_restart(&mut self, backoff_s: f64) {
         self.guard.restarts += 1;
         self.guard.backoff_s += backoff_s;
@@ -234,27 +236,38 @@ impl ShardState {
         Ok(out)
     }
 
-    /// Remove campaign `id` from this shard and return it as a sealed
-    /// envelope suitable for [`Self::adopt`] on another shard — live
-    /// migration of an in-flight campaign. The result cache stays here:
-    /// caching is an execution-time optimization, so moving a campaign
-    /// away from warm state changes timings, never bytes.
-    pub fn extract(&mut self, id: u64) -> Option<Vec<u8>> {
+    /// Take in-flight campaign `id` out of this shard, to be queued on
+    /// another — live migration.
+    pub(crate) fn take_campaign(&mut self, id: u64) -> Option<ActiveCampaign> {
         let idx = self.queue.iter().position(|c| c.id == id)?;
-        let mut w = SnapshotWriter::new();
-        self.remove(idx).put(&mut w);
         jubench_metrics::counter_add("serve/campaigns_migrated", 1);
+        Some(self.remove(idx))
+    }
+
+    /// Queue a campaign taken from another shard.
+    pub(crate) fn queue_campaign(&mut self, camp: ActiveCampaign) {
+        self.queue.push(camp);
+    }
+
+    /// Take campaign `id` out of this shard, sealed into an envelope for
+    /// [`Self::adopt`] on a shard in another process. The result cache
+    /// stays here: caching is an execution-time optimization, so moving
+    /// a campaign away from warm state changes timings, never bytes.
+    pub fn extract(&mut self, id: u64) -> Option<Vec<u8>> {
+        let mut w = SnapshotWriter::new();
+        self.take_campaign(id)?.put(&mut w);
         Some(seal(CAMPAIGN_KIND, &w.finish()))
     }
 
-    /// Adopt a campaign extracted from another shard. Returns its id.
+    /// Open an [`Self::extract`] envelope and queue its campaign.
+    /// Returns its id.
     pub fn adopt(&mut self, envelope: &[u8]) -> Result<u64, CkptError> {
         let payload = open(CAMPAIGN_KIND, envelope)?;
         let mut r = SnapshotReader::new(&payload);
         let camp = ActiveCampaign::get(&mut r)?;
         r.expect_end()?;
         let id = camp.id;
-        self.queue.push(camp);
+        self.queue_campaign(camp);
         Ok(id)
     }
 }
@@ -502,8 +515,7 @@ mod tests {
             assert_eq!(victim, untouched, "a refused snapshot changes nothing");
         }
         assert!(target.idle(), "a refused envelope leaves nothing behind");
-        // The genuine envelope still goes home, as `Server::migrate`
-        // sends it when the target refuses.
+        // The genuine envelope still adopts, back into the shard it left.
         origin.adopt(&envelope).unwrap();
         assert_eq!(origin, before);
     }

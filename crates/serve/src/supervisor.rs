@@ -9,19 +9,19 @@
 //! 1. [`ShardState::drain`] — the loop that steps a shard to idle,
 //!    consulting the chaos plan at unit boundaries.
 //! 2. `supervise` — one shard's attempt loop. With a restart policy,
-//!    every attempt starts from a fresh [`Checkpointable`] snapshot and
-//!    runs under `catch_unwind`; a failed attempt — a chaos-injected
-//!    crash or a genuine panic — is discarded **wholesale**, frames and
-//!    state, the shard is restored, seeded bounded backoff is charged, and the attempt is
-//!    retried. Without a policy (the unsupervised drains) no snapshot is
-//!    taken and the first failure is the shard's result.
+//!    every attempt keeps a clone of the shard it starts from and runs
+//!    under `catch_unwind`; a failed attempt — a chaos-injected crash or
+//!    a genuine panic — is discarded **wholesale**, frames and state, by
+//!    assigning the clone back, seeded bounded backoff is charged, and
+//!    the attempt is retried. Without a policy (the unsupervised drains)
+//!    no clone is kept and the first failure is the shard's result.
 //! 3. The executor — shards in order on the calling thread, or one
 //!    `run_dedicated` spawn with each shard's whole supervise loop on
 //!    its own thread.
 //!
 //! Shards share no state, so every entry point emits the same thing:
 //! each shard's stream, concatenated in shard order. A retry
-//! regenerates the identical stream from the restored snapshot, which
+//! regenerates the identical stream from the rolled-back shard, which
 //! is why serial = parallel = supervised under any seeded chaos plan is
 //! one full-stream byte-identity statement (run reports aside — they
 //! carry the out-of-band guard tallies).
@@ -43,7 +43,6 @@ use crate::server::Server;
 use crate::shard::{Emit, ShardState};
 use crate::tracks::RealTracks;
 use crate::wire::Frame;
-use jubench_ckpt::Checkpointable;
 use jubench_core::Registry;
 use jubench_kernels::rank_rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -152,9 +151,9 @@ fn shard_panicked(shard: u32, panic: Box<dyn std::any::Any + Send>) -> ServeErro
 }
 
 /// Drive one shard to idle. With a restart policy (`cfg`), a failed
-/// attempt is rolled back to its starting snapshot and retried until
-/// the budget runs out, then given up on; without one, the first
-/// failure is returned and the shard keeps whatever state it reached.
+/// attempt is rolled back to the shard's clone from its start and
+/// retried until the budget runs out, then given up on; without one,
+/// the first failure is returned and the shard keeps what it reached.
 fn supervise(
     shard: &mut ShardState,
     registry: &Registry,
@@ -165,7 +164,7 @@ fn supervise(
     let id = shard.id();
     let mut run = ShardRun::default();
     while !shard.idle() {
-        let policy = cfg.map(|cfg| (cfg, shard.snapshot()));
+        let policy = cfg.map(|cfg| (cfg, shard.clone()));
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             shard.drain_sharing(registry, chaos, Some(tracks))
         }))
@@ -177,13 +176,13 @@ fn supervise(
             }
             Err(err) => err,
         };
-        let Some((cfg, snap)) = policy else {
+        let Some((cfg, start)) = policy else {
             return Err(err);
         };
         // Roll back to the attempt's start either way — its partial
         // progress (and frames) must not leak into the retry or the
         // give-up.
-        shard.restore(&snap)?;
+        *shard = start;
         if run.restarts == cfg.max_restarts {
             run.emits = shard.give_up(run.restarts);
             run.gave_up = Some(err);
@@ -253,7 +252,7 @@ impl Server {
     }
 
     /// [`Server::drain`] under supervision: shard failures are
-    /// restored and retried within `cfg`'s budget, `chaos` injects
+    /// rolled back and retried within `cfg`'s budget, `chaos` injects
     /// seeded ones. Fault-free, the frames equal the unsupervised
     /// drain's; past the budget a shard's campaigns are cancelled and
     /// the drain degrades to partial results.

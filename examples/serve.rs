@@ -12,8 +12,8 @@
 //!
 //! Ends with the guard layer: a per-tenant quota rejecting (typed,
 //! refundable) an over-limit submission, and a supervised drain
-//! recovering from a seeded chaos plan — every crashed shard restored
-//! from its attempt-start snapshot and re-driven, the frame stream
+//! recovering from a seeded chaos plan — every crashed shard rolled
+//! back to its state at attempt start and re-driven, the frame stream
 //! byte-identical to the fault-free drain's (reports aside), and the
 //! wall-clock restart overhead printed.
 //!
@@ -145,8 +145,8 @@ fn main() {
 
     // ----- guard demo: supervised recovery from a seeded chaos plan ----
     // An injected crash fails the shard's drive attempt with a typed
-    // error; the driver discards the attempt, restores the shard from
-    // the attempt's starting snapshot, and re-drives it. Every drain —
+    // error; the driver discards the attempt, puts back the clone of the
+    // shard it kept at attempt start, and re-drives it. Every drain —
     // plain or supervised, inline or parallel — emits each shard's
     // stream in shard order, so the two runs compare as whole streams.
     // Partition sizes vary so the population spreads across all four

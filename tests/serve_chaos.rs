@@ -25,8 +25,8 @@ fn campaign(name: &str, nodes: u32, seed: u64) -> CampaignSpec {
     spec
 }
 
-/// Strip the run report from `Done` frames: its out-of-band cache and
-/// guard tallies legitimately differ between chaotic and clean runs.
+/// Strip the run report from `Done` frames: its out-of-band guard
+/// tallies legitimately differ between chaotic and clean runs.
 fn stripped(emits: &[Emit]) -> Vec<Frame> {
     emits
         .iter()
@@ -94,11 +94,13 @@ fn every_drain_entry_point_returns_the_same_stream() {
 
 /// The headline invariant, swept over seeds: scattered crash plans plus
 /// stragglers, absorbed by the restart budget, leave both supervised
-/// drains byte-identical to the one fault-free reference.
+/// drains byte-identical to the one fault-free reference — and every
+/// shard's cache equal to the clean server's, so a rollback is whole.
 #[test]
 fn seeded_chaos_plans_preserve_bytes_under_supervision() {
     let registry = full_registry();
-    let reference = stripped(&populated(&registry).drain(&registry).unwrap());
+    let mut clean = populated(&registry);
+    let reference = stripped(&clean.drain(&registry).unwrap());
     for seed in [0x0DDBA11u64, 0x5CA1AB1E, 0xBEEFCAFE] {
         let plan = ChaosPlan::scattered(seed, 4, 5, 8)
             .with_straggler((seed % 4) as u32)
@@ -107,13 +109,18 @@ fn seeded_chaos_plans_preserve_bytes_under_supervision() {
             max_restarts: plan.crash_count() as u32 + 1,
             ..SupervisorConfig::default()
         };
-        let serial = populated(&registry)
+        let mut serial = populated(&registry);
+        let serial_outcome = serial
             .drain_supervised(&registry, &cfg, Some(&plan))
             .unwrap();
-        let parallel = populated(&registry)
+        let mut parallel = populated(&registry);
+        let parallel_outcome = parallel
             .drain_supervised_parallel(&registry, &cfg, Some(&plan))
             .unwrap();
-        for (mode, outcome) in [("serial", serial), ("parallel", parallel)] {
+        for (mode, server, outcome) in [
+            ("serial", serial, serial_outcome),
+            ("parallel", parallel, parallel_outcome),
+        ] {
             assert!(!outcome.degraded(), "seed {seed:#x}: {mode} degraded");
             assert!(outcome.restarts > 0, "seed {seed:#x}: no crash fired");
             assert_eq!(
@@ -121,6 +128,13 @@ fn seeded_chaos_plans_preserve_bytes_under_supervision() {
                 reference,
                 "seed {seed:#x}: {mode} supervised chaos diverged"
             );
+            for s in 0..4 {
+                assert_eq!(
+                    server.shard(s).cache(),
+                    clean.shard(s).cache(),
+                    "seed {seed:#x}: {mode} shard {s} cache kept a failed attempt's work"
+                );
+            }
         }
     }
 }
@@ -162,7 +176,7 @@ fn stragglers_change_nothing() {
 }
 
 /// A crash at unit 0 of every active shard forces exactly one restart
-/// per active shard; each restores from its pre-attempt snapshot, the
+/// per active shard; each rolls back to its state at attempt start, the
 /// restarts land in the `serve/restarts` counter and the per-shard
 /// guard ledger, and finished campaigns surface them in their report.
 #[test]
