@@ -14,8 +14,21 @@ use jubench_kernels::rank_rng;
 
 /// The Graph500 R-MAT parameters (A, B, C; D = 1 − A − B − C).
 const RMAT: [f64; 3] = [0.57, 0.19, 0.19];
+/// The quadrant thresholds A, A + B, A + B + C.
+const RMAT_CUTS: [f64; 3] = [RMAT[0], RMAT[0] + RMAT[1], RMAT[0] + RMAT[1] + RMAT[2]];
 /// Edge factor: edges = 16 × vertices.
 pub const EDGE_FACTOR: usize = 16;
+
+/// The R-MAT quadrant `(du, dv)` a draw `r` picks: (0, 0) below A, (0, 1)
+/// below A + B, (1, 0) below A + B + C, else (1, 1). The three comparisons
+/// are counted, not branched on — a random `r` defeats the predictor.
+#[inline]
+fn quadrant(r: f64) -> (u32, u32) {
+    let [below_a, below_ab, below_abc] = RMAT_CUTS.map(|cut| (r < cut) as u32);
+    // The quadrant q = 3 − Σ below counts the cuts at or below r:
+    // du = (q ≥ 2), dv = (q odd).
+    (below_ab ^ 1, below_a ^ below_ab ^ below_abc ^ 1)
+}
 
 /// Generate a Kronecker graph of 2^scale vertices as an edge list.
 pub fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
@@ -27,16 +40,7 @@ pub fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
         let mut u = 0u32;
         let mut v = 0u32;
         for bit in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let (du, dv) = if r < RMAT[0] {
-                (0, 0)
-            } else if r < RMAT[0] + RMAT[1] {
-                (0, 1)
-            } else if r < RMAT[0] + RMAT[1] + RMAT[2] {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (du, dv) = quadrant(rng.gen());
             u |= du << bit;
             v |= dv << bit;
         }
@@ -106,33 +110,62 @@ pub fn bfs(csr: &Csr, root: u32) -> (Vec<u32>, u64) {
     (parent, traversed)
 }
 
-/// Graph500 result validation: the parent tree must be rooted correctly,
-/// every tree edge must exist in the graph, and reachability must match.
+/// Graph500 result validation of a parent array (`u32::MAX` = unreached):
+/// - the root is its own parent;
+/// - every tree edge is a graph edge;
+/// - every tree edge joins levels that differ by exactly 1: a vertex's
+///   level is its parent's plus one, so every reached vertex must walk up
+///   to the root without a cycle;
+/// - every graph edge has both ends reached or both unreached, so the
+///   tree spans the root's component;
+/// - the levels of every graph edge's ends differ by at most 1, so the
+///   tree is a breadth-first one.
 pub fn validate_bfs(csr: &Csr, root: u32, parent: &[u32]) -> Result<(), String> {
+    const UNREACHED: u32 = u32::MAX;
     if parent[root as usize] != root {
         return Err("root is not its own parent".into());
     }
+    let mut level = vec![UNREACHED; csr.vertices as usize];
+    level[root as usize] = 0;
+    let mut path = Vec::new();
     for v in 0..csr.vertices {
         let p = parent[v as usize];
-        if p == u32::MAX || v == root {
+        if p == UNREACHED || v == root {
             continue;
         }
         if !csr.neighbours(v).contains(&p) {
             return Err(format!("tree edge {v} → {p} is not a graph edge"));
         }
-        // Walk to the root with a bound (no cycles).
+        // Walk up to the first vertex with a level, with a bound (no
+        // cycles), then number the path down from it.
+        path.clear();
         let mut cur = v;
-        for _ in 0..=csr.vertices {
-            if cur == root {
-                break;
+        while level[cur as usize] == UNREACHED {
+            if path.len() > csr.vertices as usize {
+                return Err(format!("cycle in the parent tree at {v}"));
             }
+            path.push(cur);
             cur = parent[cur as usize];
-            if cur == u32::MAX {
+            if cur == UNREACHED {
                 return Err(format!("vertex {v} does not reach the root"));
             }
         }
-        if cur != root {
-            return Err(format!("cycle in the parent tree at {v}"));
+        for (&u, l) in path.iter().rev().zip(level[cur as usize] + 1..) {
+            level[u as usize] = l;
+        }
+    }
+    for u in 0..csr.vertices {
+        let lu = level[u as usize];
+        for &w in csr.neighbours(u) {
+            let lw = level[w as usize];
+            // One test for both rules: UNREACHED lies far above every level.
+            if lu.abs_diff(lw) > 1 {
+                return Err(if lu == UNREACHED || lw == UNREACHED {
+                    format!("graph edge {u} – {w} joins a reached and an unreached vertex")
+                } else {
+                    format!("graph edge {u} – {w} spans levels {lu} and {lw}")
+                });
+            }
         }
     }
     Ok(())
@@ -365,6 +398,28 @@ mod tests {
     }
 
     #[test]
+    fn validation_catches_a_truncated_tree() {
+        // Every tree edge is real and reaches the root, but the tree
+        // stops at the root of the connected path 0-1-2-3.
+        let csr = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let root_only = vec![0, u32::MAX, u32::MAX, u32::MAX];
+        let err = validate_bfs(&csr, 0, &root_only).unwrap_err();
+        assert!(err.contains("reached and an unreached"), "{err}");
+    }
+
+    #[test]
+    fn validation_catches_a_non_bfs_tree() {
+        // A depth-first spanning tree of the cycle 0-1-2-3-0: 3 sits at
+        // level 3 although the edge 0-3 puts it at level 1.
+        let csr = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let depth_first = vec![0, 0, 1, 2];
+        let err = validate_bfs(&csr, 0, &depth_first).unwrap_err();
+        assert!(err.contains("spans levels"), "{err}");
+        let (parent, _) = bfs(&csr, 0);
+        validate_bfs(&csr, 0, &parent).unwrap();
+    }
+
+    #[test]
     fn disconnected_vertices_stay_unreached() {
         let edges = vec![(0, 1)];
         let csr = Csr::from_edges(3, &edges);
@@ -435,5 +490,75 @@ mod tests {
         assert!(out.verification.passed());
         assert!(matches!(out.fom, Fom::Teps(t) if t > 0.0));
         assert!(out.fom.higher_is_better());
+    }
+}
+
+/// The branching generator [`kronecker_edges`] replaced, kept verbatim as
+/// the oracle.
+#[cfg(test)]
+mod reference {
+    use super::{EDGE_FACTOR, RMAT};
+    use jubench_kernels::rank_rng;
+
+    pub fn quadrant(r: f64) -> (u32, u32) {
+        if r < RMAT[0] {
+            (0, 0)
+        } else if r < RMAT[0] + RMAT[1] {
+            (0, 1)
+        } else if r < RMAT[0] + RMAT[1] + RMAT[2] {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    pub fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
+        let vertices = 1u32 << scale;
+        let edges = vertices as usize * EDGE_FACTOR;
+        let mut rng = rank_rng(seed, 0);
+        let mut list = Vec::with_capacity(edges);
+        for _ in 0..edges {
+            let mut u = 0u32;
+            let mut v = 0u32;
+            for bit in (0..scale).rev() {
+                let r: f64 = rng.gen();
+                let (du, dv) = quadrant(r);
+                u |= du << bit;
+                v |= dv << bit;
+            }
+            list.push((u, v));
+        }
+        list
+    }
+}
+
+/// Equality with [`reference`]: a `<=` for a `<` or two swapped quadrants
+/// fail these.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    #[test]
+    fn quadrant_matches_the_reference_at_every_threshold() {
+        let mut probes = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for cut in RMAT_CUTS {
+            let bits = cut.to_bits();
+            probes.extend([bits - 1, bits, bits + 1].map(f64::from_bits));
+        }
+        for r in probes {
+            assert_eq!(quadrant(r), reference::quadrant(r), "r = {r:e}");
+        }
+    }
+
+    #[test]
+    fn edge_lists_match_the_reference() {
+        for scale in 1..=12 {
+            for seed in 0..64 {
+                assert!(
+                    kronecker_edges(scale, seed) == reference::kronecker_edges(scale, seed),
+                    "scale {scale}, seed {seed}"
+                );
+            }
+        }
     }
 }
