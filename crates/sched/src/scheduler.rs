@@ -249,6 +249,19 @@ impl Scheduler {
         CampaignState::from_snapshot(bytes, Some((jobs, self.machine.nodes)))
     }
 
+    /// The next instant anything happens in `state` — the first one
+    /// [`Self::advance`] would process — or `INFINITY` once nothing is
+    /// left. An `advance` to any time below it leaves the state
+    /// untouched; one to it processes that instant (or, at `INFINITY`,
+    /// completes the campaign). `jobs` and `plan` are `advance`'s.
+    pub fn next_instant(&self, state: &CampaignState, jobs: &[Job], plan: &FaultPlan) -> f64 {
+        if state.done {
+            return f64::INFINITY;
+        }
+        let timeline = Timeline::of(self, jobs, plan);
+        timeline.next_instant(jobs, state, timeline.cursor(state))
+    }
+
     /// Drive the event loop until the next event lies beyond `until_s`
     /// (or the campaign completes; returns `true` then). The state stops
     /// with every event at `state.now() ≤ until_s` fully processed, so
@@ -345,14 +358,67 @@ impl Scheduler {
 struct Handlers<'a> {
     sched: &'a Scheduler,
     jobs: &'a [Job],
-    events: CapacityEvents,
-    /// Job indices in `(submit time, id)` order. Submission order is
-    /// fixed for the whole campaign and the submitted set is always a
-    /// prefix of it (every instant submits everything due), so one sort
-    /// plus the cursor `si` is enough.
-    submit_order: Vec<usize>,
+    timeline: Timeline,
+    /// Jobs of `timeline.submit_order` submitted so far.
     si: usize,
     state: &'a mut CampaignState,
+}
+
+/// What a campaign's future is read from besides its state, fixed for
+/// the whole campaign: the plan's capacity events and the submission
+/// order.
+struct Timeline {
+    events: CapacityEvents,
+    /// Job indices in `(submit time, id)` order. The submitted set is
+    /// always a prefix of it (every instant submits everything due), so
+    /// one sort plus a cursor is enough.
+    submit_order: Vec<usize>,
+}
+
+impl Timeline {
+    fn of(sched: &Scheduler, jobs: &[Job], plan: &FaultPlan) -> Self {
+        let mut submit_order: Vec<usize> = (0..jobs.len()).collect();
+        submit_order.sort_by(|&a, &b| {
+            jobs[a]
+                .submit_s
+                .total_cmp(&jobs[b].submit_s)
+                .then(jobs[a].id.cmp(&jobs[b].id))
+        });
+        Timeline {
+            events: CapacityEvents::of(plan, sched.machine.nodes),
+            submit_order,
+        }
+    }
+
+    /// The submission cursor of `s`: how many jobs it has submitted.
+    fn cursor(&self, s: &CampaignState) -> usize {
+        let si = s.submitted.iter().filter(|&&s| s).count();
+        debug_assert!(
+            !self.submit_order[si..].iter().any(|idx| s.submitted[*idx]),
+            "submitted set must be a prefix of the submission order"
+        );
+        si
+    }
+
+    /// The next instant anything happens in `s`, whose submission cursor
+    /// is `si` (`INFINITY`: never). Drain ends only matter while
+    /// something is drained or queued: a gated one is consumed silently
+    /// by the drain-end cursor at the next instant.
+    fn next_instant(&self, jobs: &[Job], s: &CampaignState, si: usize) -> f64 {
+        let capacity_churns = !s.pending.is_empty() || !s.down.is_empty();
+        let drain_end = self.events.drain_ends.get(s.ei).map(|e| e.0);
+        [
+            self.events.crashes.get(s.ci).map(|c| c.0),
+            self.events.drain_starts.get(s.di).map(|d| d.0),
+            drain_end.filter(|_| capacity_churns),
+            self.submit_order.get(si).map(|&idx| jobs[idx].submit_s),
+        ]
+        .into_iter()
+        .flatten()
+        .chain(s.running.iter().map(|r| r.end_s))
+        .chain(s.pending.iter().map(|p| p.eligible_s).filter(|&e| e > s.t))
+        .fold(f64::INFINITY, f64::min)
+    }
 }
 
 impl<'a> Handlers<'a> {
@@ -362,49 +428,20 @@ impl<'a> Handlers<'a> {
         plan: &FaultPlan,
         state: &'a mut CampaignState,
     ) -> Self {
-        let mut submit_order: Vec<usize> = (0..jobs.len()).collect();
-        submit_order.sort_by(|&a, &b| {
-            jobs[a]
-                .submit_s
-                .total_cmp(&jobs[b].submit_s)
-                .then(jobs[a].id.cmp(&jobs[b].id))
-        });
-        let si = state.submitted.iter().filter(|&&s| s).count();
-        debug_assert!(
-            !submit_order[si..].iter().any(|idx| state.submitted[*idx]),
-            "submitted set must be a prefix of the submission order"
-        );
+        let timeline = Timeline::of(sched, jobs, plan);
+        let si = timeline.cursor(state);
         Handlers {
             sched,
             jobs,
-            events: CapacityEvents::of(plan, sched.machine.nodes),
-            submit_order,
+            timeline,
             si,
             state,
         }
     }
 
-    /// The next instant anything happens, read off the state
-    /// (`INFINITY`: never). Drain ends only matter while something is
-    /// drained or queued: a gated one is consumed silently by the
-    /// drain-end cursor at the next instant.
+    /// The next instant anything happens, read off the state.
     fn next_instant(&self) -> f64 {
-        let s = &*self.state;
-        let capacity_churns = !s.pending.is_empty() || !s.down.is_empty();
-        let drain_end = self.events.drain_ends.get(s.ei).map(|e| e.0);
-        [
-            self.events.crashes.get(s.ci).map(|c| c.0),
-            self.events.drain_starts.get(s.di).map(|d| d.0),
-            drain_end.filter(|_| capacity_churns),
-            self.submit_order
-                .get(self.si)
-                .map(|&idx| self.jobs[idx].submit_s),
-        ]
-        .into_iter()
-        .flatten()
-        .chain(s.running.iter().map(|r| r.end_s))
-        .chain(s.pending.iter().map(|p| p.eligible_s).filter(|&e| e > s.t))
-        .fold(f64::INFINITY, f64::min)
+        self.timeline.next_instant(self.jobs, self.state, self.si)
     }
 
     /// Attempts whose end time has come complete, in `(end, job)` order.
@@ -429,7 +466,13 @@ impl<'a> Handlers<'a> {
     /// Crashes due by now take their node out of service for good.
     fn crash(&mut self, hit: &mut BTreeSet<u32>) {
         let s = &mut *self.state;
-        while let Some(&(_, node, _)) = self.events.crashes.get(s.ci).filter(|c| c.0 <= s.t) {
+        while let Some(&(_, node, _)) = self
+            .timeline
+            .events
+            .crashes
+            .get(s.ci)
+            .filter(|c| c.0 <= s.t)
+        {
             s.ci += 1;
             if s.crashed.insert(node) {
                 s.down.insert(node);
@@ -443,7 +486,7 @@ impl<'a> Handlers<'a> {
     /// Drain windows opening by now take their node out of service.
     fn drain_start(&mut self, hit: &mut BTreeSet<u32>) {
         let s = &mut *self.state;
-        let starts = &self.events.drain_starts;
+        let starts = &self.timeline.events.drain_starts;
         while let Some(&(_, node, until)) = starts.get(s.di).filter(|d| d.0 <= s.t) {
             s.di += 1;
             if !s.crashed.contains(&node) && s.down.insert(node) {
@@ -459,7 +502,13 @@ impl<'a> Handlers<'a> {
     /// cannot be occupied: its jobs were preempted at drain start.
     fn drain_end(&mut self) {
         let s = &mut *self.state;
-        while let Some(&(_, node, _)) = self.events.drain_ends.get(s.ei).filter(|e| e.0 <= s.t) {
+        while let Some(&(_, node, _)) = self
+            .timeline
+            .events
+            .drain_ends
+            .get(s.ei)
+            .filter(|e| e.0 <= s.t)
+        {
             s.ei += 1;
             if !s.crashed.contains(&node) && s.down.remove(&node) {
                 s.free.insert(node);
@@ -542,7 +591,7 @@ impl<'a> Handlers<'a> {
     /// Jobs whose submit time has come enter the queue.
     fn submit(&mut self) {
         let (t, jobs) = (self.state.t, self.jobs);
-        while let Some(&idx) = self.submit_order.get(self.si) {
+        while let Some(&idx) = self.timeline.submit_order.get(self.si) {
             let job = &jobs[idx];
             if job.submit_s > t {
                 break;
@@ -829,6 +878,58 @@ pub(crate) mod tests {
             ],
             "same-instant handler order: {at_3:?}"
         );
+    }
+
+    /// `next_instant` is the first instant `advance` processes: an
+    /// advance to just below it changes nothing, one to it moves the
+    /// clock there and mostly logs (a requeued job whose eligibility
+    /// comes while it still does not fit logs nothing) — walked instant
+    /// by instant over seeded FIFO and backfill campaigns under drain and
+    /// crash plans, to the straight-through run's log.
+    #[test]
+    fn next_instant_is_the_first_instant_advance_processes() {
+        for seed in 0..24u64 {
+            let rng = &mut jubench_faults::rank_rng(0x1257 + seed, 3);
+            let policy = [QueuePolicy::Fifo, QueuePolicy::ConservativeBackfill][seed as usize % 2];
+            let s = sched(policy, PlacementPolicy::Contiguous);
+            let jobs: Vec<Job> = (0..rng.gen_range(2u32..10))
+                .map(|i| {
+                    let work = 0.1 + 4.0 * rng.gen_f64();
+                    Job::new(i, &format!("j{i}"), rng.gen_range(1u32..97), work)
+                        .with_comm_fraction(rng.gen_f64())
+                        .with_priority(rng.gen_range(0u32..3) as i32)
+                        .with_submit(4.0 * rng.gen_f64())
+                        .with_retry(jubench_faults::RetryPolicy::new(3, 0.5))
+                })
+                .collect();
+            let plan = FaultPlan::new(seed)
+                .with_slow_node_window(rng.gen_range(0u32..96), 4.0, 1.0, 3.0)
+                .with_rank_crash(rng.gen_range(0u32..96), 2.5);
+            let mut state = s.begin(&jobs);
+            let (mut instants, mut logged) = (0, 0);
+            loop {
+                let next = s.next_instant(&state, &jobs, &plan);
+                if next == f64::INFINITY {
+                    assert!(s.advance(&mut state, &jobs, &plan, f64::NEG_INFINITY));
+                    break;
+                }
+                let before = state.clone();
+                assert!(!s.advance(&mut state, &jobs, &plan, next.next_down()));
+                assert_eq!(state, before, "seed {seed}: an advance below {next} acted");
+                s.advance(&mut state, &jobs, &plan, next);
+                assert_eq!(state.now(), next, "seed {seed}");
+                assert_ne!(state, before, "seed {seed}: nothing processed at {next}");
+                logged += usize::from(state.log().len() > before.log().len());
+                instants += 1;
+            }
+            assert_eq!(s.next_instant(&state, &jobs, &plan), f64::INFINITY);
+            assert!(instants >= jobs.len(), "seed {seed}: {instants} instants");
+            assert!(
+                2 * logged > instants,
+                "seed {seed}: {logged} of {instants} logged"
+            );
+            assert_eq!(s.finish(state).log, s.run(&jobs, &plan).log, "seed {seed}");
+        }
     }
 
     /// A run time below the clock's resolution at the start instant

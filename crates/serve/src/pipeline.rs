@@ -224,7 +224,7 @@ pub(crate) fn reference(registry: &Registry, spec: &CampaignSpec) -> Reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::ChaosPlan;
     use crate::server::Server;
@@ -339,7 +339,7 @@ mod tests {
     }
 
     /// Every campaign of `specs` (ids 1, 2, …) in `emits` against the model.
-    fn assert_matches_model(emits: &[Emit], model: &[Reference], how: &str) {
+    pub(crate) fn assert_matches_model(emits: &[Emit], model: &[Reference], how: &str) {
         for (i, reference) in model.iter().enumerate() {
             let Reference {
                 rows,

@@ -3,8 +3,9 @@
 //! A shard owns a [`ResultCache`], a FIFO of campaigns in flight
 //! (`campaign.rs`) and a round-robin cursor over it. One
 //! [`ShardState::step`] advances the campaign under the cursor by one
-//! *unit* — one run point or one scheduler slice — then moves the cursor
-//! on, or removes the campaign once its terminal frame went out. Every
+//! *unit* — one run point, or one scheduler instant with the silent
+//! slices before it — then moves the cursor on, or removes the campaign
+//! once its terminal frame went out. Every
 //! unit boundary is a safe point: there the shard can be cloned (the
 //! supervisor's rollback) and a campaign moved to another shard. Bytes
 //! are only for leaving the process: the shard is [`Checkpointable`],
@@ -155,9 +156,8 @@ impl ShardState {
     }
 
     /// Advance one campaign by one unit (round-robin) and return the
-    /// frames produced. An empty vec with [`Self::idle`] still false
-    /// can't happen — every unit emits at least one frame except
-    /// scheduler slices in which no job finished.
+    /// frames produced — none only from a scheduling unit whose instants
+    /// finished no job.
     pub fn step(&mut self, registry: &Registry) -> Vec<Emit> {
         self.step_sharing(registry, None)
     }
@@ -322,7 +322,7 @@ mod tests {
             .with_point(RunPoint::test("STREAM", 2, 1))
             .with_point(RunPoint::test("OSU", 2, 2));
         // The schedule ends just past 1 s (the second job's submit
-        // time): several slices per campaign, most of them silent.
+        // time): five slices per campaign, two of them silent.
         spec.slice_s = 0.25;
         spec
     }
@@ -376,6 +376,14 @@ mod tests {
         units
     }
 
+    /// Pinned: `tiny_spec` takes a unit per point and one per slice
+    /// that holds an instant — the walk over every 0.25 s slice took 7.
+    #[test]
+    fn tiny_spec_takes_a_unit_per_point_and_per_instant_slice() {
+        let units = count_units(&registry(), &[tiny_spec("a", "c1", 1)]);
+        assert_eq!(units, 5);
+    }
+
     #[test]
     fn snapshot_restore_at_every_unit_boundary_is_byte_identical() {
         let registry = registry();
@@ -408,6 +416,35 @@ mod tests {
             mid_schedule >= 2,
             "only {mid_schedule} kill points fell between two slices of one campaign"
         );
+    }
+
+    /// A unit is an instant: however narrow a valid slice width — down
+    /// to below the clock's resolution, where the slice grid cannot
+    /// reach the next instant at all — a campaign takes a unit per run
+    /// point and per instant, and streams the model's frames.
+    #[test]
+    fn a_slice_width_below_the_clock_resolution_still_finishes() {
+        let registry = registry();
+        let mut spec = CampaignSpec::new("a", "narrow", 8, 1)
+            .with_point(RunPoint::test("OSU", 2, 1))
+            .with_point(RunPoint::test("HPL", 8, 2));
+        let model = crate::pipeline::reference(&registry, &spec);
+        for width in [10.0, 1.0, 1e-3, 1e-6, 1e-300, 5e-324] {
+            spec.slice_s = width;
+            spec.validate(&registry).expect("a positive width is valid");
+            let mut shard = shard_with(std::slice::from_ref(&spec));
+            let mut emits = Vec::new();
+            for _ in 0..16 {
+                emits.extend(shard.step(&registry));
+            }
+            assert!(shard.idle(), "width {width:e}: busy after 16 units");
+            let how = format!("width {width:e}");
+            crate::pipeline::tests::assert_matches_model(
+                &emits,
+                std::slice::from_ref(&model),
+                &how,
+            );
+        }
     }
 
     #[test]

@@ -359,8 +359,11 @@ pub struct CampaignSpec {
     pub placement: PlacementPolicy,
     /// Virtual seconds between consecutive job submissions.
     pub spacing_s: f64,
-    /// Virtual seconds each scheduling step advances before the shard
-    /// yields (and becomes snapshottable / migratable).
+    /// Width of the slices a scheduling unit advances by: a unit ends at
+    /// the end of the slice holding the scheduler's next instant, where
+    /// the shard yields (and the campaign becomes snapshottable /
+    /// migratable). Silent slices cost nothing, so any positive width
+    /// finishes in a unit per instant.
     pub slice_s: f64,
     /// Virtual-time deadline: if the campaign's scheduler horizon
     /// reaches this before the schedule completes, the service cancels

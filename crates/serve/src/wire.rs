@@ -175,9 +175,9 @@ pub enum Frame {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CancelReason {
     /// The campaign's scheduler horizon reached its virtual-time
-    /// deadline before the schedule completed. Checked at unit
-    /// boundaries, so the reported horizon is the end of the slice
-    /// that crossed the line.
+    /// deadline before the schedule completed. The campaign is cut at the
+    /// first slice end at or past the deadline, which is the reported
+    /// horizon.
     DeadlineExceeded {
         /// The deadline the spec declared.
         deadline_s: f64,
