@@ -212,11 +212,6 @@ impl AdmissionGate {
         }
     }
 
-    /// The configured quotas.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Current usage of `tenant` (zero if unknown).
     pub fn usage(&self, tenant: &str) -> TenantUsage {
         self.tenants.get(tenant).copied().unwrap_or_default()

@@ -14,7 +14,7 @@
 //! harness assert the headline invariant (byte-identical artifacts, or
 //! a typed rejection/cancellation — never a panic, never a hang).
 //!
-//! Crash points are **consumed once**, tracked in a [`ChaosRuntime`]
+//! Crash points are **consumed once**, tracked in a `ChaosRuntime`
 //! that lives *outside* the shard: when the supervisor rolls a crashed
 //! shard back and re-drives it, the shard passes the same unit
 //! boundary again, and a crash that re-fired on every pass would
@@ -91,14 +91,14 @@ impl ChaosPlan {
 /// crash points are keyed per shard, and only shard `s`'s worker ever
 /// polls shard `s`'s points.
 #[derive(Debug)]
-pub struct ChaosRuntime<'p> {
+pub(crate) struct ChaosRuntime<'p> {
     plan: &'p ChaosPlan,
     fired: Mutex<BTreeMap<(u32, u64), usize>>,
 }
 
 impl<'p> ChaosRuntime<'p> {
     /// Arm a plan for one drain.
-    pub fn new(plan: &'p ChaosPlan) -> Self {
+    pub(crate) fn new(plan: &'p ChaosPlan) -> Self {
         ChaosRuntime {
             plan,
             fired: Mutex::new(BTreeMap::new()),
@@ -110,7 +110,7 @@ impl<'p> ChaosRuntime<'p> {
     /// passes clean on the retry after a supervised rollback, while a
     /// boundary listed N times re-crashes on N successive passes (the
     /// way tests exhaust a restart budget).
-    pub fn crash_due(&self, shard: u32, unit: u64) -> bool {
+    pub(crate) fn crash_due(&self, shard: u32, unit: u64) -> bool {
         let scheduled = self
             .plan
             .crashes
@@ -131,17 +131,8 @@ impl<'p> ChaosRuntime<'p> {
     }
 
     /// Is `shard` scheduled to straggle (yield between units)?
-    pub fn straggles(&self, shard: u32) -> bool {
+    pub(crate) fn straggles(&self, shard: u32) -> bool {
         self.plan.stragglers.contains(&shard)
-    }
-
-    /// Crash points that actually fired so far (duplicates counted).
-    pub fn fired(&self) -> usize {
-        self.fired
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-            .sum()
     }
 }
 
@@ -229,6 +220,11 @@ mod tests {
     use super::*;
     use crate::transport::DuplexPipe;
 
+    /// Crash points of `rt` that fired so far (duplicates counted).
+    fn fired(rt: &ChaosRuntime<'_>) -> usize {
+        rt.fired.lock().unwrap().values().sum()
+    }
+
     #[test]
     fn crash_points_fire_exactly_once() {
         let plan = ChaosPlan::new(7)
@@ -240,7 +236,7 @@ mod tests {
         assert!(!rt.crash_due(1, 3), "consumed on the retry pass");
         assert!(rt.crash_due(1, 5), "later point still pending");
         assert!(!rt.crash_due(0, 3), "other shards unaffected");
-        assert_eq!(rt.fired(), 2);
+        assert_eq!(fired(&rt), 2);
     }
 
     #[test]
@@ -254,7 +250,7 @@ mod tests {
         assert!(rt.crash_due(2, 0), "second pass re-crashes");
         assert!(rt.crash_due(2, 0), "third pass re-crashes");
         assert!(!rt.crash_due(2, 0), "all three entries consumed");
-        assert_eq!(rt.fired(), 3);
+        assert_eq!(fired(&rt), 3);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //!   → jobs → schedule → artifacts, as pure functions), one campaign in
 //!   flight (its unit, its bytes and their checks), and one worker shard
 //!   — queue, cursor, cache; at every unit boundary a value to clone or
-//!   move a campaign out of, and bytes only to leave the process:
-//!   [`Checkpointable`](jubench_ckpt::Checkpointable), `extract` / `adopt`.
+//!   move a campaign out of, and bytes only to leave the process: the
+//!   whole-shard [`Checkpointable`](jubench_ckpt::Checkpointable) snapshot.
 //! - [`server`]: shard routing (campaigns keyed to shards by machine
 //!   fingerprint), the public drains, the session loop, and the
 //!   [`Client`] helper.
@@ -44,8 +44,8 @@
 //! - [`supervisor`]: the one drain driver behind every public drain —
 //!   per shard, a clone at attempt start, roll-back-and-retry on a typed
 //!   error or caught panic, seeded bounded backoff, and a
-//!   typed-cancellation degrade path after the restart budget is
-//!   exhausted; inline or on dedicated threads, one frame order.
+//!   typed-cancellation degrade path after the restart budget (its one
+//!   knob) is exhausted; inline or on dedicated threads, one frame order.
 //! - [`chaos`]: seeded fault plans (shard crashes at unit boundaries,
 //!   stragglers) and wire faults (truncation, bit flips) for
 //!   deterministic robustness testing.
@@ -85,10 +85,10 @@ pub mod wire;
 
 pub use admission::{AdmissionConfig, AdmissionGate, RejectReason, Rejection, TenantUsage};
 pub use cache::{PointResult, ResultCache};
-pub use chaos::{ChaosPlan, ChaosRuntime, FaultyTransport, WireFault};
+pub use chaos::{ChaosPlan, FaultyTransport, WireFault};
 pub use error::ServeError;
 pub use server::{serve_session, Client, Server};
-pub use shard::{Emit, ShardState, CAMPAIGN_KIND, SHARD_KIND};
+pub use shard::{Emit, ShardState, SHARD_KIND};
 pub use spec::{CampaignSpec, RunPoint};
 pub use supervisor::{DrainOutcome, SupervisorConfig};
 pub use tracks::RealTrackStats;

@@ -7,12 +7,11 @@
 //! slices before it — then moves the cursor on, or removes the campaign
 //! once its terminal frame went out. Every
 //! unit boundary is a safe point: there the shard can be cloned (the
-//! supervisor's rollback) and a campaign moved to another shard. Bytes
-//! are only for leaving the process: the shard is [`Checkpointable`],
-//! a campaign travels as an [`ShardState::extract`] envelope for
-//! [`ShardState::adopt`], and bytes that do not decode to a consistent
-//! campaign are refused as the [`CkptError`] `restore` / `adopt` return,
-//! the shard left as it was.
+//! supervisor's rollback) and a campaign moved by value to another
+//! shard (`Server::migrate`). Bytes are only for leaving the process:
+//! the shard is [`Checkpointable`], and a snapshot that does not decode
+//! to consistent campaigns is refused as the [`CkptError`] `restore`
+//! returns, the shard left as it was.
 //!
 //! Determinism contract: the frames a shard emits for one campaign are
 //! a pure function of the campaign spec (plus the registry contents) —
@@ -34,8 +33,6 @@ use jubench_trace::GuardStats;
 
 /// Envelope kind of a shard snapshot.
 pub const SHARD_KIND: &str = "jubench-serve/shard";
-/// Envelope kind of an extracted (migrating) campaign.
-pub const CAMPAIGN_KIND: &str = "jubench-serve/campaign";
 
 /// A frame addressed to the client that submitted the campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +88,7 @@ impl ShardState {
     /// Record one supervised restart: the shard was rolled back to its
     /// state at attempt start after a worker failure, charging
     /// `backoff_s` virtual seconds of seeded backoff.
-    pub fn note_restart(&mut self, backoff_s: f64) {
+    pub(crate) fn note_restart(&mut self, backoff_s: f64) {
         self.guard.restarts += 1;
         self.guard.backoff_s += backoff_s;
         jubench_metrics::counter_add("serve/restarts", 1);
@@ -100,7 +97,7 @@ impl ShardState {
     /// The supervisor gave up on this shard: cancel every queued
     /// campaign with a typed `ShardFailed` frame — the
     /// degrade-to-partial-results path.
-    pub fn give_up(&mut self, restarts: u32) -> Vec<Emit> {
+    pub(crate) fn give_up(&mut self, restarts: u32) -> Vec<Emit> {
         self.guard.giveups += 1;
         jubench_metrics::counter_add("serve/giveups", 1);
         // Back to front, so no removal shifts the rest.
@@ -200,17 +197,8 @@ impl ShardState {
     /// [`ServeError::ShardPanicked`] (the same failure a caught worker
     /// panic becomes), a straggler yields its timeslice. The unit index
     /// counts from zero on every call, so a re-driven shard passes the
-    /// same boundaries again.
-    pub fn drain(
-        &mut self,
-        registry: &Registry,
-        chaos: Option<&ChaosRuntime<'_>>,
-    ) -> Result<Vec<Emit>, ServeError> {
-        self.drain_sharing(registry, chaos, None)
-    }
-
-    /// [`Self::drain`] for a shard of a server (see [`Self::step_sharing`]).
-    pub(crate) fn drain_sharing(
+    /// same boundaries again. `tracks` as for [`Self::step_sharing`].
+    pub(crate) fn drain(
         &mut self,
         registry: &Registry,
         chaos: Option<&ChaosRuntime<'_>>,
@@ -247,28 +235,6 @@ impl ShardState {
     /// Queue a campaign taken from another shard.
     pub(crate) fn queue_campaign(&mut self, camp: ActiveCampaign) {
         self.queue.push(camp);
-    }
-
-    /// Take campaign `id` out of this shard, sealed into an envelope for
-    /// [`Self::adopt`] on a shard in another process. The result cache
-    /// stays here: caching is an execution-time optimization, so moving
-    /// a campaign away from warm state changes timings, never bytes.
-    pub fn extract(&mut self, id: u64) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new();
-        self.take_campaign(id)?.put(&mut w);
-        Some(seal(CAMPAIGN_KIND, &w.finish()))
-    }
-
-    /// Open an [`Self::extract`] envelope and queue its campaign.
-    /// Returns its id.
-    pub fn adopt(&mut self, envelope: &[u8]) -> Result<u64, CkptError> {
-        let payload = open(CAMPAIGN_KIND, envelope)?;
-        let mut r = SnapshotReader::new(&payload);
-        let camp = ActiveCampaign::get(&mut r)?;
-        r.expect_end()?;
-        let id = camp.id;
-        self.queue_campaign(camp);
-        Ok(id)
     }
 }
 
@@ -336,7 +302,7 @@ mod tests {
         let registry = registry();
         let mut shard = ShardState::new(0, 64);
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let emits = shard.drain(&registry, None).unwrap();
+        let emits = shard.drain(&registry, None, None).unwrap();
         assert!(shard.idle());
         let rows = emits
             .iter()
@@ -388,7 +354,7 @@ mod tests {
     fn snapshot_restore_at_every_unit_boundary_is_byte_identical() {
         let registry = registry();
         let specs = [tiny_spec("a", "c1", 1), tiny_spec("b", "c2", 2)];
-        let reference = shard_with(&specs).drain(&registry, None).unwrap();
+        let reference = shard_with(&specs).drain(&registry, None, None).unwrap();
 
         let mut mid_schedule = 0;
         for kill_at in 0..=count_units(&registry, &specs) {
@@ -409,7 +375,7 @@ mod tests {
             assert_eq!(restored, shard, "kill at unit {kill_at}");
             assert_eq!(restored.snapshot(), snapshot, "kill at unit {kill_at}");
             drop(shard); // the kill
-            emits.extend(restored.drain(&registry, None).unwrap());
+            emits.extend(restored.drain(&registry, None, None).unwrap());
             assert_eq!(emits, reference, "kill at unit {kill_at} diverged");
         }
         assert!(
@@ -447,11 +413,13 @@ mod tests {
         }
     }
 
+    /// The campaign moves by value, the way `Server::migrate` moves it,
+    /// at every unit boundary of its stream.
     #[test]
     fn migration_preserves_the_frame_stream() {
         let registry = registry();
         let specs = [tiny_spec("a", "c1", 1)];
-        let reference = shard_with(&specs).drain(&registry, None).unwrap();
+        let reference = shard_with(&specs).drain(&registry, None, None).unwrap();
 
         for move_at in 0..count_units(&registry, &specs) {
             let mut origin = shard_with(&specs);
@@ -459,25 +427,26 @@ mod tests {
             for _ in 0..move_at {
                 emits.extend(origin.step(&registry));
             }
-            let envelope = origin.extract(1).expect("campaign is in flight");
+            let camp = origin.take_campaign(1).expect("campaign is in flight");
             assert!(origin.idle());
 
             let mut target = ShardState::new(1, 64);
-            assert_eq!(target.adopt(&envelope).unwrap(), 1);
-            emits.extend(target.drain(&registry, None).unwrap());
+            target.queue_campaign(camp);
+            emits.extend(target.drain(&registry, None, None).unwrap());
             assert_eq!(emits, reference, "move at unit {move_at} diverged");
         }
     }
 
     #[test]
-    fn forged_campaign_envelopes_are_refused_at_adopt() {
+    fn forged_campaign_progress_is_refused_at_restore() {
         let registry = registry();
         let mut origin = ShardState::new(0, 64);
         origin.submit(1, 10, tiny_spec("a", "c1", 1));
+        origin.step(&registry);
+        let mid_points = origin.clone();
         while origin.queue[0].sched.is_none() {
             origin.step(&registry);
         }
-        let before = origin.clone();
         let state_bytes = origin.queue[0].sched.as_ref().unwrap().state.snapshot();
         let finished = origin.queue[0]
             .sched
@@ -490,15 +459,14 @@ mod tests {
             finished > 0,
             "a streamed count of zero must be a forgery here"
         );
-        let envelope = origin.extract(1).expect("campaign is in flight");
+        let payload = open(SHARD_KIND, &origin.snapshot()).unwrap();
 
         // Swap the embedded scheduler state for a validly sealed one
-        // whose running count lies, and seal the campaign again.
-        let payload = open(CAMPAIGN_KIND, &envelope).unwrap();
+        // whose running count lies, and seal the shard again.
         let at = payload
             .windows(state_bytes.len())
             .position(|w| w == state_bytes)
-            .expect("the envelope embeds the state's own snapshot");
+            .expect("the snapshot embeds the state's own snapshot");
         let mut lying = SnapshotWriter::new();
         lying.put_f64(0.0);
         for _ in 0..3 {
@@ -515,46 +483,46 @@ mod tests {
         .concat();
 
         let mut target = ShardState::new(1, 64);
+        target.submit(7, 10, tiny_spec("b", "c2", 2));
+        let untouched = target.clone();
         assert!(matches!(
-            target.adopt(&seal(CAMPAIGN_KIND, &forged)),
+            target.restore(&seal(SHARD_KIND, &forged)),
             Err(CkptError::Truncated { .. })
         ));
         // Progress that disagrees with itself: `next_point` (the field
-        // after the spec blob) says 1, the envelope still holds 2 rows.
-        let spec_len = u64::from_le_bytes(payload[16..24].try_into().unwrap()) as usize;
-        let mut torn = payload.clone();
-        torn[24 + spec_len..32 + spec_len].copy_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(
-            target.adopt(&seal(CAMPAIGN_KIND, &torn)),
-            Err(CkptError::Malformed { .. })
-        ));
-        // Streamed completions the state does not back — `streamed_done`,
-        // the last field, is derived from the state — in the envelope and
-        // in the shard snapshot that ends with the same campaign. Taken
-        // at its word, the first would index past the finished jobs in
-        // the next slice and the second would stream them again.
-        let mut victim = ShardState::new(1, 64);
-        victim.submit(7, 10, tiny_spec("b", "c2", 2));
-        let untouched = victim.clone();
-        let snapshot = open(SHARD_KIND, &before.snapshot()).unwrap();
-        for forged in [1u64 << 40, 0, finished + 1] {
-            let lie = |payload: &[u8]| {
-                [&payload[..payload.len() - 8], &forged.to_le_bytes()[..]].concat()
-            };
+        // after the campaign's spec blob) one short of the rows the
+        // campaign holds — mid-points, where only the row count tells,
+        // and with a scheduler.
+        for shard in [&mid_points, &origin] {
+            // The snapshot ends with its one campaign's bytes.
+            let mut torn = open(SHARD_KIND, &shard.snapshot()).unwrap();
+            let mut w = SnapshotWriter::new();
+            shard.queue[0].put(&mut w);
+            let spec_at = torn.len() - w.finish().len() + 16; // past id and client
+            let spec_len = u64::from_le_bytes(torn[spec_at..spec_at + 8].try_into().unwrap());
+            let next_at = spec_at + 8 + spec_len as usize;
+            let next = u64::from_le_bytes(torn[next_at..next_at + 8].try_into().unwrap());
+            torn[next_at..next_at + 8].copy_from_slice(&(next - 1).to_le_bytes());
             assert!(matches!(
-                target.adopt(&seal(CAMPAIGN_KIND, &lie(&payload))),
+                target.restore(&seal(SHARD_KIND, &torn)),
                 Err(CkptError::Malformed { .. })
             ));
-            assert!(matches!(
-                victim.restore(&seal(SHARD_KIND, &lie(&snapshot))),
-                Err(CkptError::Malformed { .. })
-            ));
-            assert_eq!(victim, untouched, "a refused snapshot changes nothing");
         }
-        assert!(target.idle(), "a refused envelope leaves nothing behind");
-        // The genuine envelope still adopts, back into the shard it left.
-        origin.adopt(&envelope).unwrap();
-        assert_eq!(origin, before);
+        // Streamed completions the state does not back — `streamed_done`,
+        // the campaign's and so the snapshot's last field, is derived
+        // from the state. Taken at its word, a restored shard would index
+        // past the finished jobs in the next slice or stream them again.
+        for forged in [1u64 << 40, 0, finished + 1] {
+            let lie = [&payload[..payload.len() - 8], &forged.to_le_bytes()[..]].concat();
+            assert!(matches!(
+                target.restore(&seal(SHARD_KIND, &lie)),
+                Err(CkptError::Malformed { .. })
+            ));
+        }
+        assert_eq!(target, untouched, "a refused snapshot changes nothing");
+        // The genuine snapshot still restores, to the shard it was taken of.
+        target.restore(&seal(SHARD_KIND, &payload)).unwrap();
+        assert_eq!(target, origin);
     }
 
     #[test]
@@ -562,13 +530,13 @@ mod tests {
         let registry = registry();
         let mut shard = ShardState::new(0, 64);
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let cold = shard.drain(&registry, None).unwrap();
+        let cold = shard.drain(&registry, None, None).unwrap();
         assert_eq!(shard.cache().stats().hits, 0);
 
         // Same spec again: every point hits, artifacts byte-identical
         // modulo the campaign id (use the same id to compare directly).
         shard.submit(1, 10, tiny_spec("a", "c1", 1));
-        let warm = shard.drain(&registry, None).unwrap();
+        let warm = shard.drain(&registry, None, None).unwrap();
         assert_eq!(shard.cache().stats().hits, 2);
         let strip_report = |emits: &[Emit]| -> Vec<Frame> {
             emits

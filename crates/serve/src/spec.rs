@@ -535,8 +535,8 @@ impl CampaignSpec {
 
     /// [`Self::validate`], with the benchmark lookups skipped when there
     /// is no registry to ask: what a shard applies to a spec it decodes
-    /// from a snapshot or an envelope, where nothing may panic and a
-    /// benchmark that is missing at execution is an error row anyway.
+    /// from a snapshot, where nothing may panic and a benchmark that is
+    /// missing at execution is an error row anyway.
     pub(crate) fn check(&self, registry: Option<&Registry>) -> Result<(), String> {
         if self.points.is_empty() {
             return Err("campaign has no run points".to_string());

@@ -6,7 +6,7 @@
 //! are one-expression wrappers over `Server::drive`, which is built
 //! from three pieces:
 //!
-//! 1. [`ShardState::drain`] — the loop that steps a shard to idle,
+//! 1. `ShardState::drain` — the loop that steps a shard to idle,
 //!    consulting the chaos plan at unit boundaries.
 //! 2. `supervise` — one shard's attempt loop. With a restart policy,
 //!    every attempt keeps a clone of the shard it starts from and runs
@@ -28,12 +28,14 @@
 //!
 //! The backoff is *virtual*: it is charged to the shard's
 //! [`GuardStats`](jubench_trace::GuardStats) ledger, never slept, so a
-//! chaos run is exactly as fast as a clean one.
+//! chaos run is exactly as fast as a clean one. Its base, cap and
+//! jitter seed are fixed; the one knob is the restart budget,
+//! [`SupervisorConfig::max_restarts`].
 //!
 //! After `max_restarts` failed attempts the supervisor degrades rather
 //! than loops: the last attempt is discarded like the others, every
 //! campaign the shard held at drain start is cancelled with a typed
-//! `ShardFailed` frame ([`ShardState::give_up`]), and the drain
+//! `ShardFailed` frame (`ShardState::give_up`), and the drain
 //! completes with partial results, flagged in
 //! [`DrainOutcome::failed_shards`].
 
@@ -53,33 +55,29 @@ use std::sync::Mutex;
 pub struct SupervisorConfig {
     /// Restarts allowed per shard per drain before giving up on it.
     pub max_restarts: u32,
-    /// First-restart backoff, virtual seconds (doubles per restart).
-    pub backoff_base_s: f64,
-    /// Ceiling on a single backoff, virtual seconds.
-    pub backoff_cap_s: f64,
-    /// Seed of the backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            max_restarts: 3,
-            backoff_base_s: 1.0,
-            backoff_cap_s: 32.0,
-            seed: 0x5EED,
-        }
+        SupervisorConfig { max_restarts: 3 }
     }
 }
 
+/// First-restart backoff, virtual seconds (doubles per restart).
+const BACKOFF_BASE_S: f64 = 1.0;
+/// Ceiling on a single backoff, virtual seconds.
+const BACKOFF_CAP_S: f64 = 32.0;
+/// Seed of the backoff jitter.
+const BACKOFF_SEED: u64 = 0x5EED;
+
 /// Seeded bounded exponential backoff for restart `attempt` (1-based)
 /// of `shard`: `base · 2^(attempt-1)`, jittered to 50–100 % and capped.
-/// A pure function of `(config, shard, attempt)` — determinism of a
-/// supervised drain includes its backoff ledger.
-fn backoff_s(cfg: &SupervisorConfig, shard: u32, attempt: u32) -> f64 {
-    let exp = cfg.backoff_base_s * f64::from(1u32 << (attempt - 1).min(16));
-    let jitter = rank_rng(cfg.seed ^ u64::from(attempt), shard).gen_f64();
-    (exp * (0.5 + 0.5 * jitter)).min(cfg.backoff_cap_s)
+/// A pure function of `(shard, attempt)` — determinism of a supervised
+/// drain includes its backoff ledger.
+fn backoff_s(shard: u32, attempt: u32) -> f64 {
+    let exp = BACKOFF_BASE_S * f64::from(1u32 << (attempt - 1).min(16));
+    let jitter = rank_rng(BACKOFF_SEED ^ u64::from(attempt), shard).gen_f64();
+    (exp * (0.5 + 0.5 * jitter)).min(BACKOFF_CAP_S)
 }
 
 /// What a supervised drain did, beyond the frames it produced.
@@ -166,7 +164,7 @@ fn supervise(
     while !shard.idle() {
         let policy = cfg.map(|cfg| (cfg, shard.clone()));
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            shard.drain_sharing(registry, chaos, Some(tracks))
+            shard.drain(registry, chaos, Some(tracks))
         }))
         .unwrap_or_else(|panic| Err(shard_panicked(id, panic)));
         let err = match attempt {
@@ -188,7 +186,7 @@ fn supervise(
             run.gave_up = Some(err);
         } else {
             run.restarts += 1;
-            let b = backoff_s(cfg, id, run.restarts);
+            let b = backoff_s(id, run.restarts);
             shard.note_restart(b);
             run.backoff_s += b;
         }
@@ -334,16 +332,27 @@ mod tests {
 
     #[test]
     fn backoff_is_seeded_bounded_and_grows() {
-        let cfg = SupervisorConfig::default();
-        let b1 = backoff_s(&cfg, 0, 1);
-        let b2 = backoff_s(&cfg, 0, 2);
-        let b3 = backoff_s(&cfg, 0, 3);
-        assert_eq!(b1, backoff_s(&cfg, 0, 1), "pure function");
-        assert_ne!(b1, backoff_s(&cfg, 1, 1), "per-shard jitter");
+        let b1 = backoff_s(0, 1);
+        let b2 = backoff_s(0, 2);
+        let b3 = backoff_s(0, 3);
+        assert_eq!(b1, backoff_s(0, 1), "pure function");
+        assert_ne!(b1, backoff_s(1, 1), "per-shard jitter");
         assert!((0.5..=1.0).contains(&b1), "first restart near base: {b1}");
         assert!(b2 > b1 && b3 > b2, "exponential growth: {b1} {b2} {b3}");
         for attempt in 1..40 {
-            assert!(backoff_s(&cfg, 3, attempt) <= cfg.backoff_cap_s);
+            assert!(backoff_s(3, attempt) <= BACKOFF_CAP_S);
         }
+        // The ledger a supervised drain charges is pinned bit for bit:
+        // base, cap and jitter seed all show in these four values.
+        let bits = [1, 2, 3, 7].map(|attempt| backoff_s(0, attempt).to_bits());
+        assert_eq!(
+            bits,
+            [
+                0x3fef_9d1a_1b0c_14b6,
+                0x3fff_94e8_66c8_b042,
+                0x4000_d64e_88a7_37d1,
+                0x4040_0000_0000_0000,
+            ]
+        );
     }
 }

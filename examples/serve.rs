@@ -171,7 +171,6 @@ fn main() {
     let chaos = ChaosPlan::scattered(0xC7A05, 4, 8, 24).with_straggler(1);
     let cfg = SupervisorConfig {
         max_restarts: chaos.crash_count() as u32 + 1,
-        ..SupervisorConfig::default()
     };
     let mut chaotic = Server::new(4, 256);
     populate(&mut chaotic);

@@ -1,8 +1,8 @@
 //! Allocation-bounded decoding: a length prefix is a claim, not a size.
 //!
 //! Every type that is decoded from bytes the program did not just write
-//! — wire frames, specs, shard snapshots, migration envelopes, scheduler
-//! states, workflow stores, application restart files — is encoded once
+//! — wire frames, specs, shard snapshots, scheduler states, workflow
+//! stores, application restart files — is encoded once
 //! validly, and then every 8-byte window of the encoding is overwritten
 //! in turn with 2^60, 2^32 and `len + 1` (the values a forged count or
 //! dimension would take), resealed where an envelope's checksum would
@@ -30,7 +30,7 @@ use jubench::apps_md::MdSystem;
 use jubench::ckpt::{open, seal};
 use jubench::jube::{output1, CompletedStep, WorkflowCheckpoint};
 use jubench::prelude::*;
-use jubench::serve::{CancelReason, Frame, RejectReason, ShardState, CAMPAIGN_KIND, SHARD_KIND};
+use jubench::serve::{CancelReason, Frame, RejectReason, ShardState, SHARD_KIND};
 
 /// Forwards to [`System`], noting the largest request of the current
 /// thread (decoding is single-threaded, the test harness is not).
@@ -227,7 +227,7 @@ fn frames_of_every_tag_and_specs_decode_within_bounds() {
 }
 
 #[test]
-fn shard_snapshots_and_campaign_envelopes_decode_within_bounds() {
+fn shard_snapshots_decode_within_bounds() {
     let registry = full_registry();
     let mut shard = ShardState::new(0, 64);
     // One campaign into its scheduling phase, one mid-points, one
@@ -251,12 +251,6 @@ fn shard_snapshots_and_campaign_envelopes_decode_within_bounds() {
     );
     sweep("ShardState", &snapshot, true, |b| {
         ShardState::new(9, 4).restore(b).is_ok()
-    });
-
-    let envelope = shard.extract(1).expect("campaign 1 is in flight");
-    assert!(embeds(&envelope, "sched-campaign"));
-    sweep("campaign envelope", &envelope, true, |b| {
-        ShardState::new(1, 64).adopt(b).is_ok()
     });
 }
 
@@ -415,40 +409,28 @@ fn shard_between_two_slices(registry: &Registry) -> ShardState {
 /// and panicked in the next slice (`range start index … out of range`),
 /// and a smaller lie streamed `JobDone`s twice.
 #[test]
-fn forged_progress_fields_are_malformed_at_restore_and_adopt() {
+fn forged_progress_fields_are_malformed_at_restore() {
     let registry = full_registry();
     let mut shard = shard_between_two_slices(&registry);
     let untouched = shard.clone();
-    let payloads = [
-        (SHARD_KIND, open(SHARD_KIND, &shard.snapshot()).unwrap()),
-        (
-            CAMPAIGN_KIND,
-            open(CAMPAIGN_KIND, &shard.clone().extract(2).unwrap()).unwrap(),
-        ),
-    ];
-    for (kind, payload) in &payloads {
-        // `streamed_done` is the campaign's — and so the payload's —
-        // last field.
-        let tail = payload.len() - 8;
-        let finished = u64::from_le_bytes(payload[tail..].try_into().unwrap());
-        assert!(finished > 0, "zero must be a forgery here");
-        for forged in [1u64 << 40, 0, finished + 1] {
-            let mut bytes = payload.clone();
-            bytes[tail..].copy_from_slice(&forged.to_le_bytes());
-            let sealed = seal(kind, &bytes);
-            LARGEST.with(|l| l.set(0));
-            let refusal = if *kind == SHARD_KIND {
-                shard.restore(&sealed).map(|()| 0)
-            } else {
-                shard.adopt(&sealed)
-            };
-            assert!(
-                matches!(refusal, Err(CkptError::Malformed { .. })),
-                "{kind}: streamed_done = {forged} of {finished}: {refusal:?}"
-            );
-            assert!(LARGEST.with(Cell::get) <= FIXED_BUDGET + PER_INPUT_BYTE * sealed.len());
-            assert_eq!(shard, untouched, "a refused forgery changes nothing");
-        }
+    let payload = open(SHARD_KIND, &shard.snapshot()).unwrap();
+    // `streamed_done` is the last campaign's — and so the payload's —
+    // last field.
+    let tail = payload.len() - 8;
+    let finished = u64::from_le_bytes(payload[tail..].try_into().unwrap());
+    assert!(finished > 0, "zero must be a forgery here");
+    for forged in [1u64 << 40, 0, finished + 1] {
+        let mut bytes = payload.clone();
+        bytes[tail..].copy_from_slice(&forged.to_le_bytes());
+        let sealed = seal(SHARD_KIND, &bytes);
+        LARGEST.with(|l| l.set(0));
+        let refusal = shard.restore(&sealed);
+        assert!(
+            matches!(refusal, Err(CkptError::Malformed { .. })),
+            "streamed_done = {forged} of {finished}: {refusal:?}"
+        );
+        assert!(LARGEST.with(Cell::get) <= FIXED_BUDGET + PER_INPUT_BYTE * sealed.len());
+        assert_eq!(shard, untouched, "a refused forgery changes nothing");
     }
 }
 

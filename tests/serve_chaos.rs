@@ -107,7 +107,6 @@ fn seeded_chaos_plans_preserve_bytes_under_supervision() {
             .with_straggler(((seed >> 8) % 4) as u32);
         let cfg = SupervisorConfig {
             max_restarts: plan.crash_count() as u32 + 1,
-            ..SupervisorConfig::default()
         };
         let mut serial = populated(&registry);
         let serial_outcome = serial
@@ -322,10 +321,7 @@ fn restart_budget_exhaustion_degrades_to_typed_partials() {
         .with_shard_crash(victim, 0)
         .with_shard_crash(victim, 0)
         .with_shard_crash(victim, 0);
-    let cfg = SupervisorConfig {
-        max_restarts: 1,
-        ..SupervisorConfig::default()
-    };
+    let cfg = SupervisorConfig { max_restarts: 1 };
     let outcome = server
         .drain_supervised_parallel(&registry, &cfg, Some(&plan))
         .unwrap();

@@ -138,7 +138,6 @@ fn soak_kill_restore_chaos_and_warm_resubmission() {
     });
     let cfg = SupervisorConfig {
         max_restarts: chaos.as_ref().map_or(1, |c| c.crash_count() as u32 + 1),
-        ..SupervisorConfig::default()
     };
     let outcome = trial
         .drain_supervised_parallel(&registry, &cfg, chaos.as_ref())
