@@ -22,10 +22,16 @@
 //! Chrome traces) carry no trace of the cache; hit/miss/eviction tallies
 //! surface only in [`CacheStats`] (reported out-of-band in the run
 //! report) and in the `serve/cache/*` metrics.
+//!
+//! A stored result is immutable, so it is held as a shared
+//! `Arc<PointResult>`: a hit hands out the stored allocation, and a
+//! clone of the cache (the supervisor's rollback point) copies tree
+//! nodes and refcounts, never a row.
 
 use jubench_ckpt::{CkptError, SnapshotReader, SnapshotWriter};
 use jubench_trace::CacheStats;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The cached product of one run point: exactly what campaign assembly
 /// needs downstream — the rendered table cells plus the numbers the
@@ -87,7 +93,7 @@ pub(crate) fn get_stats(r: &mut SnapshotReader) -> Result<CacheStats, CkptError>
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
-    result: PointResult,
+    result: Arc<PointResult>,
     /// Logical time of the last hit or the insertion — the LRU key.
     last_access: u64,
 }
@@ -143,8 +149,9 @@ impl ResultCache {
         self.stats
     }
 
-    /// Look a content key up, refreshing its recency on a hit.
-    pub fn lookup(&mut self, key: u128) -> Option<PointResult> {
+    /// Look a content key up, refreshing its recency on a hit. A hit is
+    /// the stored allocation itself.
+    pub fn lookup(&mut self, key: u128) -> Option<Arc<PointResult>> {
         self.clock += 1;
         match self.entries.get_mut(&key) {
             Some(entry) => {
@@ -152,7 +159,7 @@ impl ResultCache {
                 entry.last_access = self.clock;
                 self.stats.hits += 1;
                 jubench_metrics::counter_add("serve/cache/hits", 1);
-                Some(entry.result.clone())
+                Some(Arc::clone(&entry.result))
             }
             None => {
                 self.stats.misses += 1;
@@ -165,13 +172,13 @@ impl ResultCache {
     /// Store a result, evicting the least-recently-used entry (smaller
     /// key on ties) when the store is at capacity. Re-inserting an
     /// existing key refreshes its value and recency without eviction.
-    pub fn insert(&mut self, key: u128, result: PointResult) {
+    pub fn insert(&mut self, key: u128, result: impl Into<Arc<PointResult>>) {
         self.clock += 1;
         if self.capacity == 0 {
             return;
         }
         let fresh = Entry {
-            result,
+            result: result.into(),
             last_access: self.clock,
         };
         match self.entries.insert(key, fresh) {
@@ -213,7 +220,7 @@ impl ResultCache {
         let entries = r.get_seq("cache entry count", |r| {
             let key = r.get_u128("cache key")?;
             let last_access = r.get_u64("cache last access")?;
-            let result = PointResult::get(r)?;
+            let result = Arc::new(PointResult::get(r)?);
             Ok((
                 key,
                 Entry {
@@ -271,12 +278,33 @@ mod tests {
         let mut cache = ResultCache::new(4);
         assert_eq!(cache.lookup(1), None);
         cache.insert(1, result("a"));
-        assert_eq!(cache.lookup(1), Some(result("a")));
+        assert_eq!(cache.lookup(1), Some(Arc::new(result("a"))));
         let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.insertions, stats.evictions),
             (1, 1, 1, 0)
         );
+    }
+
+    /// A stored result is shared, never copied: a hit is the allocation
+    /// `insert` stored, and a clone of the cache — the supervisor's
+    /// rollback point — holds the same allocations as the original.
+    #[test]
+    fn hits_and_clones_share_the_stored_allocation() {
+        let mut cache = ResultCache::new(4);
+        let stored = Arc::new(result("a"));
+        cache.insert(1, Arc::clone(&stored));
+        cache.insert(2, result("b"));
+        let hit = cache.lookup(1).unwrap();
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit is the stored allocation");
+
+        let c2 = cache.clone();
+        assert_eq!(c2, cache);
+        assert_eq!(c2.entries.len(), 2);
+        for ((k2, e2), (k, e)) in c2.entries.iter().zip(&cache.entries) {
+            assert_eq!(k2, k);
+            assert!(Arc::ptr_eq(&e2.result, &e.result), "entry {k} was copied");
+        }
     }
 
     #[test]
@@ -318,7 +346,7 @@ mod tests {
     }
 
     impl ScanCache {
-        fn lookup(&mut self, key: u128) -> Option<PointResult> {
+        fn lookup(&mut self, key: u128) -> Option<Arc<PointResult>> {
             self.clock += 1;
             let Some(entry) = self.entries.get_mut(&key) else {
                 self.stats.misses += 1;
@@ -326,7 +354,7 @@ mod tests {
             };
             entry.last_access = self.clock;
             self.stats.hits += 1;
-            Some(entry.result.clone())
+            Some(Arc::clone(&entry.result))
         }
 
         fn insert(&mut self, key: u128, result: PointResult) {
@@ -348,7 +376,7 @@ mod tests {
             self.entries.insert(
                 key,
                 Entry {
-                    result,
+                    result: Arc::new(result),
                     last_access,
                 },
             );

@@ -37,6 +37,7 @@ use jubench_ckpt::{Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
 use jubench_core::Registry;
 use jubench_sched::{CampaignState, Job, Scheduler};
 use jubench_trace::{CacheStats, GuardStats};
+use std::sync::Arc;
 
 /// Progress of one active campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +45,10 @@ pub(crate) struct ActiveCampaign {
     pub(crate) id: u64,
     pub(crate) client: u64,
     spec: CampaignSpec,
-    /// One result per executed point, in point order.
-    rows: Vec<PointResult>,
+    /// One result per executed point, in point order: the allocation
+    /// the unit stored in or got from the cache, not a copy of it (a
+    /// restored campaign decodes its own).
+    rows: Vec<Arc<PointResult>>,
     /// Per-campaign cache tallies (reported in the final run report).
     cache: CacheStats,
     /// The live scheduler (`None` before the first slice). Boxed so a
@@ -70,6 +73,12 @@ impl ActiveCampaign {
             sched: None,
             horizon_s: 0.0,
         }
+    }
+
+    /// The rows so far, for tests of what they share with the cache.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> &[Arc<PointResult>] {
+        &self.rows
     }
 
     /// Jobs whose completion has already been streamed.
@@ -103,7 +112,7 @@ impl ActiveCampaign {
         spec.check(None).map_err(malformed)?;
         let mut camp = ActiveCampaign::new(id, client, spec);
         let next_point = r.get_usize("campaign next point")?;
-        camp.rows = r.get_seq("campaign row count", PointResult::get)?;
+        camp.rows = r.get_seq("campaign row count", |r| PointResult::get(r).map(Arc::new))?;
         camp.cache = get_stats(r)?;
         // Progress must agree with itself before anything indexes by
         // it: one row per executed point, and a scheduler only once every
@@ -154,8 +163,8 @@ impl ActiveCampaign {
         let result = match cache.lookup(key) {
             Some(hit) => hit,
             None => {
-                let computed = run_point(registry, &self.spec, i, tracks);
-                cache.insert(key, computed.clone());
+                let computed = Arc::new(run_point(registry, &self.spec, i, tracks));
+                cache.insert(key, Arc::clone(&computed));
                 jubench_metrics::counter_add("serve/points_executed", 1);
                 computed
             }
@@ -295,7 +304,7 @@ pub(crate) struct LiveSched {
 
 impl LiveSched {
     /// Enter the scheduling phase: nothing submitted, virtual time zero.
-    fn begin(spec: &CampaignSpec, rows: &[PointResult]) -> Self {
+    fn begin(spec: &CampaignSpec, rows: &[Arc<PointResult>]) -> Self {
         let (scheduler, jobs) = (scheduler(spec), build_jobs(spec, rows));
         let state = scheduler.begin(&jobs);
         Self::live(scheduler, jobs, state)
@@ -305,7 +314,11 @@ impl LiveSched {
     /// become a live scheduler. [`Scheduler::resume`] checks the envelope,
     /// the state's structure, and that it belongs to these jobs and this
     /// machine.
-    fn resume(spec: &CampaignSpec, rows: &[PointResult], bytes: &[u8]) -> Result<Self, CkptError> {
+    fn resume(
+        spec: &CampaignSpec,
+        rows: &[Arc<PointResult>],
+        bytes: &[u8],
+    ) -> Result<Self, CkptError> {
         let (scheduler, jobs) = (scheduler(spec), build_jobs(spec, rows));
         let state = scheduler.resume(bytes, &jobs)?;
         Ok(Self::live(scheduler, jobs, state))

@@ -125,7 +125,7 @@ pub(crate) fn scheduler(spec: &CampaignSpec) -> Scheduler {
 /// Derive the campaign's scheduler jobs from its executed rows. Pure in
 /// `(spec, rows)`, so a restored or adopted campaign rebuilds exactly
 /// the jobs its snapshot was taken against.
-pub(crate) fn build_jobs(spec: &CampaignSpec, rows: &[PointResult]) -> Vec<Job> {
+pub(crate) fn build_jobs(spec: &CampaignSpec, rows: &[Arc<PointResult>]) -> Vec<Job> {
     spec.points
         .iter()
         .zip(rows)
@@ -151,7 +151,7 @@ pub(crate) fn build_jobs(spec: &CampaignSpec, rows: &[PointResult]) -> Vec<Job> 
 /// any of the three.
 pub(crate) fn artifacts(
     spec: &CampaignSpec,
-    rows: &[PointResult],
+    rows: &[Arc<PointResult>],
     schedule: &Schedule,
 ) -> (String, String, RunReport) {
     let recorder = Recorder::new();
@@ -167,7 +167,7 @@ pub(crate) fn artifacts(
 /// Render the campaign result table: one row per run point joined with
 /// its schedule record, plus a header and a makespan footer. Pure in
 /// `(spec, rows, schedule)` — cache activity leaves no mark here.
-fn render_table(spec: &CampaignSpec, rows: &[PointResult], schedule: &Schedule) -> String {
+fn render_table(spec: &CampaignSpec, rows: &[Arc<PointResult>], schedule: &Schedule) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "# campaign {} tenant={} machine={}x{} policy={} placement={} seed={}\n",
@@ -201,7 +201,7 @@ fn render_table(spec: &CampaignSpec, rows: &[PointResult], schedule: &Schedule) 
 /// What [`reference`] computes for one campaign.
 #[cfg(test)]
 pub(crate) struct Reference {
-    pub(crate) rows: Vec<PointResult>,
+    pub(crate) rows: Vec<Arc<PointResult>>,
     pub(crate) schedule: Schedule,
     /// Table, Chrome trace, run report.
     pub(crate) artifacts: (String, String, RunReport),
@@ -211,8 +211,8 @@ pub(crate) struct Reference {
 /// through — no shard, no queue, no cache, no snapshot, no wire.
 #[cfg(test)]
 pub(crate) fn reference(registry: &Registry, spec: &CampaignSpec) -> Reference {
-    let rows: Vec<PointResult> = (0..spec.points.len())
-        .map(|i| run_point(registry, spec, i, None))
+    let rows: Vec<Arc<PointResult>> = (0..spec.points.len())
+        .map(|i| Arc::new(run_point(registry, spec, i, None)))
         .collect();
     let schedule = scheduler(spec).run(&build_jobs(spec, &rows), &spec.plan);
     let artifacts = artifacts(spec, &rows, &schedule);

@@ -282,6 +282,7 @@ impl Checkpointable for ShardState {
 mod tests {
     use super::*;
     use crate::spec::RunPoint;
+    use std::sync::Arc;
 
     fn tiny_spec(tenant: &str, name: &str, seed: u64) -> CampaignSpec {
         let mut spec = CampaignSpec::new(tenant, name, 8, seed)
@@ -523,6 +524,31 @@ mod tests {
         // The genuine snapshot still restores, to the shard it was taken of.
         target.restore(&seal(SHARD_KIND, &payload)).unwrap();
         assert_eq!(target, origin);
+    }
+
+    /// A row is the cache's allocation, not a copy: a miss hands one
+    /// `Arc` to the cache and the row, and a warm hit hands the campaign
+    /// the entry the cache holds.
+    #[test]
+    fn a_row_shares_its_cache_entry() {
+        let registry = registry();
+        let spec = tiny_spec("a", "c1", 1);
+        let key = spec.point_key(0);
+        let mut shard = ShardState::new(0, 64);
+        shard.submit(1, 10, spec.clone());
+        shard.step(&registry);
+        assert_eq!(shard.cache().stats().misses, 1);
+        let row = Arc::clone(&shard.queue[0].rows()[0]);
+        assert!(Arc::ptr_eq(&row, &shard.cache.lookup(key).unwrap()));
+        shard.drain(&registry, None, None).unwrap();
+
+        shard.submit(2, 10, spec);
+        let hits = shard.cache().stats().hits;
+        shard.step(&registry);
+        assert_eq!(shard.cache().stats().hits, hits + 1, "a warm hit");
+        let warm = &shard.queue[0].rows()[0];
+        assert!(Arc::ptr_eq(warm, &row));
+        assert!(Arc::ptr_eq(warm, &shard.cache.lookup(key).unwrap()));
     }
 
     #[test]
