@@ -1,10 +1,14 @@
 //! The monitoring loop: measure, compare against baselines, classify.
+//!
+//! What is compared are the benchmarks' *virtual* runtimes, and the
+//! classification is this module's own [`CheckStatus`] band. The suite's
+//! wall-clock speed is measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), not here.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use jubench_core::{Benchmark, BenchmarkId, Registry, RunConfig};
 use jubench_faults::FaultPlan;
-use jubench_metrics::{classify, DeltaKind};
 
 use crate::baseline::BaselineStore;
 
@@ -204,6 +208,21 @@ impl Monitor {
         store
     }
 
+    /// The one tolerance band. A measurement stays [`CheckStatus::Ok`]
+    /// up to and including `baseline · (1 ± tolerance)`: the edge is the
+    /// product, which a caller can compute exactly, not a rounded
+    /// quotient. A missing measurement is [`CheckStatus::Failed`] whether
+    /// or not there was a baseline: nothing was measured.
+    fn status(&self, baseline: Option<f64>, measured: Option<f64>) -> CheckStatus {
+        match (baseline, measured) {
+            (_, None) => CheckStatus::Failed,
+            (None, Some(_)) => CheckStatus::MissingBaseline,
+            (Some(b), Some(m)) if m > b * (1.0 + self.tolerance) => CheckStatus::Regressed,
+            (Some(b), Some(m)) if m < b * (1.0 - self.tolerance) => CheckStatus::Improved,
+            (Some(_), Some(_)) => CheckStatus::Ok,
+        }
+    }
+
     /// Compare fresh measurements against the baselines.
     pub fn compare(
         &self,
@@ -213,13 +232,7 @@ impl Monitor {
         let mut entries = Vec::new();
         for (&id, &measured) in measurements {
             let baseline = baselines.get(id);
-            let status = match classify(baseline, measured, self.tolerance).1 {
-                DeltaKind::OnlyInBaseline => CheckStatus::Failed,
-                DeltaKind::OnlyInNew => CheckStatus::MissingBaseline,
-                DeltaKind::Regression => CheckStatus::Regressed,
-                DeltaKind::Improvement => CheckStatus::Improved,
-                DeltaKind::Unchanged => CheckStatus::Ok,
-            };
+            let status = self.status(baseline, measured);
             entries.push(CheckEntry {
                 id,
                 baseline_s: baseline,
@@ -305,8 +318,8 @@ mod tests {
         assert!(rendered.contains("seed 1"), "provenance column present");
     }
 
-    /// The band is `jubench_metrics::gate::classify`'s: a measurement of
-    /// exactly `baseline · (1 ± tolerance)` is still inside it.
+    /// A measurement of exactly `baseline · (1 ± tolerance)` is still
+    /// inside the band.
     #[test]
     fn the_edge_of_the_band_is_ok() {
         let monitor = Monitor {

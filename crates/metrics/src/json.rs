@@ -1,78 +1,8 @@
-//! A minimal JSON reader/writer for the suite's own artifacts.
-//!
-//! The suite carries no external dependencies, and every JSON document it
-//! reads is one it also wrote (`BENCH_*.json`, the per-run record
-//! stream), so this parser covers exactly RFC 8259 structure with plain
-//! `f64` numbers — enough to round-trip our own output, not a general
-//! validator. Objects preserve insertion order, keeping encodings stable.
-//!
-//! The documents still arrive as files, so anything else must come back
-//! as an `Err`: a `\u` escape that is not four hex digits, and nesting
-//! deeper than `MAX_DEPTH` (the parser recurses once per level).
+//! JSON string escaping for the suite's own JSON encoders: the metrics
+//! snapshot and the Chrome trace export. The suite writes JSON and never
+//! reads it back.
 
 use std::fmt::Write as _;
-
-/// Deepest array/object nesting [`JsonValue::parse`] accepts;
-/// `BENCH_*.json` nests 3.
-const MAX_DEPTH: usize = 64;
-
-/// One parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Member of an object by key (first match).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Parse one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.at));
-        }
-        Ok(value)
-    }
-}
 
 /// Escape a string for embedding inside JSON quotes.
 pub fn escape(s: &str) -> String {
@@ -93,255 +23,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    /// Arrays and objects currently open.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.at < self.bytes.len() && self.bytes[self.at].is_ascii_whitespace() {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at offset {}, found {:?}",
-                b as char,
-                self.at,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|c| c as char),
-                self.at
-            )),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
-        if self.depth == MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at offset {}",
-                self.at
-            ));
-        }
-        self.depth += 1;
-        let value = container(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.at))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.at += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).unwrap();
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|e| format!("bad number {text:?} at offset {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            // Digit by digit: the four bytes may be the
-                            // middle of a multi-byte character.
-                            let code = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .and_then(|hex| {
-                                    hex.iter().try_fold(0u32, |code, &h| {
-                                        Some(code * 16 + (h as char).to_digit(16)?)
-                                    })
-                                })
-                                .ok_or("\\u escape needs four hex digits")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.at += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a &str,
-                    // so boundaries are valid).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.at..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(JsonValue::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(JsonValue::Obj(members));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn parses_nested_documents() {
-        let v = JsonValue::parse(
-            r#"{"a": [1, 2.5, -3], "b": {"c": "x\ny", "d": true, "e": null}, "f": []}"#,
-        )
-        .unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("f").unwrap().as_array().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        assert!(JsonValue::parse("{").is_err());
-        assert!(JsonValue::parse("[1,]").is_err());
-        assert!(JsonValue::parse("{\"a\" 1}").is_err());
-        assert!(JsonValue::parse("123 45").is_err());
-    }
-
-    #[test]
-    fn a_unicode_escape_that_splits_a_character_is_an_error() {
-        assert!(JsonValue::parse("\"\\u000é\"").is_err());
-        assert!(JsonValue::parse("\"\\u00").is_err());
-        assert!(JsonValue::parse("\"\\u+041\"").is_err());
-        assert_eq!(JsonValue::parse("\"\\u00e9\"").unwrap().as_str(), Some("é"));
-    }
-
-    #[test]
-    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
-        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
-        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
-        assert!(JsonValue::parse(&deep(MAX_DEPTH + 1)).is_err());
-        assert!(JsonValue::parse(&"[".repeat(200_000)).is_err());
-        assert!(JsonValue::parse(&"{\"k\":".repeat(200_000)).is_err());
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        let raw = "line1\nline\\2 \"quoted\"\ttab";
-        let doc = format!("{{\"k\": \"{}\"}}", escape(raw));
-        let v = JsonValue::parse(&doc).unwrap();
-        assert_eq!(v.get("k").unwrap().as_str(), Some(raw));
-    }
-
-    #[test]
-    fn u64_accessor_rejects_fractions_and_negatives() {
-        assert_eq!(JsonValue::Num(5.0).as_u64(), Some(5));
-        assert_eq!(JsonValue::Num(5.5).as_u64(), None);
-        assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
+    fn escape_covers_every_branch_exactly() {
+        assert_eq!(
+            escape("a\"b\\c\nd\re\tf\u{1}g\u{1f}h é→😀"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh é→😀"
+        );
+        assert_eq!(escape(""), "");
+        assert_eq!(escape("plain"), "plain");
     }
 }

@@ -17,11 +17,11 @@
 //! - [`scope`]: wall-clock profiling scopes ([`profile_scope!`]) that
 //!   accumulate exclusive/inclusive nanoseconds per named scope and
 //!   export a collapsed-stack (`flamegraph.pl`-compatible) self-profile.
-//! - [`perf`]: structured per-benchmark records ([`PerfRecord`]) and
-//!   their aggregation into a `BENCH_<n>.json` [`PerfReport`] — the
-//!   suite's performance baseline artifact.
-//! - [`gate`]: the regression gate — compare two `BENCH_*.json` files
-//!   and report per-benchmark deltas against a configurable tolerance.
+//! - [`json`]: the string escaping the JSON exposition shares with the
+//!   Chrome trace export.
+//!
+//! Speed is measured elsewhere: `benchmark/` is the one perf harness, and
+//! `BENCHMARK.json` names its end-to-end and per-layer metrics.
 //!
 //! ## The hard invariant: observational only
 //!
@@ -38,15 +38,10 @@
 //! `JUBENCH_POOL_THREADS`), or call [`set_enabled`]`(false)` from code.
 //! Disabled recording paths are a single relaxed atomic load.
 
-pub mod gate;
 pub mod json;
-pub mod perf;
 pub mod registry;
 pub mod scope;
 
-pub use gate::{classify, compare, Delta, DeltaKind, GateReport};
-pub use json::JsonValue;
-pub use perf::{PerfRecord, PerfReport, BENCH_SCHEMA};
 pub use registry::{HistogramSnapshot, MetricsSnapshot, ScopeStat};
 
 use std::sync::atomic::{AtomicU8, Ordering};

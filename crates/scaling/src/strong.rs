@@ -62,34 +62,37 @@ pub fn strong_scaling_series(bench: &dyn Benchmark, seed: u64) -> Fig2Series {
         .filter_map(|n| bench.closest_valid_nodes(n))
         .collect();
     nodes.dedup();
-    let reference_runtime_s = bench
-        .run(&RunConfig {
-            seed,
-            ..RunConfig::test(reference_nodes)
-        })
-        .map(|o| o.virtual_time_s)
-        .unwrap_or(f64::NAN);
     // Fan the independent node counts across the pool; the indexed map
-    // returns points in sweep order, so the series (and its render) is
+    // returns outcomes in sweep order, so the series (and its render) is
     // byte-identical to the sequential loop.
-    let points = jubench_pool::par_map_over(&nodes, |&n| {
+    let outcomes: Vec<(u32, f64, f64)> = jubench_pool::par_map_over(&nodes, |&n| {
         let out = bench
             .run(&RunConfig {
                 seed,
                 ..RunConfig::test(n)
             })
             .ok()?;
-        Some(Fig2Point {
-            nodes: n,
-            relative_nodes: n as f64 / reference_nodes as f64,
-            runtime_s: out.virtual_time_s,
-            relative_runtime: out.virtual_time_s / reference_runtime_s,
-            comm_fraction: out.comm_fraction(),
-        })
+        Some((n, out.virtual_time_s, out.comm_fraction()))
     })
     .into_iter()
     .flatten()
     .collect();
+    // The 1× multiplier is one of the swept counts: its outcome is the
+    // reference, and without one every relative runtime is NaN.
+    let reference_runtime_s = outcomes
+        .iter()
+        .find(|&&(n, _, _)| n == reference_nodes)
+        .map_or(f64::NAN, |&(_, runtime_s, _)| runtime_s);
+    let points = outcomes
+        .into_iter()
+        .map(|(n, runtime_s, comm_fraction)| Fig2Point {
+            nodes: n,
+            relative_nodes: n as f64 / reference_nodes as f64,
+            runtime_s,
+            relative_runtime: runtime_s / reference_runtime_s,
+            comm_fraction,
+        })
+        .collect();
     Fig2Series {
         name: bench.meta().id.name(),
         reference_nodes,

@@ -302,12 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn balanced_braces_and_commas() {
         let json = chrome_trace_json(&sample());
         assert_eq!(

@@ -1,15 +1,20 @@
 //! Ablation studies of the performance-model design choices (see
-//! `jubench_scaling::ablations`): regenerates the comparison series and
-//! times the ablated evaluations.
+//! `jubench::scaling::ablations`): the JUQCS congestion regime, the
+//! overlap factor, and the per-size all-to-all algorithm choice.
+//!
+//! Run with: `cargo run --release --example ablations`
 
-use jubench_bench::banner;
-use jubench_bench::harness::Criterion;
-use jubench_bench::{criterion_group, criterion_main};
-use jubench_scaling::{alltoall_algorithms, juqcs_comm_efficiency, overlap_ablation};
+use jubench::scaling::{alltoall_algorithms, juqcs_comm_efficiency, overlap_ablation};
 
 const SWEEP: [u32; 8] = [2, 4, 8, 32, 64, 128, 256, 512];
 
-fn regenerate() {
+fn banner(title: &str) {
+    println!("\n================================================================");
+    println!("  {title}");
+    println!("================================================================\n");
+}
+
+fn main() {
     banner("Ablation 1 — JUQCS communication efficiency with/without the congestion regime");
     let with = juqcs_comm_efficiency(&SWEEP, true);
     let without = juqcs_comm_efficiency(&SWEEP, false);
@@ -43,17 +48,3 @@ fn regenerate() {
     println!("\n  → without the per-size choice, the FFT-transpose codes (GROMACS C,");
     println!("    Quantum ESPRESSO) would scale inversely at large rank counts.\n");
 }
-
-fn bench_ablations(c: &mut Criterion) {
-    regenerate();
-    let mut group = c.benchmark_group("ablations");
-    group.bench_function("juqcs_congestion_sweep", |b| {
-        b.iter(|| juqcs_comm_efficiency(&SWEEP, true).len())
-    });
-    group.bench_function("alltoall_pair", |b| {
-        b.iter(|| alltoall_algorithms(128, 4096))
-    });
-}
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);

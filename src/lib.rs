@@ -61,9 +61,10 @@
 //!   stragglers, wire faults).
 //! - [`metrics`]: wall-clock self-observability — the sharded metrics
 //!   registry (counters/gauges/histograms), `profile_scope!` collapsed-
-//!   stack self-profiles, `BENCH_<n>.json` perf records, and the
-//!   regression gate. Observational only; the `JUBENCH_METRICS=0` kill
-//!   switch disables recording at runtime.
+//!   stack self-profiles, and their Prometheus/JSON expositions.
+//!   Observational only; the `JUBENCH_METRICS=0` kill switch disables
+//!   recording at runtime. Speed is measured by the repo benchmark
+//!   (`benchmark/`, `BENCHMARK.json`), not here.
 //! - [`fleet`]: the heterogeneous machine catalog and the cross-backend
 //!   fleet study — the full suite executed on every catalog backend via
 //!   [`serve`], condensed into FOM/composite-score/value-for-money

@@ -1,15 +1,13 @@
 //! Integration tests of the wall-clock self-observability layer:
 //! instrumentation coverage across the runtime crates, the
-//! `JUBENCH_METRICS` kill switch, the profiling scopes, and the
-//! `BENCH_0.json` baseline + regression gate round trip.
+//! `JUBENCH_METRICS` kill switch, and the profiling scopes.
 //!
 //! Registry state is process-global, so every test here serializes on
 //! `metrics::registry::test_mutex()` and leaves metrics enabled behind.
 
 use std::sync::Arc;
 
-use jubench::metrics::gate::DEFAULT_TOLERANCE;
-use jubench::metrics::{self, compare, MetricsSnapshot, PerfRecord, PerfReport};
+use jubench::metrics::{self, MetricsSnapshot};
 use jubench::prelude::*;
 use jubench::profile_scope;
 use jubench::sched::{registry_jobs, run_campaign};
@@ -234,55 +232,4 @@ fn self_profile_exports_collapsed_stacks() {
     let value: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
     let _ = value; // exclusive ns; any non-negative value is valid
     assert!(collapsed.lines().any(|l| l.starts_with("campaign/run ")));
-}
-
-// ----- the committed baseline and the regression gate ------------------
-
-fn baseline_path() -> std::path::PathBuf {
-    // The newest committed baseline anchors the gate; older BENCH_<n>
-    // files stay checked in as the performance trajectory.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_2.json")
-}
-
-#[test]
-fn committed_baseline_parses_and_self_compares_to_zero_deltas() {
-    let text = std::fs::read_to_string(baseline_path()).expect("BENCH_2.json is checked in");
-    let baseline = PerfReport::from_json(&text).expect("baseline parses");
-    assert!(
-        !baseline.records.is_empty(),
-        "baseline must carry benchmarks"
-    );
-    // Encoding is stable: parse → encode reproduces the committed bytes.
-    assert_eq!(baseline.to_json(), text);
-    let gate = compare(&baseline, &baseline, DEFAULT_TOLERANCE);
-    assert!(gate.passed());
-    assert!(gate.deltas.iter().all(|d| d.ratio == Some(0.0)));
-}
-
-#[test]
-fn gate_flags_synthetic_slowdown_against_the_committed_baseline() {
-    let text = std::fs::read_to_string(baseline_path()).expect("BENCH_2.json is checked in");
-    let baseline = PerfReport::from_json(&text).unwrap();
-    // Inject a 2x slowdown into every benchmark.
-    let slowed = PerfReport::new(
-        baseline
-            .records
-            .iter()
-            .map(|r| PerfRecord {
-                id: r.id.clone(),
-                median_ns: r.median_ns.saturating_mul(2),
-                p10_ns: r.p10_ns.saturating_mul(2),
-                p90_ns: r.p90_ns.saturating_mul(2),
-                samples: r.samples,
-                bytes_per_iter: r.bytes_per_iter,
-            })
-            .collect(),
-    );
-    let gate = compare(&baseline, &slowed, DEFAULT_TOLERANCE);
-    assert!(!gate.passed());
-    assert_eq!(gate.regressions().len(), baseline.records.len());
-    // And the reverse direction reads as improvements, not regressions.
-    let reverse = compare(&slowed, &baseline, DEFAULT_TOLERANCE);
-    assert!(reverse.passed());
-    assert_eq!(reverse.improvements().len(), baseline.records.len());
 }

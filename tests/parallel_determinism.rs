@@ -7,24 +7,29 @@
 //! exports are asserted **byte-identical**. One pool thread is the
 //! sequential reference; any scheduling-order leak into an output shows
 //! up as a byte diff here.
+//!
+//! The paper's artifacts — the Fig. 2 and Fig. 3 series and Tables I
+//! and II — are also pinned to digests of their bytes, so a change that
+//! moves them identically at every pool width still fails.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use jubench::core::fnv1a64;
 use jubench::pool::with_threads;
 use jubench::prelude::*;
 use jubench::scaling::{
-    campaign_table, ckpt_table, fig3_all_series, resilience_table, strong_scaling_series,
-    traffic_table,
+    campaign_table, ckpt_table, fig3_all_series, render_table1, render_table2, resilience_table,
+    strong_scaling_series, traffic_table,
 };
 use jubench::sched::{registry_jobs, run_campaign};
 use jubench::trace::RunReport;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-/// Render `artifact()` at each pool width and assert the bytes agree
-/// with the 1-thread (sequential) reference.
-fn assert_thread_invariant(what: &str, artifact: impl Fn() -> String) {
+/// Render `artifact()` at each pool width, assert the bytes agree with
+/// the 1-thread (sequential) reference, and return that reference.
+fn assert_thread_invariant(what: &str, artifact: impl Fn() -> String) -> String {
     let reference = with_threads(THREADS[0], &artifact);
     for &t in &THREADS[1..] {
         let got = with_threads(t, &artifact);
@@ -33,28 +38,56 @@ fn assert_thread_invariant(what: &str, artifact: impl Fn() -> String) {
             "{what}: output at {t} pool threads diverged from sequential"
         );
     }
+    reference
 }
 
+/// `fnv1a64` digests of the paper artifacts' bytes, taken at `a3e817d`
+/// (the last commit that also printed them from a bench harness). Equal
+/// in debug and release builds.
+const FIG2_DIGEST: u64 = 0x5fd378621159fc2e;
+const FIG3_DIGEST: u64 = 0xe440b4f238d074cd;
+const TABLES_DIGEST: u64 = 0x1fb294a7de507ba6;
+
+fn assert_pinned(what: &str, bytes: &str, pinned: u64) {
+    let got = fnv1a64(bytes.as_bytes());
+    assert_eq!(got, pinned, "{what} moved (got 0x{got:016x})");
+}
+
+/// The Fig. 2 renders of Arbor, GROMACS and JUQCS, concatenated.
 #[test]
 fn strong_scaling_series_are_thread_invariant() {
     let r = full_registry();
+    let mut renders = String::new();
     for id in [BenchmarkId::Arbor, BenchmarkId::Gromacs, BenchmarkId::Juqcs] {
         let bench = r.get(id).unwrap();
-        assert_thread_invariant(&format!("strong scaling of {}", id.name()), || {
-            strong_scaling_series(bench, 1).render()
-        });
+        renders.push_str(&assert_thread_invariant(
+            &format!("strong scaling of {}", id.name()),
+            || strong_scaling_series(bench, 1).render(),
+        ));
     }
+    assert_pinned("Fig. 2 renders", &renders, FIG2_DIGEST);
 }
 
 #[test]
 fn weak_scaling_series_are_thread_invariant() {
-    assert_thread_invariant("Fig. 3 weak scaling (all series)", || {
+    let renders = assert_thread_invariant("Fig. 3 weak scaling (all series)", || {
         fig3_all_series(1)
             .iter()
             .map(|s| s.render())
             .collect::<Vec<_>>()
             .join("\n")
     });
+    assert_pinned("Fig. 3 renders", &renders, FIG3_DIGEST);
+}
+
+/// Tables I and II come from static metadata: no pool, no execution.
+#[test]
+fn paper_tables_match_their_pinned_digest() {
+    assert_pinned(
+        "Tables I and II",
+        &(render_table1() + &render_table2()),
+        TABLES_DIGEST,
+    );
 }
 
 #[test]
