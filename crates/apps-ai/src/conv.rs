@@ -32,15 +32,26 @@ impl Conv2d {
         n - self.kernel + 1
     }
 
-    /// Lower an image into the im2col matrix: (out²)× (kernel²).
+    /// Lower an image into the im2col matrix: (out²)× (kernel²). Row
+    /// `py · out + px` is the patch at `(py, px)`: its `kernel` image rows,
+    /// each a `kernel`-wide slice.
     pub fn im2col(&self, image: &[f64], n: usize) -> Matrix {
         let o = self.out_size(n);
         let k = self.kernel;
-        Matrix::from_fn(o * o, k * k, |patch, kk| {
-            let (py, px) = (patch / o, patch % o);
-            let (ky, kx) = (kk / k, kk % k);
-            image[(py + ky) * n + (px + kx)]
-        })
+        let mut data = Vec::with_capacity(o * o * k * k);
+        for py in 0..o {
+            for px in 0..o {
+                for ky in 0..k {
+                    let start = (py + ky) * n + px;
+                    data.extend_from_slice(&image[start..start + k]);
+                }
+            }
+        }
+        Matrix {
+            rows: o * o,
+            cols: k * k,
+            data,
+        }
     }
 
     /// Forward: returns (out² × filters) feature map.
@@ -82,9 +93,46 @@ pub fn global_avg_pool(features: &Matrix) -> Vec<f64> {
     out
 }
 
+/// The element-by-element lowering `Conv2d::im2col` replaced, kept as its
+/// oracle.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn im2col(conv: &Conv2d, image: &[f64], n: usize) -> Matrix {
+        let o = conv.out_size(n);
+        let k = conv.kernel;
+        Matrix::from_fn(o * o, k * k, |patch, kk| {
+            let (py, px) = (patch / o, patch % o);
+            let (ky, kx) = (kk / k, kk % k);
+            image[(py + ky) * n + (px + kx)]
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn im2col_is_the_element_by_element_lowering() {
+        let mut rng = jubench_kernels::rank_rng(0x12C, 0);
+        for n in [1usize, 2, 5, 8, 13] {
+            let image: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for k in (1..=4).filter(|&k| k <= n) {
+                let conv = Conv2d::new(k, 1, 3);
+                let fast = conv.im2col(&image, n);
+                let slow = reference::im2col(&conv, &image, n);
+                assert_eq!(
+                    (fast.rows, fast.cols),
+                    (slow.rows, slow.cols),
+                    "n {n} k {k}"
+                );
+                let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "n {n} k {k}");
+            }
+        }
+    }
 
     #[test]
     fn identity_kernel_reproduces_interior() {

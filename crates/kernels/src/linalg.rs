@@ -58,8 +58,15 @@ impl Matrix {
         m
     }
 
+    /// The matrix whose `(i, j)` entry is `f(i, j)`, with `f` called in
+    /// row-major order (closures drawing from an RNG rely on it).
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let data = (0..rows * cols).map(|k| f(k / cols, k % cols)).collect();
+        let mut data = Vec::with_capacity(rows * cols);
+        for i in 0..rows {
+            for j in 0..cols {
+                data.push(f(i, j));
+            }
+        }
         Matrix { rows, cols, data }
     }
 

@@ -8,7 +8,7 @@
 //! running does not see that world's traffic yet.
 
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use jubench_cluster::{Distance, NetModel, Roofline, Work};
 use jubench_faults::{DetRng, FaultPlan, RetryPolicy};
@@ -17,9 +17,10 @@ use jubench_trace::{CollectiveKind, EventKind, Regime, TraceEvent, TraceSink};
 use crate::clock::{ClockStats, VirtualClock};
 use crate::error::SimError;
 use crate::rankmap::RankMap;
+use crate::rendezvous::{ring_chunk, Entry, Rendezvous};
 
 /// The topology regime a transfer over `dist` is accounted to.
-pub(crate) fn regime_of(dist: Distance) -> Regime {
+fn regime_of(dist: Distance) -> Regime {
     match dist {
         Distance::SameDevice => Regime::SameDevice,
         Distance::IntraNode => Regime::IntraNode,
@@ -27,6 +28,20 @@ pub(crate) fn regime_of(dist: Distance) -> Regime {
         Distance::InterCell => Regime::InterCell,
         Distance::InterModule => Regime::InterModule,
     }
+}
+
+/// Wire time and topology regime of a healthy `bytes`-sized transfer as
+/// `rank` sees it towards `peer`. Every message is costed here: the
+/// message path's and the rendezvous replay's.
+pub(crate) fn link_time(
+    map: &RankMap,
+    net: &NetModel,
+    rank: u32,
+    peer: u32,
+    bytes: u64,
+) -> (f64, Regime) {
+    let dist = map.distance(rank, peer);
+    (net.ptp_time(bytes, dist, map.job_nodes()), regime_of(dist))
 }
 
 /// Typed message payload. Using an enum instead of raw bytes keeps the data
@@ -98,102 +113,24 @@ impl ReduceOp {
     }
 }
 
-/// Virtual-time barrier: synchronizes the clocks of the ranks still
-/// running to their maximum.
-///
-/// One generation counter under one mutex. The barrier knows its
-/// participants: a rank whose [`Comm`] is dropped — it returned, or it
-/// panicked — [`leaves`](Self::leave), and counts as arrived from then
-/// on, so the ranks it leaves behind are released instead of blocking
-/// `World::run` forever.
-pub(crate) struct VBarrier {
-    state: Mutex<BarrierState>,
-    released: Condvar,
+/// Point-to-point messages a rank sent and received, and their payload
+/// bytes — a collective's constituent messages included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    pub msgs_send: u64,
+    pub bytes_send: u64,
+    pub msgs_recv: u64,
+    pub bytes_recv: u64,
 }
 
-struct BarrierState {
-    /// Ranks that have not left.
-    present: usize,
-    /// Of those, the ones waiting in the current generation.
-    waiting: usize,
-    /// Maximum entry time of the current generation so far.
-    max: f64,
-    /// Completed generations, and what the last one released. A waiter
-    /// reads it before the next generation can complete: that one needs
-    /// the waiter to arrive or leave first.
-    generation: u64,
-    released_max: f64,
-}
-
-impl BarrierState {
-    /// Everyone present has arrived: complete the generation.
-    fn release(&mut self, released: &Condvar) -> f64 {
-        self.released_max = std::mem::replace(&mut self.max, 0.0);
-        self.waiting = 0;
-        self.generation += 1;
-        released.notify_all();
-        self.released_max
-    }
-}
-
-impl VBarrier {
-    pub(crate) fn new(n: usize) -> Self {
-        VBarrier {
-            state: Mutex::new(BarrierState {
-                present: n,
-                waiting: 0,
-                max: 0.0,
-                generation: 0,
-                released_max: 0.0,
-            }),
-            released: Condvar::new(),
-        }
-    }
-
-    /// The lock is held across integer and `f64::max` updates only, so a
-    /// poisoned state is still a consistent one (and `leave` runs in a
-    /// `Drop`, which must not panic).
-    fn lock(&self) -> MutexGuard<'_, BarrierState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Enter with local virtual time `t`; returns the maximum over the
-    /// participants that arrived.
-    fn wait(&self, t: f64) -> f64 {
-        let mut s = self.lock();
-        s.max = s.max.max(t);
-        s.waiting += 1;
-        if s.waiting == s.present {
-            return s.release(&self.released);
-        }
-        let generation = s.generation;
-        while s.generation == generation {
-            s = self.released.wait(s).unwrap_or_else(|p| p.into_inner());
-        }
-        s.released_max
-    }
-
-    /// A participant is gone for good; if it was the last one the
-    /// current generation waited for, release it.
-    fn leave(&self) {
-        let mut s = self.lock();
-        s.present -= 1;
-        if s.waiting > 0 && s.waiting == s.present {
-            s.release(&self.released);
-        }
-    }
-}
-
-/// What this rank sent, received and took part in so far; [`Comm`]'s `Drop`
-/// adds it to the metrics registry.
-#[derive(Default)]
-struct Tally {
-    msgs_send: u64,
-    bytes_send: u64,
-    msgs_recv: u64,
-    bytes_recv: u64,
-    /// `(kind, operations, payload bytes)` of each collective kind used.
-    collectives: Vec<(CollectiveKind, u64, u64)>,
+/// What a rank sent, received and took part in so far: the values its
+/// exit adds to the `simmpi/*` counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tally {
+    pub messages: Traffic,
+    /// `(kind, operations, payload bytes)` of each collective kind used,
+    /// in order of first use.
+    pub collectives: Vec<(CollectiveKind, u64, u64)>,
 }
 
 /// The communicator handed to each rank closure by
@@ -209,7 +146,8 @@ pub struct Comm {
     map: RankMap,
     net: NetModel,
     device: Roofline,
-    barrier: Arc<VBarrier>,
+    /// Where this world's barriers and (unfaulted) collectives meet.
+    rendezvous: Arc<Rendezvous>,
     /// Injected faults this communicator consults at operation boundaries.
     /// `None` keeps every fault hook a no-op.
     plan: Option<Arc<FaultPlan>>,
@@ -234,8 +172,8 @@ pub struct Comm {
 
 impl Drop for Comm {
     fn drop(&mut self) {
-        self.barrier.leave();
-        let t = &self.tally;
+        self.rendezvous.leave(self.rank);
+        let (t, collectives) = (&self.tally.messages, &self.tally.collectives);
         // A name appears once its operation happened, even with zero bytes.
         if t.msgs_send > 0 {
             jubench_metrics::counter_add("simmpi/msgs/send", t.msgs_send);
@@ -245,7 +183,7 @@ impl Drop for Comm {
             jubench_metrics::counter_add("simmpi/msgs/recv", t.msgs_recv);
             jubench_metrics::counter_add("simmpi/bytes/recv", t.bytes_recv);
         }
-        for &(kind, ops, bytes) in &t.collectives {
+        for &(kind, ops, bytes) in collectives {
             jubench_metrics::counter_add(&format!("simmpi/ops/{}", kind.label()), ops);
             jubench_metrics::counter_add(&format!("simmpi/bytes/{}", kind.label()), bytes);
         }
@@ -261,7 +199,7 @@ impl Comm {
         receivers: Vec<Receiver<Message>>,
         map: RankMap,
         net: NetModel,
-        barrier: Arc<VBarrier>,
+        rendezvous: Arc<Rendezvous>,
     ) -> Self {
         Comm {
             rank,
@@ -273,7 +211,7 @@ impl Comm {
             node: map.node_of(rank),
             map,
             net,
-            barrier,
+            rendezvous,
             plan: None,
             drop_rng: None,
             crash_at: None,
@@ -300,6 +238,13 @@ impl Comm {
     /// the disabled path allocates nothing).
     #[inline]
     fn emit(&mut self, t_start: f64, kind: EventKind) {
+        self.record(t_start, self.clock.now(), kind);
+    }
+
+    /// Record one event spanning `[t_start, t_end]` under this rank's next
+    /// sequence number.
+    #[inline]
+    fn record(&mut self, t_start: f64, t_end: f64, kind: EventKind) {
         if let Some(sink) = &self.sink {
             let seq = self.seq;
             self.seq += 1;
@@ -308,7 +253,7 @@ impl Comm {
                 node: self.node,
                 seq,
                 t_start,
-                t_end: self.clock.now(),
+                t_end,
                 kind,
             });
         }
@@ -330,6 +275,11 @@ impl Comm {
     /// Clock statistics so far.
     pub fn stats(&self) -> ClockStats {
         self.clock.stats()
+    }
+
+    /// This rank's traffic and collectives so far.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// The device roofline of this rank.
@@ -374,8 +324,7 @@ impl Comm {
     /// time, topology regime, and whether a link fault applied at the
     /// current virtual time.
     fn link(&self, peer: u32, bytes: u64) -> (f64, Regime, bool) {
-        let dist = self.map.distance(self.rank, peer);
-        let mut t = self.net.ptp_time(bytes, dist, self.map.job_nodes());
+        let (mut t, regime) = link_time(&self.map, &self.net, self.rank, peer, bytes);
         let mut degraded = false;
         if let Some(plan) = &self.plan {
             let factor = plan.link_factor(self.rank, peer, self.clock.now());
@@ -384,7 +333,7 @@ impl Comm {
                 degraded = true;
             }
         }
-        (t, regime_of(dist), degraded)
+        (t, regime, degraded)
     }
 
     /// Fail every communication attempt once this rank's scheduled crash
@@ -439,8 +388,8 @@ impl Comm {
         self.fail_if_crashed()?;
         self.check_rank(to)?;
         let bytes = payload.nbytes();
-        self.tally.msgs_send += 1;
-        self.tally.bytes_send += bytes;
+        self.tally.messages.msgs_send += 1;
+        self.tally.messages.bytes_send += bytes;
         let (transfer, regime, degraded) = self.link(to, bytes);
         let t0 = self.clock.now();
         // The sender serializes the message through its adapter (dropped
@@ -515,8 +464,8 @@ impl Comm {
             }
         }
         let bytes = msg.payload.nbytes();
-        self.tally.msgs_recv += 1;
-        self.tally.bytes_recv += bytes;
+        self.tally.messages.msgs_recv += 1;
+        self.tally.messages.bytes_recv += bytes;
         let (transfer, regime, _) = self.link(from, bytes);
         let t0 = self.clock.now();
         let wait_s = (msg.sent_at - t0).max(0.0);
@@ -651,13 +600,44 @@ impl Comm {
     }
 
     // ----- collectives ----------------------------------------------------
+    //
+    // Barrier, allreduce, allgather and alltoall meet in the world's
+    // rendezvous, which replays the named algorithm for all ranks at once
+    // (see `rendezvous.rs`). A world with a fault plan runs the three
+    // data collectives as the messages below instead: drops, crashes and
+    // degraded links act on single messages, midway through a ring, and
+    // only the message path implements that. The message path is also the
+    // reference the replay is tested against (`tests/proptests.rs`).
 
-    /// Barrier: synchronizes all virtual clocks to the maximum.
+    /// Whether this world runs its data collectives as messages.
+    fn rings(&self) -> bool {
+        self.plan.is_some()
+    }
+
+    /// Meet every rank with `entry`; adopt the clock, the traffic and the
+    /// per-message events the replay left this rank, and return its share
+    /// of the result.
+    fn meet(&mut self, entry: Entry) -> Result<Entry, SimError> {
+        let exit = self.rendezvous.meet(self.rank, self.clock, entry)?;
+        self.clock = exit.clock;
+        let (t, got) = (&mut self.tally.messages, exit.traffic);
+        t.msgs_send += got.msgs_send;
+        t.bytes_send += got.bytes_send;
+        t.msgs_recv += got.msgs_recv;
+        t.bytes_recv += got.bytes_recv;
+        for (t_start, t_end, kind) in exit.events {
+            self.record(t_start, t_end, kind);
+        }
+        Ok(exit.entry)
+    }
+
+    /// Barrier: synchronizes all virtual clocks to the maximum over the
+    /// ranks still running.
     pub fn barrier(&mut self) {
         jubench_metrics::counter_add("simmpi/ops/barrier", 1);
         let t0 = self.clock.now();
-        let target = self.barrier.wait(t0);
-        self.clock.sync_to(target);
+        self.meet(Entry::Barrier)
+            .expect("a barrier counts a rank that left as arrived");
         let sync_wait_s = self.clock.now() - t0;
         self.emit(
             t0,
@@ -702,7 +682,18 @@ impl Comm {
     /// In-place ring allreduce (reduce-scatter + allgather).
     pub fn allreduce_f64(&mut self, buf: &mut [f64], op: ReduceOp) -> Result<(), SimError> {
         let t0 = self.clock.now();
-        self.allreduce_impl(buf, op)?;
+        if self.rings() || self.size == 1 || buf.is_empty() {
+            self.allreduce_ring(buf, op)?;
+        } else {
+            let Entry::Allreduce { buf: reduced, .. } = self.meet(Entry::Allreduce {
+                buf: buf.to_vec(),
+                op,
+            })?
+            else {
+                unreachable!("an allreduce exits as one")
+            };
+            buf.copy_from_slice(&reduced);
+        }
         self.emit_collective(
             t0,
             CollectiveKind::Allreduce,
@@ -712,7 +703,7 @@ impl Comm {
         Ok(())
     }
 
-    fn allreduce_impl(&mut self, buf: &mut [f64], op: ReduceOp) -> Result<(), SimError> {
+    fn allreduce_ring(&mut self, buf: &mut [f64], op: ReduceOp) -> Result<(), SimError> {
         let p = self.size as usize;
         if p == 1 || buf.is_empty() {
             return Ok(());
@@ -721,13 +712,7 @@ impl Comm {
         let right = ((r + 1) % p) as u32;
         let left = ((r + p - 1) % p) as u32;
         let n = buf.len();
-        let chunk = move |i: usize| -> std::ops::Range<usize> {
-            let base = n / p;
-            let rem = n % p;
-            let start = i * base + i.min(rem);
-            let len = base + usize::from(i < rem);
-            start..start + len
-        };
+        let chunk = move |i: usize| ring_chunk(n, p, i);
         // Reduce-scatter.
         for s in 0..p - 1 {
             let send_idx = (r + p - s) % p;
@@ -761,7 +746,17 @@ impl Comm {
     /// length.
     pub fn allgather_f64(&mut self, local: &[f64]) -> Result<Vec<f64>, SimError> {
         let t0 = self.clock.now();
-        let out = self.allgather_impl(local)?;
+        let out = if self.rings() || self.size == 1 {
+            self.allgather_ring(local)?
+        } else {
+            let Entry::Allgather { buf } = self.meet(Entry::Allgather {
+                buf: local.to_vec(),
+            })?
+            else {
+                unreachable!("an allgather exits as one")
+            };
+            buf
+        };
         self.emit_collective(
             t0,
             CollectiveKind::Allgather,
@@ -771,7 +766,7 @@ impl Comm {
         Ok(out)
     }
 
-    fn allgather_impl(&mut self, local: &[f64]) -> Result<Vec<f64>, SimError> {
+    fn allgather_ring(&mut self, local: &[f64]) -> Result<Vec<f64>, SimError> {
         let p = self.size as usize;
         let n = local.len();
         let r = self.rank as usize;
@@ -795,16 +790,27 @@ impl Comm {
     /// Personalized all-to-all: `send[i]` goes to rank `i`; returns the
     /// vector of buffers received from each rank (`recv[i]` from rank `i`).
     pub fn alltoall_f64(&mut self, send: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, SimError> {
+        assert_eq!(
+            send.len(),
+            self.size as usize,
+            "alltoall needs one buffer per rank"
+        );
         let t0 = self.clock.now();
         let bytes = send.iter().map(|b| (b.len() * 8) as u64).sum();
-        let recv = self.alltoall_impl(send)?;
+        let recv = if self.rings() || self.size == 1 {
+            self.alltoall_pairwise(send)?
+        } else {
+            let Entry::Alltoall { bufs } = self.meet(Entry::Alltoall { bufs: send })? else {
+                unreachable!("an alltoall exits as one")
+            };
+            bufs
+        };
         self.emit_collective(t0, CollectiveKind::Alltoall, "pairwise", bytes);
         Ok(recv)
     }
 
-    fn alltoall_impl(&mut self, send: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, SimError> {
+    fn alltoall_pairwise(&mut self, send: Vec<Vec<f64>>) -> Result<Vec<Vec<f64>>, SimError> {
         let p = self.size as usize;
-        assert_eq!(send.len(), p, "alltoall needs one buffer per rank");
         let r = self.rank as usize;
         let mut recv: Vec<Vec<f64>> = vec![Vec::new(); p];
         recv[r] = send[r].clone();
@@ -911,34 +917,5 @@ mod tests {
         assert_eq!(Payload::F64(vec![0.0; 4]).nbytes(), 32);
         assert_eq!(Payload::U64(vec![0; 2]).nbytes(), 16);
         assert_eq!(Payload::F64(vec![]).type_name(), "f64");
-    }
-
-    #[test]
-    fn vbarrier_returns_max() {
-        let b = Arc::new(VBarrier::new(3));
-        let mut handles = Vec::new();
-        for t in 0..3 {
-            let b = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || b.wait(t as f64)));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 2.0);
-        }
-    }
-
-    #[test]
-    fn vbarrier_resets_between_rounds() {
-        let b = Arc::new(VBarrier::new(2));
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || {
-            let first = b2.wait(5.0);
-            let second = b2.wait(1.0);
-            (first, second)
-        });
-        let first = b.wait(3.0);
-        let second = b.wait(2.0);
-        let (pf, ps) = h.join().unwrap();
-        assert_eq!((first, pf), (5.0, 5.0));
-        assert_eq!((second, ps), (2.0, 2.0));
     }
 }

@@ -2,9 +2,14 @@
 //!
 //! A simulated message-passing runtime: the substitution for MPI on the
 //! real machines. Ranks run as operating-system threads exchanging real
-//! data through channels, so distributed algorithms execute genuinely (halo
-//! exchanges move actual ghost cells, the JUQCS state-vector swap moves
-//! actual amplitudes). In addition, every rank owns a **virtual clock**:
+//! data, so distributed algorithms execute genuinely (halo exchanges move
+//! actual ghost cells, the JUQCS state-vector swap moves actual
+//! amplitudes). Point-to-point messages travel through channels; a
+//! barrier, allreduce, allgather or alltoall is one rendezvous, where the
+//! last rank to arrive replays the named algorithm message by message for
+//! every rank — same values, clocks, trace events and counters as running
+//! it over the channels, which a world with a fault plan still does. In
+//! addition, every rank owns a **virtual clock**:
 //!
 //! - computation advances it by the roofline model's prediction for the
 //!   declared work (see [`jubench_cluster::Roofline`]),
@@ -29,15 +34,17 @@
 //! *tombstones*, so receivers never block in wall time. The resilient
 //! pair [`Comm::send_f64_reliable`] / [`Comm::recv_f64_reliable`] retries
 //! over drops with exponential backoff charged to the virtual clock. The
-//! barrier knows its participants: a rank that is gone — it returned, or
-//! it panicked — counts as arrived from then on, so the ranks it leaves
-//! behind synchronize to the maximum over those that did arrive instead
-//! of blocking [`World::run`] forever.
+//! rendezvous knows its participants: a rank that is gone — it returned,
+//! or it panicked — counts as arrived at every later barrier, so the ranks
+//! it leaves behind synchronize to the maximum over those that did arrive,
+//! and fails every collective it can no longer join with
+//! [`SimError::PeerGone`], instead of blocking [`World::run`] forever.
 
 pub mod clock;
 pub mod comm;
 pub mod error;
 pub mod rankmap;
+mod rendezvous;
 pub mod world;
 
 pub use clock::{ClockStats, VirtualClock};

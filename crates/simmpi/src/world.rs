@@ -9,8 +9,9 @@ use jubench_faults::FaultPlan;
 use jubench_trace::TraceSink;
 
 use crate::clock::ClockStats;
-use crate::comm::{Comm, VBarrier};
+use crate::comm::Comm;
 use crate::rankmap::RankMap;
+use crate::rendezvous::Rendezvous;
 
 /// Result of one rank's execution: the closure's return value plus the
 /// rank's final virtual-clock statistics.
@@ -134,7 +135,7 @@ impl World {
     /// Launch one thread per rank, run `f`, and collect the results in rank
     /// order. Panics in a rank are propagated with the rank number.
     ///
-    /// Rank programs block on each other (channels, the virtual barrier),
+    /// Rank programs block on each other (channels, the rendezvous),
     /// so they execute on counted *dedicated* threads via
     /// [`jubench_pool::run_dedicated`], never on the bounded work-stealing
     /// pool — a pool with fewer workers than ranks would deadlock the
@@ -162,7 +163,7 @@ impl World {
             receivers[to] = row.into_iter().map(|r| r.unwrap()).collect();
         }
 
-        let barrier = Arc::new(VBarrier::new(n));
+        let rendezvous = Arc::new(Rendezvous::new(n, self.map, self.net, self.sink.is_some()));
         // Each rank claims its own channel endpoints out of this handoff
         // table; `run_dedicated` shares one `Fn(u32)` across all ranks.
         let endpoints: Vec<Mutex<Option<(Vec<_>, Vec<_>)>>> = senders
@@ -184,7 +185,7 @@ impl World {
                 rx,
                 self.map,
                 self.net,
-                Arc::clone(&barrier),
+                Arc::clone(&rendezvous),
             )
             .with_fault_plan(self.plan.clone())
             .with_sink(self.sink.clone());

@@ -345,29 +345,105 @@ fn allreduce_matches_sequential() {
 /// Running under an **empty** fault plan is bit-identical to running with
 /// no plan at all: every guard in the runtime must leave the arithmetic
 /// untouched when no fault applies.
+///
+/// A plan also keeps the data collectives on the message ring, while a
+/// world without one meets in the rendezvous, which replays the ring for
+/// all ranks at once. So the ring is the replay's oracle: rank by rank,
+/// the returned values (to the bit), both clock shares, the trace events
+/// and the `simmpi/*` tallies must agree — on 1 to 16 ranks, per-GPU,
+/// per-node and MSA rank maps, buffers of 0, 1, fewer than `p` and a
+/// non-multiple of `p` elements, every reduction operator, and entry
+/// clocks that differ per rank.
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_plan() {
-    for case in 0..8u64 {
+    use jubench::trace::TraceEvent;
+    use std::sync::Arc;
+    let booster = Machine::juwels_booster();
+    let worlds = [
+        World::new(booster.partition(1)),
+        World::new(booster.partition(2)),
+        World::new(booster.partition(4)),
+        World::per_node(booster.partition(1)),
+        World::per_node(booster.partition(2)),
+        World::per_node(booster.partition(3)),
+        World::per_node(booster.partition(5)),
+        World::per_node(booster.partition(16)),
+        World::msa(2, 1),
+        World::msa(3, 2),
+    ];
+    for (case, world) in worlds.into_iter().enumerate() {
+        let case = case as u64;
         let mut rng = rank_rng(0xFA + case, 12);
         let compute_s = rng.gen_range(1e-4..1e-2);
         let elems = rng.gen_range(1usize..256);
         let workload = move |comm: &mut Comm| {
-            comm.advance_compute(compute_s);
-            comm.sendrecv_f64(comm.rank() ^ 1, &vec![1.0; elems])
+            let (r, p) = (comm.rank() as usize, comm.size() as usize);
+            // Mixed magnitudes, so a reassociated sum changes bits.
+            let mut rng = rank_rng(0xFB + case, r as u32);
+            let mut draw = move |len: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powf(rng.gen_range(-6.0..6.0)))
+                    .collect()
+            };
+            let mut out = Vec::new();
+            comm.advance_compute(compute_s * (r + 1) as f64);
+            comm.send_f64(((r + 1) % p) as u32, &vec![1.0; elems])
                 .unwrap();
-            let mut acc = [comm.rank() as f64; 4];
-            comm.allreduce_f64(&mut acc, ReduceOp::Sum).unwrap();
+            out.extend(comm.recv_f64(((r + p - 1) % p) as u32).unwrap());
+            for len in [0, 1, p - 1, 2 * p + 1, elems] {
+                for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
+                    comm.advance_compute(compute_s * ((r * 7 + len) % 5) as f64);
+                    let mut buf = draw(len);
+                    comm.allreduce_f64(&mut buf, op).unwrap();
+                    out.extend(buf);
+                }
+                comm.advance_compute(compute_s * ((r * 3 + len) % 4) as f64);
+                out.extend(comm.allgather_f64(&draw(len)).unwrap());
+                let send = (0..p).map(|to| draw((r + to + len) % (p + 2))).collect();
+                out.extend(comm.alltoall_f64(send).unwrap().concat());
+            }
             comm.barrier();
+            let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            (bits, comm.tally().clone())
         };
-        let machine = Machine::juwels_booster().partition(2);
-        let bare = World::new(machine).run(workload);
-        let planned = World::new(machine)
-            .with_fault_plan(FaultPlan::new(case))
-            .run(workload);
+        let run = |world: World| {
+            let rec = Arc::new(Recorder::new());
+            let ranks = world.with_recorder(rec.clone()).run(workload);
+            (ranks, rec.take_events())
+        };
+        let (bare, bare_events) = run(world.clone());
+        let (planned, planned_events) = run(world.with_fault_plan(FaultPlan::new(case)));
         for (a, b) in bare.iter().zip(&planned) {
-            assert_eq!(a.clock.compute_s, b.clock.compute_s, "case {case}");
-            assert_eq!(a.clock.comm_s, b.clock.comm_s, "case {case}");
+            let rank = a.rank;
+            let (va, vb) = (&a.value.0, &b.value.0);
+            let first = va.iter().zip(vb).position(|(x, y)| x != y);
+            assert!(
+                va.len() == vb.len() && first.is_none(),
+                "case {case} rank {rank}: value {first:?} of {} differs",
+                va.len()
+            );
+            assert_eq!(
+                a.clock.compute_s.to_bits(),
+                b.clock.compute_s.to_bits(),
+                "case {case} rank {rank}"
+            );
+            assert_eq!(
+                a.clock.comm_s.to_bits(),
+                b.clock.comm_s.to_bits(),
+                "case {case} rank {rank}"
+            );
+            assert_eq!(a.value.1, b.value.1, "case {case} rank {rank}: tally");
+            let of = |events: &[TraceEvent]| {
+                let mine: Vec<_> = events.iter().filter(|e| e.rank == rank).collect();
+                format!("{mine:?}")
+            };
+            assert_eq!(
+                of(&bare_events),
+                of(&planned_events),
+                "case {case} rank {rank}: events"
+            );
         }
+        assert_eq!(bare_events.len(), planned_events.len(), "case {case}");
     }
 }
 
