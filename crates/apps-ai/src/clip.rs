@@ -46,7 +46,7 @@ impl TwoTower {
     /// local pairs, allgather both embedding sets, compute the local rows
     /// of the InfoNCE loss, and backpropagate through the local
     /// embeddings. Returns the mean local loss.
-    pub fn train_step(
+    pub(crate) fn train_step(
         &mut self,
         comm: &mut Comm,
         images: &Matrix,
@@ -115,7 +115,7 @@ impl TwoTower {
 
 /// Paired synthetic data: texts are a fixed linear transform of the
 /// images, so alignment is learnable.
-pub fn paired_batch(batch: usize, inputs: usize, seed: u64, rank: u32) -> (Matrix, Matrix) {
+pub(crate) fn paired_batch(batch: usize, inputs: usize, seed: u64, rank: u32) -> (Matrix, Matrix) {
     let mut wrng = rank_rng(seed, 0); // shared pairing transform
     let w = Matrix::from_fn(inputs, inputs, |_, _| wrng.gen_range(-0.5..0.5));
     let mut rng = rank_rng(seed ^ 0xDA7A, rank);

@@ -28,14 +28,14 @@ impl Conv2d {
     }
 
     /// Output spatial size for an `n × n` input.
-    pub fn out_size(&self, n: usize) -> usize {
+    pub(crate) fn out_size(&self, n: usize) -> usize {
         n - self.kernel + 1
     }
 
     /// Lower an image into the im2col matrix: (out²)× (kernel²). Row
     /// `py · out + px` is the patch at `(py, px)`: its `kernel` image rows,
     /// each a `kernel`-wide slice.
-    pub fn im2col(&self, image: &[f64], n: usize) -> Matrix {
+    pub(crate) fn im2col(&self, image: &[f64], n: usize) -> Matrix {
         let o = self.out_size(n);
         let k = self.kernel;
         let mut data = Vec::with_capacity(o * o * k * k);
@@ -70,11 +70,11 @@ impl Conv2d {
         }
     }
 
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad_w.data.fill(0.0);
     }
 
-    pub fn sgd_step(&mut self, lr: f64) {
+    pub(crate) fn sgd_step(&mut self, lr: f64) {
         for (w, g) in self.w.data.iter_mut().zip(&self.grad_w.data) {
             *w -= lr * g;
         }
@@ -83,7 +83,7 @@ impl Conv2d {
 
 /// Global average pooling over the spatial dimension: (out² × filters) →
 /// (1 × filters); returns pooled features.
-pub fn global_avg_pool(features: &Matrix) -> Vec<f64> {
+pub(crate) fn global_avg_pool(features: &Matrix) -> Vec<f64> {
     let mut out = vec![0.0; features.cols];
     for i in 0..features.rows {
         for j in 0..features.cols {

@@ -24,13 +24,9 @@ pub mod clip;
 pub mod conv;
 pub mod megatron;
 pub mod nn;
-pub mod pipeline;
 pub mod resnet;
-pub mod tensor_parallel;
 
 pub use clip::MmoClip;
 pub use megatron::MegatronLm;
 pub use nn::{Linear, MlpClassifier};
-pub use pipeline::{pipeline_train_step, PipelineStage};
 pub use resnet::ResNet;
-pub use tensor_parallel::ColumnParallelLinear;

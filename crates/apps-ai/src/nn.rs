@@ -51,12 +51,12 @@ impl Linear {
         gemm(grad_out, &self.w.transpose())
     }
 
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad_w.data.fill(0.0);
         self.grad_b.fill(0.0);
     }
 
-    pub fn sgd_step(&mut self, lr: f64) {
+    pub(crate) fn sgd_step(&mut self, lr: f64) {
         for (w, g) in self.w.data.iter_mut().zip(&self.grad_w.data) {
             *w -= lr * g;
         }
@@ -66,14 +66,14 @@ impl Linear {
     }
 
     /// Flatten the gradients (for data-parallel allreduce).
-    pub fn grads_flat(&self) -> Vec<f64> {
+    pub(crate) fn grads_flat(&self) -> Vec<f64> {
         let mut v = self.grad_w.data.clone();
         v.extend_from_slice(&self.grad_b);
         v
     }
 
     /// Restore gradients from a flat buffer (after allreduce).
-    pub fn set_grads_flat(&mut self, flat: &[f64]) {
+    pub(crate) fn set_grads_flat(&mut self, flat: &[f64]) {
         let nw = self.grad_w.data.len();
         self.grad_w.data.copy_from_slice(&flat[..nw]);
         self.grad_b.copy_from_slice(&flat[nw..]);
@@ -81,7 +81,7 @@ impl Linear {
 }
 
 /// tanh activation, in place; returns the activated matrix.
-pub fn tanh_forward(mut x: Matrix) -> Matrix {
+fn tanh_forward(mut x: Matrix) -> Matrix {
     for v in x.data.iter_mut() {
         *v = v.tanh();
     }
@@ -89,7 +89,7 @@ pub fn tanh_forward(mut x: Matrix) -> Matrix {
 }
 
 /// Gradient of tanh given the *activated* values.
-pub fn tanh_backward(activated: &Matrix, grad_out: &Matrix) -> Matrix {
+fn tanh_backward(activated: &Matrix, grad_out: &Matrix) -> Matrix {
     let mut g = grad_out.clone();
     for (gv, av) in g.data.iter_mut().zip(&activated.data) {
         *gv *= 1.0 - av * av;
@@ -99,7 +99,7 @@ pub fn tanh_backward(activated: &Matrix, grad_out: &Matrix) -> Matrix {
 
 /// Softmax cross-entropy over rows; returns (mean loss, gradient wrt
 /// logits).
-pub fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
+pub(crate) fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
     let batch = logits.rows;
     assert_eq!(labels.len(), batch);
     let mut grad = Matrix::zeros(batch, logits.cols);
@@ -136,7 +136,7 @@ impl MlpClassifier {
     }
 
     /// Forward + backward; accumulates gradients and returns the loss.
-    pub fn train_step(&mut self, x: &Matrix, labels: &[usize]) -> f64 {
+    pub(crate) fn train_step(&mut self, x: &Matrix, labels: &[usize]) -> f64 {
         let h_pre = self.l1.forward(x);
         let h = tanh_forward(h_pre);
         let logits = self.l2.forward(&h);
@@ -147,12 +147,12 @@ impl MlpClassifier {
         loss
     }
 
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.l1.zero_grad();
         self.l2.zero_grad();
     }
 
-    pub fn sgd_step(&mut self, lr: f64) {
+    pub(crate) fn sgd_step(&mut self, lr: f64) {
         self.l1.sgd_step(lr);
         self.l2.sgd_step(lr);
     }
@@ -164,13 +164,13 @@ impl MlpClassifier {
         softmax_xent(&logits, labels).0
     }
 
-    pub fn grads_flat(&self) -> Vec<f64> {
+    pub(crate) fn grads_flat(&self) -> Vec<f64> {
         let mut v = self.l1.grads_flat();
         v.extend(self.l2.grads_flat());
         v
     }
 
-    pub fn set_grads_flat(&mut self, flat: &[f64]) {
+    pub(crate) fn set_grads_flat(&mut self, flat: &[f64]) {
         let n1 = self.l1.grads_flat().len();
         self.l1.set_grads_flat(&flat[..n1]);
         self.l2.set_grads_flat(&flat[n1..]);
@@ -178,20 +178,11 @@ impl MlpClassifier {
 }
 
 /// A deterministic synthetic classification task: class = argmax over
-/// `classes` fixed random projections of the input.
-pub fn synthetic_task(
-    samples: usize,
-    inputs: usize,
-    classes: usize,
-    seed: u64,
-) -> (Matrix, Vec<usize>) {
-    synthetic_task_shard(samples, inputs, classes, seed, 0)
-}
-
-/// Like [`synthetic_task`], but with a shared labelling rule (derived from
-/// `seed` only) and shard-specific samples — the data-parallel setting
-/// where every rank optimizes the same objective on different data.
-pub fn synthetic_task_shard(
+/// `classes` fixed random projections of the input. The labelling rule
+/// is derived from `seed` only and the samples are shard-specific — the
+/// data-parallel setting where every rank optimizes the same objective
+/// on different data.
+pub(crate) fn synthetic_task_shard(
     samples: usize,
     inputs: usize,
     classes: usize,
@@ -223,7 +214,7 @@ mod tests {
     #[test]
     fn gradient_check_linear_and_mlp() {
         // Finite-difference check of d(loss)/d(w) for a few weights.
-        let (x, labels) = synthetic_task(8, 5, 3, 1);
+        let (x, labels) = synthetic_task_shard(8, 5, 3, 1, 0);
         let mut mlp = MlpClassifier::new(5, 7, 3, 2);
         mlp.zero_grad();
         mlp.train_step(&x, &labels);
@@ -271,7 +262,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss() {
-        let (x, labels) = synthetic_task(64, 10, 4, 3);
+        let (x, labels) = synthetic_task_shard(64, 10, 4, 3, 0);
         let mut mlp = MlpClassifier::new(10, 32, 4, 4);
         let initial = mlp.loss(&x, &labels);
         for _ in 0..200 {
@@ -285,7 +276,7 @@ mod tests {
 
     #[test]
     fn grads_flat_round_trip() {
-        let (x, labels) = synthetic_task(8, 5, 3, 5);
+        let (x, labels) = synthetic_task_shard(8, 5, 3, 5, 0);
         let mut mlp = MlpClassifier::new(5, 6, 3, 6);
         mlp.zero_grad();
         mlp.train_step(&x, &labels);

@@ -25,7 +25,7 @@ pub const TYPE_B: u8 = 2;
 /// Adhesion energies J(τ₁, τ₂) for the cell-sorting case: like cells
 /// adhere more strongly (lower J) than unlike cells, and both prefer each
 /// other over the medium — Steinberg's differential-adhesion setting.
-pub fn adhesion(t1: u8, t2: u8) -> f64 {
+pub(crate) fn adhesion(t1: u8, t2: u8) -> f64 {
     match (t1.min(t2), t1.max(t2)) {
         (TYPE_MEDIUM, TYPE_MEDIUM) => 0.0,
         (TYPE_MEDIUM, _) => 16.0,
@@ -59,7 +59,7 @@ pub struct PottsBlock {
 impl PottsBlock {
     /// Random mixture of cubic cells of two types — the unsorted initial
     /// state of the cell-sorting experiment.
-    pub fn cell_sorting(comm: &Comm, dims: [usize; 3], cell_side: usize, seed: u64) -> Self {
+    pub(crate) fn cell_sorting(comm: &Comm, dims: [usize; 3], cell_side: usize, seed: u64) -> Self {
         let [nx, ny, nz] = dims;
         let p = comm.size() as usize;
         assert!(nx % p == 0, "nx must divide the rank count for equal slabs");
@@ -161,7 +161,7 @@ impl PottsBlock {
 
     /// Local adhesion + volume energy (volume part uses the local volume
     /// share; adequate for monitoring energy descent).
-    pub fn local_energy(&self) -> f64 {
+    pub(crate) fn local_energy(&self) -> f64 {
         let mut adhesion_e = 0.0;
         let lx = self.lx();
         for ix in 1..=lx {
@@ -293,7 +293,7 @@ impl PottsBlock {
     }
 
     /// Global site count per type — the total tissue composition.
-    pub fn global_type_volumes(&self, comm: &mut Comm) -> Result<[f64; 3], SimError> {
+    pub(crate) fn global_type_volumes(&self, comm: &mut Comm) -> Result<[f64; 3], SimError> {
         let mut local = [0.0f64; 3];
         for (id, v) in present(&self.volume_table()) {
             local[self.cell_type[id] as usize] += v as f64;
@@ -489,7 +489,12 @@ mod reference {
     impl PottsBlock {
         /// Random mixture of cubic cells of two types — the unsorted initial
         /// state of the cell-sorting experiment.
-        pub fn cell_sorting(comm: &Comm, dims: [usize; 3], cell_side: usize, seed: u64) -> Self {
+        pub(crate) fn cell_sorting(
+            comm: &Comm,
+            dims: [usize; 3],
+            cell_side: usize,
+            seed: u64,
+        ) -> Self {
             let [nx, ny, nz] = dims;
             let p = comm.size() as usize;
             assert!(nx % p == 0, "nx must divide the rank count for equal slabs");
@@ -572,7 +577,7 @@ mod reference {
 
         /// Local adhesion + volume energy (volume part uses the local volume
         /// share; adequate for monitoring energy descent).
-        pub fn local_energy(&self) -> f64 {
+        pub(crate) fn local_energy(&self) -> f64 {
             let mut adhesion_e = 0.0;
             let lx = self.lx();
             for ix in 1..=lx {
@@ -605,7 +610,7 @@ mod reference {
         }
 
         /// Energy change of copying `new_id` into site (ix, iy, iz).
-        pub fn delta_e(
+        pub(crate) fn delta_e(
             &self,
             ix: usize,
             iy: usize,
@@ -730,7 +735,7 @@ mod reference {
         }
 
         /// Global site count per type — the total tissue composition.
-        pub fn global_type_volumes(&self, comm: &mut Comm) -> Result<[f64; 3], SimError> {
+        pub(crate) fn global_type_volumes(&self, comm: &mut Comm) -> Result<[f64; 3], SimError> {
             let mut local = [0.0f64; 3];
             for (id, v) in self.volumes() {
                 local[self.type_of(id) as usize] += v as f64;

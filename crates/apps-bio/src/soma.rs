@@ -98,7 +98,7 @@ impl SomaSystem {
 
     /// Accumulate the local densities and allreduce them to the global
     /// mean fields — the "quasi-instantaneous field approximation".
-    pub fn update_fields(&mut self, comm: &mut Comm) -> Result<(), SimError> {
+    pub(crate) fn update_fields(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         self.density_a.fill(0.0);
         self.density_b.fill(0.0);
         let half = self.beads_per_chain / 2;
@@ -115,18 +115,6 @@ impl SomaSystem {
         comm.allreduce_f64(&mut self.density_a, ReduceOp::Sum)?;
         comm.allreduce_f64(&mut self.density_b, ReduceOp::Sum)?;
         Ok(())
-    }
-
-    /// Field energy density of one cell.
-    #[inline]
-    fn cell_energy(&self, c: usize) -> f64 {
-        let (a, b) = (self.density_a[c], self.density_b[c]);
-        self.chi * a * b + self.kappa * (a + b).powi(2) * 0.01
-    }
-
-    /// Total field energy Σ cells (χ·ρA·ρB + compressibility term).
-    pub fn field_energy(&self) -> f64 {
-        (0..self.density_a.len()).map(|c| self.cell_energy(c)).sum()
     }
 
     /// Bond energy of a bead with its chain neighbours.
@@ -200,13 +188,13 @@ impl SomaSystem {
     }
 
     /// Total beads across all ranks.
-    pub fn global_beads(&self, comm: &mut Comm) -> Result<f64, SimError> {
+    pub(crate) fn global_beads(&self, comm: &mut Comm) -> Result<f64, SimError> {
         let local = (self.chains.len() * self.beads_per_chain) as f64;
         comm.allreduce_scalar(local, ReduceOp::Sum)
     }
 
     /// Mean squared bond length (local).
-    pub fn mean_bond_sq(&self) -> f64 {
+    pub(crate) fn mean_bond_sq(&self) -> f64 {
         let l = self.grid as f64;
         let mut total = 0.0;
         let mut count = 0;
@@ -231,7 +219,7 @@ impl SomaSystem {
         }
     }
 
-    pub fn acceptance_rate(&self) -> f64 {
+    pub(crate) fn acceptance_rate(&self) -> f64 {
         if self.attempted == 0 {
             0.0
         } else {

@@ -26,6 +26,6 @@ pub mod sem;
 pub mod solver;
 
 pub use bench::NekRs;
-pub use perf_model::{fit_settling, predict_run, SettlingFit, StepProfile};
-pub use sem::{gll_nodes_weights, DiffMatrix, Element3};
+pub use perf_model::{predict_run, SettlingFit, StepProfile};
+pub use sem::{DiffMatrix, Element3};
 pub use solver::SemPoisson;

@@ -58,7 +58,7 @@ pub fn synthetic_profile(steps: usize, initial: f64, asymptote: f64, decay: f64)
 /// from successive *differences* `d[n] = x[n+1] − x[n]`, whose ratio equals
 /// the decay exactly and is independent of the (unknown) asymptote; the
 /// amplitude and asymptote then follow in closed form.
-pub fn fit_settling(profile: &StepProfile) -> Option<SettlingFit> {
+pub(crate) fn fit_settling(profile: &StepProfile) -> Option<SettlingFit> {
     let n = profile.iterations.len();
     if n < 8 {
         return None;

@@ -2,7 +2,7 @@
 //! and tensor-product operator application on hexahedral elements.
 
 /// Legendre polynomial P_n(x) and its derivative, by recurrence.
-pub fn legendre(n: usize, x: f64) -> (f64, f64) {
+pub(crate) fn legendre(n: usize, x: f64) -> (f64, f64) {
     if n == 0 {
         return (1.0, 0.0);
     }
@@ -26,7 +26,7 @@ pub fn legendre(n: usize, x: f64) -> (f64, f64) {
 /// Gauss-Lobatto-Legendre nodes and weights of order `n` (n+1 points on
 /// [−1, 1]): the endpoints plus the roots of P'_n, weights
 /// w_i = 2 / (n(n+1) P_n(x_i)²).
-pub fn gll_nodes_weights(n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn gll_nodes_weights(n: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(n >= 1);
     let m = n + 1;
     let mut x = vec![0.0; m];
@@ -113,12 +113,6 @@ impl Element3<'_> {
     #[inline]
     fn m(&self) -> usize {
         self.dm.points()
-    }
-
-    #[inline]
-    pub fn nodes_per_element(&self) -> usize {
-        let m = self.m();
-        m * m * m
     }
 
     /// Differentiate along axis `axis` (0 = i, 1 = j, 2 = k) in reference
@@ -246,7 +240,7 @@ impl Element3<'_> {
     /// Stiffness action out = K u for −Δ on a cube of side h:
     /// K = (h/8) Σ_d Dᵀ_d W D_d (affine geometry collapses the metric to a
     /// constant).
-    pub fn stiffness(&self, u: &[f64], out: &mut [f64]) {
+    pub(crate) fn stiffness(&self, u: &[f64], out: &mut [f64]) {
         let m = self.m();
         // (h/2)³ from the volume Jacobian × (2/h)² from the two reference
         // gradients = h/2.
@@ -388,7 +382,7 @@ mod tests {
     fn stiffness_is_symmetric_and_kills_constants() {
         let dm = DiffMatrix::new(3);
         let el = Element3 { dm: &dm, h: 0.5 };
-        let len = el.nodes_per_element();
+        let len = dm.points().pow(3);
         // Constants are in the Laplacian null space.
         let ones = vec![1.0; len];
         let mut out = vec![0.0; len];
@@ -437,7 +431,7 @@ mod tests {
         let dm = DiffMatrix::new(5);
         let h = 0.3;
         let el = Element3 { dm: &dm, h };
-        let len = el.nodes_per_element();
+        let len = dm.points().pow(3);
         let ones = vec![1.0; len];
         let mut mu = vec![0.0; len];
         el.mass(&ones, &mut mu);

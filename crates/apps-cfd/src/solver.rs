@@ -50,7 +50,7 @@ impl SemPoisson {
     }
 
     /// Local nodal-grid dimensions (nodes shared at element interfaces).
-    pub fn local_nodes(&self) -> (usize, usize, usize) {
+    pub(crate) fn local_nodes(&self) -> (usize, usize, usize) {
         let n = self.dm.n;
         (
             (self.x1 - self.x0) * n + 1,
@@ -60,7 +60,7 @@ impl SemPoisson {
     }
 
     /// Number of local nodal values.
-    pub fn local_len(&self) -> usize {
+    pub(crate) fn local_len(&self) -> usize {
         let nx = self.local_nodes();
         nx.0 * nx.1 * nx.2
     }
@@ -79,7 +79,7 @@ impl SemPoisson {
     }
 
     /// Physical coordinates of a local node.
-    pub fn node_pos(&self, i: usize, j: usize, k: usize) -> (f64, f64, f64) {
+    pub(crate) fn node_pos(&self, i: usize, j: usize, k: usize) -> (f64, f64, f64) {
         let n = self.dm.n;
         (
             self.axis_pos(self.x0 * n + i, self.ex),
@@ -186,7 +186,7 @@ impl SemPoisson {
     }
 
     /// Apply the assembled, masked stiffness operator.
-    pub fn apply_a(&self, comm: &mut Comm, u: &[f64]) -> Result<Vec<f64>, SimError> {
+    pub(crate) fn apply_a(&self, comm: &mut Comm, u: &[f64]) -> Result<Vec<f64>, SimError> {
         let mut au = self.assemble(comm, u, |el, x, y| el.stiffness(x, y))?;
         self.mask(&mut au);
         Ok(au)
@@ -239,7 +239,7 @@ impl SemPoisson {
     /// `u = sin(πx/Lx) sin(πy/Ly) sin(πz/Lz)` and return
     /// (max nodal error, iterations, residual) — the key-metric
     /// verification of the SEM solver.
-    pub fn manufactured_solution_error(
+    pub(crate) fn manufactured_solution_error(
         &self,
         comm: &mut Comm,
         tol: f64,

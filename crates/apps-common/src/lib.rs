@@ -183,7 +183,7 @@ pub const MAX_REAL_RANKS: u32 = jubench_pool::MAX_DEDICATED_THREADS;
 /// A machine partition for the real execution: the requested machine if it
 /// is small enough, otherwise the largest prefix whose rank count stays
 /// within [`MAX_REAL_RANKS`].
-pub fn real_exec_machine(machine: Machine) -> Machine {
+pub(crate) fn real_exec_machine(machine: Machine) -> Machine {
     let rpn = machine.node.gpus_per_node;
     let max_nodes = (MAX_REAL_RANKS / rpn).max(1);
     machine.partition(machine.nodes.min(max_nodes))

@@ -39,7 +39,7 @@ impl IconResolution {
     }
 
     /// Input dataset size in bytes.
-    pub fn input_bytes(self) -> u64 {
+    pub(crate) fn input_bytes(self) -> u64 {
         match self {
             IconResolution::R02B09 => (1.8e12) as u64,
             IconResolution::R02B10 => (4.5e12) as u64,
@@ -56,7 +56,7 @@ const STEPS: u32 = 2_000;
 /// reading node count: per-node striping up to the backend limit (a flash
 /// module in the 1 TB/s class was procured; the preparation system's JUST
 /// is smaller — 400 GB/s is used here).
-pub fn storage_read_bw(nodes: u32) -> f64 {
+pub(crate) fn storage_read_bw(nodes: u32) -> f64 {
     (nodes as f64 * 2.0e9).min(400.0e9)
 }
 

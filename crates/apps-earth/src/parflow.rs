@@ -20,7 +20,12 @@ const PCG_ITERS: u32 = 15;
 /// V-cycle-preconditioned conjugate gradient on −Δx = b (the solver
 /// structure of ParFlow's Hypre-backed Krylov method). Returns
 /// (solution, iterations, relative residual).
-pub fn pcg_poisson(n: usize, b: &[f64], tol: f64, max_iters: usize) -> (Vec<f64>, usize, f64) {
+pub(crate) fn pcg_poisson(
+    n: usize,
+    b: &[f64],
+    tol: f64,
+    max_iters: usize,
+) -> (Vec<f64>, usize, f64) {
     let len = n * n * n;
     assert_eq!(b.len(), len);
     let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };

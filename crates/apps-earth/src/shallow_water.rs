@@ -144,7 +144,7 @@ impl ShallowWater {
     }
 
     /// Global mass Σh (conserved exactly up to round-off).
-    pub fn total_mass(&self, comm: &mut Comm) -> Result<f64, SimError> {
+    pub(crate) fn total_mass(&self, comm: &mut Comm) -> Result<f64, SimError> {
         let nx = self.nx;
         let rows = self.rows();
         let local: f64 = self.h[nx..(rows + 1) * nx].iter().sum();

@@ -136,13 +136,13 @@ impl Default for ChromaQcd {
 
 impl ChromaQcd {
     /// Sites per GPU for a memory variant.
-    pub fn sites_per_gpu(variant: MemoryVariant, gpu_memory_bytes: u64) -> f64 {
+    pub(crate) fn sites_per_gpu(variant: MemoryVariant, gpu_memory_bytes: u64) -> f64 {
         variant.memory_fraction() * gpu_memory_bytes as f64 / BYTES_PER_SITE
     }
 
     /// The Base workload's fixed total lattice: the Small sizing on the
     /// 8-node reference partition, strong-scaled elsewhere.
-    pub fn base_total_sites(gpu_memory_bytes: u64) -> f64 {
+    pub(crate) fn base_total_sites(gpu_memory_bytes: u64) -> f64 {
         Self::sites_per_gpu(MemoryVariant::Small, gpu_memory_bytes) * 32.0
     }
 

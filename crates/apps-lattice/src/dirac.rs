@@ -20,7 +20,7 @@ pub struct StaggeredDirac {
 
 impl StaggeredDirac {
     /// Apply D. `field`'s ghosts must be current (call
-    /// [`LocalLattice::exchange_fermion`] first).
+    /// `LocalLattice::exchange_fermion` first).
     pub fn apply(&self, lat: &LocalLattice, field: &FermionField, out: &mut [ColorVector]) {
         assert_eq!(out.len(), lat.volume());
         for x in lat.sites() {
@@ -41,7 +41,12 @@ impl StaggeredDirac {
 
     /// Apply D with the hopping sign flipped — for the anti-Hermitian
     /// hopping term this equals D†.
-    pub fn apply_dagger(&self, lat: &LocalLattice, field: &FermionField, out: &mut [ColorVector]) {
+    pub(crate) fn apply_dagger(
+        &self,
+        lat: &LocalLattice,
+        field: &FermionField,
+        out: &mut [ColorVector],
+    ) {
         let flipped = StaggeredDirac { mass: -self.mass };
         flipped.apply(lat, field, out);
         for v in out.iter_mut() {
@@ -50,7 +55,7 @@ impl StaggeredDirac {
     }
 
     /// y = D†D x (two halo exchanges).
-    pub fn apply_normal(
+    pub(crate) fn apply_normal(
         &self,
         comm: &mut Comm,
         lat: &LocalLattice,
@@ -70,7 +75,11 @@ impl StaggeredDirac {
 }
 
 /// Global Hermitian inner product Re⟨a, b⟩ over all ranks.
-pub fn global_dot(comm: &mut Comm, a: &[ColorVector], b: &[ColorVector]) -> Result<f64, SimError> {
+pub(crate) fn global_dot(
+    comm: &mut Comm,
+    a: &[ColorVector],
+    b: &[ColorVector],
+) -> Result<f64, SimError> {
     let local: f64 = a.iter().zip(b).map(|(x, y)| x.dot(y).re).sum();
     comm.allreduce_scalar(local, ReduceOp::Sum)
 }
@@ -86,7 +95,7 @@ pub struct SolveStats {
 /// Distributed CG on `D†D x = b`, stopping at `tol` relative residual or
 /// `max_iters` ("a cut-off after a certain number of iterations is a more
 /// robust approach", §V-A).
-pub fn cg_normal(
+pub(crate) fn cg_normal(
     comm: &mut Comm,
     lat: &LocalLattice,
     dirac: &StaggeredDirac,

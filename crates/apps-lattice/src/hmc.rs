@@ -161,7 +161,7 @@ impl GaugeField {
     }
 
     /// Average plaquette Re tr(U_p)/3 over all site/plane pairs.
-    pub fn average_plaquette(&self) -> f64 {
+    pub(crate) fn average_plaquette(&self) -> f64 {
         let mut sum = 0.0;
         let mut count = 0;
         for x in self.sites() {
@@ -231,7 +231,7 @@ impl GaugeField {
 }
 
 /// Random traceless anti-Hermitian momenta (one per link).
-pub fn random_momenta(field: &GaugeField, seed: u64) -> Vec<[Algebra; 4]> {
+pub(crate) fn random_momenta(field: &GaugeField, seed: u64) -> Vec<[Algebra; 4]> {
     let mut rng = rank_rng(seed, 1);
     (0..field.volume())
         .map(|_| {
@@ -292,7 +292,7 @@ pub fn leapfrog(
 
 /// One HMC trajectory with Metropolis accept/reject; returns
 /// (ΔH, accepted, plaquette after).
-pub fn hmc_trajectory(
+pub(crate) fn hmc_trajectory(
     field: &mut GaugeField,
     beta: f64,
     steps: u32,

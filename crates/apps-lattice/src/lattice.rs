@@ -31,7 +31,7 @@ pub struct LocalLattice {
 }
 
 /// Decompose `rank` into process-grid coordinates (row-major).
-pub fn rank_to_coord(rank: u32, rank_dims: [u32; 4]) -> [u32; 4] {
+pub(crate) fn rank_to_coord(rank: u32, rank_dims: [u32; 4]) -> [u32; 4] {
     let mut r = rank;
     let mut c = [0u32; 4];
     for d in (0..4).rev() {
@@ -42,7 +42,7 @@ pub fn rank_to_coord(rank: u32, rank_dims: [u32; 4]) -> [u32; 4] {
 }
 
 /// Compose process-grid coordinates into a rank (row-major).
-pub fn coord_to_rank(c: [u32; 4], rank_dims: [u32; 4]) -> u32 {
+pub(crate) fn coord_to_rank(c: [u32; 4], rank_dims: [u32; 4]) -> u32 {
     (((c[0] * rank_dims[1] + c[1]) * rank_dims[2] + c[2]) * rank_dims[3]) + c[3]
 }
 
@@ -52,14 +52,6 @@ impl LocalLattice {
         self.dims.iter().product()
     }
 
-    /// Global lattice volume in `u64` — the benchmark "contains a fix to
-    /// Chroma allowing simulation of 4D lattice volumes greater than 2³¹".
-    pub fn global_volume(&self) -> u64 {
-        (0..4)
-            .map(|d| self.dims[d] as u64 * self.rank_dims[d] as u64)
-            .product()
-    }
-
     #[inline]
     pub fn index(&self, x: [usize; 4]) -> usize {
         ((x[0] * self.dims[1] + x[1]) * self.dims[2] + x[2]) * self.dims[3] + x[3]
@@ -67,13 +59,13 @@ impl LocalLattice {
 
     /// Global coordinate of a local site along dimension `d`.
     #[inline]
-    pub fn global_coord(&self, x: [usize; 4], d: usize) -> u64 {
+    pub(crate) fn global_coord(&self, x: [usize; 4], d: usize) -> u64 {
         self.rank_coord[d] as u64 * self.dims[d] as u64 + x[d] as u64
     }
 
     /// Staggered phase η_μ(x) = (−1)^{x₀+…+x_{μ−1}} with global coords.
     #[inline]
-    pub fn eta(&self, x: [usize; 4], mu: usize) -> f64 {
+    pub(crate) fn eta(&self, x: [usize; 4], mu: usize) -> f64 {
         let mut s = 0u64;
         for d in 0..mu {
             s += self.global_coord(x, d);
@@ -122,7 +114,7 @@ impl LocalLattice {
     }
 
     /// Neighbour rank in dimension `d`, direction `dir` (±1), periodic.
-    pub fn neighbor_rank(&self, d: usize, dir: i32) -> u32 {
+    pub(crate) fn neighbor_rank(&self, d: usize, dir: i32) -> u32 {
         let mut c = self.rank_coord;
         let ext = self.rank_dims[d];
         c[d] = ((c[d] as i64 + dir as i64).rem_euclid(ext as i64)) as u32;
@@ -156,7 +148,7 @@ impl LocalLattice {
     /// Face offset of a site on a face of dimension `d` (must match the
     /// `for_face` ordering).
     #[inline]
-    pub fn face_offset(&self, d: usize, x: [usize; 4]) -> usize {
+    pub(crate) fn face_offset(&self, d: usize, x: [usize; 4]) -> usize {
         let free: Vec<usize> = (0..4).filter(|&k| k != d).collect();
         ((x[free[0]] * self.dims[free[1]]) + x[free[1]]) * self.dims[free[2]] + x[free[2]]
     }
@@ -165,7 +157,7 @@ impl LocalLattice {
     /// dimension d, the μ=d links of its *high* face to the forward
     /// neighbour, receiving the corresponding face from the backward
     /// neighbour.
-    pub fn exchange_links(&mut self, comm: &mut Comm) -> Result<(), SimError> {
+    pub(crate) fn exchange_links(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         for d in 0..4 {
             let mut payload: Vec<f64> = Vec::new();
             self.for_face(d, self.dims[d] - 1, |x, _| {
@@ -202,7 +194,7 @@ impl LocalLattice {
     }
 
     /// Allocate a fermion field (with ghost faces) on this block.
-    pub fn new_field(&self) -> FermionField {
+    pub(crate) fn new_field(&self) -> FermionField {
         let face = |d: usize| vec![ColorVector::ZERO; self.volume() / self.dims[d]];
         FermionField {
             v: vec![ColorVector::ZERO; self.volume()],
@@ -211,7 +203,7 @@ impl LocalLattice {
     }
 
     /// Exchange fermion ghost faces in both directions of every dimension.
-    pub fn exchange_fermion(
+    pub(crate) fn exchange_fermion(
         &self,
         comm: &mut Comm,
         field: &mut FermionField,
@@ -254,7 +246,7 @@ impl LocalLattice {
     /// Fermion value at `x` displaced by ±1 in dimension `d`, using ghosts
     /// at the block boundary.
     #[inline]
-    pub fn fermion_at(
+    pub(crate) fn fermion_at(
         &self,
         field: &FermionField,
         x: [usize; 4],
@@ -275,7 +267,7 @@ impl LocalLattice {
 
     /// Link U_d(x − d̂): the backward link, from the ghost at the boundary.
     #[inline]
-    pub fn backward_link(&self, x: [usize; 4], d: usize) -> Su3 {
+    pub(crate) fn backward_link(&self, x: [usize; 4], d: usize) -> Su3 {
         if x[d] == 0 {
             self.link_ghost[d][self.face_offset(d, x)]
         } else {
@@ -288,7 +280,7 @@ impl LocalLattice {
     /// Average interior plaquette Re tr(U_μν)/3 over all site/plane pairs
     /// whose forward neighbours are local (a lattice-local observable used
     /// as a verification metric).
-    pub fn interior_plaquette(&self) -> f64 {
+    pub(crate) fn interior_plaquette(&self) -> f64 {
         let mut sum = 0.0;
         let mut count = 0u64;
         let dims = self.dims;
@@ -364,10 +356,10 @@ mod tests {
     fn volumes_and_indexing() {
         let results = world16().run(|comm| {
             let lat = LocalLattice::cold(comm, [2, 2, 2, 2], [2, 2, 2, 2]);
-            (lat.volume(), lat.global_volume(), lat.index([1, 1, 1, 1]))
+            (lat.volume(), lat.index([1, 1, 1, 1]))
         });
         for r in &results {
-            assert_eq!(r.value, (16, 256, 15));
+            assert_eq!(r.value, (16, 15));
         }
     }
 

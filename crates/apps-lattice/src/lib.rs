@@ -26,6 +26,6 @@ pub mod su3;
 
 pub use bench::{ChromaQcd, DynQcd};
 pub use dirac::StaggeredDirac;
-pub use hmc::{hmc_trajectory, GaugeField, HmcChain};
+pub use hmc::{GaugeField, HmcChain};
 pub use lattice::LocalLattice;
 pub use su3::{ColorVector, Su3};

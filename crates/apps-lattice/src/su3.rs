@@ -56,7 +56,7 @@ impl Su3 {
     }
 
     /// Hermitian conjugate (the inverse for unitary matrices).
-    pub fn dagger(&self) -> Su3 {
+    pub(crate) fn dagger(&self) -> Su3 {
         let mut m = [[C64::ZERO; 3]; 3];
         for i in 0..3 {
             for j in 0..3 {
@@ -83,14 +83,14 @@ impl Su3 {
     /// Matrix–vector product U·v (the hot inner kernel of the Dirac
     /// operator).
     #[inline]
-    pub fn mul_vec(&self, v: &ColorVector) -> ColorVector {
+    pub(crate) fn mul_vec(&self, v: &ColorVector) -> ColorVector {
         ColorVector(std::array::from_fn(|i| {
             self.0[i][0] * v.0[0] + self.0[i][1] * v.0[1] + self.0[i][2] * v.0[2]
         }))
     }
 
     /// Re tr(U) — enters the plaquette observable.
-    pub fn re_trace(&self) -> f64 {
+    pub(crate) fn re_trace(&self) -> f64 {
         self.0[0][0].re + self.0[1][1].re + self.0[2][2].re
     }
 

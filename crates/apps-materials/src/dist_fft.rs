@@ -39,7 +39,7 @@ impl DistFft {
     }
 
     /// Local x-slab length in elements: w × n × n.
-    pub fn slab_len(&self) -> usize {
+    pub(crate) fn slab_len(&self) -> usize {
         self.w * self.n * self.n
     }
 

@@ -52,7 +52,7 @@ impl PlaneWaveSolver {
     }
 
     /// H ψ: kinetic via FFT, potential pointwise.
-    pub fn apply_h(&self, psi: &[C64]) -> Vec<C64> {
+    pub(crate) fn apply_h(&self, psi: &[C64]) -> Vec<C64> {
         let n = self.n;
         let mut k = psi.to_vec();
         fft_3d(&mut k, n, n, n);
@@ -83,7 +83,7 @@ impl PlaneWaveSolver {
     }
 
     /// Gram-Schmidt orthonormalization of the bands.
-    pub fn orthonormalize(&mut self) {
+    pub(crate) fn orthonormalize(&mut self) {
         for b in 0..self.bands.len() {
             for prev in 0..b {
                 let (head, tail) = self.bands.split_at_mut(b);
@@ -113,7 +113,7 @@ impl PlaneWaveSolver {
 
     /// One damped-gradient (CP-style) iteration: ψ ← ψ − τ·Hψ, then
     /// re-orthonormalize. Returns the total energy.
-    pub fn iterate(&mut self, tau: f64) -> f64 {
+    pub(crate) fn iterate(&mut self, tau: f64) -> f64 {
         let mut total = 0.0;
         for b in 0..self.bands.len() {
             let hpsi = self.apply_h(&self.bands[b]);

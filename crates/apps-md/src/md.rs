@@ -115,7 +115,7 @@ impl MdSystem {
 
     /// Exchange boundary-layer positions with the slab neighbours so every
     /// rank sees all atoms within the cutoff of its slab.
-    pub fn exchange_ghosts(&mut self, comm: &mut Comm) -> Result<(), SimError> {
+    pub(crate) fn exchange_ghosts(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         self.ghosts.clear();
         let pack = |atoms: &[Atom], pred: &dyn Fn(&Atom) -> bool| -> Vec<f64> {
             let mut buf = Vec::new();
@@ -172,7 +172,7 @@ impl MdSystem {
 
     /// Compute forces and return the local potential energy (pairs counted
     /// half for local-local, half for local-ghost by symmetry).
-    pub fn compute_forces(&mut self) -> f64 {
+    pub(crate) fn compute_forces(&mut self) -> f64 {
         for a in self.atoms.iter_mut() {
             a.force = [0.0; 3];
         }
@@ -308,7 +308,7 @@ impl MdSystem {
     }
 
     /// Global energies (kinetic, potential).
-    pub fn global_energies(
+    pub(crate) fn global_energies(
         &self,
         comm: &mut Comm,
         potential_local: f64,

@@ -43,7 +43,7 @@ impl Arbor {
     /// device memory on the 8-node reference partition (whatever the
     /// backend's device count per node), so that the Fig. 2
     /// strong-scaling points (4…16 nodes) all fit in device memory.
-    pub fn base_total_cells(gpu_memory_bytes: u64, devices_per_node: u32) -> u64 {
+    pub(crate) fn base_total_cells(gpu_memory_bytes: u64, devices_per_node: u32) -> u64 {
         Self::cells_per_gpu(MemoryVariant::Small, gpu_memory_bytes) * 8 * devices_per_node as u64
     }
 

@@ -94,10 +94,6 @@ impl CableCell {
         }
     }
 
-    pub fn compartments(&self) -> usize {
-        self.v.len()
-    }
-
     /// Advance the channel ODEs by `dt` (exponential Euler — cost center 1).
     fn step_channels(&mut self, dt: f64) {
         for i in 0..self.v.len() {

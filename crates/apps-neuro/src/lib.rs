@@ -12,10 +12,8 @@
 
 pub mod bench;
 pub mod cell;
-pub mod connectivity;
 pub mod network;
 
 pub use bench::Arbor;
 pub use cell::CableCell;
-pub use connectivity::{HashResolver, IndexResolver, LabelResolver};
 pub use network::RingNetwork;

@@ -34,7 +34,7 @@ pub struct RingConfig {
 }
 
 impl RingConfig {
-    pub fn test_scale() -> Self {
+    pub(crate) fn test_scale() -> Self {
         RingConfig {
             cells: 16,
             ring_size: 4,
@@ -104,7 +104,7 @@ impl RingNetwork {
     /// Advance one min-delay epoch: integrate all local cells, collect
     /// spikes, exchange them, and schedule the synaptic drive on the
     /// successors. Returns the number of spikes exchanged globally.
-    pub fn epoch(&mut self, comm: &mut Comm) -> Result<u64, SimError> {
+    pub(crate) fn epoch(&mut self, comm: &mut Comm) -> Result<u64, SimError> {
         let mut spikes: Vec<f64> = Vec::new();
         for _ in 0..self.cfg.min_delay_steps {
             for (idx, cell) in self.cells.iter_mut().enumerate() {

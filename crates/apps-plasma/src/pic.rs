@@ -63,7 +63,7 @@ impl PicSim {
     /// Create the Kelvin-Helmholtz setup: `ppc` particles per cell, the
     /// upper half of the y-range streaming +x, the lower half −x, with a
     /// small deterministic velocity perturbation seeding the instability.
-    pub fn kelvin_helmholtz(
+    pub(crate) fn kelvin_helmholtz(
         comm: &Comm,
         grid: [usize; 3],
         ppc: usize,
@@ -125,32 +125,21 @@ impl PicSim {
     }
 
     /// Total charge of the local particles.
-    pub fn local_charge(&self) -> f64 {
+    pub(crate) fn local_charge(&self) -> f64 {
         self.particles.iter().map(|p| p.charge).sum()
-    }
-
-    /// Total momentum of the local particles.
-    pub fn local_momentum(&self) -> [f64; 3] {
-        let mut m = [0.0; 3];
-        for p in &self.particles {
-            for d in 0..3 {
-                m[d] += p.charge * p.vel[d];
-            }
-        }
-        m
     }
 
     /// Sum of the deposited charge density over local cells (ghosts
     /// excluded) — equals the local particle charge after the ghost
     /// reduction, globally exactly the total charge.
-    pub fn deposited_charge(&self) -> f64 {
+    pub(crate) fn deposited_charge(&self) -> f64 {
         let plane = self.plane();
         let lx = self.lx();
         self.rho[plane..(lx + 1) * plane].iter().sum()
     }
 
     /// CIC deposit with ghost-cell exchange.
-    pub fn deposit(&mut self, comm: &mut Comm) -> Result<(), SimError> {
+    pub(crate) fn deposit(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         let plane = self.plane();
         let lx = self.lx();
         self.rho.fill(0.0);
@@ -231,7 +220,7 @@ impl PicSim {
 
     /// `sweeps` Jacobi iterations on ∇²φ = −ρ (unit spacing), with halo
     /// exchanges; then E = −∇φ.
-    pub fn solve_fields(&mut self, comm: &mut Comm, sweeps: usize) -> Result<(), SimError> {
+    pub(crate) fn solve_fields(&mut self, comm: &mut Comm, sweeps: usize) -> Result<(), SimError> {
         let plane = self.plane();
         let lx = self.lx();
         let (gy, gz) = (self.grid[1], self.grid[2]);
@@ -289,7 +278,7 @@ impl PicSim {
 
     /// Push particles with nearest-cell field interpolation, wrap
     /// periodically, and migrate slab-crossers to their new owner.
-    pub fn push_and_migrate(&mut self, comm: &mut Comm) -> Result<(), SimError> {
+    pub(crate) fn push_and_migrate(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         let dt = self.time_step;
         let gx = self.grid[0] as f64;
         let (gy, gz) = (self.grid[1], self.grid[2]);
@@ -354,7 +343,7 @@ impl PicSim {
 
     /// Field energy ½ Σ |E|² over local cells — the "key data in the
     /// output" used for framework-inherent verification.
-    pub fn local_field_energy(&self) -> f64 {
+    pub(crate) fn local_field_energy(&self) -> f64 {
         0.5 * self
             .e
             .iter()

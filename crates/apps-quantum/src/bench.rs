@@ -23,7 +23,9 @@ pub struct Juqcs;
 
 impl Juqcs {
     /// The qubit count for a configuration: Base fixes n = 36 (1 TiB);
-    /// the memory variants size n to the available GPU memory.
+    /// the memory variants size n to the available GPU memory. §IV-A2c
+    /// extrapolates them to the 1 EFLOP/s(th) partition (20× scale-up),
+    /// where the committed workload uses n = 45 (S) or n = 46 (L).
     pub fn qubits_for(machine: &Machine, variant: Option<MemoryVariant>) -> u32 {
         match variant {
             None => 36,
@@ -31,15 +33,6 @@ impl Juqcs {
                 let budget = (machine.gpu_memory_bytes() as f64 * v.memory_fraction()) as u128;
                 max_qubits(budget)
             }
-        }
-    }
-
-    /// Extrapolation rule of §IV-A2c: on the 1 EFLOP/s(th) partition
-    /// (20× scale-up) the committed workload uses n = 45 (S) or n = 46 (L).
-    pub fn exascale_qubits(variant: MemoryVariant) -> u32 {
-        match variant {
-            MemoryVariant::Large => 46,
-            _ => 45,
         }
     }
 }
@@ -343,12 +336,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.metric("qubits"), Some(41.0));
         assert!(out.verification.passed());
-    }
-
-    #[test]
-    fn exascale_extrapolation_rule() {
-        assert_eq!(Juqcs::exascale_qubits(MemoryVariant::Large), 46);
-        assert_eq!(Juqcs::exascale_qubits(MemoryVariant::Small), 45);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl DistStateVector {
     }
 
     /// Squared norm of the local block.
-    pub fn local_norm_sqr(&self) -> f64 {
+    pub(crate) fn local_norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 

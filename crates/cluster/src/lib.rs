@@ -17,7 +17,6 @@
 //! reproduce the mechanisms of the paper's Figs. 2 and 3.
 
 pub mod cost;
-pub mod decomposition;
 pub mod machine;
 pub mod netmodel;
 pub mod patterns;
@@ -25,11 +24,8 @@ pub mod roofline;
 pub mod topology;
 
 pub use cost::CostModel;
-pub use decomposition::{
-    best_3d_decomposition, best_4d_decomposition, cost_4d, DecompositionChoice,
-};
 pub use machine::{intern_name, GpuSpec, Machine, NodeSpec};
 pub use netmodel::{LinkParams, NetModel};
-pub use patterns::{balanced_dims3, balanced_dims4, cost_on, pattern_time, CommPattern};
+pub use patterns::{balanced_dims3, balanced_dims4, pattern_time, CommPattern};
 pub use roofline::{Roofline, Work};
 pub use topology::{Distance, Placement, Topology};

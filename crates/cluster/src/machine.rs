@@ -203,7 +203,7 @@ impl Machine {
     /// is the node-index prefix `0..nodes` of the parent, and it keeps
     /// the parent's cell grid: every partition cell range is a (possibly
     /// truncated) prefix of the corresponding parent cell range, so
-    /// [`cells`](Self::cells) and [`cell_ranges`](Self::cell_ranges)
+    /// [`cells`](Self::cells) and [`cell_of_node`](Self::cell_of_node)
     /// stay consistent with the parent's cell boundaries.
     pub fn partition(&self, nodes: u32) -> Machine {
         assert!(
@@ -296,35 +296,15 @@ impl Machine {
     }
 
     /// Number of DragonFly+ cells (rounded up: the last cell may be
-    /// partially populated). Always equals `cell_ranges().len()`.
+    /// partially populated).
     pub fn cells(&self) -> u32 {
         self.nodes.div_ceil(self.cell_nodes)
-    }
-
-    /// Cell-aligned node-index ranges: cell `c` hosts node indices
-    /// `cell_ranges()[c]`. Ranges tile `0..nodes` in order; the last one
-    /// is short when `nodes` is not a multiple of `cell_nodes`. This is
-    /// the allocation grid topology-aware placement packs against.
-    pub fn cell_ranges(&self) -> Vec<std::ops::Range<u32>> {
-        (0..self.cells())
-            .map(|c| {
-                let start = c * self.cell_nodes;
-                start..(start + self.cell_nodes).min(self.nodes)
-            })
-            .collect()
     }
 
     /// The cell hosting node index `node`.
     pub fn cell_of_node(&self, node: u32) -> u32 {
         assert!(node < self.nodes, "node {} of {}", node, self.nodes);
         node / self.cell_nodes
-    }
-
-    /// Number of nodes populating cell `cell` (equal to `cell_nodes`
-    /// except possibly for the last cell).
-    pub fn cell_len(&self, cell: u32) -> u32 {
-        assert!(cell < self.cells(), "cell {} of {}", cell, self.cells());
-        (self.nodes - cell * self.cell_nodes).min(self.cell_nodes)
     }
 
     /// Canonical content bytes of this machine model: every field that
@@ -429,43 +409,17 @@ mod tests {
     }
 
     #[test]
-    fn cell_ranges_tile_the_machine() {
-        let m = Machine::juwels_booster();
-        let ranges = m.cell_ranges();
-        assert_eq!(ranges.len() as u32, m.cells());
-        assert_eq!(ranges[0], 0..48);
-        assert_eq!(ranges.last().unwrap().end, m.nodes);
-        let mut next = 0;
-        for (c, r) in ranges.iter().enumerate() {
-            assert_eq!(r.start, next, "ranges tile without gaps");
-            assert!(r.end > r.start);
-            next = r.end;
-            assert_eq!(m.cell_of_node(r.start), c as u32);
-            assert_eq!(m.cell_of_node(r.end - 1), c as u32);
-            assert_eq!(m.cell_len(c as u32), r.end - r.start);
-        }
-        assert_eq!(next, m.nodes);
-    }
-
-    #[test]
     fn partition_cells_stay_consistent_with_parent_boundaries() {
         let parent = Machine::juwels_booster();
         // 50 nodes: a full first cell plus 2 nodes spilling into cell 1.
         let p = parent.partition(50);
         assert_eq!(p.cells(), 2);
-        let ranges = p.cell_ranges();
-        assert_eq!(ranges, vec![0..48, 48..50]);
-        // Every partition cell is a prefix of the parent's same cell.
-        for (pr, parent_r) in ranges.iter().zip(parent.cell_ranges()) {
-            assert_eq!(pr.start, parent_r.start);
-            assert!(pr.end <= parent_r.end);
-        }
         // Node→cell assignment agrees with the parent on shared nodes.
         for n in 0..p.nodes {
             assert_eq!(p.cell_of_node(n), parent.cell_of_node(n));
         }
-        assert_eq!(p.cell_len(0), 48);
-        assert_eq!(p.cell_len(1), 2);
+        assert_eq!(p.cell_of_node(47), 0);
+        assert_eq!(p.cell_of_node(48), 1);
     }
 
     #[test]

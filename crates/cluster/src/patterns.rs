@@ -7,7 +7,6 @@
 //! time-step/iteration of its communication as a [`CommPattern`] costed
 //! analytically here. Both paths use the same link model, so they agree.
 
-use crate::machine::Machine;
 use crate::netmodel::NetModel;
 use crate::topology::{Distance, Placement};
 
@@ -281,12 +280,6 @@ pub fn balanced_dims4(n: u32) -> [u32; 4] {
         }
     }
     best
-}
-
-/// Convenience: cost a whole machine + one-rank-per-GPU placement.
-pub fn cost_on(machine: Machine, pattern: CommPattern) -> f64 {
-    let placement = Placement::per_gpu(machine);
-    pattern_time(pattern, &placement, &NetModel::juwels_booster())
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ impl Placement {
     }
 
     /// The DragonFly+ cell index hosting `rank`.
-    pub fn cell_of(&self, rank: u32) -> u32 {
+    pub(crate) fn cell_of(&self, rank: u32) -> u32 {
         self.node_of(rank) / self.machine.cell_nodes
     }
 
@@ -87,23 +87,9 @@ impl Topology {
         Topology { machine }
     }
 
-    /// Switch hops between two nodes in DragonFly+: 0 within a node (n/a),
-    /// 2 within a cell (node → leaf switch → node via the cell group), 4
-    /// across cells (two leaf hops plus the global link between spine
-    /// switches).
-    pub fn hops(&self, node_a: u32, node_b: u32) -> u32 {
-        if node_a == node_b {
-            0
-        } else if node_a / self.machine.cell_nodes == node_b / self.machine.cell_nodes {
-            2
-        } else {
-            4
-        }
-    }
-
     /// Number of node pairs whose traffic crosses the bisection when the
     /// machine is split into two halves of consecutive nodes.
-    pub fn bisection_pairs(&self) -> u32 {
+    pub(crate) fn bisection_pairs(&self) -> u32 {
         self.machine.nodes / 2
     }
 
@@ -158,14 +144,6 @@ mod tests {
         for (a, b) in [(0u32, 3u32), (0, 4), (0, 400), (7, 190)] {
             assert_eq!(p.distance(a, b), p.distance(b, a));
         }
-    }
-
-    #[test]
-    fn hops_in_dragonfly_plus() {
-        let t = Topology::new(booster());
-        assert_eq!(t.hops(0, 0), 0);
-        assert_eq!(t.hops(0, 47), 2, "same 48-node cell");
-        assert_eq!(t.hops(0, 48), 4, "different cells");
     }
 
     #[test]

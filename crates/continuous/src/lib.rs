@@ -10,19 +10,10 @@
 //! reference results, a [`Monitor`] that re-measures the suite and
 //! compares against the baselines with per-benchmark tolerances, and a
 //! [`RegressionReport`] that classifies each benchmark as OK, regressed,
-//! improved, or missing.
-//!
-//! When a pass runs under an injected [`jubench_faults::FaultPlan`]
-//! (maintenance drills, resilience exercises), feed
-//! [`monitor::fault_affected`] into [`Monitor::compare_with_faults`]:
-//! slow results on fault-touched benchmarks are classified
-//! [`CheckStatus::FaultSuspect`] — outliers attributed to the fault —
-//! rather than regressions, so the drill does not page anyone.
+//! improved, missing, or failed.
 
 pub mod baseline;
 pub mod monitor;
 
 pub use baseline::BaselineStore;
-pub use monitor::{
-    fault_affected, CheckEntry, CheckStatus, MetricProvenance, Monitor, RegressionReport,
-};
+pub use monitor::{CheckEntry, CheckStatus, MetricProvenance, Monitor, RegressionReport};

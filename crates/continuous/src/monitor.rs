@@ -5,10 +5,9 @@
 //! wall-clock speed is measured by the repo benchmark (`benchmark/`,
 //! `BENCHMARK.json`), not here.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use jubench_core::{Benchmark, BenchmarkId, Registry, RunConfig};
-use jubench_faults::FaultPlan;
 
 use crate::baseline::BaselineStore;
 
@@ -27,10 +26,6 @@ pub enum CheckStatus {
     MissingBaseline,
     /// The benchmark failed to run or verify.
     Failed,
-    /// Slower than tolerance allows, but the run was under an active fault
-    /// plan that touches this benchmark — an outlier to attribute to the
-    /// injected fault, not a regression to page anyone about.
-    FaultSuspect,
 }
 
 /// Where a compared number came from: the metric and the run
@@ -91,16 +86,6 @@ impl RegressionReport {
             .collect()
     }
 
-    /// Benchmarks that ran slow under an active fault plan — outliers
-    /// attributed to injected faults rather than regressions.
-    pub fn fault_suspects(&self) -> Vec<BenchmarkId> {
-        self.entries
-            .iter()
-            .filter(|e| e.status == CheckStatus::FaultSuspect)
-            .map(|e| e.id)
-            .collect()
-    }
-
     /// Render the concise status table the operators would read.
     pub fn render(&self) -> String {
         let mut out = String::from(
@@ -120,7 +105,6 @@ impl RegressionReport {
                     CheckStatus::Improved => "improved",
                     CheckStatus::MissingBaseline => "no-base",
                     CheckStatus::Failed => "FAILED",
-                    CheckStatus::FaultSuspect => "fault?",
                 },
                 e.provenance.label()
             ));
@@ -146,18 +130,6 @@ impl Default for Monitor {
             tolerance: 0.05,
             seed: 0xC1,
         }
-    }
-}
-
-/// The benchmarks a fault plan can touch: every monitored id when the
-/// plan carries any fault (the whole simulated runtime shares its links
-/// and nodes), none under an empty plan. Feed the result to
-/// [`Monitor::compare_with_faults`].
-pub fn fault_affected(plan: &FaultPlan, ids: &[BenchmarkId]) -> BTreeSet<BenchmarkId> {
-    if plan.is_empty() {
-        BTreeSet::new()
-    } else {
-        ids.iter().copied().collect()
     }
 }
 
@@ -246,27 +218,6 @@ impl Monitor {
             });
         }
         RegressionReport { entries }
-    }
-
-    /// Like [`Monitor::compare`], but when the monitoring pass ran under an
-    /// active fault plan, entries that would be flagged `Regressed` and
-    /// belong to `fault_affected` are classified
-    /// [`CheckStatus::FaultSuspect`] instead: the slowdown is an outlier
-    /// attributed to the injected fault, not a system regression, and
-    /// [`RegressionReport::healthy`] stays true for it.
-    pub fn compare_with_faults(
-        &self,
-        baselines: &BaselineStore,
-        measurements: &BTreeMap<BenchmarkId, Option<f64>>,
-        fault_affected: &BTreeSet<BenchmarkId>,
-    ) -> RegressionReport {
-        let mut report = self.compare(baselines, measurements);
-        for e in &mut report.entries {
-            if e.status == CheckStatus::Regressed && fault_affected.contains(&e.id) {
-                e.status = CheckStatus::FaultSuspect;
-            }
-        }
-        report
     }
 
     /// The full pass: measure the benchmarks present in the baseline store
@@ -361,58 +312,6 @@ mod tests {
             ..p
         };
         assert_eq!(full.label(), "seed 7 @ 8n");
-    }
-
-    #[test]
-    fn fault_plan_demotes_regressions_to_suspects() {
-        let monitor = Monitor {
-            tolerance: 0.10,
-            seed: 1,
-        };
-        let mut baselines = BaselineStore::new();
-        baselines.set(B::Arbor, 100.0);
-        baselines.set(B::Hpl, 50.0);
-        let mut measurements = BTreeMap::new();
-        measurements.insert(B::Arbor, Some(150.0)); // slow, fault-affected
-        measurements.insert(B::Hpl, Some(75.0)); // slow, NOT fault-affected
-        let plan = FaultPlan::new(9).with_slow_node(0, 4.0);
-        let affected = fault_affected(&plan, &[B::Arbor]);
-        let report = monitor.compare_with_faults(&baselines, &measurements, &affected);
-        let status = |id: B| report.entries.iter().find(|e| e.id == id).unwrap().status;
-        assert_eq!(status(B::Arbor), CheckStatus::FaultSuspect);
-        assert_eq!(
-            status(B::Hpl),
-            CheckStatus::Regressed,
-            "real regression kept"
-        );
-        assert_eq!(report.fault_suspects(), vec![B::Arbor]);
-        assert_eq!(report.regressions(), vec![B::Hpl]);
-        assert!(
-            !report.healthy(),
-            "the genuine regression still fails the pass"
-        );
-        assert!(report.render().contains("fault?"));
-    }
-
-    #[test]
-    fn fault_suspects_alone_keep_the_pass_healthy() {
-        let monitor = Monitor::default();
-        let mut baselines = BaselineStore::new();
-        baselines.set(B::Arbor, 100.0);
-        let mut measurements = BTreeMap::new();
-        measurements.insert(B::Arbor, Some(400.0));
-        let plan = FaultPlan::new(9).with_degraded_link(0, 5, 20.0);
-        let affected = fault_affected(&plan, &[B::Arbor]);
-        let report = monitor.compare_with_faults(&baselines, &measurements, &affected);
-        assert!(report.healthy());
-        assert!(report.regressions().is_empty());
-        assert_eq!(report.fault_suspects(), vec![B::Arbor]);
-    }
-
-    #[test]
-    fn empty_plan_affects_nothing() {
-        let affected = fault_affected(&FaultPlan::new(0), &[B::Arbor, B::Hpl]);
-        assert!(affected.is_empty(), "empty plan cannot excuse a regression");
     }
 
     #[test]

@@ -591,14 +591,6 @@ pub fn suite_meta() -> Vec<BenchmarkMeta> {
     SUITE_META.to_vec()
 }
 
-impl BenchmarkMeta {
-    /// Whether this benchmark belongs to the Base set (all applications,
-    /// including the High-Scaling five, but not the synthetic codes).
-    pub fn is_application(&self) -> bool {
-        !matches!(self.category, Category::Synthetic)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,7 +608,10 @@ mod tests {
             .iter()
             .filter(|m| m.category == Category::Synthetic)
             .count();
-        let apps = meta.iter().filter(|m| m.is_application()).count();
+        let apps = meta
+            .iter()
+            .filter(|m| m.category != Category::Synthetic)
+            .count();
         assert_eq!(synthetic, 7);
         assert_eq!(apps, 16);
     }
@@ -647,7 +642,7 @@ mod tests {
         let meta = suite_meta();
         let used = meta
             .iter()
-            .filter(|m| m.is_application() && m.used_in_procurement)
+            .filter(|m| m.category != Category::Synthetic && m.used_in_procurement)
             .count();
         assert_eq!(used, 12);
         for id in [B::Amber, B::ParFlow, B::Soma, B::ResNet] {

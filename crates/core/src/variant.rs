@@ -57,17 +57,6 @@ impl MemoryVariant {
         }
     }
 
-    /// Parse the one-letter tag.
-    pub fn from_tag(tag: char) -> Option<Self> {
-        match tag.to_ascii_uppercase() {
-            'T' => Some(MemoryVariant::Tiny),
-            'S' => Some(MemoryVariant::Small),
-            'M' => Some(MemoryVariant::Medium),
-            'L' => Some(MemoryVariant::Large),
-            _ => None,
-        }
-    }
-
     /// Pick the largest offered variant whose *scaled-up* workload still
     /// fits into the memory of a proposed accelerator. This mirrors the
     /// proposal-side freedom of §II-C: the reference workload occupies
@@ -122,14 +111,6 @@ mod tests {
     fn target_bytes_on_a100() {
         assert_eq!(MemoryVariant::Large.target_bytes(GIB40), GIB40);
         assert_eq!(MemoryVariant::Tiny.target_bytes(GIB40), GIB40 / 4);
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        for v in MemoryVariant::ALL {
-            assert_eq!(MemoryVariant::from_tag(v.tag()), Some(v));
-        }
-        assert_eq!(MemoryVariant::from_tag('x'), None);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! An exascale machine where degraded cables, straggler nodes, and failed
 //! ranks are a fact of life needs benchmarks whose behaviour under those
-//! faults is *predictable*: LinkTest exists precisely to localize bad
-//! links, and continuous benchmarking must tell genuine regressions apart
-//! from fault-induced outliers. This crate provides the vocabulary:
+//! faults is *predictable*: a faulted run must cost what its faults
+//! explain, and an empty plan nothing at all. This crate provides the
+//! vocabulary:
 //!
 //! - [`FaultPlan`]: a seeded, declarative schedule of faults in **virtual
 //!   time** — multi-link degradation, flapping links, per-node slowdown

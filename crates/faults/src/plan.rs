@@ -367,25 +367,6 @@ impl FaultPlan {
             .min_by(|a, b| a.partial_cmp(b).unwrap())
     }
 
-    /// The unordered rank pairs with a (permanent or flapping) link
-    /// fault, deduplicated and sorted — the ground truth a LinkTest scan
-    /// should recover.
-    pub fn degraded_pairs(&self) -> Vec<(u32, u32)> {
-        let mut pairs: Vec<(u32, u32)> = self
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::DegradedLink { a, b, .. } | Fault::FlappingLink { a, b, .. } => {
-                    Some((a.min(b), a.max(b)))
-                }
-                _ => None,
-            })
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-
     /// Nodes with an active slow-node fault (at any time), sorted.
     pub fn slow_nodes(&self) -> Vec<u32> {
         let mut nodes: Vec<u32> = self
@@ -420,7 +401,6 @@ mod tests {
         assert_eq!(p.compute_factor(3, 5.0), 1.0);
         assert_eq!(p.drop_probability(0, 1), 0.0);
         assert_eq!(p.crash_time(0), None);
-        assert!(p.degraded_pairs().is_empty());
     }
 
     #[test]
@@ -431,7 +411,6 @@ mod tests {
         assert_eq!(p.link_factor(0, 5, 0.0), 8.0);
         assert_eq!(p.link_factor(5, 0, 123.0), 8.0);
         assert_eq!(p.link_factor(0, 4, 0.0), 1.0);
-        assert_eq!(p.degraded_pairs(), vec![(0, 5)]);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl RetryPolicy {
         debug_assert!(attempt >= 1);
         self.base_backoff_s * self.backoff_multiplier.powi(attempt as i32 - 1)
     }
-
-    /// Total backoff charged when every one of the `max_attempts` fails.
-    pub fn total_backoff_s(&self) -> f64 {
-        (1..self.max_attempts).map(|a| self.backoff_s(a)).sum()
-    }
 }
 
 impl Default for RetryPolicy {
@@ -90,7 +85,6 @@ mod tests {
         let p = RetryPolicy::none();
         assert_eq!(p.max_attempts, 1);
         assert_eq!(p.on_exhaustion, OnExhaustion::Abort);
-        assert_eq!(p.total_backoff_s(), 0.0);
     }
 
     #[test]
@@ -99,7 +93,6 @@ mod tests {
         assert_eq!(p.backoff_s(1), 0.5);
         assert_eq!(p.backoff_s(2), 1.0);
         assert_eq!(p.backoff_s(3), 2.0);
-        assert_eq!(p.total_backoff_s(), 3.5);
     }
 
     #[test]

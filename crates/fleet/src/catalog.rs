@@ -28,7 +28,7 @@ pub struct MachineModel {
 impl MachineModel {
     /// The JUWELS-Booster-like baseline — the reference backend every
     /// other catalog entry is normalized against.
-    pub fn booster_baseline() -> Self {
+    pub(crate) fn booster_baseline() -> Self {
         MachineModel {
             key: "booster",
             description: "JUWELS-Booster-like baseline: 4x A100-40GB per node, \
@@ -63,7 +63,7 @@ impl MachineModel {
 
     /// A next-generation GPU node: fatter accelerators (H100/GH200
     /// class), an NDR200-class fabric, higher per-node price and power.
-    pub fn nextgen_gpu() -> Self {
+    pub(crate) fn nextgen_gpu() -> Self {
         MachineModel {
             key: "nextgen",
             description: "Next-gen GPU cluster: 4x NextGen-96GB per node, \
@@ -89,7 +89,7 @@ impl MachineModel {
     /// NVLink inside the instance, oversubscribed Ethernet between
     /// instances — the Mohammadi & Bazhirov continuous-evaluation
     /// setting.
-    pub fn cloud_instance() -> Self {
+    pub(crate) fn cloud_instance() -> Self {
         MachineModel {
             key: "cloud",
             description: "Cloud 8-GPU instance type: 8x A100-80GB, 400G \

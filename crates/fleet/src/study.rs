@@ -278,7 +278,7 @@ impl FleetReport {
     }
 
     /// Per-benchmark runtimes and speedups over the reference backend.
-    pub fn fom_table(&self) -> String {
+    pub(crate) fn fom_table(&self) -> String {
         let mut out = String::new();
         out.push_str("benchmark            ");
         for b in &self.backends {
@@ -303,7 +303,7 @@ impl FleetReport {
 
     /// Economics per backend: TCO, suite energy, value-for-money, and
     /// the 1 EFLOP/s sub-partition extrapolation.
-    pub fn value_table(&self) -> String {
+    pub(crate) fn value_table(&self) -> String {
         let mut out = String::new();
         out.push_str(
             "backend    nodes     TCO[M EUR]  pass[kWh]  passes/M-EUR  exa-nodes  exa-MW  fits\n",
@@ -325,7 +325,7 @@ impl FleetReport {
     }
 
     /// Composite scores, best backend first.
-    pub fn composite_table(&self) -> String {
+    pub(crate) fn composite_table(&self) -> String {
         let mut order: Vec<&BackendReport> = self.backends.iter().collect();
         order.sort_by(|a, b| {
             b.composite

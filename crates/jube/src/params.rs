@@ -125,7 +125,7 @@ impl ParameterSet {
 
 /// Iteratively substitute `${name}` references until a fixed point,
 /// detecting unknown names and cycles.
-pub fn substitute_all(mut params: ResolvedParams) -> Result<ResolvedParams, JubeError> {
+pub(crate) fn substitute_all(mut params: ResolvedParams) -> Result<ResolvedParams, JubeError> {
     // An upper bound on useful passes: each pass must resolve at least one
     // level of nesting; more passes than parameters means a cycle.
     let max_rounds = params.len() + 1;

@@ -57,18 +57,6 @@ impl Platform {
             params,
         }
     }
-
-    /// A generic envisioned-system platform a vendor would fill in.
-    pub fn generic(name: &'static str, gpus_per_node: u32) -> Self {
-        let mut params = ParameterSet::new();
-        params.set("system", name);
-        params.set("gpus_per_node", gpus_per_node.to_string());
-        params.set("tasks_per_node", gpus_per_node.max(1).to_string());
-        params.set("partition", "default");
-        params.set("modules", "");
-        params.set("submit_cmd", "sbatch --nodes=${nodes} ${script}");
-        Platform { name, params }
-    }
 }
 
 impl Workflow {
@@ -135,17 +123,5 @@ mod tests {
             let results = wf.execute(&[]).unwrap();
             assert_eq!(results[0].value("partition"), Some(expected_partition));
         }
-    }
-
-    #[test]
-    fn generic_platform_for_vendor_systems() {
-        let p = Platform::generic("vendor-x", 8);
-        let mut wf = Workflow::on_platform(&p);
-        wf.params.set("nodes", "1");
-        wf.params.set("script", "s");
-        wf.add_step(Step::new("probe", |ctx| {
-            Ok(output1("gpn", ctx.param("gpus_per_node").unwrap()))
-        }));
-        assert_eq!(wf.execute(&[]).unwrap()[0].value("gpn"), Some("8"));
     }
 }

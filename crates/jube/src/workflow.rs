@@ -92,7 +92,7 @@ impl Workflow {
         Self::default()
     }
 
-    pub fn with_params(params: ParameterSet) -> Self {
+    pub(crate) fn with_params(params: ParameterSet) -> Self {
         Workflow {
             params,
             ..Self::default()

@@ -29,7 +29,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }

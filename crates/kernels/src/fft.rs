@@ -64,21 +64,6 @@ pub fn ifft_1d(data: &mut [C64]) {
     fft_inplace(data, true);
 }
 
-/// Naive O(n²) DFT used as a test oracle.
-pub fn dft_reference(data: &[C64]) -> Vec<C64> {
-    let n = data.len();
-    (0..n)
-        .map(|k| {
-            let mut acc = C64::ZERO;
-            for (j, &x) in data.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
-                acc += x * C64::cis(ang);
-            }
-            acc
-        })
-        .collect()
-}
-
 /// Forward 3D FFT of a row-major `nx × ny × nz` array, in place.
 pub fn fft_3d(data: &mut [C64], nx: usize, ny: usize, nz: usize) {
     fft_3d_dir(data, nx, ny, nz, false);
@@ -126,6 +111,21 @@ fn fft_3d_dir(data: &mut [C64], nx: usize, ny: usize, nz: usize, inverse: bool) 
 mod tests {
     use super::*;
     use crate::rng::rank_rng;
+
+    /// Naive O(n²) DFT used as a test oracle.
+    fn dft_reference(data: &[C64]) -> Vec<C64> {
+        let n = data.len();
+        (0..n)
+            .map(|k| {
+                let mut acc = C64::ZERO;
+                for (j, &x) in data.iter().enumerate() {
+                    let ang = -2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
+                    acc += x * C64::cis(ang);
+                }
+                acc
+            })
+            .collect()
+    }
 
     fn random_signal(n: usize, seed: u64) -> Vec<C64> {
         let mut rng = rank_rng(seed, 0);

@@ -86,11 +86,6 @@ impl Matrix {
         t
     }
 
-    /// Frobenius norm.
-    pub fn frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Max-abs norm.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
@@ -325,6 +320,5 @@ mod tests {
     fn norms() {
         let m = Matrix::from_fn(2, 2, |i, j| if (i, j) == (1, 0) { -3.0 } else { 0.0 });
         assert_eq!(m.max_abs(), 3.0);
-        assert_eq!(m.frobenius(), 3.0);
     }
 }

@@ -30,7 +30,7 @@ pub struct DetRng {
 impl DetRng {
     /// Expand a 64-bit seed into the full 256-bit state via SplitMix64
     /// (the initialization recommended by the xoshiro authors).
-    pub fn seed_from_u64(seed: u64) -> Self {
+    pub(crate) fn seed_from_u64(seed: u64) -> Self {
         let mut st = seed;
         let s = [
             splitmix64(&mut st),

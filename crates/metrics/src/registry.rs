@@ -200,7 +200,7 @@ impl HistogramSnapshot {
     }
 
     /// Upper bound (inclusive) of bucket `i`.
-    pub fn bucket_upper(i: usize) -> u64 {
+    pub(crate) fn bucket_upper(i: usize) -> u64 {
         if i >= 63 {
             u64::MAX
         } else {
@@ -210,7 +210,7 @@ impl HistogramSnapshot {
 
     /// Bucket-resolution quantile estimate: the upper bound of the first
     /// bucket whose cumulative count reaches `q` of the total.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_upper(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -399,7 +399,7 @@ impl MetricsSnapshot {
     /// The collapsed-stack self-profile: `stack;frames value` lines with
     /// exclusive nanoseconds as values, the format `flamegraph.pl` and
     /// speedscope ingest directly.
-    pub fn render_collapsed(&self) -> String {
+    pub(crate) fn render_collapsed(&self) -> String {
         let mut out = String::new();
         for (path, s) in &self.scopes {
             out.push_str(&format!("{path} {}\n", s.exclusive_ns));

@@ -27,11 +27,6 @@ pub fn dedicated_spawned_total() -> usize {
     SPAWNED_TOTAL.load(Ordering::Acquire)
 }
 
-/// Dedicated threads currently running.
-pub fn dedicated_in_flight() -> usize {
-    IN_FLIGHT.load(Ordering::Acquire)
-}
-
 /// High-water mark of concurrently-running dedicated threads.
 pub fn dedicated_peak_in_flight() -> usize {
     PEAK_IN_FLIGHT.load(Ordering::Acquire)

@@ -32,8 +32,7 @@ mod map;
 mod pool;
 
 pub use dedicated::{
-    dedicated_in_flight, dedicated_peak_in_flight, dedicated_spawned_total, run_dedicated,
-    MAX_DEDICATED_THREADS,
+    dedicated_peak_in_flight, dedicated_spawned_total, run_dedicated, MAX_DEDICATED_THREADS,
 };
 pub use pool::{Scope, ThreadPool};
 

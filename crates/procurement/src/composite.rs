@@ -58,23 +58,6 @@ impl CompositeScore {
     }
 }
 
-/// The weighted geometric mean of `(value, weight)` pairs — the bare
-/// arithmetic behind [`CompositeScore`], usable on any positive series.
-pub fn weighted_geometric_mean(items: &[(f64, f64)]) -> Option<f64> {
-    let total: f64 = items.iter().map(|&(_, w)| w).sum();
-    if total.is_nan() || total <= 0.0 {
-        return None;
-    }
-    let mut log_sum = 0.0;
-    for &(v, w) in items {
-        if !v.is_finite() || v <= 0.0 || w < 0.0 {
-            return None;
-        }
-        log_sum += w * v.ln();
-    }
-    Some((log_sum / total).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +105,11 @@ mod tests {
         let a = [(2.0, 1.0), (3.0, 2.0)];
         let b = [(1.5, 1.0), (6.0, 2.0)];
         let c = [(0.7, 1.0), (1.9, 2.0)];
-        let plain = weighted_geometric_mean(&a).unwrap() / weighted_geometric_mean(&b).unwrap();
+        let score = |pairs: &[(f64, f64)]| {
+            let items = pairs.iter().map(|&(v, w)| item("x", v, w)).collect();
+            CompositeScore::build(items).unwrap().score
+        };
+        let plain = score(&a) / score(&b);
         let renorm_a: Vec<_> = a
             .iter()
             .zip(&c)
@@ -133,8 +120,7 @@ mod tests {
             .zip(&c)
             .map(|(&(v, w), &(cv, _))| (v / cv, w))
             .collect();
-        let renorm = weighted_geometric_mean(&renorm_a).unwrap()
-            / weighted_geometric_mean(&renorm_b).unwrap();
+        let renorm = score(&renorm_a) / score(&renorm_b);
         assert!((plain - renorm).abs() < 1e-12);
     }
 
@@ -145,6 +131,5 @@ mod tests {
         assert!(CompositeScore::build(vec![item("a", -1.0, 1.0)]).is_none());
         assert!(CompositeScore::build(vec![item("a", f64::NAN, 1.0)]).is_none());
         assert!(CompositeScore::build(vec![item("a", 1.0, 0.0)]).is_none());
-        assert!(weighted_geometric_mean(&[]).is_none());
     }
 }

@@ -16,6 +16,6 @@ pub mod high_scaling;
 pub mod tco;
 
 pub use commitment::{Commitment, Proposal, ProposalEvaluation, ReferenceSet};
-pub use composite::{weighted_geometric_mean, CompositeScore, ScoreItem};
+pub use composite::{CompositeScore, ScoreItem};
 pub use high_scaling::{exascale_partition_nodes, HighScalingAssessment};
-pub use tco::{energy_to_solution_j, flops_per_joule, TcoModel, TcoResult};
+pub use tco::{energy_to_solution_j, TcoModel, TcoResult};

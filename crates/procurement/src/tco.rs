@@ -56,14 +56,14 @@ impl TcoModel {
     }
 
     /// Lifetime energy of a machine in kWh.
-    pub fn lifetime_energy_kwh(&self, machine: &Machine) -> f64 {
+    pub(crate) fn lifetime_energy_kwh(&self, machine: &Machine) -> f64 {
         let it_power_kw = machine.nodes as f64 * machine.node.power_w / 1000.0;
         it_power_kw * self.pue * self.utilization * self.lifetime_years * 365.25 * 24.0
     }
 
     /// Operational expenditure in EUR: electricity plus rental over the
     /// utilized hours of the horizon.
-    pub fn opex_eur(&self, machine: &Machine) -> f64 {
+    pub(crate) fn opex_eur(&self, machine: &Machine) -> f64 {
         let utilized_hours = self.utilization * self.lifetime_years * 365.25 * 24.0;
         self.lifetime_energy_kwh(machine) * self.electricity_eur_per_kwh
             + self.rental_eur_per_hour * utilized_hours
@@ -98,12 +98,6 @@ impl TcoResult {
         let workloads = self.productive_seconds / seconds_per_workload;
         workloads / (self.total_eur / 1.0e6)
     }
-}
-
-/// Energy efficiency of a machine in FLOP/J — §II-B: the Booster targets
-/// "maximum performance with high energy efficiency (FLOP/J)".
-pub fn flops_per_joule(machine: &Machine) -> f64 {
-    machine.peak_flops() / (machine.nodes as f64 * machine.node.power_w)
 }
 
 /// Energy-to-solution of one benchmark execution, in joules: IT power of
@@ -143,14 +137,6 @@ mod tests {
         let slow = result.workloads_per_million_eur(1000.0);
         let fast = result.workloads_per_million_eur(500.0);
         assert!((fast / slow - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn next_gen_devices_improve_flop_per_joule() {
-        // The generational leap the procurement incentivizes.
-        let old = flops_per_joule(&Machine::juwels_booster());
-        let new = flops_per_joule(&Machine::jupiter_proposal());
-        assert!(new > 2.0 * old, "FLOP/J {old:.2e} → {new:.2e}");
     }
 
     #[test]

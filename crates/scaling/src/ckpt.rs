@@ -101,16 +101,6 @@ impl CkptTable {
         }
         out
     }
-
-    /// The best-measured interval for `mtbf_s` (the row with the
-    /// smallest makespan, `None` meaning no checkpointing won).
-    pub fn best_interval(&self, mtbf_s: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.mtbf_s == mtbf_s)
-            .min_by(|a, b| a.makespan_s.total_cmp(&b.makespan_s))
-            .and_then(|p| p.interval_s)
-    }
 }
 
 /// The study campaign: enough jobs to keep the partition busy, generous
@@ -249,7 +239,13 @@ mod tests {
             tiny.overhead > best.overhead,
             "interval = cost doubles the write tax"
         );
-        assert_eq!(t.best_interval(mtbf), Some(young));
+        let fastest = t
+            .points
+            .iter()
+            .filter(|p| p.mtbf_s == mtbf)
+            .min_by(|a, b| a.makespan_s.total_cmp(&b.makespan_s))
+            .unwrap();
+        assert_eq!(fastest.interval_s, Some(young));
     }
 
     #[test]

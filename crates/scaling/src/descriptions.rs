@@ -104,15 +104,6 @@ pub fn describe(meta: &BenchmarkMeta) -> String {
     out
 }
 
-/// Render all 23 descriptions, concatenated (for the committed package).
-pub fn describe_all() -> String {
-    jubench_core::suite_meta()
-        .iter()
-        .map(describe)
-        .collect::<Vec<_>>()
-        .join("\n---\n\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,11 +143,5 @@ mod tests {
         assert!(describe(amber).contains("ultimately not used"));
         let nekrs = meta.iter().find(|m| m.id == BenchmarkId::NekRs).unwrap();
         assert!(!describe(nekrs).contains("ultimately not used"));
-    }
-
-    #[test]
-    fn package_contains_all_23() {
-        let all = describe_all();
-        assert_eq!(all.matches("— JUPITER Benchmark Suite").count(), 23);
     }
 }

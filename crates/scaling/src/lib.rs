@@ -38,10 +38,10 @@ pub mod weak;
 pub use ablations::{alltoall_algorithms, juqcs_comm_efficiency, overlap_ablation};
 pub use campaign::{campaign_table, CampaignPoint, CampaignTable};
 pub use ckpt::{ckpt_table, CkptPoint, CkptTable};
-pub use descriptions::{describe, describe_all};
+pub use descriptions::describe;
 pub use registry::full_registry;
 pub use resilience::{resilience_table, ResiliencePoint, ResilienceTable};
 pub use strong::{strong_scaling_series, Fig2Point, Fig2Series};
 pub use tables::{render_table1, render_table2};
 pub use traffic::{traffic_table, TrafficPoint, TrafficTable};
-pub use weak::{fig3_all_series, weak_scaling_series, Fig3Series, JUQCS_SPLIT_SERIES};
+pub use weak::{fig3_all_series, Fig3Series, JUQCS_SPLIT_SERIES};

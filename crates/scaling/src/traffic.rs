@@ -23,7 +23,7 @@ pub struct TrafficPoint {
 
 impl TrafficPoint {
     /// Share of the total sent bytes in `regime` (0 when nothing moved).
-    pub fn regime_share(&self, regime: Regime) -> f64 {
+    pub(crate) fn regime_share(&self, regime: Regime) -> f64 {
         let total = self.report.total_bytes();
         if total == 0 {
             0.0

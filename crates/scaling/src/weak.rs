@@ -37,7 +37,7 @@ pub const JUQCS_SPLIT_SERIES: [&str; 2] = ["JUQCS (computation)", "JUQCS (commun
 
 /// Node counts of the sweep (powers of two up to the 512-node partition
 /// plus the full-partition points used by the non-power-of-two apps).
-pub fn sweep_nodes(bench: &dyn Benchmark) -> Vec<u32> {
+pub(crate) fn sweep_nodes(bench: &dyn Benchmark) -> Vec<u32> {
     let candidates = [1u32, 2, 4, 8, 16, 32, 64, 128, 256, 512, 640, 642];
     candidates
         .into_iter()
@@ -56,7 +56,11 @@ pub fn sweep_nodes(bench: &dyn Benchmark) -> Vec<u32> {
 /// point runs the benchmark's memory variant (`variant`) at the node
 /// count: the workload fills the partition, so perfect weak scaling means
 /// constant runtime.
-pub fn weak_scaling_series(bench: &dyn Benchmark, variant: MemoryVariant, seed: u64) -> Fig3Series {
+pub(crate) fn weak_scaling_series(
+    bench: &dyn Benchmark,
+    variant: MemoryVariant,
+    seed: u64,
+) -> Fig3Series {
     let nodes = sweep_nodes(bench);
     // Sweep points are independent; the indexed map keeps node order.
     let outcomes = jubench_pool::par_map_over(&nodes, |&n| {
@@ -84,7 +88,7 @@ pub fn weak_scaling_series(bench: &dyn Benchmark, variant: MemoryVariant, seed: 
 /// Build the two JUQCS lines: the computation efficiency (per-gate local
 /// update time) and the communication efficiency (state-exchange time),
 /// each normalized to the smallest scale.
-pub fn juqcs_split_series(seed: u64) -> [Fig3Series; 2] {
+pub(crate) fn juqcs_split_series(seed: u64) -> [Fig3Series; 2] {
     let bench = jubench_apps_quantum::Juqcs;
     let nodes = sweep_nodes(&bench);
     let outcomes = jubench_pool::par_map_over(&nodes, |&n| {

@@ -116,7 +116,7 @@ impl Allocation {
     }
 
     /// Number of distinct cells the allocation touches.
-    pub fn cell_count(&self, machine: &Machine) -> u32 {
+    pub(crate) fn cell_count(&self, machine: &Machine) -> u32 {
         let mut cells: Vec<u32> = self
             .nodes
             .iter()
@@ -128,13 +128,13 @@ impl Allocation {
 
     /// The cell hosting the allocation's first node (the job's home track
     /// in the Chrome export). Zero for an empty allocation.
-    pub fn primary_cell(&self, machine: &Machine) -> u32 {
+    pub(crate) fn primary_cell(&self, machine: &Machine) -> u32 {
         self.nodes.first().map_or(0, |&n| machine.cell_of_node(n))
     }
 
     /// Fraction of node pairs that straddle a cell boundary — the share
     /// of all-to-all-ish traffic that rides inter-cell global links.
-    pub fn cross_cell_fraction(&self, machine: &Machine) -> f64 {
+    pub(crate) fn cross_cell_fraction(&self, machine: &Machine) -> f64 {
         let n = self.nodes.len();
         if n < 2 {
             return 0.0;

@@ -78,12 +78,12 @@ impl JobRecord {
     }
 
     /// Queue wait before the first start.
-    pub fn first_wait_s(&self) -> Option<f64> {
+    pub(crate) fn first_wait_s(&self) -> Option<f64> {
         self.attempts.first().map(|a| a.start_s - self.submit_s)
     }
 
     /// Runtime of the completing attempt.
-    pub fn run_s(&self) -> Option<f64> {
+    pub(crate) fn run_s(&self) -> Option<f64> {
         Some(self.end_s? - self.start_s()?)
     }
 

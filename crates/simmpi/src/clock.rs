@@ -1,7 +1,5 @@
 //! Per-rank virtual clocks.
 
-use jubench_cluster::{Roofline, Work};
-
 /// A rank's virtual clock, split into compute and communication shares.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VirtualClock {
@@ -48,13 +46,8 @@ impl VirtualClock {
         self.compute_s += seconds;
     }
 
-    /// Advance by the roofline prediction for `work` on `device`.
-    pub fn advance_work(&mut self, device: &Roofline, work: Work) {
-        self.advance_compute(device.time(work));
-    }
-
     /// Advance by `seconds` of communication.
-    pub fn advance_comm(&mut self, seconds: f64) {
+    pub(crate) fn advance_comm(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0);
         self.comm_s += seconds;
     }
@@ -68,7 +61,7 @@ impl VirtualClock {
     /// `advance_comm` call. Splitting them into two additions would change
     /// the float rounding of the clock and ripple into every downstream
     /// artifact, so this expression must stay one add.
-    pub fn recv_until(&mut self, target: f64, transfer: f64) {
+    pub(crate) fn recv_until(&mut self, target: f64, transfer: f64) {
         let wait = (target - self.now()).max(0.0);
         self.advance_comm(wait + transfer);
     }
@@ -79,7 +72,7 @@ impl VirtualClock {
     /// never runs backwards. One subtraction and one addition whatever
     /// the distance, so skipping idle time is byte-identical to stepping
     /// through it.
-    pub fn sync_to(&mut self, target: f64) {
+    pub(crate) fn sync_to(&mut self, target: f64) {
         let wait = (target - self.now()).max(0.0);
         self.advance_comm(wait);
     }
@@ -95,7 +88,6 @@ impl VirtualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jubench_cluster::GpuSpec;
 
     #[test]
     fn clock_accumulates_both_shares() {
@@ -136,14 +128,6 @@ mod tests {
         c.advance_compute(2.0);
         c.sync_to(1.0);
         assert_eq!(c.now(), 2.0);
-    }
-
-    #[test]
-    fn advance_work_uses_roofline() {
-        let mut c = VirtualClock::new();
-        let dev = Roofline::new(GpuSpec::a100_40gb());
-        c.advance_work(&dev, Work::new(9.7e12 * 0.7, 0.0));
-        assert!((c.now() - 1.0).abs() < 1e-9);
     }
 
     #[test]

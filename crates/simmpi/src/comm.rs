@@ -89,7 +89,6 @@ impl Payload {
 /// timeout and reports [`SimError::Timeout`] instead of a payload.
 pub(crate) struct Message {
     payload: Payload,
-    tag: u32,
     sent_at: f64,
     dropped: bool,
 }
@@ -372,19 +371,14 @@ impl Comm {
 
     // ----- point-to-point -------------------------------------------------
 
-    fn send_payload(&mut self, to: u32, tag: u32, payload: Payload) -> Result<(), SimError> {
-        self.send_payload_inner(to, tag, payload).map(|_| ())
+    fn send_payload(&mut self, to: u32, payload: Payload) -> Result<(), SimError> {
+        self.send_payload_inner(to, payload).map(|_| ())
     }
 
     /// Send one message; returns whether it was *delivered* (`false`: an
     /// injected drop consumed it — a tombstone went out instead, so the
     /// receiver still unblocks and observes a timeout).
-    fn send_payload_inner(
-        &mut self,
-        to: u32,
-        tag: u32,
-        payload: Payload,
-    ) -> Result<bool, SimError> {
+    fn send_payload_inner(&mut self, to: u32, payload: Payload) -> Result<bool, SimError> {
         self.fail_if_crashed()?;
         self.check_rank(to)?;
         let bytes = payload.nbytes();
@@ -398,7 +392,6 @@ impl Comm {
         let dropped = self.draw_drop(to);
         let msg = Message {
             payload,
-            tag,
             sent_at: self.clock.now(),
             dropped,
         };
@@ -409,7 +402,7 @@ impl Comm {
                 t0,
                 EventKind::Drop {
                     peer: to,
-                    tag,
+                    tag: 0,
                     bytes,
                     regime,
                 },
@@ -419,7 +412,7 @@ impl Comm {
                 t0,
                 EventKind::Send {
                     peer: to,
-                    tag,
+                    tag: 0,
                     bytes,
                     regime,
                     degraded,
@@ -429,7 +422,7 @@ impl Comm {
         Ok(!dropped)
     }
 
-    fn recv_payload(&mut self, from: u32, tag: Option<u32>) -> Result<Payload, SimError> {
+    fn recv_payload(&mut self, from: u32) -> Result<Payload, SimError> {
         self.fail_if_crashed()?;
         self.check_rank(from)?;
         let msg = self.receivers[from as usize]
@@ -448,20 +441,11 @@ impl Comm {
                 t0,
                 EventKind::Timeout {
                     peer: from,
-                    tag: msg.tag,
+                    tag: 0,
                     timeout_s,
                 },
             );
             return Err(SimError::Timeout { from });
-        }
-        if let Some(expected) = tag {
-            if msg.tag != expected {
-                return Err(SimError::TagMismatch {
-                    from,
-                    expected,
-                    found: msg.tag,
-                });
-            }
         }
         let bytes = msg.payload.nbytes();
         self.tally.messages.msgs_recv += 1;
@@ -474,7 +458,7 @@ impl Comm {
             t0,
             EventKind::Recv {
                 peer: from,
-                tag: msg.tag,
+                tag: 0,
                 bytes,
                 regime,
                 wait_s,
@@ -484,48 +468,37 @@ impl Comm {
         Ok(msg.payload)
     }
 
-    /// Send a slice of `f64` to `to` with tag 0.
+    /// Send a slice of `f64` to `to`.
     pub fn send_f64(&mut self, to: u32, data: &[f64]) -> Result<(), SimError> {
-        self.send_payload(to, 0, Payload::F64(data.to_vec()))
-    }
-
-    /// Send with an explicit tag.
-    pub fn send_f64_tag(&mut self, to: u32, tag: u32, data: &[f64]) -> Result<(), SimError> {
-        self.send_payload(to, tag, Payload::F64(data.to_vec()))
+        self.send_payload(to, Payload::F64(data.to_vec()))
     }
 
     pub fn send_u64(&mut self, to: u32, data: &[u64]) -> Result<(), SimError> {
-        self.send_payload(to, 0, Payload::U64(data.to_vec()))
+        self.send_payload(to, Payload::U64(data.to_vec()))
     }
 
-    /// Receive the next message from `from` (requiring `tag`, if given)
-    /// as the payload type `take` extracts.
+    /// Receive the next message from `from` as the payload type `take`
+    /// extracts.
     fn recv_typed<T>(
         &mut self,
         from: u32,
-        tag: Option<u32>,
         expected: &'static str,
         take: impl FnOnce(Payload) -> Result<T, Payload>,
     ) -> Result<T, SimError> {
-        take(self.recv_payload(from, tag)?).map_err(|other| SimError::TypeMismatch {
+        take(self.recv_payload(from)?).map_err(|other| SimError::TypeMismatch {
             from,
             expected,
             found: other.type_name(),
         })
     }
 
-    /// Receive the next `f64` message from `from` (any tag).
+    /// Receive the next `f64` message from `from`.
     pub fn recv_f64(&mut self, from: u32) -> Result<Vec<f64>, SimError> {
-        self.recv_typed(from, None, "f64", Payload::into_f64)
-    }
-
-    /// Receive an `f64` message from `from`, requiring `tag`.
-    pub fn recv_f64_tag(&mut self, from: u32, tag: u32) -> Result<Vec<f64>, SimError> {
-        self.recv_typed(from, Some(tag), "f64", Payload::into_f64)
+        self.recv_typed(from, "f64", Payload::into_f64)
     }
 
     pub fn recv_u64(&mut self, from: u32) -> Result<Vec<u64>, SimError> {
-        self.recv_typed(from, None, "u64", Payload::into_u64)
+        self.recv_typed(from, "u64", Payload::into_u64)
     }
 
     /// Simultaneous exchange with `peer`: send `data`, receive the peer's
@@ -550,7 +523,7 @@ impl Comm {
         policy: RetryPolicy,
     ) -> Result<u32, SimError> {
         for attempt in 1..=policy.max_attempts {
-            if self.send_payload_inner(to, 0, Payload::F64(data.to_vec()))? {
+            if self.send_payload_inner(to, Payload::F64(data.to_vec()))? {
                 return Ok(attempt);
             }
             if attempt < policy.max_attempts {
@@ -779,7 +752,7 @@ impl Comm {
         let left = ((r + p - 1) % p) as u32;
         let mut cur = local.to_vec();
         for s in 0..p - 1 {
-            self.send_payload(right, 0, Payload::F64(cur))?;
+            self.send_payload(right, Payload::F64(cur))?;
             cur = self.recv_f64(left)?;
             let src = (r + p - 1 - s) % p;
             out[src * n..(src + 1) * n].copy_from_slice(&cur);
@@ -821,83 +794,6 @@ impl Comm {
             recv[src as usize] = self.recv_f64(src)?;
         }
         Ok(recv)
-    }
-
-    /// Binomial-tree broadcast from `root`, in place.
-    pub fn broadcast_f64(&mut self, root: u32, buf: &mut Vec<f64>) -> Result<(), SimError> {
-        let t0 = self.clock.now();
-        self.broadcast_impl(root, buf)?;
-        // Payload size is known once the buffer arrived (non-root ranks
-        // start empty).
-        self.emit_collective(
-            t0,
-            CollectiveKind::Broadcast,
-            "binomial-tree",
-            (buf.len() * 8) as u64,
-        );
-        Ok(())
-    }
-
-    fn broadcast_impl(&mut self, root: u32, buf: &mut Vec<f64>) -> Result<(), SimError> {
-        self.check_rank(root)?;
-        let p = self.size;
-        if p == 1 {
-            return Ok(());
-        }
-        let relrank = (self.rank + p - root) % p;
-        let mut mask = 1u32;
-        while mask < p {
-            if relrank & mask != 0 {
-                let src = (self.rank + p - mask) % p;
-                *buf = self.recv_f64(src)?;
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if relrank + mask < p {
-                let dst = (self.rank + mask) % p;
-                self.send_f64(dst, buf)?;
-            }
-            mask >>= 1;
-        }
-        Ok(())
-    }
-
-    /// Gather every rank's `local` buffer at `root`. Returns `Some` at the
-    /// root (indexed by rank), `None` elsewhere.
-    pub fn gather_f64(
-        &mut self,
-        root: u32,
-        local: &[f64],
-    ) -> Result<Option<Vec<Vec<f64>>>, SimError> {
-        let t0 = self.clock.now();
-        let out = self.gather_impl(root, local)?;
-        self.emit_collective(
-            t0,
-            CollectiveKind::Gather,
-            "linear",
-            (local.len() * 8) as u64,
-        );
-        Ok(out)
-    }
-
-    fn gather_impl(&mut self, root: u32, local: &[f64]) -> Result<Option<Vec<Vec<f64>>>, SimError> {
-        self.check_rank(root)?;
-        if self.rank == root {
-            let mut all = vec![Vec::new(); self.size as usize];
-            all[root as usize] = local.to_vec();
-            for from in 0..self.size {
-                if from != root {
-                    all[from as usize] = self.recv_f64(from)?;
-                }
-            }
-            Ok(Some(all))
-        } else {
-            self.send_f64(root, local)?;
-            Ok(None)
-        }
     }
 }
 

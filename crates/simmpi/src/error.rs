@@ -13,12 +13,6 @@ pub enum SimError {
         expected: &'static str,
         found: &'static str,
     },
-    /// A receive found a message with an unexpected tag.
-    TagMismatch {
-        from: u32,
-        expected: u32,
-        found: u32,
-    },
     /// The peer rank terminated (panicked or returned) while this rank was
     /// waiting for a message.
     PeerGone { from: u32 },
@@ -47,16 +41,6 @@ impl fmt::Display for SimError {
                 write!(
                     f,
                     "type mismatch receiving from rank {from}: expected {expected}, found {found}"
-                )
-            }
-            SimError::TagMismatch {
-                from,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "tag mismatch receiving from rank {from}: expected {expected}, found {found}"
                 )
             }
             SimError::PeerGone { from } => {

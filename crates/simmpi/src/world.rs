@@ -96,11 +96,6 @@ impl World {
         self
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_deref()
-    }
-
     /// Override the kernel efficiencies of the device roofline (uniform
     /// worlds only).
     pub fn with_efficiencies(mut self, flop: f64, bw: f64) -> Self {
@@ -346,40 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_nonzero_root() {
-        let w = small_world(2);
-        let results = w.run(|comm| {
-            let mut buf = if comm.rank() == 5 {
-                vec![42.0, 7.0]
-            } else {
-                Vec::new()
-            };
-            comm.broadcast_f64(5, &mut buf).unwrap();
-            buf
-        });
-        for r in &results {
-            assert_eq!(r.value, vec![42.0, 7.0]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root() {
-        let w = small_world(1);
-        let results = w.run(|comm| comm.gather_f64(2, &[comm.rank() as f64]).unwrap());
-        for r in &results {
-            if r.rank == 2 {
-                let all = r.value.as_ref().unwrap();
-                assert_eq!(all.len(), 4);
-                for (i, b) in all.iter().enumerate() {
-                    assert_eq!(b, &vec![i as f64]);
-                }
-            } else {
-                assert!(r.value.is_none());
-            }
-        }
-    }
-
-    #[test]
     fn barrier_synchronizes_virtual_clocks() {
         let w = small_world(1);
         let results = w.run(|comm| {
@@ -436,29 +397,6 @@ mod tests {
         assert!(matches!(
             results[1].value,
             Err(crate::error::SimError::TypeMismatch { from: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn tag_mismatch_is_detected() {
-        let w = small_world(1);
-        let results = w.run(|comm| {
-            if comm.rank() == 0 {
-                comm.send_f64_tag(1, 7, &[1.0]).unwrap();
-                Ok(vec![])
-            } else if comm.rank() == 1 {
-                comm.recv_f64_tag(0, 9)
-            } else {
-                Ok(vec![])
-            }
-        });
-        assert!(matches!(
-            results[1].value,
-            Err(crate::error::SimError::TagMismatch {
-                from: 0,
-                expected: 9,
-                found: 7
-            })
         ));
     }
 

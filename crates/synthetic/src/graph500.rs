@@ -31,7 +31,7 @@ fn quadrant(r: f64) -> (u32, u32) {
 }
 
 /// Generate a Kronecker graph of 2^scale vertices as an edge list.
-pub fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
+pub(crate) fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
     let vertices = 1u32 << scale;
     let edges = vertices as usize * EDGE_FACTOR;
     let mut rng = rank_rng(seed, 0);
@@ -57,7 +57,7 @@ pub struct Csr {
 }
 
 impl Csr {
-    pub fn from_edges(vertices: u32, edges: &[(u32, u32)]) -> Self {
+    pub(crate) fn from_edges(vertices: u32, edges: &[(u32, u32)]) -> Self {
         let mut degree = vec![0usize; vertices as usize];
         for &(u, v) in edges {
             degree[u as usize] += 1;
@@ -89,7 +89,7 @@ impl Csr {
 
 /// Level-synchronized BFS; returns the parent array (u32::MAX =
 /// unreached, root is its own parent) and the number of traversed edges.
-pub fn bfs(csr: &Csr, root: u32) -> (Vec<u32>, u64) {
+pub(crate) fn bfs(csr: &Csr, root: u32) -> (Vec<u32>, u64) {
     let mut parent = vec![u32::MAX; csr.vertices as usize];
     parent[root as usize] = root;
     let mut frontier = vec![root];
@@ -120,7 +120,7 @@ pub fn bfs(csr: &Csr, root: u32) -> (Vec<u32>, u64) {
 ///   tree spans the root's component;
 /// - the levels of every graph edge's ends differ by at most 1, so the
 ///   tree is a breadth-first one.
-pub fn validate_bfs(csr: &Csr, root: u32, parent: &[u32]) -> Result<(), String> {
+pub(crate) fn validate_bfs(csr: &Csr, root: u32, parent: &[u32]) -> Result<(), String> {
     const UNREACHED: u32 = u32::MAX;
     if parent[root as usize] != root {
         return Err("root is not its own parent".into());
@@ -169,95 +169,6 @@ pub fn validate_bfs(csr: &Csr, root: u32, parent: &[u32]) -> Result<(), String> 
         }
     }
     Ok(())
-}
-
-/// Distributed level-synchronized BFS over simulated MPI: vertices are
-/// block-partitioned over the ranks; every level, candidate (vertex,
-/// parent) pairs discovered on remote frontiers move through a
-/// personalized all-to-all — the Graph500 reference algorithm's
-/// communication structure.
-///
-/// Returns this rank's slice of the parent array and the number of edges
-/// it traversed.
-pub fn dist_bfs(
-    comm: &mut jubench_simmpi::Comm,
-    vertices: u32,
-    edges: &[(u32, u32)],
-    root: u32,
-) -> (Vec<u32>, u64) {
-    let p = comm.size();
-    let chunk = vertices.div_ceil(p);
-    let owner = |v: u32| (v / chunk).min(p - 1);
-    let lo = comm.rank() * chunk;
-    let hi = ((comm.rank() + 1) * chunk).min(vertices);
-    // Local adjacency of owned vertices (undirected).
-    let local_csr = {
-        let mut filtered = Vec::new();
-        for &(u, v) in edges {
-            if owner(u) == comm.rank() {
-                filtered.push((u - lo, v));
-            }
-            if owner(v) == comm.rank() {
-                filtered.push((v - lo, u));
-            }
-        }
-        let n = hi.saturating_sub(lo);
-        let mut degree = vec![0usize; n as usize];
-        for &(u, _) in &filtered {
-            degree[u as usize] += 1;
-        }
-        let mut offsets = vec![0usize; n as usize + 1];
-        for i in 0..n as usize {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut targets = vec![0u32; offsets[n as usize]];
-        let mut cursor = offsets.clone();
-        for (u, v) in filtered {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-        }
-        (offsets, targets)
-    };
-    let n_local = hi.saturating_sub(lo) as usize;
-    let mut parent = vec![u32::MAX; n_local];
-    let mut frontier: Vec<u32> = Vec::new();
-    if owner(root) == comm.rank() {
-        parent[(root - lo) as usize] = root;
-        frontier.push(root);
-    }
-    let mut traversed = 0u64;
-    loop {
-        // Discover candidates, bucketed by owner rank.
-        let mut outgoing: Vec<Vec<f64>> = vec![Vec::new(); p as usize];
-        for &u in &frontier {
-            let ul = (u - lo) as usize;
-            for &v in &local_csr.1[local_csr.0[ul]..local_csr.0[ul + 1]] {
-                traversed += 1;
-                outgoing[owner(v) as usize].push(v as f64);
-                outgoing[owner(v) as usize].push(u as f64);
-            }
-        }
-        let incoming = comm.alltoall_f64(outgoing).unwrap();
-        let mut next = Vec::new();
-        for buf in incoming {
-            for pair in buf.chunks_exact(2) {
-                let (v, u) = (pair[0] as u32, pair[1] as u32);
-                let vl = (v - lo) as usize;
-                if parent[vl] == u32::MAX {
-                    parent[vl] = u;
-                    next.push(v);
-                }
-            }
-        }
-        let global_next = comm
-            .allreduce_scalar(next.len() as f64, jubench_simmpi::ReduceOp::Sum)
-            .unwrap();
-        frontier = next;
-        if global_next == 0.0 {
-            break;
-        }
-    }
-    (parent, traversed)
 }
 
 pub struct Graph500 {
@@ -429,62 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_bfs_matches_sequential_levels() {
-        use jubench_cluster::Machine;
-        use jubench_simmpi::World;
-        // BFS levels are unique even when parent choices differ: the
-        // distributed traversal must assign every vertex the same depth as
-        // the sequential reference.
-        let scale = 8u32;
-        let vertices = 1u32 << scale;
-        let edges = kronecker_edges(scale, 5);
-        let csr = Csr::from_edges(vertices, &edges);
-        let (seq_parent, _) = bfs(&csr, 0);
-        let depth_of = |parents: &[u32], v: u32| -> Option<u32> {
-            if parents[v as usize] == u32::MAX {
-                return None;
-            }
-            let mut d = 0;
-            let mut cur = v;
-            while cur != 0 {
-                cur = parents[cur as usize];
-                d += 1;
-                assert!(d <= vertices, "cycle");
-            }
-            Some(d)
-        };
-        let edges2 = edges.clone();
-        let world = World::new(Machine::juwels_booster().partition(1)); // 4 ranks
-        let results = world.run(move |comm| dist_bfs(comm, vertices, &edges2, 0));
-        // Stitch the distributed parent slices together.
-        let chunk = vertices.div_ceil(4);
-        let mut dist_parent = vec![u32::MAX; vertices as usize];
-        for r in &results {
-            let lo = r.rank * chunk;
-            for (i, &pv) in r.value.0.iter().enumerate() {
-                dist_parent[lo as usize + i] = pv;
-            }
-        }
-        // Tree edges must be real graph edges.
-        for v in 1..vertices {
-            let pv = dist_parent[v as usize];
-            if pv != u32::MAX {
-                assert!(csr.neighbours(v).contains(&pv), "fake tree edge {v}→{pv}");
-            }
-        }
-        for v in 0..vertices {
-            assert_eq!(
-                depth_of(&dist_parent, v),
-                depth_of(&seq_parent, v),
-                "vertex {v} at a different BFS level"
-            );
-        }
-        // All ranks together traversed every directed edge reachable.
-        let total: u64 = results.iter().map(|r| r.value.1).sum();
-        assert!(total > 0);
-    }
-
-    #[test]
     fn benchmark_run_produces_teps() {
         let out = Graph500 { scale: 8 }.run(&RunConfig::test(4)).unwrap();
         assert!(out.verification.passed());
@@ -500,7 +355,7 @@ mod reference {
     use super::{EDGE_FACTOR, RMAT};
     use jubench_kernels::rank_rng;
 
-    pub fn quadrant(r: f64) -> (u32, u32) {
+    pub(crate) fn quadrant(r: f64) -> (u32, u32) {
         if r < RMAT[0] {
             (0, 0)
         } else if r < RMAT[0] + RMAT[1] {
@@ -512,7 +367,7 @@ mod reference {
         }
     }
 
-    pub fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
+    pub(crate) fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
         let vertices = 1u32 << scale;
         let edges = vertices as usize * EDGE_FACTOR;
         let mut rng = rank_rng(seed, 0);

@@ -10,7 +10,7 @@
 //!
 //! The summation order is frozen: every point adds or subtracts its
 //! neighbours in ascending `(di, dj, dk)`, one at a time. The iteration
-//! count and residual of [`hpcg_pcg`] feed verification, `pcg_iterations`
+//! count and residual of `hpcg_pcg` feed verification, `pcg_iterations`
 //! and every digest downstream, so a reassociated sum, a fused
 //! multiply-add or a zero of the other sign is a visible change; the
 //! `oracle` tests compare every output bit with the plain loop nest.
@@ -115,12 +115,8 @@ impl Stencil27 {
     }
 
     /// One symmetric Gauss-Seidel sweep (forward then backward) on
-    /// A z = r, in place — HPCG's smoother/preconditioner.
-    pub fn sym_gauss_seidel(&self, z: &mut [f64], r: &[f64]) {
-        self.sym_gauss_seidel_with(&mut self.ghosted(-0.0), z, r);
-    }
-
-    /// `sym_gauss_seidel` through caller-owned scratch from `ghosted(-0.0)`.
+    /// A z = r, in place — HPCG's smoother/preconditioner — through
+    /// caller-owned scratch from `ghosted(-0.0)`.
     fn sym_gauss_seidel_with(&self, ghosted: &mut [f64], z: &mut [f64], r: &[f64]) {
         debug_assert!(ghosted[0].is_sign_negative(), "(−0.0) + (+0.0) is +0.0");
         let (n, fronts) = (self.n, (3 * self.n).saturating_sub(2));
@@ -173,7 +169,7 @@ impl Stencil27 {
 
 /// HPCG-style preconditioned CG; returns (iterations, relative residual,
 /// flops performed).
-pub fn hpcg_pcg(op: &Stencil27, b: &[f64], tol: f64, max_iters: usize) -> (usize, f64, f64) {
+pub(crate) fn hpcg_pcg(op: &Stencil27, b: &[f64], tol: f64, max_iters: usize) -> (usize, f64, f64) {
     let len = op.len();
     let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
     let (mut p_ghosted, mut z_ghosted) = (op.ghosted(0.0), op.ghosted(-0.0));
@@ -303,7 +299,7 @@ mod tests {
         let op = Stencil27 { n: 8 };
         let r = vec![1.0; op.len()];
         let mut z = vec![0.0; op.len()];
-        op.sym_gauss_seidel(&mut z, &r);
+        op.sym_gauss_seidel_with(&mut op.ghosted(-0.0), &mut z, &r);
         // One SGS application of an SPD M-matrix: z stays positive and
         // bounded by the diagonal solve range.
         assert!(z.iter().all(|&v| v > 0.0 && v < 2.0));
@@ -361,7 +357,7 @@ mod reference {
         }
     }
 
-    pub fn sym_gauss_seidel(op: &Stencil27, z: &mut [f64], r: &[f64]) {
+    pub(crate) fn sym_gauss_seidel(op: &Stencil27, z: &mut [f64], r: &[f64]) {
         let n = op.n as isize;
         let sweep = |z: &mut [f64], order: &mut dyn Iterator<Item = usize>| {
             for flat in order {
@@ -389,7 +385,12 @@ mod reference {
         sweep(z, &mut (0..op.len()).rev());
     }
 
-    pub fn hpcg_pcg(op: &Stencil27, b: &[f64], tol: f64, max_iters: usize) -> (usize, f64, f64) {
+    pub(crate) fn hpcg_pcg(
+        op: &Stencil27,
+        b: &[f64],
+        tol: f64,
+        max_iters: usize,
+    ) -> (usize, f64, f64) {
         let len = op.len();
         let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
         let mut x = vec![0.0; len];
@@ -449,7 +450,7 @@ mod oracle {
         reference::apply(op, x, &mut y_ref);
         assert_eq!(bits(&y), bits(&y_ref), "apply, n = {}, {what}", op.n);
         let (mut z_new, mut z_ref) = (z.to_vec(), z.to_vec());
-        op.sym_gauss_seidel(&mut z_new, r);
+        op.sym_gauss_seidel_with(&mut op.ghosted(-0.0), &mut z_new, r);
         reference::sym_gauss_seidel(op, &mut z_ref, r);
         assert_eq!(bits(&z_new), bits(&z_ref), "sgs, n = {}, {what}", op.n);
     }

@@ -25,7 +25,7 @@ impl Default for Hpl {
 }
 
 /// LU flop count: 2n³/3 + 2n².
-pub fn hpl_flops(n: f64) -> f64 {
+pub(crate) fn hpl_flops(n: f64) -> f64 {
     2.0 * n * n * n / 3.0 + 2.0 * n * n
 }
 

@@ -32,18 +32,9 @@ pub enum IorMode {
     Hard,
 }
 
-impl IorMode {
-    pub fn transfer_size(self) -> usize {
-        match self {
-            IorMode::Easy => 16 << 20,
-            IorMode::Hard => 4 << 10,
-        }
-    }
-}
-
 /// Aggregate storage-module bandwidth model: per-node striping up to the
 /// NVMe backend limit; the Hard pattern loses a lock-contention factor.
-pub fn storage_bw(nodes: u32, mode: IorMode) -> f64 {
+pub(crate) fn storage_bw(nodes: u32, mode: IorMode) -> f64 {
     let raw = (nodes as f64 * 2.0e9).min(400.0e9);
     match mode {
         IorMode::Easy => raw,
@@ -267,12 +258,6 @@ mod tests {
         assert!(matches!(err, SuiteError::RuleViolation { .. }));
         let out = Ior::hard().run(&RunConfig::test(65)).unwrap();
         assert!(out.verification.passed());
-    }
-
-    #[test]
-    fn transfer_sizes_match_paper() {
-        assert_eq!(IorMode::Easy.transfer_size(), 16 << 20);
-        assert_eq!(IorMode::Hard.transfer_size(), 4 << 10);
     }
 
     #[test]

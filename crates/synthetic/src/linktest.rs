@@ -5,12 +5,12 @@
 
 use crate::nothing_executed;
 use jubench_apps_common::layout_serial;
-use jubench_cluster::{Distance, Machine, NetModel, Placement, Topology};
+use jubench_cluster::{Machine, NetModel, Placement, Topology};
 use jubench_core::{
     Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
     SuiteError, VerificationOutcome,
 };
-use jubench_simmpi::{ClockStats, World};
+use jubench_simmpi::ClockStats;
 
 /// "To achieve optimal bandwidth, the message size is set to 16 MiB."
 pub const MESSAGE_BYTES: u64 = 16 << 20;
@@ -128,123 +128,6 @@ impl Benchmark for LinkTest {
     }
 }
 
-/// LinkTest's *serial* mode (the paper: "designed to test point-to-point
-/// connections between processes in serial or parallel mode [...] used
-/// mostly internally by system administrators for acceptance testing,
-/// maintenance, and troubleshooting"): rank 0 ping-pongs every other rank
-/// one at a time and reports the per-link bandwidth, exposing degraded
-/// links.
-pub fn serial_scan(world: &World, bytes: usize) -> Vec<(u32, f64)> {
-    let results = world.run(move |comm| {
-        let p = comm.size();
-        let mut bws = Vec::new();
-        if comm.rank() == 0 {
-            for peer in 1..p {
-                let payload = vec![0.0f64; bytes / 8];
-                let before = comm.now();
-                comm.send_f64(peer, &payload).unwrap();
-                let _ = comm.recv_f64(peer).unwrap();
-                let rtt = comm.now() - before;
-                bws.push((peer, 2.0 * bytes as f64 / rtt));
-            }
-        } else {
-            let echo = comm.recv_f64(0).unwrap();
-            comm.send_f64(0, &echo).unwrap();
-        }
-        bws
-    });
-    results.into_iter().next().unwrap().value
-}
-
-/// LinkTest's exhaustive *parallel* mode: ping-pong every unordered rank
-/// pair on a deterministic schedule (pair `(a, b)` is probed by rank `a`).
-/// A barrier levels all virtual clocks before each probe — without it, a
-/// slow probe leaves its participants' clocks ahead, and later probes
-/// against them would measure causality waits instead of link speed.
-/// Returns the per-pair bandwidth, ordered lexicographically by pair.
-pub fn all_pairs_scan(world: &World, bytes: usize) -> Vec<((u32, u32), f64)> {
-    let results = world.run(move |comm| {
-        let p = comm.size();
-        let me = comm.rank();
-        let mut bws = Vec::new();
-        for a in 0..p {
-            for b in (a + 1)..p {
-                comm.barrier();
-                if me == a {
-                    let payload = vec![0.0f64; bytes / 8];
-                    let before = comm.now();
-                    comm.send_f64(b, &payload).unwrap();
-                    let _ = comm.recv_f64(b).unwrap();
-                    let rtt = comm.now() - before;
-                    bws.push(((a, b), 2.0 * bytes as f64 / rtt));
-                } else if me == b {
-                    let echo = comm.recv_f64(a).unwrap();
-                    comm.send_f64(a, &echo).unwrap();
-                }
-            }
-        }
-        bws
-    });
-    results.into_iter().flat_map(|r| r.value).collect()
-}
-
-/// Localize degraded links in an [`all_pairs_scan`]: flag every pair
-/// whose bandwidth falls below `fraction` of the **median of its own
-/// topology distance class**. Comparing within a class is what keeps a
-/// healthy inter-node link from being flagged merely because intra-node
-/// links are faster. Returns the flagged pairs, sorted — directly
-/// comparable to `FaultPlan::degraded_pairs()`.
-pub fn detect_degraded_links(
-    world: &World,
-    scan: &[((u32, u32), f64)],
-    fraction: f64,
-) -> Vec<(u32, u32)> {
-    let map = world.rank_map();
-    let class = |a: u32, b: u32| -> usize {
-        match map.distance(a, b) {
-            Distance::SameDevice => 0,
-            Distance::IntraNode => 1,
-            Distance::IntraCell => 2,
-            Distance::InterCell => 3,
-            Distance::InterModule => 4,
-        }
-    };
-    let mut per_class: [Vec<f64>; 5] = Default::default();
-    for &((a, b), bw) in scan {
-        per_class[class(a, b)].push(bw);
-    }
-    let medians: Vec<Option<f64>> = per_class
-        .iter_mut()
-        .map(|v| {
-            if v.is_empty() {
-                None
-            } else {
-                v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                Some(v[v.len() / 2])
-            }
-        })
-        .collect();
-    let mut flagged: Vec<(u32, u32)> = scan
-        .iter()
-        .filter(|&&((a, b), bw)| medians[class(a, b)].is_some_and(|m| bw < fraction * m))
-        .map(|&(pair, _)| pair)
-        .collect();
-    flagged.sort_unstable();
-    flagged
-}
-
-/// Flag links whose bandwidth falls below `fraction` of the median of
-/// their scan.
-pub fn slow_links(scan: &[(u32, f64)], fraction: f64) -> Vec<u32> {
-    let mut sorted: Vec<f64> = scan.iter().map(|&(_, bw)| bw).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = sorted[sorted.len() / 2];
-    scan.iter()
-        .filter(|&&(_, bw)| bw < fraction * median)
-        .map(|&(peer, _)| peer)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,53 +150,6 @@ mod tests {
         let (single_cell, _) = LinkTest::model(Machine::juwels_booster().partition(48));
         let (multi_cell, _) = LinkTest::model(Machine::juwels_booster().partition(936));
         assert!(multi_cell < single_cell, "{multi_cell} !< {single_cell}");
-    }
-
-    #[test]
-    fn serial_scan_reports_every_link() {
-        let world = World::new(Machine::juwels_booster().partition(2));
-        let scan = serial_scan(&world, 1 << 16);
-        assert_eq!(scan.len(), 7, "rank 0 probes the 7 peers");
-        // Intra-node peers (1-3) are faster than inter-node peers (4-7).
-        let intra = scan[0].1;
-        let inter = scan.last().unwrap().1;
-        assert!(intra > inter);
-        assert!(slow_links(&scan, 0.05).is_empty(), "healthy system");
-    }
-
-    #[test]
-    fn degraded_link_is_localized() {
-        // A failing cable between rank 0 and rank 5: the serial scan must
-        // single out exactly that peer.
-        let plan = jubench_faults::FaultPlan::new(0).with_degraded_link(0, 5, 20.0);
-        let world = World::new(Machine::juwels_booster().partition(2)).with_fault_plan(plan);
-        let scan = serial_scan(&world, 1 << 16);
-        let flagged = slow_links(&scan, 0.2);
-        assert_eq!(flagged, vec![5], "scan: {scan:?}");
-    }
-
-    #[test]
-    fn all_pairs_scan_detects_every_injected_link() {
-        use jubench_faults::FaultPlan;
-        // Three bad cables at once — one intra-node, two inter-node. The
-        // exhaustive scan must recover exactly the injected set, no more.
-        let plan = FaultPlan::new(3)
-            .with_degraded_link(0, 5, 20.0)
-            .with_degraded_link(1, 3, 20.0)
-            .with_degraded_link(2, 6, 20.0);
-        let world = World::new(Machine::juwels_booster().partition(2)).with_fault_plan(plan);
-        let scan = all_pairs_scan(&world, 1 << 16);
-        assert_eq!(scan.len(), 8 * 7 / 2, "every unordered pair probed");
-        let detected = detect_degraded_links(&world, &scan, 0.2);
-        let injected = world.fault_plan().unwrap().degraded_pairs();
-        assert_eq!(detected, injected, "scan: {scan:?}");
-    }
-
-    #[test]
-    fn all_pairs_scan_is_clean_on_a_healthy_world() {
-        let world = World::new(Machine::juwels_booster().partition(2));
-        let scan = all_pairs_scan(&world, 1 << 16);
-        assert!(detect_degraded_links(&world, &scan, 0.2).is_empty());
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl Default for Stream {
 impl Stream {
     /// The GPU variant's modeled triad bandwidth: the device's roofline
     /// bandwidth at STREAM efficiency.
-    pub fn gpu_triad_model(gpu: GpuSpec) -> f64 {
+    pub(crate) fn gpu_triad_model(gpu: GpuSpec) -> f64 {
         gpu.mem_bw * 0.85
     }
 }

@@ -45,8 +45,6 @@ pub enum CollectiveKind {
     Allreduce,
     Allgather,
     Alltoall,
-    Broadcast,
-    Gather,
 }
 
 impl CollectiveKind {
@@ -56,8 +54,6 @@ impl CollectiveKind {
             CollectiveKind::Allreduce => "allreduce",
             CollectiveKind::Allgather => "allgather",
             CollectiveKind::Alltoall => "alltoall",
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::Gather => "gather",
         }
     }
 }
@@ -287,7 +283,7 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Span duration in virtual seconds.
-    pub fn duration_s(&self) -> f64 {
+    pub(crate) fn duration_s(&self) -> f64 {
         self.t_end - self.t_start
     }
 

@@ -212,7 +212,7 @@ impl CacheStats {
     }
 
     /// Fraction of lookups answered from the store (0.0 when none).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let lookups = self.hits + self.misses;
         if lookups == 0 {
             0.0
@@ -424,14 +424,6 @@ impl RunReport {
     /// Bytes sent within one regime.
     pub fn regime_bytes(&self, regime: Regime) -> u64 {
         self.regimes.get(&regime).map_or(0, |b| b.bytes)
-    }
-
-    /// Mean communication fraction over ranks.
-    pub fn mean_comm_fraction(&self) -> f64 {
-        if self.ranks.is_empty() {
-            return 0.0;
-        }
-        self.ranks.iter().map(|r| r.comm_fraction()).sum::<f64>() / self.ranks.len() as f64
     }
 
     /// Render the operator-facing summary tables.
@@ -699,7 +691,6 @@ mod tests {
         let report = RunReport::from_events(&[]);
         assert_eq!(report.total_bytes(), 0);
         assert_eq!(report.makespan.total_s, 0.0);
-        assert_eq!(report.mean_comm_fraction(), 0.0);
         assert!(!report.faults.any());
         assert_eq!(report.makespan_inflation(&report), 1.0);
     }

@@ -9,6 +9,7 @@ use jubench::core::{Checklist, ChecklistItem};
 use jubench::jube::step::output1;
 use jubench::jube::{Archive, Platform};
 use jubench::prelude::*;
+use jubench::scaling::describe;
 
 fn main() {
     let id = BenchmarkId::NekRs;
@@ -50,8 +51,8 @@ fn main() {
 
     // ---- describe & package ----------------------------------------------
     let description = format!(
-        "# nekRS benchmark\n\nReference execution: 8 nodes, FOM {fom} s.\n\
-         Verification: key metrics vs. manufactured solution.\n"
+        "{}\nReference execution: 8 nodes, FOM {fom} s.\n",
+        describe(&id.meta())
     );
     checklist.mark(id, ChecklistItem::DescriptionWritten);
 
