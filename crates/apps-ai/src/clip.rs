@@ -13,11 +13,11 @@ use jubench_simmpi::{Comm, ReduceOp, SimError};
 use crate::nn::Linear;
 
 /// ViT-L-14 parameter count (vision + text towers, ≈ 428 M).
-pub const PARAMETERS: f64 = 428e6;
+pub(crate) const PARAMETERS: f64 = 428e6;
 /// "a synthetic dataset of 3 200 000 image-text pairs".
-pub const DATASET_PAIRS: f64 = 3.2e6;
+pub(crate) const DATASET_PAIRS: f64 = 3.2e6;
 /// Embedding dimension of the shared space.
-pub const EMBED_DIM: usize = 768;
+pub(crate) const EMBED_DIM: usize = 768;
 /// Global batch size of the training.
 const GLOBAL_BATCH: f64 = 4096.0;
 /// FLOPs per pair forward+backward (ViT-L-14 ≈ 6 × params × 257 tokens…
@@ -27,7 +27,7 @@ const FLOPS_PER_PAIR: f64 = 6.0 * PARAMETERS;
 /// A miniature two-tower CLIP model: both towers are linear encoders into
 /// a shared embedding space, trained with the symmetric InfoNCE loss over
 /// the globally gathered batch.
-pub struct TwoTower {
+pub(crate) struct TwoTower {
     pub image_tower: Linear,
     pub text_tower: Linear,
     pub dim: usize,

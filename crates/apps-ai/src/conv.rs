@@ -5,9 +5,8 @@ use jubench_kernels::{gemm, Matrix};
 
 /// A 2D convolution layer (valid padding, stride 1, square kernels) over
 /// single-channel inputs, with `filters` output channels.
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     pub kernel: usize,
-    pub filters: usize,
     /// filters × kernel² weights.
     pub w: Matrix,
     pub grad_w: Matrix,
@@ -19,7 +18,6 @@ impl Conv2d {
         let scale = (2.0 / (kernel * kernel) as f64).sqrt();
         Conv2d {
             kernel,
-            filters,
             w: Matrix::from_fn(filters, kernel * kernel, |_, _| {
                 rng.gen_range(-scale..scale)
             }),

@@ -20,13 +20,13 @@
 //! the output [...] arguably the weakest form of verification"): the
 //! training loss must decrease and be present in the output.
 
-pub mod clip;
-pub mod conv;
-pub mod megatron;
-pub mod nn;
+pub(crate) mod clip;
+pub(crate) mod conv;
+pub(crate) mod megatron;
+pub(crate) mod nn;
 pub mod resnet;
 
 pub use clip::MmoClip;
 pub use megatron::MegatronLm;
-pub use nn::{Linear, MlpClassifier};
+pub use nn::Linear;
 pub use resnet::ResNet;

@@ -11,19 +11,19 @@ use jubench_core::{
 use crate::nn::{synthetic_task_shard, MlpClassifier};
 
 /// GPT-175B architecture (Megatron's published configuration).
-pub const PARAMETERS: f64 = 175e9;
-pub const LAYERS: u32 = 96;
-pub const HIDDEN: f64 = 12288.0;
-pub const SEQ_LEN: f64 = 2048.0;
+pub(crate) const PARAMETERS: f64 = 175e9;
+pub(crate) const LAYERS: u32 = 96;
+pub(crate) const HIDDEN: f64 = 12288.0;
+pub(crate) const SEQ_LEN: f64 = 2048.0;
 /// "training 20 million tokens" defines the time metric.
-pub const FOM_TOKENS: f64 = 20e6;
+pub(crate) const FOM_TOKENS: f64 = 20e6;
 /// Global batch in tokens per step (1536 sequences × 2048 tokens).
 const TOKENS_PER_STEP: f64 = 1536.0 * 2048.0;
 
 /// The parallelism layout on a partition: tensor-parallel within the node
 /// (4 GPUs), pipeline over 8 node groups, data-parallel across the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Parallelism {
+pub(crate) struct Parallelism {
     pub tensor: u32,
     pub pipeline: u32,
     pub data: u32,
@@ -40,10 +40,6 @@ impl Parallelism {
             pipeline,
             data,
         }
-    }
-
-    pub fn total(&self) -> u32 {
-        self.tensor * self.pipeline * self.data
     }
 }
 
@@ -194,14 +190,19 @@ mod tests {
                 data: 12
             }
         );
-        assert_eq!(p.total(), 384);
     }
 
     #[test]
     fn parallelism_degenerates_gracefully() {
         let p = Parallelism::for_devices(4);
-        assert_eq!(p.tensor, 4);
-        assert_eq!(p.total(), 4);
+        assert_eq!(
+            p,
+            Parallelism {
+                tensor: 4,
+                pipeline: 1,
+                data: 1
+            }
+        );
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub(crate) fn softmax_xent(logits: &Matrix, labels: &[usize]) -> (f64, Matrix) {
 }
 
 /// A two-layer MLP classifier: x → Linear → tanh → Linear → softmax.
-pub struct MlpClassifier {
+pub(crate) struct MlpClassifier {
     pub l1: Linear,
     pub l2: Linear,
 }
@@ -129,10 +129,6 @@ impl MlpClassifier {
             l1: Linear::new(inputs, hidden, seed),
             l2: Linear::new(hidden, classes, seed ^ 0xBEEF),
         }
-    }
-
-    pub fn parameters(&self) -> usize {
-        self.l1.parameters() + self.l2.parameters()
     }
 
     /// Forward + backward; accumulates gradients and returns the loss.

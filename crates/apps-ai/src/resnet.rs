@@ -14,7 +14,7 @@ use jubench_simmpi::ReduceOp;
 use crate::conv::{global_avg_pool, Conv2d};
 
 /// ResNet50: ≈ 25.6 M parameters, ≈ 4.1 GFLOP per 224² image forward.
-pub const PARAMETERS: f64 = 25.6e6;
+pub(crate) const PARAMETERS: f64 = 25.6e6;
 const FLOPS_PER_IMAGE: f64 = 3.0 * 4.1e9; // fwd + bwd
 const GLOBAL_BATCH: f64 = 2560.0; // 256 per GPU on 10 nodes
 const STEPS: u32 = 500;

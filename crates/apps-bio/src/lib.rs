@@ -14,10 +14,10 @@
 //!   in Mean Field" model of soft coarse-grained polymer chains — bead
 //!   chains interacting only through grid-accumulated density fields.
 
-pub mod nastja;
+pub(crate) mod nastja;
 pub mod potts;
 pub mod soma;
 
 pub use nastja::Nastja;
 pub use potts::PottsBlock;
-pub use soma::{Soma, SomaSystem};
+pub use soma::Soma;

@@ -12,8 +12,7 @@ use crate::potts::PottsBlock;
 
 /// The benchmark investigates "the first 5050 Monte Carlo steps of a
 /// system of size 720 × 720 × 1152 µm³, containing roughly 600,000 cells".
-pub const MC_STEPS: u32 = 5050;
-pub const SYSTEM_UM: [u64; 3] = [720, 720, 1152];
+pub(crate) const MC_STEPS: u32 = 5050;
 pub const CELLS: u64 = 600_000;
 /// Lattice sites per µm³ at subcellular resolution (1 site/µm³).
 const SITES: f64 = (720 * 720 * 1152) as f64;
@@ -139,7 +138,6 @@ mod tests {
 
     #[test]
     fn workload_matches_paper() {
-        assert_eq!(SYSTEM_UM, [720, 720, 1152]);
         assert_eq!(CELLS, 600_000);
         assert_eq!(MC_STEPS, 5050);
     }

@@ -18,9 +18,9 @@ use jubench_kernels::DetRng;
 use jubench_simmpi::{Comm, ReduceOp, SimError};
 
 /// Cell types: medium (only id 0), plus two sorted cell kinds.
-pub const TYPE_MEDIUM: u8 = 0;
-pub const TYPE_A: u8 = 1;
-pub const TYPE_B: u8 = 2;
+pub(crate) const TYPE_MEDIUM: u8 = 0;
+pub(crate) const TYPE_A: u8 = 1;
+pub(crate) const TYPE_B: u8 = 2;
 
 /// Adhesion energies J(τ₁, τ₂) for the cell-sorting case: like cells
 /// adhere more strongly (lower J) than unlike cells, and both prefer each

@@ -21,7 +21,7 @@ pub struct Chain {
 }
 
 /// The per-rank part of the SCMF system.
-pub struct SomaSystem {
+pub(crate) struct SomaSystem {
     /// Cubic density grid side.
     pub grid: usize,
     /// Beads per chain (first half type A, second half B).

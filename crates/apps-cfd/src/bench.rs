@@ -12,20 +12,20 @@ use jubench_core::{
 use crate::solver::SemPoisson;
 
 /// Polynomial order of the benchmark case.
-pub const ORDER: usize = 9;
+pub(crate) const ORDER: usize = 9;
 /// Time steps per run.
-pub const TIME_STEPS: u32 = 600;
+pub(crate) const TIME_STEPS: u32 = 600;
 /// Base case: 719,104 elements → 22,472 per GPU on 8 nodes (32 GPUs).
-pub const BASE_ELEMENTS: u64 = 719_104;
+pub(crate) const BASE_ELEMENTS: u64 = 719_104;
 /// High-Scaling small: 28,836,900 elements (~11,229 per GPU on 642 nodes).
-pub const HS_SMALL_ELEMENTS: u64 = 28_836_900;
+pub(crate) const HS_SMALL_ELEMENTS: u64 = 28_836_900;
 /// High-Scaling large: 57,760,000 elements (~22,492 per GPU).
-pub const HS_LARGE_ELEMENTS: u64 = 57_760_000;
+pub(crate) const HS_LARGE_ELEMENTS: u64 = 57_760_000;
 /// Devices of the 642-node High-Scaling partition the HS counts are
 /// defined for.
 const HS_DEVICES: f64 = 642.0 * 4.0;
 /// "the 'strong scaling limit' of 7000-8000 elements per GPU".
-pub const STRONG_SCALING_LIMIT_PER_GPU: f64 = 7500.0;
+pub(crate) const STRONG_SCALING_LIMIT_PER_GPU: f64 = 7500.0;
 
 /// Pressure-solve CG iterations per time step (the dominant cost).
 const CG_ITERS_PER_STEP: u32 = 30;

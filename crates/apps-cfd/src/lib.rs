@@ -22,10 +22,9 @@
 
 pub mod bench;
 pub mod perf_model;
-pub mod sem;
+pub(crate) mod sem;
 pub mod solver;
 
 pub use bench::NekRs;
 pub use perf_model::{predict_run, SettlingFit, StepProfile};
-pub use sem::{DiffMatrix, Element3};
-pub use solver::SemPoisson;
+pub use sem::DiffMatrix;

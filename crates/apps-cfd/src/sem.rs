@@ -104,7 +104,7 @@ impl DiffMatrix {
 /// A hexahedral element of side `h` with (n+1)³ GLL nodes, supporting the
 /// tensor-product (sum-factorized) stiffness and mass actions for the
 /// Laplacian on an axis-aligned cube.
-pub struct Element3<'a> {
+pub(crate) struct Element3<'a> {
     pub dm: &'a DiffMatrix,
     pub h: f64,
 }

@@ -10,7 +10,7 @@ use crate::sem::{DiffMatrix, Element3};
 /// interval and the domain is a *sheet* when ey, ez < ex — the shape of
 /// the Rayleigh-Bénard benchmark case), discretized with `ex × ey × ez`
 /// cubic spectral elements of order `n`, slab-decomposed along x.
-pub struct SemPoisson {
+pub(crate) struct SemPoisson {
     pub dm: DiffMatrix,
     /// Global element counts.
     pub ex: usize,

@@ -9,7 +9,7 @@
 //! 1. **`layout(cfg)`** validates the configuration and names what the
 //!    real execution depends on — the workload scale, the memory variant,
 //!    the seed, and the world: how many ranks ([`layout_per_gpu`],
-//!    [`layout_per_node`]; capped at [`MAX_REAL_RANKS`]) or none at all
+//!    [`layout_per_node`]; capped at `MAX_REAL_RANKS`) or none at all
 //!    ([`layout_serial`]). Nothing else of the machine survives this
 //!    stage.
 //! 2. **`execute(layout)`** runs the app's genuine distributed kernel
@@ -178,7 +178,7 @@ impl AppModel {
 /// [`jubench_pool::run_dedicated`]), so it is capped at the pool crate's
 /// workspace-wide spawn policy while the analytic model covers the full
 /// partition.
-pub const MAX_REAL_RANKS: u32 = jubench_pool::MAX_DEDICATED_THREADS;
+pub(crate) const MAX_REAL_RANKS: u32 = jubench_pool::MAX_DEDICATED_THREADS;
 
 /// A machine partition for the real execution: the requested machine if it
 /// is small enough, otherwise the largest prefix whose rank count stays

@@ -48,7 +48,7 @@ impl IconResolution {
 }
 
 /// Vertical levels of the atmosphere component.
-pub const LEVELS: u32 = 90;
+pub(crate) const LEVELS: u32 = 90;
 /// Modeled forecast steps.
 const STEPS: u32 = 2_000;
 

@@ -17,8 +17,8 @@
 //!   (1008 × 1008 × 240) variably-saturated flow problem.
 
 pub mod icon;
-pub mod parflow;
-pub mod shallow_water;
+pub(crate) mod parflow;
+pub(crate) mod shallow_water;
 
 pub use icon::{Icon, IconResolution};
 pub use parflow::ParFlow;

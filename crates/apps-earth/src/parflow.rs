@@ -11,7 +11,7 @@ use jubench_kernels::multigrid::{apply_neg_laplacian, relative_residual};
 use jubench_kernels::{poisson_vcycle, rank_rng};
 
 /// The ClayL problem dimensions.
-pub const CLAYL_CELLS: [u64; 3] = [1008, 1008, 240];
+pub(crate) const CLAYL_CELLS: [u64; 3] = [1008, 1008, 240];
 /// Linearized Richards solves per benchmark run (time steps).
 const SOLVES: u32 = 100;
 /// PCG iterations per solve (multigrid-preconditioned CG converges fast).

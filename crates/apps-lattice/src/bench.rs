@@ -25,8 +25,8 @@ const BYTES_PER_SITE_DIRAC: f64 = 1584.0;
 
 /// Verification tolerances (§IV-A2b): "a tolerance of 1e-10 for the Base
 /// benchmark and 1e-8 for High-Scaling benchmarks".
-pub const TOL_BASE: f64 = 1e-10;
-pub const TOL_HIGH_SCALING: f64 = 1e-8;
+pub(crate) const TOL_BASE: f64 = 1e-10;
+pub(crate) const TOL_HIGH_SCALING: f64 = 1e-8;
 
 /// Shared analytic model of a lattice-QCD solve campaign.
 fn lattice_model(

@@ -14,7 +14,7 @@ use crate::su3::ColorVector;
 /// paper's Wilson-fermion systems "very large, regular, sparse linear
 /// systems" (dimension 10⁶–10⁹).
 #[derive(Debug, Clone, Copy)]
-pub struct StaggeredDirac {
+pub(crate) struct StaggeredDirac {
     pub mass: f64,
 }
 
@@ -86,7 +86,7 @@ pub(crate) fn global_dot(
 
 /// Result of a distributed CG solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveStats {
+pub(crate) struct SolveStats {
     pub iterations: usize,
     pub converged: bool,
     pub relative_residual: f64,

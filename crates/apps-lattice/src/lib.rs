@@ -19,13 +19,12 @@
 //! tracked in `u64` site indices, tested beyond 2³¹.
 
 pub mod bench;
-pub mod dirac;
+pub(crate) mod dirac;
 pub mod hmc;
 pub mod lattice;
-pub mod su3;
+pub(crate) mod su3;
 
 pub use bench::{ChromaQcd, DynQcd};
-pub use dirac::StaggeredDirac;
 pub use hmc::{GaugeField, HmcChain};
 pub use lattice::LocalLattice;
 pub use su3::{ColorVector, Su3};

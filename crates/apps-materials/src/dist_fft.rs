@@ -13,13 +13,12 @@
 use jubench_kernels::{fft_1d, ifft_1d, C64};
 use jubench_simmpi::{Comm, SimError};
 
-/// Plan for an n³ transform over `ranks` equal slabs (n divisible by the
-/// rank count).
+/// Plan for an n³ transform over equal slabs, one per rank (n divisible
+/// by the rank count).
 #[derive(Debug, Clone, Copy)]
-pub struct DistFft {
+pub(crate) struct DistFft {
     pub n: usize,
-    pub ranks: u32,
-    /// Slab width (n / ranks).
+    /// Slab width (n / rank count).
     pub w: usize,
 }
 
@@ -31,11 +30,7 @@ impl DistFft {
             "grid side {n} must divide the rank count {p}"
         );
         assert!(n.is_power_of_two(), "grid side must be a power of two");
-        DistFft {
-            n,
-            ranks: comm.size(),
-            w: n / p,
-        }
+        DistFft { n, w: n / p }
     }
 
     /// Local x-slab length in elements: w × n × n.

@@ -14,10 +14,8 @@
 //! spectrum. The benchmark workload is the Car-Parrinello MD case for a
 //! ZrO₂ slab with 792 atoms from the MaX project.
 
-pub mod dist_fft;
-pub mod planewave;
-pub mod qe;
+pub(crate) mod dist_fft;
+pub(crate) mod planewave;
+pub(crate) mod qe;
 
-pub use dist_fft::DistFft;
-pub use planewave::PlaneWaveSolver;
 pub use qe::QuantumEspresso;

@@ -10,7 +10,7 @@
 
 use jubench_kernels::{fft_3d, ifft_3d, rank_rng, C64};
 
-pub struct PlaneWaveSolver {
+pub(crate) struct PlaneWaveSolver {
     pub n: usize,
     /// Real-space potential.
     pub potential: Vec<f64>,

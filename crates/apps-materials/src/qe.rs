@@ -15,9 +15,9 @@ use crate::planewave::PlaneWaveSolver;
 /// The MaX ZrO₂ benchmark case: a slab of 792 atoms.
 pub const ATOMS: u32 = 792;
 /// Electronic bands (≈ 4 valence electrons per atom / 2).
-pub const BANDS: u32 = 1584;
+pub(crate) const BANDS: u32 = 1584;
 /// FFT grid of the paper-scale workload.
-pub const FFT_GRID: usize = 512;
+pub(crate) const FFT_GRID: usize = 512;
 /// Car-Parrinello MD steps.
 const CP_STEPS: u32 = 50;
 

@@ -24,13 +24,13 @@ const C_M: f64 = 1.0;
 /// Axial coupling conductance between neighbouring compartments.
 const G_AXIAL: f64 = 2.0;
 /// Resting potential.
-pub const V_REST: f64 = -65.0;
+pub(crate) const V_REST: f64 = -65.0;
 /// Spike detection threshold at the soma (compartment 0).
-pub const V_THRESHOLD: f64 = 0.0;
+pub(crate) const V_THRESHOLD: f64 = 0.0;
 
 /// A cable cell: per-compartment membrane voltage and channel states.
 #[derive(Debug, Clone)]
-pub struct CableCell {
+pub(crate) struct CableCell {
     pub v: Vec<f64>,
     m: Vec<f64>,
     h: Vec<f64>,

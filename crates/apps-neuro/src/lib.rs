@@ -15,5 +15,3 @@ pub mod cell;
 pub mod network;
 
 pub use bench::Arbor;
-pub use cell::CableCell;
-pub use network::RingNetwork;

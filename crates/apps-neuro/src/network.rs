@@ -52,7 +52,7 @@ impl RingConfig {
 }
 
 /// The per-rank state of the distributed ring network.
-pub struct RingNetwork {
+pub(crate) struct RingNetwork {
     pub cfg: RingConfig,
     /// Global ids of the cells this rank owns (round-robin).
     pub local_ids: Vec<u32>,

@@ -12,10 +12,10 @@ use jubench_simmpi::ReduceOp;
 use crate::pic::PicSim;
 
 /// "the number of particles per cell is kept constant to 25".
-pub const PARTICLES_PER_CELL: u32 = 25;
+pub(crate) const PARTICLES_PER_CELL: u32 = 25;
 /// "the maximum number of nodes that can be utilized is limited to 640,
 /// rather than 642" (3D domain decomposition).
-pub const MAX_NODES: u32 = 640;
+pub(crate) const MAX_NODES: u32 = 640;
 /// Modeled time steps.
 const STEPS: u32 = 200;
 
@@ -34,7 +34,7 @@ impl PiconGpu {
     }
 
     /// Base case: a fixed small grid strong-scaled over 4 reference nodes.
-    pub const BASE_GRID: [u64; 3] = [2048, 1024, 512];
+    pub(crate) const BASE_GRID: [u64; 3] = [2048, 1024, 512];
 
     /// Cells of the configured workload on `devices` GPUs: the Base grid
     /// is a fixed problem; the High-Scaling grids are defined for the full

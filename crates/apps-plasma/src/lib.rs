@@ -20,7 +20,7 @@
 //! decomposition.
 
 pub mod bench;
-pub mod pic;
+pub(crate) mod pic;
 
 pub use bench::PiconGpu;
-pub use pic::{Particle, PicSim};
+pub use pic::Particle;

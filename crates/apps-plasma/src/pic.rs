@@ -22,7 +22,7 @@ pub struct Particle {
 }
 
 /// Per-rank slab of the periodic grid plus its particles.
-pub struct PicSim {
+pub(crate) struct PicSim {
     /// Global grid dimensions (cells).
     pub grid: [usize; 3],
     /// Slab range along x: cells `[x0, x1)`.

@@ -11,10 +11,10 @@ use crate::error::CkptError;
 use crate::fnv1a64;
 
 /// Leading magic of every snapshot envelope.
-pub const MAGIC: [u8; 4] = *b"JBCK";
+pub(crate) const MAGIC: [u8; 4] = *b"JBCK";
 
 /// Envelope format version this build writes and reads.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;
 
 /// Wrap a component payload in the versioned, checksummed envelope.
 pub fn seal(kind: &str, payload: &[u8]) -> Vec<u8> {

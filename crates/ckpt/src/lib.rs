@@ -43,7 +43,7 @@ pub mod format;
 pub mod interval;
 
 pub use error::CkptError;
-pub use format::{open, seal, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC};
+pub use format::{open, seal, SnapshotReader, SnapshotWriter};
 pub use interval::{daly_interval, young_interval, WriteTimes};
 
 /// A component whose full execution state can be captured as bytes and

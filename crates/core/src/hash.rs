@@ -10,7 +10,7 @@
 pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a prime (64-bit).
-pub const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash of `bytes`.
 ///

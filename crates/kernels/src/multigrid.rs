@@ -3,13 +3,6 @@
 //! preconditioned conjugate gradient algorithm for groundwater flow") and
 //! of HPCG's symmetric Gauss-Seidel hierarchy.
 
-/// A cubic Dirichlet Poisson problem −Δu = f on an n³ interior grid (unit
-/// spacing), solved approximately by one or more V-cycles with Jacobi
-/// smoothing. `n` must be a power of two.
-pub struct PoissonLevel {
-    pub n: usize,
-}
-
 #[inline]
 fn idx(n: usize, i: usize, j: usize, k: usize) -> usize {
     (i * n + j) * n + k
@@ -101,6 +94,8 @@ fn prolong(n: usize, coarse: &[f64]) -> Vec<f64> {
 
 /// One V-cycle on −Δu = b, updating `x` in place. Recurses until the grid
 /// is 2³ or smaller, where it smooths heavily instead of solving directly.
+/// The grid is n³ interior points at unit spacing with a zero Dirichlet
+/// boundary; `n` must be a power of two.
 pub fn poisson_vcycle(n: usize, x: &mut [f64], b: &[f64]) {
     assert!(n.is_power_of_two(), "grid size {n} must be a power of two");
     if n <= 2 {

@@ -47,7 +47,7 @@ pub use registry::{HistogramSnapshot, MetricsSnapshot, ScopeStat};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable disabling the registry at runtime when set to `0`.
-pub const METRICS_ENV: &str = "JUBENCH_METRICS";
+pub(crate) const METRICS_ENV: &str = "JUBENCH_METRICS";
 
 /// Tri-state enabled flag: 0 = unresolved (consult the environment),
 /// 1 = disabled, 2 = enabled. [`set_enabled`] pins it programmatically.

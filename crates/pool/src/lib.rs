@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 /// Environment variable overriding the global pool's worker count.
-pub const THREADS_ENV: &str = "JUBENCH_POOL_THREADS";
+pub(crate) const THREADS_ENV: &str = "JUBENCH_POOL_THREADS";
 
 /// Pools are cached per thread count: `with_threads(2, ..)` always hands
 /// back the *same* 2-worker pool, which is what lets tests assert that a

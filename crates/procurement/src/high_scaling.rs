@@ -13,7 +13,7 @@ use jubench_core::{BenchmarkId, MemoryVariant, SuiteError, TimeMetric};
 
 /// The scale-up factor between the preparation sub-partition and the
 /// future sub-partition.
-pub const SCALE_UP: f64 = 20.0;
+pub(crate) const SCALE_UP: f64 = 20.0;
 
 /// Nodes of the proposed machine forming the 1 EFLOP/s(th) sub-partition:
 /// enough nodes to reach 20× the peak of the 50 PFLOP/s(th) reference

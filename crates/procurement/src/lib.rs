@@ -12,7 +12,7 @@
 
 pub mod commitment;
 pub mod composite;
-pub mod high_scaling;
+pub(crate) mod high_scaling;
 pub mod tco;
 
 pub use commitment::{Commitment, Proposal, ProposalEvaluation, ReferenceSet};

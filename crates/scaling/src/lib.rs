@@ -44,4 +44,4 @@ pub use resilience::{resilience_table, ResiliencePoint, ResilienceTable};
 pub use strong::{strong_scaling_series, Fig2Point, Fig2Series};
 pub use tables::{render_table1, render_table2};
 pub use traffic::{traffic_table, TrafficPoint, TrafficTable};
-pub use weak::{fig3_all_series, Fig3Series, JUQCS_SPLIT_SERIES};
+pub use weak::{fig3_all_series, Fig3Series};

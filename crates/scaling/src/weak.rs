@@ -33,7 +33,7 @@ impl Fig3Series {
 }
 
 /// The two JUQCS lines of Fig. 3.
-pub const JUQCS_SPLIT_SERIES: [&str; 2] = ["JUQCS (computation)", "JUQCS (communication)"];
+pub(crate) const JUQCS_SPLIT_SERIES: [&str; 2] = ["JUQCS (computation)", "JUQCS (communication)"];
 
 /// Node counts of the sweep (powers of two up to the 512-node partition
 /// plus the full-partition points used by the non-power-of-two apps).

@@ -2,7 +2,7 @@
 
 /// A rank's virtual clock, split into compute and communication shares.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     compute_s: f64,
     comm_s: f64,
 }

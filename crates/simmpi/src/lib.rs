@@ -43,11 +43,11 @@
 pub mod clock;
 pub mod comm;
 pub mod error;
-pub mod rankmap;
+pub(crate) mod rankmap;
 mod rendezvous;
 pub mod world;
 
-pub use clock::{ClockStats, VirtualClock};
+pub use clock::ClockStats;
 pub use comm::{Comm, ReduceOp};
 pub use error::SimError;
 pub use rankmap::RankMap;

@@ -17,7 +17,7 @@ const RMAT: [f64; 3] = [0.57, 0.19, 0.19];
 /// The quadrant thresholds A, A + B, A + B + C.
 const RMAT_CUTS: [f64; 3] = [RMAT[0], RMAT[0] + RMAT[1], RMAT[0] + RMAT[1] + RMAT[2]];
 /// Edge factor: edges = 16 × vertices.
-pub const EDGE_FACTOR: usize = 16;
+pub(crate) const EDGE_FACTOR: usize = 16;
 
 /// The R-MAT quadrant `(du, dv)` a draw `r` picks: (0, 0) below A, (0, 1)
 /// below A + B, (1, 0) below A + B + C, else (1, 1). The three comparisons
@@ -50,7 +50,7 @@ pub(crate) fn kronecker_edges(scale: u32, seed: u64) -> Vec<(u32, u32)> {
 }
 
 /// Compressed adjacency built from an edge list (undirected).
-pub struct Csr {
+pub(crate) struct Csr {
     pub offsets: Vec<usize>,
     pub targets: Vec<u32>,
     pub vertices: u32,

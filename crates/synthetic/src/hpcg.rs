@@ -4,7 +4,7 @@
 //! Both kernels work on a copy of their vector with a one-point ghost
 //! layer, so all 26 neighbours of every point exist and the inner loops
 //! carry no bounds logic. The ghosts hold the identity of the operation
-//! that reads them — `+0.0` under `apply`'s subtractions, `−0.0` under the
+//! that reads them — `+0.0` under `apply_with`'s subtractions, `−0.0` under the
 //! sweep's additions (`x + (−0.0)` is `x` for every `x`, while
 //! `(−0.0) + (+0.0)` is `+0.0`) — so reading a ghost equals skipping it.
 //!
@@ -39,10 +39,6 @@ impl Stencil27 {
 
     pub fn len(&self) -> usize {
         self.n * self.n * self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// An (n+2)³ grid filled with `ghost`: the n³ points plus one ghost
@@ -80,11 +76,8 @@ impl Stencil27 {
         }
     }
 
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.apply_with(&mut self.ghosted(0.0), x, y);
-    }
-
-    /// `apply` through caller-owned scratch from `ghosted(0.0)`.
+    /// y = A x for the 27-point operator, through caller-owned scratch
+    /// from `ghosted(0.0)`.
     fn apply_with(&self, ghosted: &mut [f64], x: &[f64], y: &mut [f64]) {
         debug_assert!(
             ghosted[0].is_sign_positive(),
@@ -280,7 +273,7 @@ mod tests {
         let op = Stencil27 { n: 5 };
         let ones = vec![1.0; op.len()];
         let mut y = vec![0.0; op.len()];
-        op.apply(&ones, &mut y);
+        op.apply_with(&mut op.ghosted(0.0), &ones, &mut y);
         assert_eq!(y[op.idx(2, 2, 2)], 0.0);
         assert!(y[op.idx(0, 0, 0)] > 0.0);
     }
@@ -446,7 +439,7 @@ mod oracle {
     /// Both kernels on `(x, z, r)` against the reference, every element.
     fn assert_kernels_match(op: &Stencil27, x: &[f64], z: &[f64], r: &[f64], what: &str) {
         let (mut y, mut y_ref) = (vec![f64::NAN; op.len()], vec![f64::NAN; op.len()]);
-        op.apply(x, &mut y);
+        op.apply_with(&mut op.ghosted(0.0), x, &mut y);
         reference::apply(op, x, &mut y_ref);
         assert_eq!(bits(&y), bits(&y_ref), "apply, n = {}, {what}", op.n);
         let (mut z_new, mut z_ref) = (z.to_vec(), z.to_vec());

@@ -14,12 +14,12 @@
 //! | OSU | point-to-point | latency/bandwidth sweeps through the simulated MPI layer |
 //! | STREAM | memory | copy/scale/add/triad kernels (CPU measured, GPU modeled) |
 
-pub mod graph500;
-pub mod hpcg;
+pub(crate) mod graph500;
+pub(crate) mod hpcg;
 pub mod hpl;
-pub mod ior;
-pub mod linktest;
-pub mod osu;
+pub(crate) mod ior;
+pub(crate) mod linktest;
+pub(crate) mod osu;
 pub mod stream;
 
 pub use graph500::Graph500;

@@ -13,7 +13,7 @@ use jubench_core::{
 use jubench_simmpi::ClockStats;
 
 /// "To achieve optimal bandwidth, the message size is set to 16 MiB."
-pub const MESSAGE_BYTES: u64 = 16 << 20;
+pub(crate) const MESSAGE_BYTES: u64 = 16 << 20;
 
 pub struct LinkTest;
 

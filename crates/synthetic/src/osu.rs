@@ -12,7 +12,7 @@ use jubench_simmpi::{ClockStats, World};
 
 /// One point of the OSU sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OsuPoint {
+pub(crate) struct OsuPoint {
     pub bytes: u64,
     /// One-way latency in seconds (half the ping-pong round trip).
     pub latency_s: f64,
