@@ -1,6 +1,7 @@
 //! Distributed matrix-free SEM Poisson solver: slab-decomposed elements,
 //! gather-scatter assembly, and CG with globally consistent inner products.
 
+use jubench_kernels::cg::{pcg, CgSystem, Start};
 use jubench_simmpi::{Comm, ReduceOp, SimError};
 
 use crate::sem::{DiffMatrix, Element3};
@@ -199,42 +200,6 @@ impl SemPoisson {
         Ok(b)
     }
 
-    /// CG solve A u = b; returns (solution, iterations, rel. residual).
-    pub fn solve(
-        &self,
-        comm: &mut Comm,
-        b: &[f64],
-        tol: f64,
-        max_iters: usize,
-    ) -> Result<(Vec<f64>, usize, f64), SimError> {
-        let mut x = vec![0.0; b.len()];
-        let norm_b = self.dot(comm, b, b)?.sqrt();
-        if norm_b == 0.0 {
-            return Ok((x, 0, 0.0));
-        }
-        let mut r = b.to_vec();
-        let mut p = r.clone();
-        let mut rr = self.dot(comm, &r, &r)?;
-        let mut iters = 0;
-        while iters < max_iters && rr.sqrt() / norm_b > tol {
-            let ap = self.apply_a(comm, &p)?;
-            let pap = self.dot(comm, &p, &ap)?;
-            let alpha = rr / pap;
-            for i in 0..x.len() {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rr_new = self.dot(comm, &r, &r)?;
-            let beta = rr_new / rr;
-            for i in 0..p.len() {
-                p[i] = r[i] + beta * p[i];
-            }
-            rr = rr_new;
-            iters += 1;
-        }
-        Ok((x, iters, rr.sqrt() / norm_b))
-    }
-
     /// Solve the manufactured problem with the analytic solution
     /// `u = sin(πx/Lx) sin(πy/Ly) sin(πz/Lz)` and return
     /// (max nodal error, iterations, residual) — the key-metric
@@ -262,14 +227,35 @@ impl SemPoisson {
             }
         }
         let b = self.rhs(comm, &f)?;
-        let (u, iters, resid) = self.solve(comm, &b, tol, max_iters)?;
+        let mut u = vec![0.0; b.len()];
+        let stiffness = &mut Stiffness { sem: self, comm };
+        let cg = pcg(stiffness, None, &b, &mut u, Start::Zero, tol, max_iters)?;
         let max_err = u
             .iter()
             .zip(&u_exact)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         let global_err = comm.allreduce_scalar(max_err, ReduceOp::Max)?;
-        Ok((global_err, iters, resid))
+        Ok((global_err, cg.iterations, cg.relative_residual))
+    }
+}
+
+/// The assembled, masked stiffness operator with the globally consistent
+/// inner product: the system nekRS's CG solves from zero.
+struct Stiffness<'a> {
+    sem: &'a SemPoisson,
+    comm: &'a mut Comm,
+}
+
+impl CgSystem for Stiffness<'_> {
+    type Elem = f64;
+    type Error = SimError;
+    fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), SimError> {
+        y.copy_from_slice(&self.sem.apply_a(self.comm, x)?);
+        Ok(())
+    }
+    fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, SimError> {
+        self.sem.dot(self.comm, a, b)
     }
 }
 

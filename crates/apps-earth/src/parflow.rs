@@ -7,6 +7,7 @@ use jubench_core::{
     Benchmark, BenchmarkId, BenchmarkMeta, RealLayout, RealTrack, RunConfig, RunOutcome,
     SuiteError, VerificationOutcome,
 };
+use jubench_kernels::cg::{pcg, Start};
 use jubench_kernels::multigrid::{apply_neg_laplacian, relative_residual};
 use jubench_kernels::{poisson_vcycle, rank_rng};
 
@@ -19,50 +20,23 @@ const PCG_ITERS: u32 = 15;
 
 /// V-cycle-preconditioned conjugate gradient on −Δx = b (the solver
 /// structure of ParFlow's Hypre-backed Krylov method). Returns
-/// (solution, iterations, relative residual).
+/// (solution, iterations, true relative residual ‖b − A·x‖ / ‖b‖).
 pub(crate) fn pcg_poisson(
     n: usize,
     b: &[f64],
     tol: f64,
     max_iters: usize,
 ) -> (Vec<f64>, usize, f64) {
-    let len = n * n * n;
-    assert_eq!(b.len(), len);
-    let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
-    let precond = |r: &[f64]| -> Vec<f64> {
-        let mut z = vec![0.0; len];
-        poisson_vcycle(n, &mut z, r);
-        z
+    assert_eq!(b.len(), n * n * n);
+    let mut x = vec![0.0; b.len()];
+    let mut a = |p: &[f64], ap: &mut [f64]| apply_neg_laplacian(n, p, ap);
+    let mut m = |r: &[f64], z: &mut [f64]| {
+        z.fill(0.0);
+        poisson_vcycle(n, z, r);
     };
-    let mut x = vec![0.0; len];
-    let mut r = b.to_vec();
-    let norm_b = dot(b, b).sqrt();
-    if norm_b == 0.0 {
-        return (x, 0, 0.0);
-    }
-    let mut z = precond(&r);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; len];
-    let mut iters = 0;
-    while iters < max_iters && dot(&r, &r).sqrt() / norm_b > tol {
-        apply_neg_laplacian(n, &p, &mut ap);
-        let alpha = rz / dot(&p, &ap);
-        for i in 0..len {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        z = precond(&r);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        for i in 0..len {
-            p[i] = z[i] + beta * p[i];
-        }
-        rz = rz_new;
-        iters += 1;
-    }
+    let Ok(res) = pcg(&mut a, Some(&mut m), b, &mut x, Start::Zero, tol, max_iters);
     let resid = relative_residual(n, &x, b);
-    (x, iters, resid)
+    (x, res.iterations, resid)
 }
 
 pub struct ParFlow;

@@ -1,6 +1,7 @@
 //! The staggered Dirac operator and the distributed CG solver on the
 //! normal equations.
 
+use jubench_kernels::cg::{pcg, CgResult, CgSystem, Start};
 use jubench_simmpi::{Comm, ReduceOp, SimError};
 
 use crate::lattice::{FermionField, LocalLattice};
@@ -84,17 +85,31 @@ pub(crate) fn global_dot(
     comm.allreduce_scalar(local, ReduceOp::Sum)
 }
 
-/// Result of a distributed CG solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SolveStats {
-    pub iterations: usize,
-    pub converged: bool,
-    pub relative_residual: f64,
+/// `D†D` with the global inner product: the system of the normal
+/// equations, with the scratch field its halo exchanges need.
+struct NormalEquations<'a> {
+    comm: &'a mut Comm,
+    lat: &'a LocalLattice,
+    dirac: &'a StaggeredDirac,
+    scratch: FermionField,
 }
 
-/// Distributed CG on `D†D x = b`, stopping at `tol` relative residual or
-/// `max_iters` ("a cut-off after a certain number of iterations is a more
-/// robust approach", §V-A).
+impl CgSystem for NormalEquations<'_> {
+    type Elem = ColorVector;
+    type Error = SimError;
+    fn apply(&mut self, x: &[ColorVector], y: &mut [ColorVector]) -> Result<(), SimError> {
+        self.dirac
+            .apply_normal(self.comm, self.lat, x, &mut self.scratch, y)
+    }
+    fn dot(&mut self, a: &[ColorVector], b: &[ColorVector]) -> Result<f64, SimError> {
+        global_dot(self.comm, a, b)
+    }
+}
+
+/// Distributed CG on `D†D x = b` from the guess in `x` (resized to the
+/// local volume), stopping at `tol` relative residual or `max_iters` ("a
+/// cut-off after a certain number of iterations is a more robust
+/// approach", §V-A).
 pub(crate) fn cg_normal(
     comm: &mut Comm,
     lat: &LocalLattice,
@@ -103,48 +118,15 @@ pub(crate) fn cg_normal(
     x: &mut Vec<ColorVector>,
     tol: f64,
     max_iters: usize,
-) -> Result<SolveStats, SimError> {
-    let vol = lat.volume();
-    assert_eq!(b.len(), vol);
-    x.resize(vol, ColorVector::ZERO);
-    let mut scratch = lat.new_field();
-    let norm_b = global_dot(comm, b, b)?.sqrt();
-    if norm_b == 0.0 {
-        x.iter_mut().for_each(|v| *v = ColorVector::ZERO);
-        return Ok(SolveStats {
-            iterations: 0,
-            converged: true,
-            relative_residual: 0.0,
-        });
-    }
-    let mut ax = vec![ColorVector::ZERO; vol];
-    dirac.apply_normal(comm, lat, x, &mut scratch, &mut ax)?;
-    let mut r: Vec<ColorVector> = b.iter().zip(&ax).map(|(bi, ai)| bi.sub(ai)).collect();
-    let mut p = r.clone();
-    let mut rr = global_dot(comm, &r, &r)?;
-    let mut iterations = 0;
-    while iterations < max_iters && rr.sqrt() / norm_b > tol {
-        dirac.apply_normal(comm, lat, &p, &mut scratch, &mut ax)?;
-        let pap = global_dot(comm, &p, &ax)?;
-        let alpha = rr / pap;
-        for i in 0..vol {
-            x[i] = x[i].add(&p[i].scale(alpha));
-            r[i] = r[i].sub(&ax[i].scale(alpha));
-        }
-        let rr_new = global_dot(comm, &r, &r)?;
-        let beta = rr_new / rr;
-        for i in 0..vol {
-            p[i] = r[i].add(&p[i].scale(beta));
-        }
-        rr = rr_new;
-        iterations += 1;
-    }
-    let relative_residual = rr.sqrt() / norm_b;
-    Ok(SolveStats {
-        iterations,
-        converged: relative_residual <= tol,
-        relative_residual,
-    })
+) -> Result<CgResult, SimError> {
+    x.resize(lat.volume(), ColorVector::ZERO);
+    let mut normal = NormalEquations {
+        comm,
+        lat,
+        dirac,
+        scratch: lat.new_field(),
+    };
+    pcg(&mut normal, None, b, x, Start::Guess, tol, max_iters)
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //!   structure), solved by CG on the normal equations with the paper's
 //!   iteration-cap rule and residual verification (1e-10 Base / 1e-8
 //!   High-Scaling).
-//! - **DynQCD** (Base, CPU-only): the same operator with even/odd site
-//!   ordering, run one rank per node, generating quark propagators with a
-//!   conjugate gradient — "with high demands to the memory sub-system".
+//! - **DynQCD** (Base, CPU-only): the same operator and the same plain CG
+//!   on its normal equations (no even/odd preconditioning), run one rank
+//!   per node, generating quark propagators — "with high demands to the
+//!   memory sub-system". Both solve through `kernels::cg`.
 //!
 //! The benchmark also reproduces the >2³¹-site concern: lattice volumes are
 //! tracked in `u64` site indices, tested beyond 2³¹.

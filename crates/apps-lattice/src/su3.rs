@@ -1,5 +1,6 @@
 //! SU(3) color algebra: 3×3 special-unitary matrices and color vectors.
 
+use jubench_kernels::cg::Axpy;
 use jubench_kernels::{DetRng, C64};
 
 /// A 3-component complex color vector.
@@ -38,6 +39,12 @@ impl ColorVector {
 
     pub fn scale(&self, s: f64) -> ColorVector {
         ColorVector(std::array::from_fn(|i| self.0[i].scale(s)))
+    }
+}
+
+impl Axpy for ColorVector {
+    fn axpy(self, a: f64, x: ColorVector) -> ColorVector {
+        self.add(&x.scale(a))
     }
 }
 

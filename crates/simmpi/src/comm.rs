@@ -402,7 +402,6 @@ impl Comm {
                 t0,
                 EventKind::Drop {
                     peer: to,
-                    tag: 0,
                     bytes,
                     regime,
                 },
@@ -412,7 +411,6 @@ impl Comm {
                 t0,
                 EventKind::Send {
                     peer: to,
-                    tag: 0,
                     bytes,
                     regime,
                     degraded,
@@ -441,7 +439,6 @@ impl Comm {
                 t0,
                 EventKind::Timeout {
                     peer: from,
-                    tag: 0,
                     timeout_s,
                 },
             );
@@ -458,7 +455,6 @@ impl Comm {
             t0,
             EventKind::Recv {
                 peer: from,
-                tag: 0,
                 bytes,
                 regime,
                 wait_s,

@@ -425,7 +425,6 @@ impl<'a> Wire<'a> {
                     clock.now(),
                     EventKind::Send {
                         peer: to as u32,
-                        tag: 0,
                         bytes: n,
                         regime,
                         degraded: false,
@@ -449,7 +448,6 @@ impl<'a> Wire<'a> {
                     clock.now(),
                     EventKind::Recv {
                         peer: from as u32,
-                        tag: 0,
                         bytes: n,
                         regime,
                         wait_s,

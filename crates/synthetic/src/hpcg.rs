@@ -24,6 +24,7 @@ use jubench_core::{
     Benchmark, BenchmarkId, BenchmarkMeta, Fom, RealLayout, RealTrack, RunConfig, RunOutcome,
     SuiteError, VerificationOutcome,
 };
+use jubench_kernels::cg::{pcg, Start};
 
 /// The 27-point operator on an n³ grid with Dirichlet boundaries: diagonal
 /// 26, off-diagonals −1 (HPCG's standard problem).
@@ -163,39 +164,17 @@ impl Stencil27 {
 /// HPCG-style preconditioned CG; returns (iterations, relative residual,
 /// flops performed).
 pub(crate) fn hpcg_pcg(op: &Stencil27, b: &[f64], tol: f64, max_iters: usize) -> (usize, f64, f64) {
-    let len = op.len();
-    let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
     let (mut p_ghosted, mut z_ghosted) = (op.ghosted(0.0), op.ghosted(-0.0));
-    let mut x = vec![0.0; len];
-    let mut r = b.to_vec();
-    let norm_b = dot(b, b).sqrt();
-    let mut z = vec![0.0; len];
-    op.sym_gauss_seidel_with(&mut z_ghosted, &mut z, &r);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; len];
-    let mut iters = 0;
-    // 27-pt apply ≈ 54 flops/point; SGS ≈ 108; dots and axpys ≈ 10.
-    let flops_per_iter = (54.0 + 108.0 + 10.0) * len as f64;
-    while iters < max_iters && dot(&r, &r).sqrt() / norm_b > tol {
-        op.apply_with(&mut p_ghosted, &p, &mut ap);
-        let alpha = rz / dot(&p, &ap);
-        for i in 0..len {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
+    let mut a = |p: &[f64], ap: &mut [f64]| op.apply_with(&mut p_ghosted, p, ap);
+    let mut m = |r: &[f64], z: &mut [f64]| {
         z.fill(0.0);
-        op.sym_gauss_seidel_with(&mut z_ghosted, &mut z, &r);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        for i in 0..len {
-            p[i] = z[i] + beta * p[i];
-        }
-        rz = rz_new;
-        iters += 1;
-    }
-    let resid = dot(&r, &r).sqrt() / norm_b;
-    (iters, resid, flops_per_iter * iters as f64)
+        op.sym_gauss_seidel_with(&mut z_ghosted, z, r);
+    };
+    let mut x = vec![0.0; op.len()];
+    let Ok(res) = pcg(&mut a, Some(&mut m), b, &mut x, Start::Zero, tol, max_iters);
+    // 27-pt apply ≈ 54 flops/point; SGS ≈ 108; dots and axpys ≈ 10.
+    let flops = (54.0 + 108.0 + 10.0) * op.len() as f64 * res.iterations as f64;
+    (res.iterations, res.relative_residual, flops)
 }
 
 pub struct Hpcg {

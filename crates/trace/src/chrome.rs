@@ -107,12 +107,12 @@ fn args(e: &TraceEvent) -> String {
         EventKind::Compute { seconds } => {
             format!("{{\"seconds\":{}}}", fmt_f64(*seconds))
         }
-        EventKind::Send { peer, tag, bytes, regime, degraded } => format!(
-            "{{\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes},\"regime\":\"{}\",\"degraded\":{degraded}}}",
+        EventKind::Send { peer, bytes, regime, degraded } => format!(
+            "{{\"peer\":{peer},\"bytes\":{bytes},\"regime\":\"{}\",\"degraded\":{degraded}}}",
             regime.label()
         ),
-        EventKind::Recv { peer, tag, bytes, regime, wait_s, transfer_s } => format!(
-            "{{\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes},\"regime\":\"{}\",\"wait_s\":{},\"transfer_s\":{}}}",
+        EventKind::Recv { peer, bytes, regime, wait_s, transfer_s } => format!(
+            "{{\"peer\":{peer},\"bytes\":{bytes},\"regime\":\"{}\",\"wait_s\":{},\"transfer_s\":{}}}",
             regime.label(),
             fmt_f64(*wait_s),
             fmt_f64(*transfer_s)
@@ -126,12 +126,12 @@ fn args(e: &TraceEvent) -> String {
             escape(step),
             phase.label()
         ),
-        EventKind::Drop { peer, tag, bytes, regime } => format!(
-            "{{\"peer\":{peer},\"tag\":{tag},\"bytes\":{bytes},\"regime\":\"{}\"}}",
+        EventKind::Drop { peer, bytes, regime } => format!(
+            "{{\"peer\":{peer},\"bytes\":{bytes},\"regime\":\"{}\"}}",
             regime.label()
         ),
-        EventKind::Timeout { peer, tag, timeout_s } => format!(
-            "{{\"peer\":{peer},\"tag\":{tag},\"timeout_s\":{}}}",
+        EventKind::Timeout { peer, timeout_s } => format!(
+            "{{\"peer\":{peer},\"timeout_s\":{}}}",
             fmt_f64(*timeout_s)
         ),
         EventKind::Retry { peer, attempt, backoff_s } => format!(
@@ -184,7 +184,6 @@ mod tests {
                 t_end: 1.75,
                 kind: EventKind::Send {
                     peer: 1,
-                    tag: 7,
                     bytes: 4096,
                     regime: Regime::IntraCell,
                     degraded: true,
@@ -198,7 +197,6 @@ mod tests {
                 t_end: 2.0,
                 kind: EventKind::Recv {
                     peer: 0,
-                    tag: 7,
                     bytes: 4096,
                     regime: Regime::IntraCell,
                     wait_s: 1.75,

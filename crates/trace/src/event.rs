@@ -139,7 +139,6 @@ pub enum EventKind {
     /// `peer` through its adapter.
     Send {
         peer: u32,
-        tag: u32,
         bytes: u64,
         regime: Regime,
         degraded: bool,
@@ -149,7 +148,6 @@ pub enum EventKind {
     /// time.
     Recv {
         peer: u32,
-        tag: u32,
         bytes: u64,
         regime: Regime,
         wait_s: f64,
@@ -177,14 +175,13 @@ pub enum EventKind {
     /// the span carries the transfer time.
     Drop {
         peer: u32,
-        tag: u32,
         bytes: u64,
         regime: Regime,
     },
     /// A receive that observed a dropped message: the receiver waited for
     /// the (lost) payload and charged `timeout_s` of virtual time before
     /// giving up.
-    Timeout { peer: u32, tag: u32, timeout_s: f64 },
+    Timeout { peer: u32, timeout_s: f64 },
     /// A retry backoff span before attempt `attempt + 1` of a resilient
     /// operation, charged to the virtual clock as communication.
     Retry {
@@ -350,7 +347,6 @@ mod tests {
             t_end: 1.5,
             kind: EventKind::Send {
                 peer: 1,
-                tag: 0,
                 bytes: 8,
                 regime: Regime::IntraNode,
                 degraded: false,
@@ -443,7 +439,6 @@ mod tests {
         assert_eq!(EventKind::Compute { seconds: 1.0 }.bytes(), 0);
         let k = EventKind::Recv {
             peer: 0,
-            tag: 0,
             bytes: 24,
             regime: Regime::InterCell,
             wait_s: 0.0,

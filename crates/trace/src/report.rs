@@ -579,7 +579,6 @@ mod tests {
             t_end: t + 0.5,
             kind: EventKind::Send {
                 peer: 0,
-                tag: 0,
                 bytes,
                 regime,
                 degraded: false,
@@ -706,7 +705,6 @@ mod tests {
                 t_end: 0.25,
                 kind: EventKind::Drop {
                     peer: 1,
-                    tag: 9,
                     bytes: 512,
                     regime: Regime::IntraCell,
                 },
@@ -719,7 +717,6 @@ mod tests {
                 t_end: 0.35,
                 kind: EventKind::Timeout {
                     peer: 0,
-                    tag: 9,
                     timeout_s: 0.1,
                 },
             },
@@ -748,7 +745,6 @@ mod tests {
         let mut degraded = send(3, 1, 1.0, 64, Regime::IntraNode);
         degraded.kind = EventKind::Send {
             peer: 0,
-            tag: 0,
             bytes: 64,
             regime: Regime::IntraNode,
             degraded: true,
