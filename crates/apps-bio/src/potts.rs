@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use jubench_kernels::rank_rng;
 use jubench_kernels::DetRng;
-use jubench_simmpi::{Comm, ReduceOp, SimError};
+use jubench_simmpi::{block_range, Comm, ReduceOp, SimError};
 
 /// Cell types: medium (only id 0), plus two sorted cell kinds.
 pub(crate) const TYPE_MEDIUM: u8 = 0;
@@ -64,9 +64,9 @@ impl PottsBlock {
         let p = comm.size() as usize;
         assert!(nx % p == 0, "nx must divide the rank count for equal slabs");
         assert!(nx % cell_side == 0 && ny % cell_side == 0 && nz % cell_side == 0);
-        let lx = nx / p;
-        let x0 = comm.rank() as usize * lx;
-        let x1 = x0 + lx;
+        let slab = block_range(nx, p, comm.rank() as usize);
+        let (x0, x1) = (slab.start, slab.end);
+        let lx = x1 - x0;
         let plane = ny * nz;
         let mut sites = vec![0u32; (lx + 2) * plane];
         // Global deterministic cell layout: cell id from the cube index,
@@ -270,19 +270,14 @@ impl PottsBlock {
     fn exchange_boundaries(&mut self, comm: &mut Comm) -> Result<(), SimError> {
         let plane = self.ny * self.nz;
         let lx = self.lx();
-        let low: Vec<u64> = (0..plane).map(|q| self.sites[plane + q] as u64).collect();
-        let high: Vec<u64> = (0..plane)
-            .map(|q| self.sites[lx * plane + q] as u64)
-            .collect();
-        let (from_left, from_right) = if comm.size() == 1 {
-            (high.clone(), low.clone())
-        } else {
-            let right = (comm.rank() + 1) % comm.size();
-            let left = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_u64(right, &high)?;
-            comm.send_u64(left, &low)?;
-            (comm.recv_u64(left)?, comm.recv_u64(right)?)
-        };
+        // Site ids travel as `f64`, which holds every `u32` exactly.
+        let as_f64 = |ids: &[u32]| ids.iter().map(|&id| f64::from(id)).collect();
+        let low = as_f64(&self.sites[plane..2 * plane]);
+        let high = as_f64(&self.sites[lx * plane..(lx + 1) * plane]);
+        let right = (comm.rank() + 1) % comm.size();
+        let left = (comm.rank() + comm.size() - 1) % comm.size();
+        let from_left = comm.shift_f64(right, left, high)?;
+        let from_right = comm.shift_f64(left, right, low)?;
         for (q, v) in from_left.iter().enumerate() {
             self.sites[q] = *v as u32;
         }
@@ -712,18 +707,18 @@ mod reference {
         fn exchange_boundaries(&mut self, comm: &mut Comm) -> Result<(), SimError> {
             let plane = self.ny * self.nz;
             let lx = self.lx();
-            let low: Vec<u64> = (0..plane).map(|q| self.sites[plane + q] as u64).collect();
-            let high: Vec<u64> = (0..plane)
-                .map(|q| self.sites[lx * plane + q] as u64)
+            let low: Vec<f64> = (0..plane).map(|q| self.sites[plane + q] as f64).collect();
+            let high: Vec<f64> = (0..plane)
+                .map(|q| self.sites[lx * plane + q] as f64)
                 .collect();
             let (from_left, from_right) = if comm.size() == 1 {
                 (high.clone(), low.clone())
             } else {
                 let right = (comm.rank() + 1) % comm.size();
                 let left = (comm.rank() + comm.size() - 1) % comm.size();
-                comm.send_u64(right, &high)?;
-                comm.send_u64(left, &low)?;
-                (comm.recv_u64(left)?, comm.recv_u64(right)?)
+                comm.send_f64(right, &high)?;
+                comm.send_f64(left, &low)?;
+                (comm.recv_f64(left)?, comm.recv_f64(right)?)
             };
             for (q, v) in from_left.iter().enumerate() {
                 self.sites[q] = *v as u32;

@@ -2,7 +2,7 @@
 //! gather-scatter assembly, and CG with globally consistent inner products.
 
 use jubench_kernels::cg::{pcg, CgSystem, Start};
-use jubench_simmpi::{Comm, ReduceOp, SimError};
+use jubench_simmpi::{block_range, Comm, ReduceOp, SimError};
 
 use crate::sem::{DiffMatrix, Element3};
 
@@ -29,11 +29,8 @@ impl SemPoisson {
     pub fn new(comm: &Comm, order: usize, ex: usize, ey: usize, ez: usize) -> Self {
         let p = comm.size() as usize;
         assert!(ex >= p, "need at least one element slab per rank");
-        let r = comm.rank() as usize;
-        let base = ex / p;
-        let rem = ex % p;
-        let x0 = r * base + r.min(rem);
-        let x1 = x0 + base + usize::from(r < rem);
+        let slab = block_range(ex, p, comm.rank() as usize);
+        let (x0, x1) = (slab.start, slab.end);
         SemPoisson {
             dm: DiffMatrix::new(order),
             ex,
@@ -111,18 +108,20 @@ impl SemPoisson {
     }
 
     /// Apply an element-local operator over all local elements, assemble
-    /// (gather-scatter) into the nodal vector, and sum the interface
-    /// planes with the slab neighbours.
+    /// (gather-scatter) into the nodal vector `out`, which it zeroes
+    /// first, and sum the interface planes with the slab neighbours.
     fn assemble(
         &self,
         comm: &mut Comm,
         u: &[f64],
         op: impl Fn(&Element3<'_>, &[f64], &mut [f64]),
-    ) -> Result<Vec<f64>, SimError> {
+        out: &mut [f64],
+    ) -> Result<(), SimError> {
         let n = self.dm.n;
         let m = n + 1;
         let nx = self.local_nodes();
-        let mut out = vec![0.0; u.len()];
+        assert_eq!(out.len(), u.len());
+        out.fill(0.0);
         let el = Element3 {
             dm: &self.dm,
             h: self.h,
@@ -173,7 +172,7 @@ impl SemPoisson {
                 out[start + q] += v;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Globally consistent inner product: interface planes are owned by
@@ -186,16 +185,22 @@ impl SemPoisson {
         comm.allreduce_scalar(local, ReduceOp::Sum)
     }
 
-    /// Apply the assembled, masked stiffness operator.
-    pub(crate) fn apply_a(&self, comm: &mut Comm, u: &[f64]) -> Result<Vec<f64>, SimError> {
-        let mut au = self.assemble(comm, u, |el, x, y| el.stiffness(x, y))?;
-        self.mask(&mut au);
-        Ok(au)
+    /// Apply the assembled, masked stiffness operator: `au = A·u`.
+    pub(crate) fn apply_a(
+        &self,
+        comm: &mut Comm,
+        u: &[f64],
+        au: &mut [f64],
+    ) -> Result<(), SimError> {
+        self.assemble(comm, u, |el, x, y| el.stiffness(x, y), au)?;
+        self.mask(au);
+        Ok(())
     }
 
     /// Assemble the load vector b = M f from nodal samples of f.
     pub fn rhs(&self, comm: &mut Comm, f: &[f64]) -> Result<Vec<f64>, SimError> {
-        let mut b = self.assemble(comm, f, |el, x, y| el.mass(x, y))?;
+        let mut b = vec![0.0; f.len()];
+        self.assemble(comm, f, |el, x, y| el.mass(x, y), &mut b)?;
         self.mask(&mut b);
         Ok(b)
     }
@@ -251,8 +256,7 @@ impl CgSystem for Stiffness<'_> {
     type Elem = f64;
     type Error = SimError;
     fn apply(&mut self, x: &[f64], y: &mut [f64]) -> Result<(), SimError> {
-        y.copy_from_slice(&self.sem.apply_a(self.comm, x)?);
-        Ok(())
+        self.sem.apply_a(self.comm, x, y)
     }
     fn dot(&mut self, a: &[f64], b: &[f64]) -> Result<f64, SimError> {
         self.sem.dot(self.comm, a, b)
@@ -301,7 +305,8 @@ mod tests {
                 }
             }
             sp.mask(&mut u);
-            let au = sp.apply_a(comm, &u).unwrap();
+            let mut au = vec![0.0; u.len()];
+            sp.apply_a(comm, &u, &mut au).unwrap();
 
             sp.dot(comm, &u, &au).unwrap()
         });

@@ -11,7 +11,7 @@
 //! solution" that verify the run.
 
 use jubench_ckpt::{open, seal, Checkpointable, CkptError, SnapshotReader, SnapshotWriter};
-use jubench_simmpi::{Comm, ReduceOp, SimError};
+use jubench_simmpi::{block_range, Comm, ReduceOp, SimError};
 
 /// Per-rank slab of rows (y-decomposition) of the `nx × ny` global grid.
 pub struct ShallowWater {
@@ -37,11 +37,8 @@ impl ShallowWater {
     pub fn gaussian(comm: &Comm, nx: usize, ny: usize) -> Self {
         let p = comm.size() as usize;
         assert!(ny >= p, "need at least one row per rank");
-        let r = comm.rank() as usize;
-        let base = ny / p;
-        let rem = ny % p;
-        let y0 = r * base + r.min(rem);
-        let y1 = y0 + base + usize::from(r < rem);
+        let slab = block_range(ny, p, comm.rank() as usize);
+        let (y0, y1) = (slab.start, slab.end);
         let rows = y1 - y0;
         let mut h = vec![0.0; (rows + 2) * nx];
         for row in 0..rows {
@@ -72,28 +69,17 @@ impl ShallowWater {
         self.y1 - self.y0
     }
 
-    /// Exchange ghost rows of one field (periodic in y across ranks).
+    /// Exchange ghost rows of one field (periodic in y across ranks; a
+    /// single slab wraps onto itself).
     fn exchange(&self, comm: &mut Comm, field: &mut [f64]) -> Result<(), SimError> {
         let nx = self.nx;
         let rows = self.rows();
-        if comm.size() == 1 {
-            // Periodic wrap within the single slab.
-            let (first, last) = (
-                field[nx..2 * nx].to_vec(),
-                field[rows * nx..(rows + 1) * nx].to_vec(),
-            );
-            field[..nx].copy_from_slice(&last);
-            field[(rows + 1) * nx..].copy_from_slice(&first);
-            return Ok(());
-        }
         let up = (comm.rank() + 1) % comm.size();
         let down = (comm.rank() + comm.size() - 1) % comm.size();
         let top_row = field[rows * nx..(rows + 1) * nx].to_vec();
         let bottom_row = field[nx..2 * nx].to_vec();
-        comm.send_f64(up, &top_row)?;
-        comm.send_f64(down, &bottom_row)?;
-        let from_down = comm.recv_f64(down)?;
-        let from_up = comm.recv_f64(up)?;
+        let from_down = comm.shift_f64(up, down, top_row)?;
+        let from_up = comm.shift_f64(down, up, bottom_row)?;
         field[..nx].copy_from_slice(&from_down);
         field[(rows + 1) * nx..].copy_from_slice(&from_up);
         Ok(())

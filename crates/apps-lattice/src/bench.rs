@@ -88,8 +88,7 @@ fn real_lattice_execution(layout: &RealLayout, tol: f64) -> RealTrack {
         let b: Vec<ColorVector> = (0..lat.volume())
             .map(|_| ColorVector::random(&mut rng))
             .collect();
-        let mut x = Vec::new();
-        let stats = cg_normal(comm, &lat, &dirac, &b, &mut x, tol, 800).unwrap();
+        let (_, stats) = cg_normal(comm, &lat, &dirac, &b, tol, 800).unwrap();
         (stats, lat.interior_plaquette())
     });
     let mut metrics = Vec::new();

@@ -55,7 +55,8 @@ impl StaggeredDirac {
         }
     }
 
-    /// y = D†D x (two halo exchanges).
+    /// y = D†D x (two halo exchanges). `out` holds the intermediate D x
+    /// until it is copied into `scratch`.
     pub(crate) fn apply_normal(
         &self,
         comm: &mut Comm,
@@ -66,9 +67,8 @@ impl StaggeredDirac {
     ) -> Result<(), SimError> {
         scratch.v.copy_from_slice(x);
         lat.exchange_fermion(comm, scratch)?;
-        let mut dx = vec![ColorVector::ZERO; lat.volume()];
-        self.apply(lat, scratch, &mut dx);
-        scratch.v.copy_from_slice(&dx);
+        self.apply(lat, scratch, out);
+        scratch.v.copy_from_slice(out);
         lat.exchange_fermion(comm, scratch)?;
         self.apply_dagger(lat, scratch, out);
         Ok(())
@@ -106,27 +106,27 @@ impl CgSystem for NormalEquations<'_> {
     }
 }
 
-/// Distributed CG on `D†D x = b` from the guess in `x` (resized to the
-/// local volume), stopping at `tol` relative residual or `max_iters` ("a
-/// cut-off after a certain number of iterations is a more robust
-/// approach", §V-A).
+/// Distributed CG on `D†D x = b` from `x = 0`, stopping at `tol`
+/// relative residual or `max_iters` ("a cut-off after a certain number of
+/// iterations is a more robust approach", §V-A). Returns the solution
+/// and the solve's outcome.
 pub(crate) fn cg_normal(
     comm: &mut Comm,
     lat: &LocalLattice,
     dirac: &StaggeredDirac,
     b: &[ColorVector],
-    x: &mut Vec<ColorVector>,
     tol: f64,
     max_iters: usize,
-) -> Result<CgResult, SimError> {
-    x.resize(lat.volume(), ColorVector::ZERO);
+) -> Result<(Vec<ColorVector>, CgResult), SimError> {
+    let mut x = vec![ColorVector::ZERO; lat.volume()];
     let mut normal = NormalEquations {
         comm,
         lat,
         dirac,
         scratch: lat.new_field(),
     };
-    pcg(&mut normal, None, b, x, Start::Guess, tol, max_iters)
+    let cg = pcg(&mut normal, None, b, &mut x, Start::Zero, tol, max_iters)?;
+    Ok((x, cg))
 }
 
 #[cfg(test)]
@@ -225,8 +225,7 @@ mod tests {
             let lat = LocalLattice::hot(comm, [2, 2, 2, 2], [2, 2, 2, 2], &mut rng).unwrap();
             let dirac = StaggeredDirac { mass: 0.8 };
             let b = random_field(&lat, 31, comm.rank());
-            let mut x = Vec::new();
-            let stats = cg_normal(comm, &lat, &dirac, &b, &mut x, 1e-10, 500).unwrap();
+            let (x, stats) = cg_normal(comm, &lat, &dirac, &b, 1e-10, 500).unwrap();
             // Independent residual check: ‖D†D x − b‖ / ‖b‖.
             let mut scratch = lat.new_field();
             let mut ax = vec![ColorVector::ZERO; lat.volume()];
@@ -252,8 +251,7 @@ mod tests {
             // Small mass → worse conditioning → cannot converge in 2 iters.
             let dirac = StaggeredDirac { mass: 0.05 };
             let b = random_field(&lat, 37, comm.rank());
-            let mut x = Vec::new();
-            cg_normal(comm, &lat, &dirac, &b, &mut x, 1e-14, 2).unwrap()
+            cg_normal(comm, &lat, &dirac, &b, 1e-14, 2).unwrap().1
         });
         for r in &results {
             assert_eq!(r.value.iterations, 2);
@@ -267,8 +265,7 @@ mod tests {
             let lat = LocalLattice::cold(comm, [2, 2, 2, 2], [2, 2, 2, 2]);
             let dirac = StaggeredDirac { mass: 1.0 };
             let b = vec![ColorVector::ZERO; lat.volume()];
-            let mut x = Vec::new();
-            cg_normal(comm, &lat, &dirac, &b, &mut x, 1e-12, 10).unwrap()
+            cg_normal(comm, &lat, &dirac, &b, 1e-12, 10).unwrap().1
         });
         for r in &results {
             assert_eq!(r.value.iterations, 0);

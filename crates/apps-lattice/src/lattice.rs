@@ -171,12 +171,7 @@ impl LocalLattice {
             });
             let fwd = self.neighbor_rank(d, 1);
             let bwd = self.neighbor_rank(d, -1);
-            let incoming = if fwd == comm.rank() {
-                payload.clone()
-            } else {
-                comm.send_f64(fwd, &payload)?;
-                comm.recv_f64(bwd)?
-            };
+            let incoming = comm.shift_f64(fwd, bwd, payload)?;
             let face_len = self.volume() / self.dims[d];
             assert_eq!(incoming.len(), face_len * 18);
             for (i, chunk) in incoming.chunks_exact(18).enumerate() {
@@ -223,12 +218,7 @@ impl LocalLattice {
                 });
                 let to = self.neighbor_rank(d, -dir);
                 let from = self.neighbor_rank(d, dir);
-                let incoming = if to == comm.rank() && from == comm.rank() {
-                    payload.clone()
-                } else {
-                    comm.send_f64(to, &payload)?;
-                    comm.recv_f64(from)?
-                };
+                let incoming = comm.shift_f64(to, from, payload)?;
                 let ghost = &mut field.ghosts[d][side];
                 assert_eq!(incoming.len(), ghost.len() * 6);
                 for (i, chunk) in incoming.chunks_exact(6).enumerate() {

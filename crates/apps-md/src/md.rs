@@ -144,9 +144,9 @@ impl MdSystem {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         let to_right = pack(&self.atoms, &near_hi);
         let to_left = pack(&self.atoms, &near_lo);
-        comm.send_f64(right, &to_right)?;
-        comm.send_f64(left, &to_left)?;
-        for buf in [comm.recv_f64(left)?, comm.recv_f64(right)?] {
+        let from_left = comm.shift_f64(right, left, to_right)?;
+        let from_right = comm.shift_f64(left, right, to_left)?;
+        for buf in [from_left, from_right] {
             for chunk in buf.chunks_exact(3) {
                 self.ghosts.push([chunk[0], chunk[1], chunk[2]]);
             }
@@ -292,6 +292,11 @@ impl MdSystem {
                 to_left.extend_from_slice(&a.force);
             }
         }
+        // Two sends, then two receives, not a shift pair: at p = 2 left
+        // and right are one peer, whose two messages these receives take
+        // in send order (its `to_left`, then its `to_right`). A shift pair
+        // keeping the left-first order at p ≥ 3 would take them the other
+        // way round and swap the two buffers' roles at p = 2.
         comm.send_f64(left, &to_left)?;
         comm.send_f64(right, &to_right)?;
         for buf in [comm.recv_f64(left)?, comm.recv_f64(right)?] {

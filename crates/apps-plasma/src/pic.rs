@@ -11,7 +11,7 @@
 //!    the owning rank.
 
 use jubench_kernels::rank_rng;
-use jubench_simmpi::{Comm, ReduceOp, SimError};
+use jubench_simmpi::{block_owner, block_range, Comm, ReduceOp, SimError};
 
 /// One macro-particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,11 +72,8 @@ impl PicSim {
     ) -> Self {
         let p = comm.size() as usize;
         assert!(grid[0] >= p, "need at least one x-slab per rank");
-        let r = comm.rank() as usize;
-        let base = grid[0] / p;
-        let rem = grid[0] % p;
-        let x0 = r * base + r.min(rem);
-        let x1 = x0 + base + usize::from(r < rem);
+        let slab = block_range(grid[0], p, comm.rank() as usize);
+        let (x0, x1) = (slab.start, slab.end);
         let lx = x1 - x0;
         let plane = grid[1] * grid[2];
         let mut rng = rank_rng(seed, comm.rank());
@@ -175,21 +172,11 @@ impl PicSim {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         let high_ghost: Vec<f64> = self.rho[(lx + 1) * plane..].to_vec();
         let low_ghost: Vec<f64> = self.rho[..plane].to_vec();
-        let from_left = if right == comm.rank() {
-            high_ghost
-        } else {
-            comm.send_f64(right, &high_ghost)?;
-            comm.recv_f64(left)?
-        };
+        let from_left = comm.shift_f64(right, left, high_ghost)?;
         for (q, v) in from_left.iter().enumerate() {
             self.rho[plane + q] += v;
         }
-        let from_right = if left == comm.rank() {
-            low_ghost
-        } else {
-            comm.send_f64(left, &low_ghost)?;
-            comm.recv_f64(right)?
-        };
+        let from_right = comm.shift_f64(left, right, low_ghost)?;
         for (q, v) in from_right.iter().enumerate() {
             self.rho[lx * plane + q] += v;
         }
@@ -204,15 +191,8 @@ impl PicSim {
         let left = (comm.rank() + comm.size() - 1) % comm.size();
         let high: Vec<f64> = field[lx * plane..(lx + 1) * plane].to_vec();
         let low: Vec<f64> = field[plane..2 * plane].to_vec();
-        let (from_left, from_right) = if comm.size() == 1 {
-            (high, low)
-        } else {
-            comm.send_f64(right, &high)?;
-            comm.send_f64(left, &low)?;
-            let fl = comm.recv_f64(left)?;
-            let fr = comm.recv_f64(right)?;
-            (fl, fr)
-        };
+        let from_left = comm.shift_f64(right, left, high)?;
+        let from_right = comm.shift_f64(left, right, low)?;
         field[..plane].copy_from_slice(&from_left);
         field[(lx + 1) * plane..].copy_from_slice(&from_right);
         Ok(())
@@ -313,7 +293,8 @@ impl PicSim {
         let mut to_left: Vec<f64> = Vec::new();
         let mut to_right: Vec<f64> = Vec::new();
         for p in self.particles.drain(..) {
-            let owner = owner_rank(self.grid[0], p_ranks, p.pos[0]);
+            let cell = (p.pos[0].floor() as usize).min(self.grid[0] - 1);
+            let owner = block_owner(self.grid[0], p_ranks as usize, cell) as u32;
             if owner == comm.rank() {
                 staying.push(p);
             } else if owner == right {
@@ -323,10 +304,8 @@ impl PicSim {
                 pack(&mut to_left, &p);
             }
         }
-        comm.send_f64(left, &to_left)?;
-        comm.send_f64(right, &to_right)?;
-        let from_right = comm.recv_f64(right)?;
-        let from_left = comm.recv_f64(left)?;
+        let from_right = comm.shift_f64(left, right, to_left)?;
+        let from_left = comm.shift_f64(right, left, to_right)?;
         for chunk in from_right.chunks_exact(7).chain(from_left.chunks_exact(7)) {
             staying.push(unpack(chunk));
         }
@@ -350,22 +329,6 @@ impl PicSim {
             .map(|c| c.iter().map(|v| v * v).sum::<f64>())
             .sum::<f64>()
     }
-}
-
-/// The rank owning global cell ⌊x⌋ under the deterministic slab partition
-/// (the same split `kelvin_helmholtz` uses).
-fn owner_rank(gx: usize, ranks: u32, x: f64) -> u32 {
-    let p = ranks as usize;
-    let base = gx / p;
-    let rem = gx % p;
-    let cell = (x.floor() as usize).min(gx - 1);
-    let wide = rem * (base + 1);
-    let r = if cell < wide {
-        cell / (base + 1)
-    } else {
-        rem + (cell - wide) / base
-    };
-    r as u32
 }
 
 fn pack(buf: &mut Vec<f64>, p: &Particle) {

@@ -2,7 +2,7 @@
 //! CG on large sparse systems is the dominant kernel of five codes, and
 //! each solves through it: Chroma-QCD and DynQCD ("very large, regular,
 //! sparse linear systems"; `apps-lattice`'s `cg_normal`, distributed, from
-//! a guess), nekRS (`SemPoisson::manufactured_solution_error`, distributed,
+//! zero), nekRS (`SemPoisson::manufactured_solution_error`, distributed,
 //! from zero), ParFlow (`pcg_poisson`, V-cycle preconditioned) and HPCG
 //! (`hpcg_pcg`, symmetric Gauss-Seidel preconditioned). [`cg_solve`] is
 //! plain CG on a [`LinOp`].

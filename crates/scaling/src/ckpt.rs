@@ -14,7 +14,7 @@ use jubench_ckpt::{daly_interval, young_interval};
 use jubench_cluster::{Machine, NetModel};
 use jubench_faults::{FaultPlan, RetryPolicy};
 use jubench_sched::{Job, PlacementPolicy, QueuePolicy, Scheduler, SchedulerConfig};
-use jubench_trace::{Recorder, RunReport};
+use jubench_trace::RunReport;
 
 /// Compute slowdown of a drained node (the scheduler preempts on the
 /// window regardless; the factor only matters to co-simulated MPI runs).
@@ -133,9 +133,7 @@ fn campaign_makespan(nodes: u32, jobs: &[Job], plan: &FaultPlan, seed: u64) -> (
         ),
     );
     let schedule = sched.run(jobs, plan);
-    let recorder = Recorder::new();
-    schedule.emit(&recorder);
-    let report = RunReport::from_events(&recorder.take_events());
+    let report = RunReport::from_events(&schedule.events());
     (schedule.makespan_s, report)
 }
 

@@ -230,21 +230,24 @@ impl Schedule {
         segments
     }
 
-    /// Emit the schedule into a trace sink as [`SchedPhase`] events: one
-    /// synthetic process per cell ([`SCHED_CELL_TRACK_BASE`]`+ cell`),
-    /// one thread per job. The Submit span covers the queue wait, each
-    /// attempt is a Start span, preemptions and completion are markers.
-    /// Checkpointing jobs additionally carry a [`CkptPhase`] Write span
-    /// per completed write and a Restore marker (with the preceding
-    /// attempt's lost work) at each restart that resumed from banked
-    /// progress. Write `j` lands after `j` intervals of work and `j − 1`
-    /// earlier writes — [`WriteTimes`] is that closed form.
-    pub fn emit(&self, sink: &dyn TraceSink) {
+    /// The schedule as [`SchedPhase`] trace events, ordered by
+    /// `(rank, seq)` as [`jubench_trace::Recorder::take_events`] orders
+    /// them: one synthetic process per cell
+    /// ([`SCHED_CELL_TRACK_BASE`]`+ cell`), one thread (`rank`) per job.
+    /// The Submit span covers the queue wait, each attempt is a Start
+    /// span, preemptions and completion are markers. Checkpointing jobs
+    /// additionally carry a [`CkptPhase`] Write span per completed write
+    /// and a Restore marker (with the preceding attempt's lost work) at
+    /// each restart that resumed from banked progress. Write `j` lands
+    /// after `j` intervals of work and `j − 1` earlier writes —
+    /// [`WriteTimes`] is that closed form.
+    pub fn events(&self) -> Vec<TraceEvent> {
         use SchedPhase::{Finish, Preempt, Start, Submit};
+        let mut events = Vec::new();
         for r in &self.records {
             let mut seq: u64 = 0;
             let mut put = |cell: u32, t_start: f64, t_end: f64, kind: EventKind| {
-                sink.record(TraceEvent {
+                events.push(TraceEvent {
                     rank: r.id,
                     node: SCHED_CELL_TRACK_BASE + cell,
                     seq,
@@ -293,6 +296,15 @@ impl Schedule {
             if let (Some(end), Some(last)) = (r.end_s, r.attempts.last()) {
                 put(last.cell, end, end, sched(Finish, last.cells));
             }
+        }
+        events.sort_by_key(|e| (e.rank, e.seq));
+        events
+    }
+
+    /// Deliver [`Schedule::events`] to `sink`, in that order.
+    pub fn emit(&self, sink: &dyn TraceSink) {
+        for event in self.events() {
+            sink.record(event);
         }
     }
 
@@ -372,13 +384,11 @@ mod tests {
 
     #[test]
     fn emitted_events_land_on_cell_tracks() {
-        use jubench_trace::{Recorder, RunReport};
+        use jubench_trace::RunReport;
         let s = sched(QueuePolicy::Fifo, PlacementPolicy::Contiguous);
         let jobs = vec![Job::new(0, "a", 8, 2.0), Job::new(1, "b", 8, 1.0)];
         let out = s.run(&jobs, &FaultPlan::new(0));
-        let rec = Recorder::new();
-        out.emit(&rec);
-        let events = rec.take_events();
+        let events = out.events();
         assert!(events.iter().all(|e| e.is_synthetic()));
         let report = RunReport::from_events(&events);
         assert_eq!(report.sched.submitted, 2);
@@ -389,16 +399,14 @@ mod tests {
 
     #[test]
     fn emitted_ckpt_events_carry_overhead_and_lost_work() {
-        use jubench_trace::{Recorder, RunReport};
+        use jubench_trace::RunReport;
         let s = sched(QueuePolicy::Fifo, PlacementPolicy::Contiguous);
         let jobs = vec![Job::new(0, "victim", 8, 8.0)
             .with_retry(jubench_faults::RetryPolicy::new(3, 0.5))
             .with_checkpointing(1.0, 0.01)];
         let plan = FaultPlan::new(0).with_slow_node_window(3, 8.0, 6.0, 7.0);
         let out = s.run(&jobs, &plan);
-        let rec = Recorder::new();
-        out.emit(&rec);
-        let events = rec.take_events();
+        let events = out.events();
         assert!(events.iter().all(|e| e.is_synthetic()));
         let report = RunReport::from_events(&events);
         let c = &report.ckpt;

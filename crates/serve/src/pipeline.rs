@@ -20,7 +20,7 @@ use crate::spec::{CampaignSpec, RunPoint};
 use crate::tracks::RealTracks;
 use jubench_core::{BenchmarkId, Registry, RunConfig};
 use jubench_sched::{category_priority, measured_job, Job, Schedule, Scheduler, SchedulerConfig};
-use jubench_trace::{chrome_trace_json, Recorder, RunReport};
+use jubench_trace::{chrome_trace_json, RunReport};
 use std::sync::Arc;
 
 /// The eight cells of `p`'s result row; a point that did not execute
@@ -154,9 +154,7 @@ pub(crate) fn artifacts(
     rows: &[Arc<PointResult>],
     schedule: &Schedule,
 ) -> (String, String, RunReport) {
-    let recorder = Recorder::new();
-    schedule.emit(&recorder);
-    let events = recorder.take_events();
+    let events = schedule.events();
     (
         render_table(spec, rows, schedule),
         chrome_trace_json(&events),

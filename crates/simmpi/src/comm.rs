@@ -1,5 +1,5 @@
-//! The per-rank communicator: typed point-to-point messages, collectives,
-//! and virtual-time accounting.
+//! The per-rank communicator: point-to-point `f64` messages, the
+//! neighbour shift, collectives, and virtual-time accounting.
 //!
 //! The `simmpi/{msgs,bytes}/{send,recv}` and `simmpi/{ops,bytes}/<collective>`
 //! metrics are per-rank tallies: plain integers on the [`Comm`] while the
@@ -16,8 +16,9 @@ use jubench_trace::{CollectiveKind, EventKind, Regime, TraceEvent, TraceSink};
 
 use crate::clock::{ClockStats, VirtualClock};
 use crate::error::SimError;
+use crate::partition::block_range;
 use crate::rankmap::RankMap;
-use crate::rendezvous::{ring_chunk, Entry, Rendezvous};
+use crate::rendezvous::{Entry, Rendezvous};
 
 /// The topology regime a transfer over `dist` is accounted to.
 fn regime_of(dist: Distance) -> Regime {
@@ -44,51 +45,13 @@ pub(crate) fn link_time(
     (net.ptp_time(bytes, dist, map.job_nodes()), regime_of(dist))
 }
 
-/// Typed message payload. Using an enum instead of raw bytes keeps the data
-/// path allocation-light and lets the runtime detect datatype mismatches.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    F64(Vec<f64>),
-    U64(Vec<u64>),
-}
-
-impl Payload {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Payload::F64(_) => "f64",
-            Payload::U64(_) => "u64",
-        }
-    }
-
-    fn nbytes(&self) -> u64 {
-        match self {
-            Payload::F64(v) => (v.len() * 8) as u64,
-            Payload::U64(v) => (v.len() * 8) as u64,
-        }
-    }
-
-    fn into_f64(self) -> Result<Vec<f64>, Payload> {
-        match self {
-            Payload::F64(v) => Ok(v),
-            other => Err(other),
-        }
-    }
-
-    fn into_u64(self) -> Result<Vec<u64>, Payload> {
-        match self {
-            Payload::U64(v) => Ok(v),
-            other => Err(other),
-        }
-    }
-}
-
 /// A message in flight, carrying the sender's virtual post time so the
 /// receiver can respect causality. A *dropped* message (an injected
 /// message-drop fault) is sent as a tombstone — `dropped: true` — so the
 /// receiver never blocks in wall time; it charges the virtual receive
 /// timeout and reports [`SimError::Timeout`] instead of a payload.
 pub(crate) struct Message {
-    payload: Payload,
+    payload: Vec<f64>,
     sent_at: f64,
     dropped: bool,
 }
@@ -371,17 +334,17 @@ impl Comm {
 
     // ----- point-to-point -------------------------------------------------
 
-    fn send_payload(&mut self, to: u32, payload: Payload) -> Result<(), SimError> {
+    fn send_payload(&mut self, to: u32, payload: Vec<f64>) -> Result<(), SimError> {
         self.send_payload_inner(to, payload).map(|_| ())
     }
 
     /// Send one message; returns whether it was *delivered* (`false`: an
     /// injected drop consumed it — a tombstone went out instead, so the
     /// receiver still unblocks and observes a timeout).
-    fn send_payload_inner(&mut self, to: u32, payload: Payload) -> Result<bool, SimError> {
+    fn send_payload_inner(&mut self, to: u32, payload: Vec<f64>) -> Result<bool, SimError> {
         self.fail_if_crashed()?;
         self.check_rank(to)?;
-        let bytes = payload.nbytes();
+        let bytes = (payload.len() * 8) as u64;
         self.tally.messages.msgs_send += 1;
         self.tally.messages.bytes_send += bytes;
         let (transfer, regime, degraded) = self.link(to, bytes);
@@ -420,7 +383,8 @@ impl Comm {
         Ok(!dropped)
     }
 
-    fn recv_payload(&mut self, from: u32) -> Result<Payload, SimError> {
+    /// Receive the next `f64` message from `from`.
+    pub fn recv_f64(&mut self, from: u32) -> Result<Vec<f64>, SimError> {
         self.fail_if_crashed()?;
         self.check_rank(from)?;
         let msg = self.receivers[from as usize]
@@ -444,7 +408,7 @@ impl Comm {
             );
             return Err(SimError::Timeout { from });
         }
-        let bytes = msg.payload.nbytes();
+        let bytes = (msg.payload.len() * 8) as u64;
         self.tally.messages.msgs_recv += 1;
         self.tally.messages.bytes_recv += bytes;
         let (transfer, regime, _) = self.link(from, bytes);
@@ -466,35 +430,7 @@ impl Comm {
 
     /// Send a slice of `f64` to `to`.
     pub fn send_f64(&mut self, to: u32, data: &[f64]) -> Result<(), SimError> {
-        self.send_payload(to, Payload::F64(data.to_vec()))
-    }
-
-    pub fn send_u64(&mut self, to: u32, data: &[u64]) -> Result<(), SimError> {
-        self.send_payload(to, Payload::U64(data.to_vec()))
-    }
-
-    /// Receive the next message from `from` as the payload type `take`
-    /// extracts.
-    fn recv_typed<T>(
-        &mut self,
-        from: u32,
-        expected: &'static str,
-        take: impl FnOnce(Payload) -> Result<T, Payload>,
-    ) -> Result<T, SimError> {
-        take(self.recv_payload(from)?).map_err(|other| SimError::TypeMismatch {
-            from,
-            expected,
-            found: other.type_name(),
-        })
-    }
-
-    /// Receive the next `f64` message from `from`.
-    pub fn recv_f64(&mut self, from: u32) -> Result<Vec<f64>, SimError> {
-        self.recv_typed(from, "f64", Payload::into_f64)
-    }
-
-    pub fn recv_u64(&mut self, from: u32) -> Result<Vec<u64>, SimError> {
-        self.recv_typed(from, "u64", Payload::into_u64)
+        self.send_payload(to, data.to_vec())
     }
 
     /// Simultaneous exchange with `peer`: send `data`, receive the peer's
@@ -502,6 +438,21 @@ impl Comm {
     pub fn sendrecv_f64(&mut self, peer: u32, data: &[f64]) -> Result<Vec<f64>, SimError> {
         self.send_f64(peer, data)?;
         self.recv_f64(peer)
+    }
+
+    /// One step of a neighbour shift: send `data` to `to`, then receive
+    /// the buffer `from` sent this rank in the matching step. When every
+    /// rank shifts with the same `(to, from)` pattern, each rank's receive
+    /// is matched by its `from`'s send of the same step, and sends never
+    /// block, so a shift cannot deadlock. A rank that is both its own
+    /// `to` and `from` (a ring of one) gets `data` back untouched, with
+    /// no traffic.
+    pub fn shift_f64(&mut self, to: u32, from: u32, data: Vec<f64>) -> Result<Vec<f64>, SimError> {
+        if to == self.rank && from == self.rank {
+            return Ok(data);
+        }
+        self.send_payload(to, data)?;
+        self.recv_f64(from)
     }
 
     // ----- resilient point-to-point ---------------------------------------
@@ -519,7 +470,7 @@ impl Comm {
         policy: RetryPolicy,
     ) -> Result<u32, SimError> {
         for attempt in 1..=policy.max_attempts {
-            if self.send_payload_inner(to, Payload::F64(data.to_vec()))? {
+            if self.send_payload_inner(to, data.to_vec())? {
                 return Ok(attempt);
             }
             if attempt < policy.max_attempts {
@@ -681,7 +632,7 @@ impl Comm {
         let right = ((r + 1) % p) as u32;
         let left = ((r + p - 1) % p) as u32;
         let n = buf.len();
-        let chunk = move |i: usize| ring_chunk(n, p, i);
+        let chunk = move |i: usize| block_range(n, p, i);
         // Reduce-scatter.
         for s in 0..p - 1 {
             let send_idx = (r + p - s) % p;
@@ -748,7 +699,7 @@ impl Comm {
         let left = ((r + p - 1) % p) as u32;
         let mut cur = local.to_vec();
         for s in 0..p - 1 {
-            self.send_payload(right, Payload::F64(cur))?;
+            self.send_payload(right, cur)?;
             cur = self.recv_f64(left)?;
             let src = (r + p - 1 - s) % p;
             out[src * n..(src + 1) * n].copy_from_slice(&cur);
@@ -802,12 +753,5 @@ mod tests {
         assert_eq!(ReduceOp::Sum.apply(2.0, 3.0), 5.0);
         assert_eq!(ReduceOp::Max.apply(2.0, 3.0), 3.0);
         assert_eq!(ReduceOp::Min.apply(2.0, 3.0), 2.0);
-    }
-
-    #[test]
-    fn payload_sizes_and_names() {
-        assert_eq!(Payload::F64(vec![0.0; 4]).nbytes(), 32);
-        assert_eq!(Payload::U64(vec![0; 2]).nbytes(), 16);
-        assert_eq!(Payload::F64(vec![]).type_name(), "f64");
     }
 }

@@ -5,14 +5,6 @@ use std::fmt;
 /// Errors raised by simulated communication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A receive found a message of a different payload type than requested
-    /// (e.g. `recv_f64` on a `u64` message) — the moral equivalent of an
-    /// MPI datatype mismatch.
-    TypeMismatch {
-        from: u32,
-        expected: &'static str,
-        found: &'static str,
-    },
     /// The peer rank terminated (panicked or returned) while this rank was
     /// waiting for a message.
     PeerGone { from: u32 },
@@ -33,16 +25,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::TypeMismatch {
-                from,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "type mismatch receiving from rank {from}: expected {expected}, found {found}"
-                )
-            }
             SimError::PeerGone { from } => {
                 write!(f, "rank {from} terminated while being waited on")
             }
@@ -76,11 +58,7 @@ mod tests {
 
     #[test]
     fn displays_are_informative() {
-        let e = SimError::TypeMismatch {
-            from: 3,
-            expected: "f64",
-            found: "u64",
-        };
+        let e = SimError::PeerGone { from: 3 };
         assert!(e.to_string().contains("rank 3"));
         let e = SimError::InvalidRank { rank: 9, size: 4 };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));

@@ -43,6 +43,7 @@
 pub mod clock;
 pub mod comm;
 pub mod error;
+mod partition;
 pub(crate) mod rankmap;
 mod rendezvous;
 pub mod world;
@@ -50,5 +51,6 @@ pub mod world;
 pub use clock::ClockStats;
 pub use comm::{Comm, ReduceOp};
 pub use error::SimError;
+pub use partition::{block_owner, block_range};
 pub use rankmap::RankMap;
 pub use world::{makespan, RankResult, World};

@@ -20,7 +20,6 @@
 //! left parked.
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::{self, Thread};
@@ -31,6 +30,7 @@ use jubench_trace::EventKind;
 use crate::clock::VirtualClock;
 use crate::comm::{link_time, ReduceOp, Traffic};
 use crate::error::SimError;
+use crate::partition::block_range;
 use crate::rankmap::RankMap;
 
 /// What a rank brings to a meeting, and — the same variant — what it takes
@@ -360,15 +360,6 @@ fn hand_out(
     Release { wakers, panic }
 }
 
-/// The `i`-th of `p` near-equal chunks of an `n`-element ring buffer.
-pub(crate) fn ring_chunk(n: usize, p: usize, i: usize) -> Range<usize> {
-    let base = n / p;
-    let rem = n % p;
-    let start = i * base + i.min(rem);
-    let len = base + usize::from(i < rem);
-    start..start + len
-}
-
 /// The message layer of a replay: every rank's clock, tally and events,
 /// advanced one collective step at a time exactly as the message path
 /// advances them one message at a time.
@@ -481,7 +472,7 @@ fn ring_allreduce(wire: &mut Wire, bufs: &mut [Vec<f64>], ops: &[ReduceOp]) {
         bufs.iter().all(|b| b.len() == n),
         "allreduce buffers differ in length"
     );
-    let chunk = |i: usize| ring_chunk(n, p, i);
+    let chunk = |i: usize| block_range(n, p, i);
     let bytes = |i: usize| (chunk(i).len() * 8) as u64;
     let right = |r: usize| (r + 1) % p;
     let left = |r: usize| (r + p - 1) % p;

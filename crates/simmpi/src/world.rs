@@ -382,25 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn type_mismatch_is_detected() {
-        let w = small_world(1);
-        let results = w.run(|comm| {
-            if comm.rank() == 0 {
-                comm.send_u64(1, &[42]).unwrap();
-                Ok(vec![])
-            } else if comm.rank() == 1 {
-                comm.recv_f64(0)
-            } else {
-                Ok(vec![])
-            }
-        });
-        assert!(matches!(
-            results[1].value,
-            Err(crate::error::SimError::TypeMismatch { from: 0, .. })
-        ));
-    }
-
-    #[test]
     fn invalid_rank_is_rejected() {
         let w = small_world(1);
         let results = w.run(|comm| comm.send_f64(99, &[1.0]));
