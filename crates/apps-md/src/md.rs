@@ -292,14 +292,9 @@ impl MdSystem {
                 to_left.extend_from_slice(&a.force);
             }
         }
-        // Two sends, then two receives, not a shift pair: at p = 2 left
-        // and right are one peer, whose two messages these receives take
-        // in send order (its `to_left`, then its `to_right`). A shift pair
-        // keeping the left-first order at p ≥ 3 would take them the other
-        // way round and swap the two buffers' roles at p = 2.
-        comm.send_f64(left, &to_left)?;
-        comm.send_f64(right, &to_right)?;
-        for buf in [comm.recv_f64(left)?, comm.recv_f64(right)?] {
+        let from_right = comm.shift_f64(left, right, to_left)?;
+        let from_left = comm.shift_f64(right, left, to_right)?;
+        for buf in [from_left, from_right] {
             for c in buf.chunks_exact(9) {
                 staying.push(Atom {
                     pos: [c[0], c[1], c[2]],
@@ -477,6 +472,45 @@ mod tests {
         });
         for r in &results {
             assert_eq!(r.value.0, r.value.1);
+        }
+    }
+
+    #[test]
+    fn migration_keeps_each_buffers_role_and_order() {
+        // Every rank holds, in order: a stayer, a left mover, a right
+        // mover, a stayer, a right mover, each tagged (rank, k) in `vel`.
+        // A rank keeps its stayers, then appends what its left neighbour
+        // shipped right, then what its right neighbour shipped left. At
+        // p = 2 the peer is both neighbours and ships every mover right.
+        for p in [1u32, 2, 3, 5] {
+            let w = World::per_node(Machine::juwels_booster().partition(p));
+            let results = w.run(|comm| {
+                let mut sys = MdSystem::lattice(comm, 20.0, 1, 2.5, 1);
+                let (r, s) = (comm.rank() as f64, sys.box_l / p as f64);
+                let x = [0.5, -0.1, 1.1, 0.5, 1.1];
+                sys.atoms = (0..x.len())
+                    .map(|k| Atom {
+                        pos: [((r + x[k]) * s).rem_euclid(sys.box_l), 5.0, 5.0],
+                        vel: [r, k as f64, 0.0],
+                        force: [0.0; 3],
+                    })
+                    .collect();
+                sys.migrate(comm).unwrap();
+                sys.atoms
+                    .iter()
+                    .map(|a| (a.vel[0] as u32, a.vel[1] as usize))
+                    .collect::<Vec<_>>()
+            });
+            for (r, got) in results.iter().enumerate() {
+                let r = r as u32;
+                let (left, right) = ((r + p - 1) % p, (r + 1) % p);
+                let want: Vec<(u32, usize)> = match p {
+                    1 => (0..5).map(|k| (r, k)).collect(),
+                    2 => vec![(r, 0), (r, 3), (left, 1), (left, 2), (left, 4)],
+                    _ => vec![(r, 0), (r, 3), (left, 2), (left, 4), (right, 1)],
+                };
+                assert_eq!(got.value, want, "p = {p}, rank {r}");
+            }
         }
     }
 

@@ -11,8 +11,6 @@
 //!
 //! Run with: `cargo run --release --example campaign`
 
-use std::sync::Arc;
-
 use jubench::ckpt::young_interval;
 use jubench::prelude::*;
 use jubench::scaling::{campaign_table, ckpt_table};
@@ -152,9 +150,7 @@ fn main() {
     );
 
     // ----- Chrome trace export -----------------------------------------
-    let recorder = Arc::new(Recorder::new());
-    contiguous.emit(recorder.as_ref());
-    let events = recorder.take_events();
+    let events = contiguous.events();
     let report = RunReport::from_events(&events);
     println!("{}", report.render());
     let json = chrome_trace_json(&events);
