@@ -20,6 +20,8 @@
 //! the output [...] arguably the weakest form of verification"): the
 //! training loss must decrease and be present in the output.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod clip;
 pub(crate) mod conv;
 pub(crate) mod megatron;

@@ -14,6 +14,8 @@
 //!   in Mean Field" model of soft coarse-grained polymer chains — bead
 //!   chains interacting only through grid-accumulated density fields.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod nastja;
 pub mod potts;
 pub mod soma;

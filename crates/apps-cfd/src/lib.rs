@@ -20,6 +20,8 @@
 //! GPU), High-Scaling small/large with ~11,229 / ~22,492 elements per GPU,
 //! and the 7000–8000 elements-per-GPU strong-scaling limit.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod perf_model;
 pub(crate) mod sem;

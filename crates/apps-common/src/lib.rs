@@ -34,6 +34,8 @@
 //! LinkTest, whose measurement *is* the target machine's network,
 //! execute nothing and do all their work in `cost`.
 
+#![forbid(unsafe_code)]
+
 use jubench_cluster::{pattern_time, CommPattern, Machine, NetModel, Placement, Roofline, Work};
 use jubench_core::{
     Fom, RealLayout, RealWorld, RunConfig, RunOutcome, VerificationOutcome, WorkloadScale,

@@ -16,6 +16,8 @@
 //!   implemented as a V-cycle-preconditioned CG on the ClayL-sized
 //!   (1008 × 1008 × 240) variably-saturated flow problem.
 
+#![forbid(unsafe_code)]
+
 pub mod icon;
 pub(crate) mod parflow;
 pub(crate) mod shallow_water;

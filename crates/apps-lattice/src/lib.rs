@@ -19,6 +19,8 @@
 //! The benchmark also reproduces the >2³¹-site concern: lattice volumes are
 //! tracked in `u64` site indices, tested beyond 2³¹.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub(crate) mod dirac;
 pub mod hmc;

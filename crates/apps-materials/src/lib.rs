@@ -14,6 +14,8 @@
 //! spectrum. The benchmark workload is the Car-Parrinello MD case for a
 //! ZrO₂ slab with 792 atoms from the MaX project.
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod dist_fft;
 pub(crate) mod planewave;
 pub(crate) mod qe;

@@ -18,6 +18,8 @@
 //! reciprocal-space part enters the performance model as the distributed
 //! 3D-FFT transpose (all-to-all) it is on the real machine.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod md;
 

@@ -10,6 +10,8 @@
 //! ("hiding communication completely"), and "the number of generated
 //! spikes is used for validation" — exactly reproducible here.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod cell;
 pub mod network;

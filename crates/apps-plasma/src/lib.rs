@@ -19,6 +19,8 @@
 //! (4096, 4096, 2560) (L), and a node limit of 640 from the 3D domain
 //! decomposition.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub(crate) mod pic;
 

@@ -16,6 +16,8 @@
 //! (S: n = 41, 32 TiB; L: n = 42, 64 TiB) workloads, and the exact
 //! verification against theoretically known results.
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod statevector;
 

@@ -38,6 +38,8 @@
 //!    history), so a restored run is bit-identical to an uninterrupted
 //!    one.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod format;
 pub mod interval;

@@ -16,6 +16,8 @@
 //! using these models, so that scaling *shapes* — not absolute runtimes —
 //! reproduce the mechanisms of the paper's Figs. 2 and 3.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod machine;
 pub mod netmodel;

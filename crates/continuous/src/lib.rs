@@ -12,6 +12,8 @@
 //! [`RegressionReport`] that classifies each benchmark as OK, regressed,
 //! improved, missing, or failed.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod monitor;
 

@@ -12,6 +12,8 @@
 //! that is common to all of them and independent of any particular machine
 //! model or numerical kernel.
 
+#![forbid(unsafe_code)]
+
 pub mod benchmark;
 pub mod checklist;
 pub mod error;

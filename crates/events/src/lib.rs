@@ -44,6 +44,8 @@
 //! [`EventQueue::peek`] exists so validity can be judged before
 //! consuming.
 
+#![forbid(unsafe_code)]
+
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

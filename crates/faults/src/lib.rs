@@ -25,6 +25,8 @@
 //! zero-fault path is exactly the unfaulted runtime (a property test in
 //! the workspace pins this: bit-identical per-rank clocks).
 
+#![forbid(unsafe_code)]
+
 pub mod plan;
 pub mod retry;
 

@@ -24,6 +24,8 @@
 //! [`catalog::standard_catalog`]; see `examples/fleet_study.rs` for the
 //! end-to-end flow.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod study;
 

@@ -22,6 +22,8 @@
 //! - [`ResultTable`]: concise tabular presentation of selected columns,
 //!   including the FOM.
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod checkpoint;
 pub mod error;

@@ -197,23 +197,23 @@ impl Workflow {
     /// space, then run every workpackage through the dependency-ordered
     /// steps.
     ///
-    /// Execution is parallel on the shared [`jubench_pool`] pool along
-    /// two axes — workpackages are independent by construction, and steps
-    /// of one dependency level run concurrently against a snapshot of the
-    /// strictly-lower levels' outputs (a step must *declare* every
-    /// dependency it reads; undeclared reads across a level are not
-    /// ordered). Results and traces stay byte-identical for any pool
-    /// size: each workpackage buffers its lifecycle events locally and
-    /// the buffers are forwarded to the installed sink in workpackage
-    /// order, with per-step phases emitted in level declaration order.
+    /// Workpackages are independent by construction and run through one
+    /// [`jubench_pool::par_map_indexed`]. The steps of one dependency
+    /// level run against a snapshot of the strictly-lower levels' outputs
+    /// (a step must *declare* every dependency it reads; undeclared reads
+    /// across a level are not ordered), through a map of their own: they
+    /// run concurrently only when the map over workpackages did not
+    /// already fan out, since maps do not nest. Results and traces stay
+    /// byte-identical for any pool width: each workpackage buffers its
+    /// lifecycle events locally and the buffers are forwarded to the
+    /// installed sink in workpackage order, with per-step phases emitted
+    /// in level declaration order.
     pub fn execute(&self, tags: &[&str]) -> Result<Vec<WorkpackageResult>, JubeError> {
         let order = self.ordered_steps()?;
         let levels = Self::level_groups(&order);
         let points = self.params.expand(tags)?;
-        let pool = jubench_pool::current();
-
-        let per_wp = pool.par_map_indexed(points.len(), |wp| {
-            self.run_workpackage(&pool, wp as u32, &points[wp], &levels)
+        let per_wp = jubench_pool::par_map_indexed(points.len(), |wp| {
+            self.run_workpackage(wp as u32, &points[wp], &levels)
         });
 
         let mut results = Vec::with_capacity(points.len());
@@ -242,7 +242,6 @@ impl Workflow {
     /// step outputs, or the first in-order abort error.
     fn run_workpackage(
         &self,
-        pool: &jubench_pool::ThreadPool,
         wp: u32,
         params: &ResolvedParams,
         levels: &[Vec<&Step>],
@@ -267,7 +266,7 @@ impl Workflow {
             // Run the whole level against the outputs snapshot of the
             // lower levels; each step runs its own retry loop. Steps
             // recorded in the checkpoint store skip execution entirely.
-            let attempts = pool.par_map_indexed(level.len(), |i| {
+            let attempts = jubench_pool::par_map_indexed(level.len(), |i| {
                 let step = level[i];
                 if let Some(store) = self.checkpoint.as_deref() {
                     if let Some(done) = store.lookup(wp, &step.name) {

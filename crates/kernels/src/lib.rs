@@ -10,6 +10,8 @@
 //! All kernels are implemented from scratch and validated against closed
 //! forms or naive reference implementations in their unit tests.
 
+#![forbid(unsafe_code)]
+
 pub mod cg;
 pub mod complex;
 pub mod fft;

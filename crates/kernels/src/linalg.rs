@@ -2,14 +2,15 @@
 //! factorization with partial pivoting (the computational core of HPL and
 //! of the transformer-training proxies).
 
-/// Run `f` over contiguous row-chunks of `data` on the shared
-/// [`jubench_pool`] thread pool. `chunk_rows × row_len` elements go to
-/// each task; the closure receives the global index of its first row.
-/// Small inputs run inline to avoid submission overhead.
+/// Run `f` over contiguous row-chunks of `data`, one chunk per thread of
+/// a [`jubench_pool::par_map_owned`] over the disjoint `chunks_mut`. The
+/// closure receives the global index of its first row. Small inputs, and
+/// calls at width 1 (including inside a map task or a rank thread), run
+/// inline.
 ///
 /// Each row is computed independently and its inner loops run
 /// sequentially, so results are bitwise identical for any chunking and
-/// any pool size — the numerical kernels stay deterministic under
+/// any pool width — the numerical kernels stay deterministic under
 /// `JUBENCH_POOL_THREADS`.
 fn par_row_chunks(data: &mut [f64], row_len: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
     let rows = data.len().checked_div(row_len).unwrap_or(0);
@@ -21,14 +22,10 @@ fn par_row_chunks(data: &mut [f64], row_len: usize, f: impl Fn(usize, &mut [f64]
         return;
     }
     let chunk_rows = rows.div_ceil(threads);
-    jubench_pool::scope(|scope| {
-        for (c, chunk) in data.chunks_mut(chunk_rows * row_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, row) in chunk.chunks_mut(row_len).enumerate() {
-                    f(c * chunk_rows + i, row);
-                }
-            });
+    let chunks: Vec<_> = data.chunks_mut(chunk_rows * row_len).enumerate().collect();
+    jubench_pool::par_map_owned(chunks, |(c, chunk)| {
+        for (i, row) in chunk.chunks_mut(row_len).enumerate() {
+            f(c * chunk_rows + i, row);
         }
     });
 }

@@ -38,6 +38,8 @@
 //! `JUBENCH_POOL_THREADS`), or call [`set_enabled`]`(false)` from code.
 //! Disabled recording paths are a single relaxed atomic load.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod registry;
 pub mod scope;

@@ -426,7 +426,7 @@ fn push_map<'a, V: 'a>(
     }
 }
 
-/// Metric names use `/` as the namespace separator (`pool/steals`);
+/// Metric names use `/` as the namespace separator (`pool/tasks_executed`);
 /// Prometheus sample names cannot, so flatten to `_`.
 fn flatten(name: &str) -> String {
     name.chars()

@@ -1,15 +1,17 @@
-//! Dedicated (blocking) threads, outside the work-stealing pool.
+//! Dedicated (blocking) threads, one per rank.
 //!
 //! Simulated-MPI rank programs block on each other through channels and
-//! barriers, so they must not share a bounded pool: with fewer workers
-//! than ranks, a collective would deadlock waiting for ranks that never
-//! get a worker. Rank execution therefore goes through [`run_dedicated`],
-//! which spawns one *counted* OS thread per rank and joins them in rank
-//! order. The counters make the workspace-wide spawn policy — at most
-//! [`MAX_DEDICATED_THREADS`] concurrent rank threads per world —
-//! observable and testable.
+//! barriers, so they must not wait for a bounded set of threads: with
+//! fewer threads than ranks, a collective would deadlock waiting for
+//! ranks that never get one. Rank execution therefore goes through
+//! [`run_dedicated`], which spawns one *counted* OS thread per rank and
+//! joins them in rank order. The counters make the workspace-wide spawn
+//! policy — at most [`MAX_DEDICATED_THREADS`] concurrent rank threads per
+//! world — observable and testable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crate::as_task_thread;
 
 /// Policy cap on concurrently-running dedicated rank threads per world.
 ///
@@ -54,7 +56,8 @@ impl Drop for InFlightGuard {
 ///
 /// The closures may block on each other — that is the point. Threads are
 /// real and counted; panics are captured per index, not propagated, so a
-/// caller can attribute a panic to the rank that raised it.
+/// caller can attribute a panic to the rank that raised it. Maps called
+/// inside `f` run sequentially on the rank's thread.
 pub fn run_dedicated<T, F>(n: u32, f: F) -> Vec<std::thread::Result<T>>
 where
     T: Send,
@@ -68,7 +71,7 @@ where
                     .name(format!("jubench-rank-{index}"))
                     .spawn_scoped(scope, move || {
                         let _guard = InFlightGuard::enter();
-                        f(index)
+                        as_task_thread(|| f(index))
                     })
                     .expect("spawn dedicated rank thread")
             })

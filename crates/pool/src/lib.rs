@@ -1,68 +1,48 @@
-//! jubench-pool: a deterministic work-stealing thread pool.
+//! jubench-pool: deterministic parallel maps on scoped threads.
 //!
 //! The suite's sweeps — scaling studies, campaign probes, parameter-space
 //! workflows — are embarrassingly parallel over *independent* points, yet
-//! every layer promises byte-stable output. This crate supplies the
-//! execution substrate that keeps both:
+//! every layer promises byte-stable output. This crate keeps both:
 //!
-//! - [`ThreadPool`]: per-worker deques plus a global injector; workers
-//!   steal oldest-first, the submitting thread helps while it waits, and
-//!   panics propagate without poisoning the pool.
-//! - [`ThreadPool::scope`]: structured parallelism over borrowed data,
-//!   mirroring [`std::thread::scope`].
-//! - [`ThreadPool::par_map_indexed`]: the determinism workhorse — tasks
-//!   run on any number of workers but results always come back in
-//!   submission order, so tables, FOMs, and Chrome traces are
-//!   byte-identical to a sequential run.
+//! - [`par_map_indexed`]: the determinism workhorse — `f(0) .. f(n-1)`
+//!   run on up to [`current_threads`] threads, and every result lands in
+//!   its index slot, so tables, FOMs, and Chrome traces are
+//!   byte-identical to a sequential run. [`par_map_over`] and
+//!   [`par_map_owned`] are the same map over a slice and over owned
+//!   items.
 //! - [`run_dedicated`]: counted OS threads for rank programs that *block*
-//!   on each other (channels, barriers) and therefore must not share a
-//!   bounded pool.
+//!   on each other (channels, barriers) and therefore must all be alive
+//!   at once.
 //!
-//! The global pool sizes itself from the `JUBENCH_POOL_THREADS`
-//! environment variable (default: available parallelism); tests pin the
-//! count per-call-tree with [`with_threads`].
+//! A map opens a [`std::thread::scope`] for its own duration; no thread
+//! outlives the call that spawned it. Maps do not nest: on a map task's
+//! thread and on a dedicated rank thread, a map is the plain sequential
+//! `(0..n).map(f)`, so sixteen ranks never fan out sixteen times.
 //!
-//! The pool self-reports its wall-clock behavior into `jubench-metrics`
-//! under `pool/*`: task, spawn, steal, and pop counters, park/wake
-//! counts, and the peak queue depth — observational only, never part of
-//! any deterministic output.
+//! The width comes from the `JUBENCH_POOL_THREADS` environment variable
+//! (default: available parallelism); tests pin it per call tree with
+//! [`with_threads`]. Maps that fan out count their tasks into
+//! `jubench-metrics` as `pool/tasks_executed` — observational only, never
+//! part of any deterministic output.
+
+#![forbid(unsafe_code)]
 
 mod dedicated;
 mod map;
-mod pool;
 
 pub use dedicated::{
     dedicated_peak_in_flight, dedicated_spawned_total, run_dedicated, MAX_DEDICATED_THREADS,
 };
-pub use pool::{Scope, ThreadPool};
+pub use map::{par_map_indexed, par_map_over, par_map_owned};
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::cell::{Cell, RefCell};
+use std::sync::OnceLock;
 
-/// Environment variable overriding the global pool's worker count.
-pub(crate) const THREADS_ENV: &str = "JUBENCH_POOL_THREADS";
+/// Environment variable overriding the default map width.
+const THREADS_ENV: &str = "JUBENCH_POOL_THREADS";
 
-/// Pools are cached per thread count: `with_threads(2, ..)` always hands
-/// back the *same* 2-worker pool, which is what lets tests assert that a
-/// pool stays usable after a panic rather than observing a fresh one.
-fn pool_cache() -> &'static Mutex<BTreeMap<usize, ThreadPool>> {
-    static CACHE: OnceLock<Mutex<BTreeMap<usize, ThreadPool>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn pool_with(threads: usize) -> ThreadPool {
-    let threads = threads.max(1);
-    pool_cache()
-        .lock()
-        .unwrap()
-        .entry(threads)
-        .or_insert_with(|| ThreadPool::new(threads))
-        .clone()
-}
-
-/// Worker count of the global pool: `JUBENCH_POOL_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism.
+/// Map width outside any [`with_threads`]: `JUBENCH_POOL_THREADS` if set
+/// to a positive integer, otherwise the machine's available parallelism.
 fn env_threads() -> usize {
     static RESOLVED: OnceLock<usize> = OnceLock::new();
     *RESOLVED.get_or_init(|| {
@@ -80,30 +60,39 @@ fn env_threads() -> usize {
 thread_local! {
     /// Innermost `with_threads` override on this thread, if any.
     static OVERRIDE: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// Set while this thread runs map tasks or a dedicated rank program:
+    /// every map here is sequential.
+    static SEQUENTIAL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// The pool the current call tree should use, by precedence: the
-/// innermost [`with_threads`] override, then the pool owning the current
-/// worker thread (so tasks nest onto their own pool), then the global
-/// `JUBENCH_POOL_THREADS`-sized pool.
-pub fn current() -> ThreadPool {
-    if let Some(n) = OVERRIDE.with(|o| o.borrow().last().copied()) {
-        return pool_with(n);
+/// Run `f` with this thread marked as a task thread, so maps inside it
+/// run sequentially; the previous mark comes back afterwards.
+pub(crate) fn as_task_thread<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SEQUENTIAL.set(self.0);
+        }
     }
-    if let Some(pool) = ThreadPool::of_current_worker() {
-        return pool;
-    }
-    pool_with(env_threads())
+    let _restore = Restore(SEQUENTIAL.replace(true));
+    f()
 }
 
-/// Worker count of [`current`]'s pool.
+/// Width of a map started here: 1 on a map task's or dedicated rank's
+/// thread, else the innermost [`with_threads`] override, else
+/// `JUBENCH_POOL_THREADS` (or available parallelism).
 pub fn current_threads() -> usize {
-    current().threads()
+    if SEQUENTIAL.get() {
+        return 1;
+    }
+    OVERRIDE
+        .with(|o| o.borrow().last().copied())
+        .unwrap_or_else(env_threads)
 }
 
-/// Run `f` with the current thread's pool pinned to `threads` workers.
-/// Overrides nest; the differential determinism harness uses this to
-/// execute the same study at 1, 2, and 8 threads inside one process.
+/// Run `f` with maps on this thread pinned to `threads` wide. Overrides
+/// nest; the differential determinism harness uses this to execute the
+/// same study at 1, 2, and 8 threads inside one process.
 pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     struct PopOnDrop;
     impl Drop for PopOnDrop {
@@ -118,76 +107,46 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// [`ThreadPool::scope`] on the [`current`] pool.
-pub fn scope<'env, T, F>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> T,
-{
-    current().scope(f)
-}
-
-/// [`ThreadPool::par_map_indexed`] on the [`current`] pool.
-pub fn par_map_indexed<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    current().par_map_indexed(n, f)
-}
-
-/// [`ThreadPool::par_map_over`] on the [`current`] pool.
-pub fn par_map_over<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    current().par_map_over(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn par_map_indexed_preserves_order() {
         for threads in [1, 2, 3, 8] {
-            let pool = ThreadPool::new(threads);
-            let out = pool.par_map_indexed(100, |i| i * i);
+            let out = with_threads(threads, || par_map_indexed(100, |i| i * i));
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn par_map_over_maps_items_in_order() {
-        let pool = ThreadPool::new(4);
         let items: Vec<String> = (0..20).map(|i| format!("x{i}")).collect();
-        let out = pool.par_map_over(&items, |s| s.len());
+        let out = with_threads(4, || par_map_over(&items, |s| s.len()));
         assert_eq!(out, items.iter().map(String::len).collect::<Vec<_>>());
     }
 
     #[test]
-    fn scope_runs_every_task_exactly_once() {
-        let pool = ThreadPool::new(4);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|scope| {
-            for _ in 0..250 {
-                scope.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 250);
+    fn par_map_owned_moves_each_item_into_its_slot() {
+        let items: Vec<String> = (0..20).map(|i| format!("x{i}")).collect();
+        let out = with_threads(4, || par_map_owned(items.clone(), |s| s + "!"));
+        assert_eq!(
+            out,
+            items.iter().map(|s| format!("{s}!")).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn nested_maps_complete_on_a_saturated_pool() {
-        let pool = ThreadPool::new(2);
-        let out = pool.par_map_indexed(6, |i| {
-            let inner = pool.par_map_indexed(5, move |j| i * 10 + j);
-            inner.iter().sum::<usize>()
+        let out = with_threads(2, || {
+            par_map_indexed(6, |i| {
+                let inner = par_map_indexed(5, move |j| i * 10 + j);
+                inner.iter().sum::<usize>()
+            })
         });
         let expected: Vec<usize> = (0..6).map(|i| (0..5).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expected);
@@ -195,20 +154,23 @@ mod tests {
 
     #[test]
     fn panic_propagates_and_pool_stays_usable() {
-        let pool = ThreadPool::new(2);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map_indexed(10, |i| {
-                if i == 4 {
-                    panic!("task 4 exploded");
-                }
-                i
-            })
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "task 4 exploded");
-        // Same pool instance, next map is healthy.
-        assert_eq!(pool.par_map_indexed(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        with_threads(2, || {
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                par_map_indexed(10, |i| {
+                    if i == 4 {
+                        panic!("task 4 exploded");
+                    }
+                    i
+                })
+            }))
+            .unwrap_err();
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "task 4 exploded");
+            // The caller is a top-level thread again: the next map fans
+            // out and is healthy.
+            assert_eq!(current_threads(), 2);
+            assert_eq!(par_map_indexed(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        });
     }
 
     #[test]
@@ -221,11 +183,71 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_reuses_the_cached_pool_across_calls() {
-        let first = with_threads(5, current);
-        let second = with_threads(5, current);
-        assert_eq!(first.threads(), 5);
-        assert_eq!(second.threads(), 5);
+    fn a_map_runs_on_at_most_its_width_of_threads() {
+        for threads in [1, 2, 3, 8] {
+            let seen = Mutex::new(HashSet::<ThreadId>::new());
+            with_threads(threads, || {
+                par_map_indexed(400, |i| {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    // Slow enough that the spawned threads claim work too.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    i
+                })
+            });
+            let seen = seen.into_inner().unwrap();
+            assert!(
+                !seen.is_empty() && seen.len() <= threads,
+                "width {threads} ran on {} threads",
+                seen.len()
+            );
+        }
+    }
+
+    #[test]
+    fn a_map_nested_in_a_task_runs_in_order_on_the_task_thread() {
+        let outer = with_threads(4, || {
+            par_map_indexed(8, |i| {
+                let task = std::thread::current().id();
+                let width = current_threads();
+                let order = Mutex::new(Vec::new());
+                let inner = par_map_indexed(50, |j| {
+                    order.lock().unwrap().push(j);
+                    (std::thread::current().id() == task, i * 100 + j)
+                });
+                (width, order.into_inner().unwrap(), inner)
+            })
+        });
+        for (i, (width, order, inner)) in outer.into_iter().enumerate() {
+            assert_eq!(width, 1, "task {i}: current_threads inside a task");
+            assert_eq!(order, (0..50).collect::<Vec<_>>(), "task {i}: run order");
+            for (j, (on_task_thread, value)) in inner.into_iter().enumerate() {
+                assert!(on_task_thread, "task {i}: inner index {j} left its thread");
+                assert_eq!(value, i * 100 + j);
+            }
+        }
+    }
+
+    #[test]
+    fn a_map_inside_a_dedicated_rank_runs_on_the_rank_thread() {
+        let out = with_threads(8, || {
+            run_dedicated(3, |_| {
+                let own = std::thread::current().id();
+                let width = current_threads();
+                let inner = par_map_indexed(40, |j| (std::thread::current().id() == own, j));
+                (width, inner)
+            })
+        });
+        for (rank, joined) in out.into_iter().enumerate() {
+            let (width, inner) = joined.unwrap();
+            assert_eq!(width, 1, "rank {rank}: current_threads inside a rank");
+            for (j, (on_rank_thread, value)) in inner.into_iter().enumerate() {
+                assert!(
+                    on_rank_thread,
+                    "rank {rank}: index {j} left the rank thread"
+                );
+                assert_eq!(value, j);
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! > the system determines the value. [...] costs for electricity and
 //! > cooling are a substantial part of the overall project budget."
 
+#![forbid(unsafe_code)]
+
 pub mod commitment;
 pub mod composite;
 pub(crate) mod high_scaling;

@@ -24,6 +24,8 @@
 //!   rate, with the Young/Daly optimal-interval predictions alongside
 //!   the measured makespans.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod campaign;
 pub mod ckpt;

@@ -142,15 +142,19 @@ pub fn fig3_all_series(seed: u64) -> Vec<Fig3Series> {
         BenchmarkId::NekRs,
         BenchmarkId::PIConGpu,
     ];
-    // One pool task per application; each nests its own node sweep onto
-    // the same pool. Series order follows `ids`, as before.
-    let mut series = jubench_pool::par_map_over(&ids, |&id| {
-        let bench = r.get(id).unwrap();
-        // Use each benchmark's smallest offered variant so every sweep
-        // point fits in memory.
-        let variant = bench.meta().high_scale.unwrap().variants[0];
-        weak_scaling_series(bench, variant, seed)
-    });
+    // One application after another, each fanning its node sweep out: a
+    // map over the applications would run each sweep sequentially inside
+    // its task, since maps do not nest.
+    let mut series: Vec<Fig3Series> = ids
+        .iter()
+        .map(|&id| {
+            let bench = r.get(id).unwrap();
+            // Use each benchmark's smallest offered variant so every sweep
+            // point fits in memory.
+            let variant = bench.meta().high_scale.unwrap().variants[0];
+            weak_scaling_series(bench, variant, seed)
+        })
+        .collect();
     series.extend(juqcs_split_series(seed));
     series
 }

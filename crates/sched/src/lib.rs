@@ -45,6 +45,8 @@
 //! through [`submit_step`] instead of executing inline, mirroring how
 //! JUBE hands jobs to SLURM.
 
+#![forbid(unsafe_code)]
+
 mod backfill;
 pub mod campaign;
 pub mod job;

@@ -69,6 +69,8 @@
 //! quota-accounted [`Rejection`] or `Cancelled` frame — never a panic,
 //! never a hang.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 mod campaign;

@@ -40,6 +40,8 @@
 //! and fails every collective it can no longer join with
 //! [`SimError::PeerGone`], instead of blocking [`World::run`] forever.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod comm;
 pub mod error;

@@ -132,9 +132,9 @@ impl World {
     ///
     /// Rank programs block on each other (channels, the rendezvous),
     /// so they execute on counted *dedicated* threads via
-    /// [`jubench_pool::run_dedicated`], never on the bounded work-stealing
-    /// pool — a pool with fewer workers than ranks would deadlock the
-    /// first collective.
+    /// [`jubench_pool::run_dedicated`], never as tasks of a parallel map —
+    /// a map with fewer threads than ranks would deadlock the first
+    /// collective.
     pub fn run<T, F>(&self, f: F) -> Vec<RankResult<T>>
     where
         T: Send,

@@ -14,6 +14,8 @@
 //! | OSU | point-to-point | latency/bandwidth sweeps through the simulated MPI layer |
 //! | STREAM | memory | copy/scale/add/triad kernels (CPU measured, GPU modeled) |
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod graph500;
 pub(crate) mod hpcg;
 pub mod hpl;

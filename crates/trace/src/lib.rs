@@ -46,6 +46,8 @@
 //! synchronization wait, and algorithmic collectives — whose wire time
 //! is carried by the p2p events they wrap — contribute zero directly.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod report;

@@ -42,9 +42,9 @@
 //!   preemption, utilization/fairness reporting.
 //! - [`trace`]: virtual-time tracing — structured events from the
 //!   runtime and workflow engine, run reports, Chrome trace export.
-//! - [`pool`]: the deterministic work-stealing thread pool every sweep
-//!   runs on — ordered `par_map_indexed`, structured `scope`, counted
-//!   dedicated rank threads, and the `JUBENCH_POOL_THREADS` knob.
+//! - [`pool`]: the deterministic parallel map every sweep runs on —
+//!   ordered `par_map_indexed` on scoped threads, counted dedicated rank
+//!   threads, and the `JUBENCH_POOL_THREADS` knob.
 //! - [`ckpt`]: checkpoint/restart — the versioned, checksummed snapshot
 //!   envelope, the `Checkpointable` trait implemented by the iterative
 //!   apps, the workflow, and the scheduler, and the Young/Daly
@@ -73,6 +73,8 @@
 //!   tie-breaking on `(time, class, rank, seq)`). No engine uses it:
 //!   [`sched`] and [`simmpi`] read the next instant off their own
 //!   state.
+
+#![forbid(unsafe_code)]
 
 pub use jubench_apps_ai as apps_ai;
 pub use jubench_apps_bio as apps_bio;

@@ -93,8 +93,6 @@ fn pool_and_trace_instrumentation_observe_the_hot_paths() {
         metrics::snapshot()
     });
     assert!(snap.counters["pool/tasks_executed"] >= 64);
-    assert!(snap.counters["pool/spawns"] >= 64);
-    assert!(snap.gauges["pool/queue_depth_peak"] >= 1);
     assert!(snap.counters["trace/events_recorded"] >= 4);
 }
 

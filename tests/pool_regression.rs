@@ -1,5 +1,6 @@
-//! Regression tests for the pool migration of `kernels::linalg` and the
-//! `apps-common` rank-spawn cap.
+//! Regression tests for `kernels::linalg`'s row chunks on the parallel
+//! map (`par_row_chunks` hands its disjoint `chunks_mut` to
+//! `pool::par_map_owned`) and for the `apps-common` rank-spawn cap.
 //!
 //! These live in their own test binary: the dedicated-thread counters in
 //! `jubench::pool` are process-global atomics, so delta assertions on
@@ -37,9 +38,9 @@ fn gemm_reference(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-/// `gemm` on the pool is bitwise-identical to the sequential reference
-/// for every pool width: row chunking never changes the per-row loop
-/// order, so the floating-point results cannot drift.
+/// `gemm` on the parallel map is bitwise-identical to the sequential
+/// reference for every pool width: row chunking never changes the
+/// per-row loop order, so the floating-point results cannot drift.
 #[test]
 fn pooled_gemm_matches_sequential_reference_bitwise() {
     for case in 0..6u64 {

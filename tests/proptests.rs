@@ -586,10 +586,10 @@ fn par_map_indexed_is_exactly_once_in_order() {
 }
 
 /// A panicking task propagates its payload out of `par_map_indexed`, no
-/// task ever runs more than once, and the (cached, shared) pool stays
-/// usable for the next map. At one thread the map is a plain sequential
-/// iteration, so the panic stops it at the bomb; at two or more threads
-/// every spawned task still settles before the scope re-raises.
+/// task ever runs more than once, and the next map on the same thread
+/// is healthy. At one thread the map is a plain sequential iteration, so
+/// the panic stops it at the bomb; at two or more threads every task
+/// still runs and settles before the map re-raises.
 #[test]
 fn par_map_indexed_survives_panicking_tasks() {
     use jubench::pool::{par_map_indexed, with_threads};
