@@ -90,11 +90,11 @@ impl TwoTower {
         // owns its text embeddings' rows of the global loss).
         let grad_img = gemm(&grad_logits, &all_txt);
         self.image_tower.zero_grad();
-        self.image_tower.backward(images, &grad_img);
+        self.image_tower.accumulate_grads(images, &grad_img);
         let local_block = Matrix::from_fn(local_b, local_b, |i, j| grad_logits[(i, my_offset + j)]);
         let grad_txt = gemm(&local_block.transpose(), &img_emb);
         self.text_tower.zero_grad();
-        self.text_tower.backward(texts, &grad_txt);
+        self.text_tower.accumulate_grads(texts, &grad_txt);
 
         // Synchronous data-parallel update.
         let mut grads = self.image_tower.grads_flat();
@@ -104,7 +104,7 @@ impl TwoTower {
         for g in grads.iter_mut() {
             *g /= p;
         }
-        let n1 = self.image_tower.grads_flat().len();
+        let n1 = self.image_tower.parameters();
         self.image_tower.set_grads_flat(&grads[..n1]);
         self.text_tower.set_grads_flat(&grads[n1..]);
         self.image_tower.sgd_step(lr);

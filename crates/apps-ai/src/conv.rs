@@ -52,17 +52,17 @@ impl Conv2d {
         }
     }
 
-    /// Forward: returns (out² × filters) feature map.
-    pub fn forward(&self, image: &[f64], n: usize) -> Matrix {
-        let cols = self.im2col(image, n);
-        gemm(&cols, &self.w.transpose())
+    /// Forward over an image lowered by [`Conv2d::im2col`]: returns the
+    /// (out² × filters) feature map.
+    pub fn forward(&self, cols: &Matrix) -> Matrix {
+        gemm(cols, &self.w.transpose())
     }
 
-    /// Backward: accumulate dL/dW from dL/d(out).
-    pub fn backward(&mut self, image: &[f64], n: usize, grad_out: &Matrix) {
-        let cols = self.im2col(image, n);
+    /// Backward over the same lowered image: accumulate dL/dW from
+    /// dL/d(out).
+    pub fn backward(&mut self, cols: &Matrix, grad_out: &Matrix) {
         // grad_w = grad_outᵀ · cols : (filters × out²)·(out² × k²).
-        let gw = gemm(&grad_out.transpose(), &cols);
+        let gw = gemm(&grad_out.transpose(), cols);
         for (dst, src) in self.grad_w.data.iter_mut().zip(&gw.data) {
             *dst += src;
         }
@@ -138,7 +138,7 @@ mod tests {
         let mut c = Conv2d::new(1, 1, 1);
         c.w.data[0] = 1.0;
         let img: Vec<f64> = (0..16).map(|v| v as f64).collect();
-        let out = c.forward(&img, 4);
+        let out = c.forward(&c.im2col(&img, 4));
         assert_eq!(out.rows, 16);
         for (i, &v) in img.iter().enumerate() {
             assert_eq!(out.data[i], v);
@@ -150,7 +150,7 @@ mod tests {
         let mut c = Conv2d::new(2, 1, 1);
         c.w.data.fill(0.25);
         let img = vec![4.0; 9];
-        let out = c.forward(&img, 3);
+        let out = c.forward(&c.im2col(&img, 3));
         assert_eq!(out.rows, 4);
         for v in &out.data {
             assert!((v - 4.0).abs() < 1e-12);
@@ -162,17 +162,18 @@ mod tests {
         let img: Vec<f64> = (0..25).map(|v| (v as f64 * 0.7).sin()).collect();
         let mut c = Conv2d::new(3, 2, 2);
         // Loss = sum of outputs; dL/d(out) = 1.
-        let out = c.forward(&img, 5);
+        let cols = c.im2col(&img, 5);
+        let out = c.forward(&cols);
         let grad_out = Matrix::from_fn(out.rows, out.cols, |_, _| 1.0);
         c.zero_grad();
-        c.backward(&img, 5, &grad_out);
+        c.backward(&cols, &grad_out);
         let eps = 1e-6;
         for idx in [0usize, 7, 12] {
             let orig = c.w.data[idx];
             c.w.data[idx] = orig + eps;
-            let lp: f64 = c.forward(&img, 5).data.iter().sum();
+            let lp: f64 = c.forward(&cols).data.iter().sum();
             c.w.data[idx] = orig - eps;
-            let lm: f64 = c.forward(&img, 5).data.iter().sum();
+            let lm: f64 = c.forward(&cols).data.iter().sum();
             c.w.data[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             assert!(

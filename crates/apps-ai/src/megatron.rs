@@ -111,7 +111,6 @@ impl Benchmark for MegatronLm {
             let (x, labels) = synthetic_task_shard(32, 8, 4, seed, comm.rank());
             let mut mlp = MlpClassifier::new(8, 16, 4, seed); // same init everywhere
             let initial = mlp.loss(&x, &labels);
-            let mut fin = initial;
             for _ in 0..30 {
                 mlp.zero_grad();
                 mlp.train_step(&x, &labels);
@@ -124,8 +123,8 @@ impl Benchmark for MegatronLm {
                 }
                 mlp.set_grads_flat(&grads);
                 mlp.sgd_step(0.3);
-                fin = mlp.loss(&x, &labels);
             }
+            let fin = mlp.loss(&x, &labels);
             // Weight checksum for cross-rank consistency.
             let checksum: f64 =
                 mlp.l1.w.data.iter().sum::<f64>() + mlp.l2.w.data.iter().sum::<f64>();

@@ -37,8 +37,9 @@ impl Linear {
         y
     }
 
-    /// Accumulate parameter gradients and return the input gradient.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
+    /// Accumulate the parameter gradients of output gradient `grad_out`
+    /// at input `x`.
+    pub fn accumulate_grads(&mut self, x: &Matrix, grad_out: &Matrix) {
         let gw = gemm(&x.transpose(), grad_out);
         for (dst, src) in self.grad_w.data.iter_mut().zip(&gw.data) {
             *dst += src;
@@ -48,6 +49,11 @@ impl Linear {
                 self.grad_b[j] += grad_out[(i, j)];
             }
         }
+    }
+
+    /// The input gradient of output gradient `grad_out`. A layer whose
+    /// input is data, not another layer's output, never needs it.
+    pub(crate) fn input_grad(&self, grad_out: &Matrix) -> Matrix {
         gemm(grad_out, &self.w.transpose())
     }
 
@@ -137,9 +143,10 @@ impl MlpClassifier {
         let h = tanh_forward(h_pre);
         let logits = self.l2.forward(&h);
         let (loss, grad_logits) = softmax_xent(&logits, labels);
-        let grad_h = self.l2.backward(&h, &grad_logits);
+        self.l2.accumulate_grads(&h, &grad_logits);
+        let grad_h = self.l2.input_grad(&grad_logits);
         let grad_h_pre = tanh_backward(&h, &grad_h);
-        self.l1.backward(x, &grad_h_pre);
+        self.l1.accumulate_grads(x, &grad_h_pre);
         loss
     }
 
@@ -167,7 +174,7 @@ impl MlpClassifier {
     }
 
     pub(crate) fn set_grads_flat(&mut self, flat: &[f64]) {
-        let n1 = self.l1.grads_flat().len();
+        let n1 = self.l1.parameters();
         self.l1.set_grads_flat(&flat[..n1]);
         self.l2.set_grads_flat(&flat[n1..]);
     }

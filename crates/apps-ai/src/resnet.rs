@@ -69,16 +69,15 @@ impl Benchmark for ResNet {
         let results = real_world(layout).run(move |comm| {
             let n = 8;
             let mut rng = rank_rng(seed, comm.rank());
-            let images: Vec<(Vec<f64>, usize)> = (0..8)
+            let mut conv = Conv2d::new(3, 2, seed);
+            // The images are fixed for the whole run: lower each once.
+            let images: Vec<(Matrix, usize)> = (0..8)
                 .map(|k| {
                     let vertical = k % 2 == 0;
-                    (
-                        ResNet::striped_image(n, vertical, &mut rng),
-                        usize::from(vertical),
-                    )
+                    let image = ResNet::striped_image(n, vertical, &mut rng);
+                    (conv.im2col(&image, n), usize::from(vertical))
                 })
                 .collect();
-            let mut conv = Conv2d::new(3, 2, seed);
             // A ReLU between the convolution and the pooling is essential:
             // the plain spatial average of a linear convolution of a
             // periodic pattern is orientation-blind.
@@ -91,8 +90,8 @@ impl Benchmark for ResNet {
             };
             let eval_loss = |conv: &Conv2d| -> f64 {
                 let mut total = 0.0;
-                for (img, label) in &images {
-                    let features = conv.forward(img, n);
+                for (cols, label) in &images {
+                    let features = conv.forward(cols);
                     let (pooled, _) = relu_pool(&features);
                     let logits = Matrix {
                         rows: 1,
@@ -106,8 +105,8 @@ impl Benchmark for ResNet {
             let initial = eval_loss(&conv);
             for _ in 0..60 {
                 conv.zero_grad();
-                for (img, label) in &images {
-                    let features = conv.forward(img, n);
+                for (cols, label) in &images {
+                    let features = conv.forward(cols);
                     let (pooled, act) = relu_pool(&features);
                     let logits = Matrix {
                         rows: 1,
@@ -125,7 +124,7 @@ impl Benchmark for ResNet {
                             0.0
                         }
                     });
-                    conv.backward(img, n, &grad_feat);
+                    conv.backward(cols, &grad_feat);
                 }
                 // Horovod-style synchronous gradient averaging.
                 let mut grads = conv.grad_w.data.clone();

@@ -10,16 +10,18 @@
 //! The inverse reverses the three steps. The transpose is QE's
 //! communication hot spot — "communication-bound for large systems".
 
-use jubench_kernels::{fft_1d, ifft_1d, C64};
+use jubench_kernels::{FftPlan, C64};
 use jubench_simmpi::{Comm, SimError};
 
 /// Plan for an n³ transform over equal slabs, one per rank (n divisible
 /// by the rank count).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct DistFft {
     pub n: usize,
     /// Slab width (n / rank count).
     pub w: usize,
+    /// The line transform of length n, shared by all three axes.
+    line: FftPlan,
 }
 
 impl DistFft {
@@ -30,7 +32,11 @@ impl DistFft {
             "grid side {n} must divide the rank count {p}"
         );
         assert!(n.is_power_of_two(), "grid side must be a power of two");
-        DistFft { n, w: n / p }
+        DistFft {
+            n,
+            w: n / p,
+            line: FftPlan::new(n),
+        }
     }
 
     /// Local x-slab length in elements: w × n × n.
@@ -42,26 +48,23 @@ impl DistFft {
     /// (layout: `(x_local, y, z)` row-major).
     fn fft_planes(&self, data: &mut [C64], inverse: bool) {
         let n = self.n;
+        let line = if inverse {
+            FftPlan::inverse
+        } else {
+            FftPlan::forward
+        };
         let mut scratch = vec![C64::ZERO; n];
         for plane in data.chunks_mut(n * n) {
             // z-direction: contiguous rows.
             for row in plane.chunks_mut(n) {
-                if inverse {
-                    ifft_1d(row);
-                } else {
-                    fft_1d(row);
-                }
+                line(&self.line, row);
             }
             // y-direction: stride n.
             for z in 0..n {
                 for y in 0..n {
                     scratch[y] = plane[y * n + z];
                 }
-                if inverse {
-                    ifft_1d(&mut scratch);
-                } else {
-                    fft_1d(&mut scratch);
-                }
+                line(&self.line, &mut scratch);
                 for y in 0..n {
                     plane[y * n + z] = scratch[y];
                 }
@@ -157,7 +160,7 @@ impl DistFft {
                 for x in 0..n {
                     scratch[x] = t[(x * w + yl) * n + z];
                 }
-                fft_1d(&mut scratch);
+                self.line.forward(&mut scratch);
                 for x in 0..n {
                     t[(x * w + yl) * n + z] = scratch[x];
                 }
@@ -177,7 +180,7 @@ impl DistFft {
                 for x in 0..n {
                     scratch[x] = kslab[(x * w + yl) * n + z];
                 }
-                ifft_1d(&mut scratch);
+                self.line.inverse(&mut scratch);
                 for x in 0..n {
                     kslab[(x * w + yl) * n + z] = scratch[x];
                 }

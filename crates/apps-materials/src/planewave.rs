@@ -8,10 +8,13 @@
 //! orthonormalization — the dense-linear-algebra part that QE delegates
 //! to ELPA.
 
-use jubench_kernels::{fft_3d, ifft_3d, rank_rng, C64};
+use jubench_kernels::{rank_rng, FftPlan, C64};
 
 pub(crate) struct PlaneWaveSolver {
-    pub n: usize,
+    /// The length-n line transform of every axis.
+    plan: FftPlan,
+    /// The kinetic factor ½|k|² of every k-space grid point.
+    kinetic: Vec<f64>,
     /// Real-space potential.
     pub potential: Vec<f64>,
     /// Band wavefunctions in real space.
@@ -30,8 +33,20 @@ impl PlaneWaveSolver {
                     .collect()
             })
             .collect();
+        let mut kinetic = Vec::with_capacity(n * n * n);
+        for x in 0..n {
+            let kx = ksq_component(n, x);
+            for y in 0..n {
+                let ky = ksq_component(n, y);
+                for z in 0..n {
+                    let kz = ksq_component(n, z);
+                    kinetic.push(0.5 * (kx + ky + kz));
+                }
+            }
+        }
         let mut solver = PlaneWaveSolver {
-            n,
+            plan: FftPlan::new(n),
+            kinetic,
             potential,
             bands: states,
         };
@@ -39,35 +54,14 @@ impl PlaneWaveSolver {
         solver
     }
 
-    /// Squared k-vector of grid index `i` (periodic, signed frequencies).
-    fn ksq_component(&self, i: usize) -> f64 {
-        let n = self.n as f64;
-        let k = if i <= self.n / 2 {
-            i as f64
-        } else {
-            i as f64 - n
-        };
-        let kk = 2.0 * std::f64::consts::PI * k / n;
-        kk * kk
-    }
-
     /// H ψ: kinetic via FFT, potential pointwise.
     pub(crate) fn apply_h(&self, psi: &[C64]) -> Vec<C64> {
-        let n = self.n;
         let mut k = psi.to_vec();
-        fft_3d(&mut k, n, n, n);
-        for x in 0..n {
-            let kx = self.ksq_component(x);
-            for y in 0..n {
-                let ky = self.ksq_component(y);
-                for z in 0..n {
-                    let kz = self.ksq_component(z);
-                    let idx = (x * n + y) * n + z;
-                    k[idx] = k[idx].scale(0.5 * (kx + ky + kz));
-                }
-            }
+        self.plan.forward_cube(&mut k);
+        for (v, &t) in k.iter_mut().zip(&self.kinetic) {
+            *v = v.scale(t);
         }
-        ifft_3d(&mut k, n, n, n);
+        self.plan.inverse_cube(&mut k);
         for (i, v) in k.iter_mut().enumerate() {
             *v += psi[i].scale(self.potential[i]);
         }
@@ -125,6 +119,15 @@ impl PlaneWaveSolver {
         self.orthonormalize();
         total
     }
+}
+
+/// Squared k-vector of index `i` on an n-point periodic axis (signed
+/// frequencies).
+fn ksq_component(n: usize, i: usize) -> f64 {
+    let nf = n as f64;
+    let k = if i <= n / 2 { i as f64 } else { i as f64 - nf };
+    let kk = 2.0 * std::f64::consts::PI * k / nf;
+    kk * kk
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ pub mod tridiag;
 
 pub use cg::{cg_solve, CgResult, LinOp};
 pub use complex::C64;
-pub use fft::{fft_1d, fft_3d, ifft_1d, ifft_3d};
+pub use fft::{fft_1d, fft_3d, ifft_1d, ifft_3d, FftPlan};
 pub use linalg::{gemm, lu_factor, lu_solve, Matrix};
 pub use multigrid::poisson_vcycle;
 pub use rng::{rank_rng, DetRng};

@@ -626,8 +626,8 @@ fn par_map_indexed_survives_panicking_tasks() {
                     "case {case}: task {i} (bomb {bomb}, {threads} threads)"
                 );
             }
-            // Same pool instance (the per-width pool is cached): it must
-            // execute the next map as if nothing happened.
+            // The panic leaves nothing behind: the next map on this
+            // thread (a fresh scope) must run as if nothing happened.
             let out = par_map_indexed(n, |i| i * 2);
             assert_eq!(
                 out,
