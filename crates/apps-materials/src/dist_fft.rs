@@ -20,8 +20,8 @@ pub(crate) struct DistFft {
     pub n: usize,
     /// Slab width (n / rank count).
     pub w: usize,
-    /// The line transform of length n, shared by all three axes.
-    line: FftPlan,
+    /// The length-n line transform of all three axes.
+    plan: FftPlan,
 }
 
 impl DistFft {
@@ -35,7 +35,7 @@ impl DistFft {
         DistFft {
             n,
             w: n / p,
-            line: FftPlan::new(n),
+            plan: FftPlan::new(n),
         }
     }
 
@@ -57,14 +57,14 @@ impl DistFft {
         for plane in data.chunks_mut(n * n) {
             // z-direction: contiguous rows.
             for row in plane.chunks_mut(n) {
-                line(&self.line, row);
+                line(&self.plan, row);
             }
             // y-direction: stride n.
             for z in 0..n {
                 for y in 0..n {
                     scratch[y] = plane[y * n + z];
                 }
-                line(&self.line, &mut scratch);
+                line(&self.plan, &mut scratch);
                 for y in 0..n {
                     plane[y * n + z] = scratch[y];
                 }
@@ -160,7 +160,7 @@ impl DistFft {
                 for x in 0..n {
                     scratch[x] = t[(x * w + yl) * n + z];
                 }
-                self.line.forward(&mut scratch);
+                self.plan.forward(&mut scratch);
                 for x in 0..n {
                     t[(x * w + yl) * n + z] = scratch[x];
                 }
@@ -180,7 +180,7 @@ impl DistFft {
                 for x in 0..n {
                     scratch[x] = kslab[(x * w + yl) * n + z];
                 }
-                self.line.inverse(&mut scratch);
+                self.plan.inverse(&mut scratch);
                 for x in 0..n {
                     kslab[(x * w + yl) * n + z] = scratch[x];
                 }
